@@ -3,10 +3,9 @@
 // Head-to-head over a simulated decade on a 10,000-device fleet:
 // k in {2,3,4} x the strategies whose per-placement cost is tractable at
 // that scale (fast-redundant-share O(k log n), trivial-ring O(k log n),
-// round-robin O(1)).  The exact O(n k) walk, the exact-race trivial
-// strategy (O(n) rendezvous per placement), and the O(k n^2)-memory
-// precomputed tables are not re-placed 120 times over 200k objects at
-// n = 10k.
+// round-robin O(1)).  The exact O(n k) walk and the exact-race trivial
+// strategy (O(n) rendezvous per placement) are not re-placed 120 times
+// over 200k objects at n = 10k.
 //
 // A second, smaller table runs the exact Redundant Share walk at n = 1000
 // with the paper's <= k^2 adaptivity bound ASSERTED on every add/remove

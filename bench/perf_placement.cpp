@@ -1,15 +1,15 @@
 // Placement-latency microbenchmarks (Section 3 prose: LinMirror /
 // k-replication run in O(n); Section 3.3 trades memory for speed: O(k log n)
-// in FastRedundantShare, O(k) alias lookups in PrecomputedRedundantShare).
+// in FastRedundantShare).
 //
 // Measures ns/placement across cluster sizes and replication degrees for
-// Redundant Share, both Section 3.3 variants, and the single-copy
+// Redundant Share, its Section 3.3 variant, and the single-copy
 // substrates, plus strategy (re)construction cost -- the other side of the
-// O(k) trade (tables are rebuilt per committed topology change).  The
+// trade (tables are rebuilt per committed topology change).  The
 // bm_factory_* rows construct through make_replication_strategy, i.e. the
 // exact path VirtualDisk::apply_config takes; the perf ratchet's headline
-// speedup check (precomputed vs redundant-share, docs/benchmarks.md) reads
-// those rows.
+// speedup check (fast-redundant-share vs redundant-share,
+// docs/benchmarks.md) reads those rows.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -18,7 +18,6 @@
 
 #include "bench/perf_main.hpp"
 #include "src/core/fast_redundant_share.hpp"
-#include "src/core/precomputed_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/placement/batch_placer.hpp"
 #include "src/placement/consistent_hashing.hpp"
@@ -163,8 +162,6 @@ void batch_args(benchmark::internal::Benchmark* b) {
 
 BENCHMARK_TEMPLATE(bm_replicated, RedundantShare)->Apply(replicated_args);
 BENCHMARK_TEMPLATE(bm_replicated, FastRedundantShare)->Apply(replicated_args);
-BENCHMARK_TEMPLATE(bm_replicated, PrecomputedRedundantShare)
-    ->Apply(replicated_args);
 BENCHMARK_TEMPLATE(bm_replicated, TrivialReplication)->Apply(replicated_args);
 
 BENCHMARK_TEMPLATE(bm_single, WeightedRendezvous)
@@ -177,8 +174,6 @@ BENCHMARK_TEMPLATE(bm_single, Sieve)->Arg(10)->Arg(100)->Arg(1000);
 BENCHMARK_TEMPLATE(bm_single, WeightedDht)->Arg(10)->Arg(100)->Arg(1000);
 
 BENCHMARK_TEMPLATE(bm_batch_place, FastRedundantShare)->Apply(batch_args);
-BENCHMARK_TEMPLATE(bm_batch_place, PrecomputedRedundantShare)
-    ->Apply(batch_args);
 BENCHMARK_TEMPLATE(bm_batch_place, RedundantShare)->Args({1000, 2, 4})
     ->UseRealTime();
 
@@ -190,29 +185,20 @@ BENCHMARK_CAPTURE(bm_factory_replicated, redundant_share,
 BENCHMARK_CAPTURE(bm_factory_replicated, fast_redundant_share,
                   PlacementKind::kFastRedundantShare)
     ->Args({1000, 4});
-BENCHMARK_CAPTURE(bm_factory_replicated, precomputed,
-                  PlacementKind::kPrecomputed)
-    ->Args({1000, 4});
 BENCHMARK_CAPTURE(bm_factory_place_many, redundant_share,
                   PlacementKind::kRedundantShare)
     ->Args({1000, 4});
 BENCHMARK_CAPTURE(bm_factory_place_many, fast_redundant_share,
                   PlacementKind::kFastRedundantShare)
     ->Args({1000, 4});
-BENCHMARK_CAPTURE(bm_factory_place_many, precomputed,
-                  PlacementKind::kPrecomputed)
-    ->Args({1000, 4});
 
-// Construction cost is the price of the O(k) lookups: O(k n) tables for
-// the fast variant vs O(k n^2) alias slots for the precomputed one.  Swept
-// over n so the trade-off of Section 3.3 is visible in one JSON.
+// Construction cost is the price of the fast lookups: O(k n) tables for
+// the fast variant.  Swept over n so the trade-off of Section 3.3 is
+// visible in one JSON.
 BENCHMARK_TEMPLATE(bm_construction, RedundantShare)
     ->Args({100, 4})
     ->Args({1000, 4});
 BENCHMARK_TEMPLATE(bm_construction, FastRedundantShare)
-    ->Args({100, 4})
-    ->Args({1000, 4});
-BENCHMARK_TEMPLATE(bm_construction, PrecomputedRedundantShare)
     ->Args({100, 4})
     ->Args({1000, 4});
 

@@ -110,7 +110,7 @@ void bm_codec_decode_two_losses(benchmark::State& state) {
 
 // Same write path under different placement strategies: the placement
 // lookup is a small slice of a mirrored 4 KiB write, so these rows bound
-// how much the O(k) strategy can matter end-to-end at the storage layer.
+// how much the fast strategy can matter end-to-end at the storage layer.
 void bm_disk_write_strategy(benchmark::State& state, PlacementKind kind) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(3), kind);
   const Bytes data = payload(4096, 7);
@@ -131,7 +131,7 @@ BENCHMARK(bm_codec_encode)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(bm_codec_decode_two_losses)->Arg(1)->Arg(2);
 BENCHMARK_CAPTURE(bm_disk_write_strategy, redundant_share,
                   rds::PlacementKind::kRedundantShare);
-BENCHMARK_CAPTURE(bm_disk_write_strategy, precomputed,
-                  rds::PlacementKind::kPrecomputed);
+BENCHMARK_CAPTURE(bm_disk_write_strategy, fast_redundant_share,
+                  rds::PlacementKind::kFastRedundantShare);
 
 int main(int argc, char** argv) { return rds::bench::perf_main(argc, argv); }

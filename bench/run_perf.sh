@@ -85,7 +85,7 @@ if [ "$CHECK" = 1 ]; then
   "$RATCHET" check \
     --baseline "$ROOT/BENCH_placement.json" \
     --current "$OUT_DIR/BENCH_placement.json" \
-    --min-speedup "bm_factory_replicated/precomputed/1000/4:bm_factory_replicated/redundant_share/1000/4:10"
+    --min-speedup "bm_factory_replicated/fast_redundant_share/1000/4:bm_factory_replicated/redundant_share/1000/4:10"
   # The SLO rule is machine-independent (seeded queueing-model outputs),
   # so it is strict: power-of-two must beat random at p99 under Zipf-0.9.
   "$RATCHET" check \

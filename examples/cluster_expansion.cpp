@@ -31,22 +31,24 @@ void report_step(const std::string& what, const ClusterConfig& before,
                  const ClusterConfig& after) {
   const MovementReport rs =
       transition(PlacementKind::kRedundantShare, before, after);
-  const MovementReport pre =
-      transition(PlacementKind::kPrecomputed, before, after);
+  const MovementReport fast =
+      transition(PlacementKind::kFastRedundantShare, before, after);
   const MovementReport stripe =
       transition(PlacementKind::kRoundRobin, before, after);
 
   std::cout << std::fixed << std::setprecision(1);
   std::cout << what << ":\n"
-            << "  redundant-share moved " << 100.0 * rs.moved_set_fraction()
+            << "  redundant-share      moved "
+            << 100.0 * rs.moved_set_fraction()
             << "% of all copies (minimum possible: "
             << 100.0 * static_cast<double>(rs.optimal_moves) /
                    static_cast<double>(rs.total_copies)
             << "%)\n"
-            << "  precomputed     moved " << 100.0 * pre.moved_set_fraction()
-            << "% (same law, O(k) lookups; coupling costs adaptivity)\n"
-            << "  raid-striping   moved " << 100.0 * stripe.moved_set_fraction()
-            << "%\n";
+            << "  fast-redundant-share moved "
+            << 100.0 * fast.moved_set_fraction()
+            << "% (same law, O(k log n) lookups; coupling costs adaptivity)\n"
+            << "  raid-striping        moved "
+            << 100.0 * stripe.moved_set_fraction() << "%\n";
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ struct JournalWriterOptions {
   bool write_header = true;
   /// Called after each record is flushed -- the fsync hook point for
   /// file-backed streams (and the crash trigger for fault injection).
-  std::function<void()> sync_hook;
+  std::function<void()> sync_hook{};
 };
 
 class JournalWriter final : public JournalSink {

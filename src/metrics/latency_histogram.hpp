@@ -4,9 +4,8 @@
 // above, each power-of-two octave is split into 32 linear sub-buckets, so
 // the relative quantile error is bounded by 1/32 (~3%) over the full uint64
 // range at a fixed 1920 buckets (~15 KB).  bucket_of() is two bit
-// operations -- no std::log on the record path, unlike util/LogHistogram,
-// and every slot is a relaxed atomic, so record() is lock-free and safe
-// from any thread.
+// operations -- no std::log on the record path -- and every slot is a
+// relaxed atomic, so record() is lock-free and safe from any thread.
 //
 // Unit convention: record() takes an integer; time series use nanoseconds
 // (suffix the metric name `_ns`), sizes use bytes (`_bytes`).

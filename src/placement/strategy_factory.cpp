@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "src/core/fast_redundant_share.hpp"
-#include "src/core/precomputed_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/placement/static_placement.hpp"
 #include "src/placement/trivial_replication.hpp"
@@ -21,9 +20,9 @@ struct KindNames {
 };
 
 constexpr PlacementKind kAllKinds[] = {
-    PlacementKind::kRedundantShare,  PlacementKind::kFastRedundantShare,
-    PlacementKind::kTrivial,         PlacementKind::kRoundRobin,
-    PlacementKind::kPrecomputed,     PlacementKind::kTrivialRing,
+    PlacementKind::kRedundantShare, PlacementKind::kFastRedundantShare,
+    PlacementKind::kTrivial,        PlacementKind::kRoundRobin,
+    PlacementKind::kTrivialRing,
 };
 
 constexpr KindNames kNames[] = {
@@ -31,7 +30,6 @@ constexpr KindNames kNames[] = {
     {PlacementKind::kFastRedundantShare, "fast-redundant-share", "fast"},
     {PlacementKind::kTrivial, "trivial", ""},
     {PlacementKind::kRoundRobin, "round-robin", "rr"},
-    {PlacementKind::kPrecomputed, "precomputed", "pre"},
     {PlacementKind::kTrivialRing, "trivial-ring", "ring"},
 };
 
@@ -48,8 +46,6 @@ std::unique_ptr<ReplicationStrategy> make_replication_strategy(
       return std::make_unique<TrivialReplication>(config, k);
     case PlacementKind::kRoundRobin:
       return std::make_unique<RoundRobinStriping>(config, k);
-    case PlacementKind::kPrecomputed:
-      return std::make_unique<PrecomputedRedundantShare>(config, k);
     case PlacementKind::kTrivialRing:
       return std::make_unique<TrivialReplication>(config, k,
                                                   TrivialBackend::kRingWalk);

@@ -18,17 +18,18 @@
 namespace rds {
 
 /// Which placement strategy backs a disk / volume / CLI run.
-/// Values are serialized into checkpoints (one byte); only append.
+/// Values are serialized into checkpoints (one byte); only append, and
+/// never reuse a retired value: 4 was the O(k n^2) precomputed variant,
+/// and a checkpoint carrying it must fail to restore rather than come
+/// back as another strategy.
 enum class PlacementKind {
-  kRedundantShare,      ///< the paper's strategy, O(n k) per access
-  kFastRedundantShare,  ///< Section 3.3 variant, O(k log n) per access
-  kTrivial,             ///< k independent draws (for comparison only)
-  kRoundRobin,          ///< static striping baseline
-  kPrecomputed,         ///< Section 3.3 full trade-off, O(k) per access
-                        ///< (per-state alias tables, O(k n^2) memory)
-  kTrivialRing,         ///< trivial draws on a consistent-hashing ring
-                        ///< (the practical P2P form; tractable at 10k+
-                        ///< devices where the exact race's O(n) is not)
+  kRedundantShare = 0,      ///< the paper's strategy, O(n k) per access
+  kFastRedundantShare = 1,  ///< Section 3.3 variant, O(k log n) per access
+  kTrivial = 2,             ///< k independent draws (for comparison only)
+  kRoundRobin = 3,          ///< static striping baseline
+  kTrivialRing = 5,         ///< trivial draws on a consistent-hashing ring
+                            ///< (the practical P2P form; tractable at 10k+
+                            ///< devices where the exact race's O(n) is not)
 };
 
 /// Every kind, in declaration order -- the one list consumers (tests, CLI
@@ -50,10 +51,9 @@ enum class PlacementKind {
 [[nodiscard]] std::string_view to_string(PlacementKind kind) noexcept;
 
 /// Parses a kind name: canonical spellings ("redundant-share",
-/// "fast-redundant-share", "trivial", "round-robin", "precomputed",
-/// "trivial-ring") plus the short CLI aliases ("rs", "fast", "rr", "pre",
-/// "ring").  nullopt for anything else; placement_kind_names() lists every
-/// accepted spelling.
+/// "fast-redundant-share", "trivial", "round-robin", "trivial-ring") plus
+/// the short CLI aliases ("rs", "fast", "rr", "ring").  nullopt for
+/// anything else; placement_kind_names() lists every accepted spelling.
 [[nodiscard]] std::optional<PlacementKind> parse_placement_kind(
     std::string_view name) noexcept;
 

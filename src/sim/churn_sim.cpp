@@ -644,10 +644,10 @@ ChurnResult ChurnSim::run() {
   // The asserted adaptivity bound.  The paper's <= k^2 lemma is about the
   // exact algorithm's insert/remove handling, and measurement agrees:
   // exact RS stays within ~2.1x on add/remove edits at k = 2..4, while the
-  // fast variant reaches 4.6x at k = 2 and the precomputed one 9.0x at
-  // k = 3 -- at or above k^2.  So k^2 is asserted by default only for
-  // kRedundantShare; everything else is report-only unless the caller sets
-  // an explicit bound (and resizes are never asserted -- see on_churn).
+  // fast variant reaches 4.6x at k = 2 -- above k^2.  So k^2 is asserted
+  // by default only for kRedundantShare; everything else is report-only
+  // unless the caller sets an explicit bound (and resizes are never
+  // asserted -- see on_churn).
   if (cfg_.movement_bound) {
     bound_ = *cfg_.movement_bound;
   } else if (cfg_.strategy == PlacementKind::kRedundantShare) {

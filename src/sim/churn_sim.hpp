@@ -47,10 +47,10 @@
 //   std::logic_error.  Two measured caveats shape the defaults
 //   (docs/durability.md): capacity *resizes* are outside the paper's
 //   insert/remove lemma (even exact RS reaches ~15-27x there, so resize
-//   ratios are reported separately and never asserted), and the
-//   fast/precomputed variants trade adaptivity for lookup speed (measured
-//   up to ~4.6x and ~9x -- above k^2 at k = 2), so they are report-only
-//   unless the caller sets an explicit bound.
+//   ratios are reported separately and never asserted), and the fast
+//   variant trades adaptivity for lookup speed (measured up to ~4.6x --
+//   above k^2 at k = 2), so it is report-only unless the caller sets an
+//   explicit bound.
 //
 // Cross-checks against the storage layer
 //   run_churn(config, &mirror) drives a real VirtualDisk through the same

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "src/core/fast_redundant_share.hpp"
-#include "src/core/precomputed_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/storage/virtual_disk.hpp"
 
@@ -34,10 +33,6 @@ std::vector<double> usable_capacities(const ReplicationStrategy& strategy,
   if (const auto* fast =
           dynamic_cast<const FastRedundantShare*>(&strategy)) {
     return fast->tables().caps;
-  }
-  if (const auto* pre =
-          dynamic_cast<const PrecomputedRedundantShare*>(&strategy)) {
-    return pre->tables().caps;
   }
   std::vector<double> caps;
   caps.reserve(config.size());

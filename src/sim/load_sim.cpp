@@ -9,7 +9,6 @@
 #include "src/metrics/registry.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/gauge_guard.hpp"
-#include "src/util/histogram.hpp"
 
 namespace rds {
 
@@ -130,9 +129,11 @@ LoadResult run_simulation(
     result.devices[i].uid = config[i].uid;
   }
 
-  // Log-bucketed latency histogram: 2% relative quantile error, O(1) memory
-  // in the trace length.
-  LogHistogram responses(0.1, 1e9, 1.02);
+  // This run's response times in ns: ~3% relative quantile error, O(1)
+  // memory in the trace length.  The sum and max are kept exactly beside
+  // it.
+  metrics::LatencyHistogram responses;
+  double response_sum_us = 0.0;
   // Registry instruments so live runs surface the simulated device behavior
   // next to the storage/placement metrics (docs/metrics.md).
   metrics::Registry& reg = metrics::Registry::global();
@@ -142,7 +143,7 @@ LoadResult run_simulation(
       reg.counter("rds_loadsim_requests_dropped_total");
   metrics::Counter& degraded_served_total =
       reg.counter("rds_loadsim_degraded_served_total");
-  metrics::LatencyHistogram& response_ns =
+  metrics::LatencyHistogram& response_latency_ns =
       reg.histogram("rds_loadsim_response_latency_ns");
   metrics::LatencyHistogram& queue_wait_ns =
       reg.histogram("rds_loadsim_queue_wait_ns");
@@ -179,12 +180,15 @@ LoadResult run_simulation(
 
     result.devices[dev].requests += 1;
     result.devices[dev].busy_us += service_us;
-    responses.add(finish - r.arrival_us);
+    const double response_us = finish - r.arrival_us;
+    const auto response_ns = static_cast<std::uint64_t>(response_us * 1000.0);
+    responses.record(response_ns);
+    response_sum_us += response_us;
+    result.max_response_us = std::max(result.max_response_us, response_us);
     result.makespan_us = std::max(result.makespan_us, finish);
 
     requests_total.inc();
-    response_ns.record(
-        static_cast<std::uint64_t>((finish - r.arrival_us) * 1000.0));
+    response_latency_ns.record(response_ns);
     const double wait_us = start - r.arrival_us;
     queue_wait_ns.record(static_cast<std::uint64_t>(wait_us * 1000.0));
     // FCFS backlog expressed in requests: how many mean service times fit
@@ -194,11 +198,17 @@ LoadResult run_simulation(
   }
 
   if (responses.count() > 0) {
-    result.mean_response_us = responses.mean();
-    result.p50_response_us = responses.quantile(0.50);
-    result.p99_response_us = responses.quantile(0.99);
-    result.p999_response_us = responses.quantile(0.999);
-    result.max_response_us = responses.max();
+    const metrics::HistogramData data = responses.snapshot();
+    result.mean_response_us =
+        response_sum_us / static_cast<double>(data.count);
+    // A quantile is its bucket's upper bound, which can lie above every
+    // sample; the exact max caps it.
+    const auto quantile_us = [&](double q) {
+      return std::min(data.quantile(q) / 1000.0, result.max_response_us);
+    };
+    result.p50_response_us = quantile_us(0.50);
+    result.p99_response_us = quantile_us(0.99);
+    result.p999_response_us = quantile_us(0.999);
   }
   if (result.makespan_us > 0.0) {
     for (DeviceLoad& d : result.devices) {

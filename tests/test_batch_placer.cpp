@@ -10,6 +10,7 @@
 #include "src/core/fast_redundant_share.hpp"
 #include "src/placement/batch_placer.hpp"
 #include "src/placement/strategy_factory.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
@@ -17,7 +18,7 @@ namespace {
 ClusterConfig make_cluster() {
   std::vector<Device> devices;
   for (DeviceId uid = 0; uid < 12; ++uid) {
-    devices.push_back({uid, 500 + 150 * uid, "d" + std::to_string(uid)});
+    devices.push_back({uid, 500 + 150 * uid, test::numbered("d", uid)});
   }
   return ClusterConfig(std::move(devices));
 }

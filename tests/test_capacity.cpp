@@ -75,7 +75,9 @@ TEST(OptimalWeights, ResultSatisfiesLemma21) {
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_LE(adj[i], caps[i] + 1e-9);
-      if (i > 0) EXPECT_LE(adj[i], adj[i - 1] + 1e-9);
+      if (i > 0) {
+        EXPECT_LE(adj[i], adj[i - 1] + 1e-9);
+      }
       total += adj[i];
     }
     EXPECT_LE(k * adj[0], total + 1e-6 * total);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/core/fast_redundant_share.hpp"
-#include "src/core/precomputed_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/placement/rendezvous.hpp"
 
@@ -62,11 +61,6 @@ TEST(Concurrency, RedundantShareIsShareable) {
 
 TEST(Concurrency, FastRedundantShareIsShareable) {
   const FastRedundantShare s(make_pool(), 3);
-  hammer_replicated(s, 3);
-}
-
-TEST(Concurrency, PrecomputedRedundantShareIsShareable) {
-  const PrecomputedRedundantShare s(make_pool(), 3);
   hammer_replicated(s, 3);
 }
 

@@ -1,17 +1,13 @@
-// Cross-consistency of RedundantShare, FastRedundantShare, and the
-// factory-constructed PrecomputedRedundantShare.
+// Cross-consistency of RedundantShare and FastRedundantShare.
 //
 // The variants draw from the SAME per-copy law (the fast variant skips
 // the rejected columns with one log-survival binary search instead of n
-// Bernoulli draws; the precomputed variant samples per-state alias tables)
-// but use different random couplings, so placements are not samplewise
-// identical.  What must agree is the distribution: for every copy index r,
-// the empirical distribution of the device receiving copy r must match the
-// closed-form law exact_copy_index_law() -- for ALL variants, on the same
-// configurations, including the first k-1 copies where the selection chain
-// (not the rendezvous race) governs.  The precomputed strategy goes through
-// make_replication_strategy so the path VirtualDisk::apply_config serves is
-// the path under test.
+// Bernoulli draws) but use different random couplings, so placements are
+// not samplewise identical.  What must agree is the distribution: for
+// every copy index r, the empirical distribution of the device receiving
+// copy r must match the closed-form law exact_copy_index_law() -- for both
+// variants, on the same configurations, including the first k-1 copies
+// where the selection chain (not the rendezvous race) governs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,19 +16,13 @@
 
 #include "src/core/fast_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
-#include "src/placement/strategy_factory.hpp"
 #include "src/util/stats.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
 
-ClusterConfig cluster_from(const std::vector<std::uint64_t>& caps) {
-  std::vector<Device> devices;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    devices.push_back({i, caps[i], "d" + std::to_string(i)});
-  }
-  return ClusterConfig(std::move(devices));
-}
+using test::cluster_from;
 
 /// Per-copy-index device counts over `balls` placements, in the canonical
 /// bin order of `uids`.
@@ -112,11 +102,6 @@ void cross_check(const std::vector<std::uint64_t>& caps, unsigned k,
                      "redundant-share");
   expect_matches_law(fast, slow.canonical_uids(), law, balls,
                      "fast-redundant-share");
-
-  const auto pre =
-      make_replication_strategy(PlacementKind::kPrecomputed, config, k);
-  expect_matches_law(*pre, slow.canonical_uids(), law, balls,
-                     "precomputed-redundant-share");
 }
 
 TEST(CrossConsistency, HomogeneousK2) { cross_check({100, 100, 100, 100}, 2); }

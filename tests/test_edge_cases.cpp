@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/core/fast_redundant_share.hpp"
-#include "src/core/precomputed_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/placement/static_placement.hpp"
 #include "src/placement/trivial_replication.hpp"
@@ -25,8 +24,7 @@ class ReplicatedEdgeCases : public ::testing::Test {
 };
 
 using Strategies =
-    ::testing::Types<RedundantShare, FastRedundantShare,
-                     PrecomputedRedundantShare, TrivialReplication,
+    ::testing::Types<RedundantShare, FastRedundantShare, TrivialReplication,
                      RoundRobinStriping>;
 TYPED_TEST_SUITE(ReplicatedEdgeCases, Strategies);
 
@@ -125,7 +123,6 @@ TYPED_TEST(ReplicatedEdgeCases, CanonicalOrderInvariance) {
 template <typename Strategy>
 class SingleCopyDegeneration : public ::testing::Test {};
 using HashStrategies = ::testing::Types<RedundantShare, FastRedundantShare,
-                                        PrecomputedRedundantShare,
                                         TrivialReplication>;
 TYPED_TEST_SUITE(SingleCopyDegeneration, HashStrategies);
 

@@ -3,22 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "src/sim/block_map.hpp"
 #include "src/sim/scenario.hpp"
 #include "src/util/stats.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
 
-ClusterConfig cluster_from(const std::vector<std::uint64_t>& caps) {
-  std::vector<Device> devices;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    devices.push_back({i, caps[i], "d" + std::to_string(i)});
-  }
-  return ClusterConfig(std::move(devices));
-}
+using test::cluster_from;
 
 /// Monte-Carlo fairness against the adjusted-capacity shares.
 void expect_fair_sampled(const std::vector<std::uint64_t>& caps, unsigned k,
@@ -137,6 +133,25 @@ TEST(FastRedundantShare, PrimaryDistributionMatchesSlowVariant) {
   }
   EXPECT_LT(chi_square(cf, expected),
             2.0 * chi_square_critical_999(config.size() - 1));
+}
+
+TEST(FastRedundantShare, PlaceManyMatchesSequentialPlace) {
+  // place_many is the entry point BatchPlacer chunks call; its output must
+  // be bit-identical to looping place() over the same addresses.
+  const FastRedundantShare s(cluster_from({9, 7, 5, 3, 2, 1}), 3);
+  constexpr std::size_t kBatch = 4097;
+  std::vector<std::uint64_t> addresses(kBatch);
+  std::iota(addresses.begin(), addresses.end(), std::uint64_t{0});
+  for (auto& a : addresses) a = a * 2654435761u + 17;
+  std::vector<DeviceId> batch(kBatch * 3);
+  s.place_many(addresses, batch);
+  std::vector<DeviceId> one(3);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    s.place(addresses[i], one);
+    const std::vector<DeviceId> row(batch.begin() + i * 3,
+                                    batch.begin() + (i + 1) * 3);
+    ASSERT_EQ(row, one) << "address index " << i;
+  }
 }
 
 TEST(FastRedundantShare, Validation) {

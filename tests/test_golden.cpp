@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/core/fast_redundant_share.hpp"
-#include "src/core/precomputed_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/placement/rendezvous.hpp"
 #include "src/util/hash.hpp"
@@ -58,11 +57,6 @@ TEST(Golden, RedundantShareK4) {
 TEST(Golden, FastRedundantShareK3) {
   const FastRedundantShare s(golden_cluster(), 3);
   EXPECT_EQ(digest_replicated(s), 0x51fc5148ce203a97ULL);
-}
-
-TEST(Golden, PrecomputedRedundantShareK3) {
-  const PrecomputedRedundantShare s(golden_cluster(), 3);
-  EXPECT_EQ(digest_replicated(s), 0x1c92b05f4c649248ULL);
 }
 
 TEST(Golden, WeightedRendezvous) {

@@ -4,6 +4,7 @@
 // redundancy schemes and placement backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -12,6 +13,7 @@
 #include "src/storage/erasure/rdp.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/random.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
@@ -54,7 +56,7 @@ TEST_P(VirtualDiskFuzz, RandomOperationSequenceKeepsIntegrity) {
   // fragment count so removals stay legal.
   std::vector<Device> devices;
   for (DeviceId uid = 0; uid < 8; ++uid) {
-    devices.push_back({uid, 2000 + 500 * uid, "d" + std::to_string(uid)});
+    devices.push_back({uid, 2000 + 500 * uid, test::numbered("d", uid)});
   }
   VirtualDisk disk(ClusterConfig(std::move(devices)), make_scheme(c.scheme),
                    c.placement);
@@ -136,15 +138,14 @@ INSTANTIATE_TEST_SUITE_P(
                         7},
         IntegrationCase{SchemeKind::kRdp5, PlacementKind::kRedundantShare, 8},
         IntegrationCase{SchemeKind::kRdp5, PlacementKind::kFastRedundantShare,
-                        9}),
+                        9},
+        IntegrationCase{SchemeKind::kMirror3, PlacementKind::kTrivialRing,
+                        10},
+        IntegrationCase{SchemeKind::kRs32, PlacementKind::kRoundRobin, 11}),
     [](const ::testing::TestParamInfo<IntegrationCase>& info) {
-      const char* placement = "";
-      switch (info.param.placement) {
-        case PlacementKind::kRedundantShare: placement = "rs"; break;
-        case PlacementKind::kFastRedundantShare: placement = "fast"; break;
-        case PlacementKind::kTrivial: placement = "trivial"; break;
-        case PlacementKind::kRoundRobin: placement = "rr"; break;
-      }
+      // Test names allow only [A-Za-z0-9_].
+      std::string placement(to_string(info.param.placement));
+      std::ranges::replace(placement, '-', '_');
       return scheme_tag(info.param.scheme) + "_" + placement + "_seed" +
              std::to_string(info.param.seed);
     });

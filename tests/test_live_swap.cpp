@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "src/storage/virtual_disk.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
@@ -22,7 +24,7 @@ ClusterConfig small_pool() {
 ClusterConfig big_pool() {
   std::vector<Device> devices;
   for (DeviceId uid = 1; uid <= 9; ++uid) {
-    devices.push_back({uid, 700 + 100 * uid, "d" + std::to_string(uid)});
+    devices.push_back({uid, 700 + 100 * uid, test::numbered("d", uid)});
   }
   return ClusterConfig(std::move(devices));
 }
@@ -117,11 +119,11 @@ TEST(Concurrency, ReadersSeeConsistentSnapshotsDuringSwaps) {
   EXPECT_GE(disk.placement_snapshot()->epoch, 1u + kSwaps);
 }
 
-// Strategy-kind swap to/from the precomputed O(k) path: the alias tables
-// are rebuilt by the constructor inside try_set_strategy and published
-// through the same RCU epoch, so readers must stay consistent while the
-// heavyweight table build and the swap race past them in both directions.
-TEST(Concurrency, ReadersSurviveSwapsToAndFromPrecomputed) {
+// Strategy-kind swaps across every kind the factory builds: each strategy
+// is constructed inside try_set_strategy and published through the same
+// RCU epoch, so readers must stay consistent while the build and the swap
+// race past them, from and to every kind.
+TEST(Concurrency, ReadersSurviveSwapsAcrossEveryKind) {
   VirtualDisk disk = make_disk(big_pool());
 
   constexpr int kReaders = 3;
@@ -153,18 +155,16 @@ TEST(Concurrency, ReadersSurviveSwapsToAndFromPrecomputed) {
     });
   }
 
-  const PlacementKind kinds[3] = {PlacementKind::kPrecomputed,
-                                  PlacementKind::kFastRedundantShare,
-                                  PlacementKind::kRedundantShare};
+  const std::span<const PlacementKind> kinds = all_placement_kinds();
   for (int s = 0; s < kSwaps; ++s) {
-    const Result<void> r = disk.try_set_strategy(kinds[s % 3]);
+    const Result<void> r = disk.try_set_strategy(kinds[s % kinds.size()]);
     ASSERT_TRUE(r.ok()) << r.error().message;
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(disk.placement_kind(), kinds[(kSwaps - 1) % 3]);
+  EXPECT_EQ(disk.placement_kind(), kinds[(kSwaps - 1) % kinds.size()]);
 }
 
 TEST(CopyLocations, MatchesPlaceAndReportsEpoch) {

@@ -16,17 +16,12 @@
 #include "src/storage/migration.hpp"
 #include "src/storage/storage_pool.hpp"
 #include "src/storage/virtual_disk.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
 
-ClusterConfig cluster_from(const std::vector<std::uint64_t>& caps) {
-  std::vector<Device> devices;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    devices.push_back({i, caps[i], "d" + std::to_string(i)});
-  }
-  return ClusterConfig(std::move(devices));
-}
+using test::cluster_from;
 
 std::vector<std::uint8_t> payload(std::size_t n) {
   std::vector<std::uint8_t> data(n);

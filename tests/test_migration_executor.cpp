@@ -10,6 +10,7 @@
 #include "src/core/fast_redundant_share.hpp"
 #include "src/storage/migration.hpp"
 #include "src/storage/migration_executor.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
@@ -21,7 +22,7 @@ constexpr unsigned kK = 2;
 ClusterConfig pool(std::size_t n) {
   std::vector<Device> devices;
   for (DeviceId uid = 0; uid < n; ++uid) {
-    devices.push_back({uid, 10'000, "d" + std::to_string(uid)});
+    devices.push_back({uid, 10'000, test::numbered("d", uid)});
   }
   return ClusterConfig(std::move(devices));
 }

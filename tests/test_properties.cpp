@@ -19,6 +19,7 @@
 #include "src/sim/block_map.hpp"
 #include "src/sim/movement.hpp"
 #include "src/util/random.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
@@ -136,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{3, 302, true}, PropertyCase{4, 401, false},
                       PropertyCase{4, 402, true}, PropertyCase{5, 501, false}),
     [](const ::testing::TestParamInfo<PropertyCase>& info) {
-      return "k" + std::to_string(info.param.k) + "_seed" +
+      return test::numbered("k", info.param.k) + "_seed" +
              std::to_string(info.param.seed) +
              (info.param.heavy_skew ? "_skewed" : "_mild");
     });

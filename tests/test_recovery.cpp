@@ -6,6 +6,8 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/journal/journal.hpp"
 #include "src/journal/record.hpp"
@@ -351,6 +353,75 @@ TEST(Recovery, CorruptCheckpointBodyIsCorruption) {
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.error().code, ErrorCode::kCorruption);
   EXPECT_NE(recovered.error().message.find("checkpoint"), std::string::npos);
+}
+
+// PlacementKind values are the checkpoint's one-byte strategy tag
+// (src/placement/strategy_factory.hpp): every kind must come back as
+// itself, with every block readable.
+TEST(Recovery, EveryPlacementKindRestoresAsItself) {
+  for (const PlacementKind kind : all_placement_kinds()) {
+    SCOPED_TRACE(std::string(to_string(kind)));
+    VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2),
+                     kind);
+    for (std::uint64_t b = 0; b < 40; ++b) disk.write(b, payload(b, 11));
+    std::stringstream ckpt;
+    write_checkpoint(disk, 0, ckpt);
+
+    auto recovered = Recovery::recover_disk(ckpt, nullptr);
+    ASSERT_TRUE(recovered.ok()) << recovered.error().message;
+    VirtualDisk& twin = recovered.value().disk;
+    EXPECT_EQ(twin.placement_kind(), kind);
+    for (std::uint64_t b = 0; b < 40; ++b) {
+      EXPECT_EQ(twin.read(b), payload(b, 11)) << "block " << b;
+    }
+  }
+}
+
+// Byte 4 was the retired O(k n^2) precomputed strategy.  A checkpoint that
+// carries it must fail to restore, never come back as another strategy.
+TEST(Recovery, RetiredPrecomputedKindByteIsCorruption) {
+  const auto checkpoint_of = [](PlacementKind kind) {
+    VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2),
+                     kind);
+    std::stringstream out;
+    write_checkpoint(disk, 0, out);
+    return out.str();
+  };
+  // Two empty disks differ only in the strategy byte.
+  std::string bytes = checkpoint_of(PlacementKind::kTrivialRing);
+  const std::string other = checkpoint_of(PlacementKind::kRedundantShare);
+  ASSERT_EQ(bytes.size(), other.size());
+  std::vector<std::size_t> differ;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] != other[i]) differ.push_back(i);
+  }
+  ASSERT_EQ(differ.size(), 1u);
+  EXPECT_EQ(bytes[differ[0]], 5);
+  EXPECT_EQ(other[differ[0]], 0);
+
+  bytes[differ[0]] = 4;
+  std::stringstream ckpt(bytes);
+  auto recovered = Recovery::recover_disk(ckpt, nullptr);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.error().code, ErrorCode::kCorruption);
+}
+
+TEST(Recovery, RetiredPrecomputedStrategyRecordIsCorruption) {
+  VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
+  std::stringstream ckpt;
+  write_checkpoint(disk, 0, ckpt);
+  Record retired = make_set_strategy("", PlacementKind::kRedundantShare);
+  retired.detail = "precomputed";
+  std::stringstream wal;
+  JournalWriter writer(wal);
+  ASSERT_TRUE(writer.append(retired).ok());
+
+  auto recovered = Recovery::recover_disk(ckpt, &wal);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.error().code, ErrorCode::kCorruption);
+  EXPECT_NE(recovered.error().message.find("unknown placement kind"),
+            std::string::npos)
+      << recovered.error().message;
 }
 
 }  // namespace

@@ -10,17 +10,12 @@
 #include "src/sim/movement.hpp"
 #include "src/sim/scenario.hpp"
 #include "src/util/stats.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
 
-ClusterConfig cluster_from(const std::vector<std::uint64_t>& caps) {
-  std::vector<Device> devices;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    devices.push_back({i, caps[i], "d" + std::to_string(i)});
-  }
-  return ClusterConfig(std::move(devices));
-}
+using test::cluster_from;
 
 /// Asserts the exact expected copies equal the fair share k*b'_i / sum b'.
 void expect_perfectly_fair(const std::vector<std::uint64_t>& caps, unsigned k,

@@ -13,17 +13,12 @@
 #include <vector>
 
 #include "src/core/fast_redundant_share.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
 
-ClusterConfig cluster_from(const std::vector<std::uint64_t>& caps) {
-  std::vector<Device> devices;
-  for (std::size_t i = 0; i < caps.size(); ++i) {
-    devices.push_back({i, caps[i], "d" + std::to_string(i)});
-  }
-  return ClusterConfig(std::move(devices));
-}
+using test::cluster_from;
 
 void expect_probabilities_valid(const detail::RsTables& t) {
   for (std::size_t m = 0; m < t.select_prob.size(); ++m) {

@@ -11,6 +11,7 @@
 #include "src/storage/erasure/evenodd.hpp"
 #include "src/storage/erasure/rdp.hpp"
 #include "src/util/random.hpp"
+#include "tests/clusters.hpp"
 
 namespace rds {
 namespace {
@@ -93,11 +94,11 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
   StoragePool pool(wide_config());
   const auto schemes = every_scheme_kind();
   for (std::size_t i = 0; i < schemes.size(); ++i) {
-    pool.create_volume("v" + std::to_string(i), schemes[i]);
+    pool.create_volume(test::numbered("v", i), schemes[i]);
   }
   for (std::uint64_t b = 0; b < 25; ++b) {
     for (std::size_t i = 0; i < schemes.size(); ++i) {
-      pool.volume("v" + std::to_string(i)).write(b, payload(b, 10 + i));
+      pool.volume(test::numbered("v", i)).write(b, payload(b, 10 + i));
     }
   }
   pool.fail_device(4);
@@ -109,7 +110,7 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
   EXPECT_EQ(restored.volume_count(), schemes.size());
   for (std::size_t i = 0; i < schemes.size(); ++i) {
     SCOPED_TRACE(schemes[i]->name());
-    VirtualDisk& vol = restored.volume("v" + std::to_string(i));
+    VirtualDisk& vol = restored.volume(test::numbered("v", i));
     EXPECT_EQ(vol.scheme().name(), schemes[i]->name());
     EXPECT_FALSE(vol.scrub().clean());
     for (std::uint64_t b = 0; b < 25; ++b) {
@@ -119,8 +120,7 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
   // The failure flag is on the SHARED store: one rebuild heals all volumes.
   EXPECT_GT(restored.rebuild(), 0u);
   for (std::size_t i = 0; i < schemes.size(); ++i) {
-    EXPECT_TRUE(
-        restored.volume("v" + std::to_string(i)).scrub().clean());
+    EXPECT_TRUE(restored.volume(test::numbered("v", i)).scrub().clean());
   }
 }
 

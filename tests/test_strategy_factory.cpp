@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/core/precomputed_redundant_share.hpp"
+#include "src/core/fast_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/placement/strategy_factory.hpp"
 
@@ -26,7 +26,6 @@ constexpr PlacementKind kAllKinds[] = {
     PlacementKind::kFastRedundantShare,
     PlacementKind::kTrivial,
     PlacementKind::kRoundRobin,
-    PlacementKind::kPrecomputed,
     PlacementKind::kTrivialRing,
 };
 
@@ -65,11 +64,11 @@ TEST(StrategyFactory, RejectsBadParameters) {
   }
 }
 
-TEST(StrategyFactory, PrecomputedProductMatchesDirectConstruction) {
+TEST(StrategyFactory, FastProductMatchesDirectConstruction) {
   const ClusterConfig config = make_cluster();
-  const PrecomputedRedundantShare direct(config, 3);
+  const FastRedundantShare direct(config, 3);
   const auto made =
-      make_replication_strategy(PlacementKind::kPrecomputed, config, 3);
+      make_replication_strategy(PlacementKind::kFastRedundantShare, config, 3);
   for (std::uint64_t address = 0; address < 1000; ++address) {
     EXPECT_EQ(made->place(address), direct.place(address)) << address;
   }
@@ -85,8 +84,8 @@ TEST(StrategyFactory, UnknownKindErrorEnumeratesValidNames) {
   // Operators hit this through rds_cli --strategy; the message must list
   // every kind so a typo is self-diagnosing.
   try {
-    make_replication_strategy(static_cast<PlacementKind>(99), make_cluster(),
-                              2);
+    (void)make_replication_strategy(static_cast<PlacementKind>(99),
+                                    make_cluster(), 2);
     FAIL() << "expected std::logic_error";
   } catch (const std::logic_error& e) {
     const std::string message = e.what();
@@ -128,9 +127,6 @@ TEST(StrategyFactory, ParsesShortAliases) {
             PlacementKind::kFastRedundantShare);
   EXPECT_EQ(parse_placement_kind("rr"), PlacementKind::kRoundRobin);
   EXPECT_EQ(parse_placement_kind("trivial"), PlacementKind::kTrivial);
-  EXPECT_EQ(parse_placement_kind("pre"), PlacementKind::kPrecomputed);
-  EXPECT_EQ(parse_placement_kind("precomputed"),
-            PlacementKind::kPrecomputed);
   EXPECT_EQ(parse_placement_kind("ring"), PlacementKind::kTrivialRing);
   EXPECT_EQ(parse_placement_kind("trivial-ring"),
             PlacementKind::kTrivialRing);

@@ -68,7 +68,7 @@ struct BenchRow {
   /// them as extra top-level fields), e.g. the seeded durability counters
   /// loss_ppm / exp_loss_ppm / max_move_ratio from bench/perf_durability.
   /// Counter rules key on these by name.
-  std::vector<std::pair<std::string, double>> counters;
+  std::vector<std::pair<std::string, double>> counters{};
 
   /// Value of counter `name`, nullopt when the row does not carry it.
   [[nodiscard]] std::optional<double> counter(

@@ -695,8 +695,7 @@ int cmd_loadsim(const Args& args) {
 
 int cmd_churnsim(const Args& args) {
   // Fleet: explicit --caps, or a synthesized 16-step capacity ladder from
-  // --devices (heterogeneous enough to exercise weighted placement without
-  // blowing up the precomputed strategy's per-state tables).
+  // --devices (heterogeneous enough to exercise weighted placement).
   ClusterConfig config;
   if (!args.caps.empty()) {
     config = config_from(args.caps);

@@ -269,7 +269,7 @@ struct Scope {
   K kind = kOther;
   bool fn_try = false;       ///< function named try_*
   bool fn_noexcept = false;  ///< function declared noexcept
-  std::string fn_name;
+  std::string fn_name{};
 };
 
 /// Decides what a `{` opens from the declaration tokens collected since the
