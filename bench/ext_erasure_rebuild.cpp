@@ -39,18 +39,20 @@ Bytes payload(std::uint64_t block) {
 void run(std::shared_ptr<RedundancyScheme> scheme, const std::string& label) {
   VirtualDisk disk(pool(), scheme);
   constexpr std::uint64_t kBlocks = 1500;
-  for (std::uint64_t b = 0; b < kBlocks; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < kBlocks; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
 
   // Crash the largest device and read everything in degraded mode.
   disk.fail_device(0);
   std::uint64_t ok = 0;
   for (std::uint64_t b = 0; b < kBlocks; ++b) {
-    if (disk.read(b) == payload(b)) ++ok;
+    if (disk.try_read(b).value_or_throw() == payload(b)) ++ok;
   }
   const std::uint64_t rebuilt = disk.rebuild();
   std::uint64_t ok_after = 0;
   for (std::uint64_t b = 0; b < kBlocks; ++b) {
-    if (disk.read(b) == payload(b)) ++ok_after;
+    if (disk.try_read(b).value_or_throw() == payload(b)) ++ok_after;
   }
   const VirtualDisk::Stats& s = disk.stats();
   const double overhead =

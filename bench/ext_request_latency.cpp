@@ -92,7 +92,7 @@ int main() {
 
   std::cout << "selection policy sweep (workload zipf:0.9):\n";
   table_header("policy");
-  const auto workload = make_workload("zipf:0.9", kBalls);
+  const auto workload = try_make_workload("zipf:0.9", kBalls).value_or_throw();
   for (const SelectorKind kind : all_selector_kinds()) {
     Xoshiro256 rng(4242);  // same trace and service draws for every policy
     const auto trace = make_trace(*workload, kRequests, kRatePerUs, rng);
@@ -108,7 +108,7 @@ int main() {
         std::string_view("flash-crowd:0.9"), std::string_view("diurnal:0.9"),
         std::string_view("hotspot-shift:0.9")}) {
     Xoshiro256 rng(4242);
-    const auto shaped = make_workload(spec, kBalls);
+    const auto shaped = try_make_workload(spec, kBalls).value_or_throw();
     const auto trace = make_trace(*shaped, kRequests, kRatePerUs, rng);
     const auto selector = make_replica_selector(SelectorKind::kPowerOfTwo);
     print_row(std::string(spec),

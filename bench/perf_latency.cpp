@@ -62,7 +62,7 @@ void bm_loadsim(benchmark::State& state, SelectorKind kind) {
       make_replication_strategy(PlacementKind::kRedundantShare, config, 2);
   const BlockMap map(*strategy, kBalls);
   const std::vector<ServiceModel> models = service_models(config);
-  const auto workload = make_workload("zipf:0.9", kBalls);
+  const auto workload = try_make_workload("zipf:0.9", kBalls).value_or_throw();
   Xoshiro256 trace_rng(4242);
   const auto trace = make_trace(*workload, kRequests, kRatePerUs, trace_rng);
 
@@ -84,7 +84,7 @@ void bm_loadsim(benchmark::State& state, SelectorKind kind) {
 }
 
 void bm_make_trace(benchmark::State& state, const std::string& spec) {
-  const auto workload = make_workload(spec, kBalls);
+  const auto workload = try_make_workload(spec, kBalls).value_or_throw();
   for (auto _ : state) {
     Xoshiro256 rng(11);
     benchmark::DoNotOptimize(

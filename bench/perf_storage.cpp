@@ -43,7 +43,7 @@ void bm_disk_write(benchmark::State& state) {
   const Bytes data = payload(4096, 1);
   std::uint64_t block = 0;
   for (auto _ : state) {
-    disk.write(block++, data);
+    disk.try_write(block++, data).value_or_throw();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           4096);
@@ -53,10 +53,12 @@ void bm_disk_write(benchmark::State& state) {
 void bm_disk_read(benchmark::State& state) {
   VirtualDisk disk(pool(), scheme_for(static_cast<int>(state.range(0))));
   const Bytes data = payload(4096, 2);
-  for (std::uint64_t b = 0; b < 256; ++b) disk.write(b, data);
+  for (std::uint64_t b = 0; b < 256; ++b) {
+    disk.try_write(b, data).value_or_throw();
+  }
   std::uint64_t block = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(disk.read(block++ % 256));
+    benchmark::DoNotOptimize(disk.try_read(block++ % 256).value_or_throw());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           4096);
@@ -66,11 +68,13 @@ void bm_disk_read(benchmark::State& state) {
 void bm_disk_degraded_read(benchmark::State& state) {
   VirtualDisk disk(pool(), scheme_for(static_cast<int>(state.range(0))));
   const Bytes data = payload(4096, 3);
-  for (std::uint64_t b = 0; b < 256; ++b) disk.write(b, data);
+  for (std::uint64_t b = 0; b < 256; ++b) {
+    disk.try_write(b, data).value_or_throw();
+  }
   disk.fail_device(0);
   std::uint64_t block = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(disk.read(block++ % 256));
+    benchmark::DoNotOptimize(disk.try_read(block++ % 256).value_or_throw());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           4096);
@@ -116,7 +120,7 @@ void bm_disk_write_strategy(benchmark::State& state, PlacementKind kind) {
   const Bytes data = payload(4096, 7);
   std::uint64_t block = 0;
   for (auto _ : state) {
-    disk.write(block++, data);
+    disk.try_write(block++, data).value_or_throw();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           4096);

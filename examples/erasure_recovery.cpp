@@ -40,8 +40,9 @@ int main() {
 
   std::cout << "writing 1000 blocks with " << disk.scheme().name() << "...\n";
   for (std::uint64_t b = 0; b < 1000; ++b) {
-    disk.write(b, text_block("block #" + std::to_string(b) +
-                             " -- some payload that must survive"));
+    disk.try_write(b, text_block("block #" + std::to_string(b) +
+                                 " -- some payload that must survive"))
+        .value_or_throw();
   }
   std::cout << "scrub: " << (disk.scrub().clean() ? "clean" : "DIRTY") << '\n';
 
@@ -51,7 +52,8 @@ int main() {
 
   // Still fully readable: any 4 of the 6 fragments reconstruct a block.
   std::cout << "degraded read of block 42: '"
-            << as_text(disk.read(42)).substr(0, 9) << "...'\n";
+            << as_text(disk.try_read(42).value_or_throw()).substr(0, 9)
+            << "...'\n";
 
   std::cout << "\nrebuilding onto the remaining devices...\n";
   const std::uint64_t rebuilt = disk.rebuild();
@@ -62,7 +64,8 @@ int main() {
   // Verify everything.
   std::uint64_t ok = 0;
   for (std::uint64_t b = 0; b < 1000; ++b) {
-    if (as_text(disk.read(b)).starts_with("block #" + std::to_string(b))) {
+    const std::string text = as_text(disk.try_read(b).value_or_throw());
+    if (text.starts_with("block #" + std::to_string(b))) {
       ++ok;
     }
   }
@@ -71,7 +74,7 @@ int main() {
             << (disk.scrub().clean() ? "clean" : "DIRTY") << '\n';
 
   std::cout << "\nreplacement capacity arrives; pool grows again...\n";
-  disk.add_device({9, 6000, "rack5-disk1"});
+  disk.try_add_device({9, 6000, "rack5-disk1"}).value_or_throw();
   std::cout << "  fragments migrated to the new disk: "
             << disk.used_on(9) << '\n'
             << "  scrub: " << (disk.scrub().clean() ? "clean" : "DIRTY")

@@ -67,8 +67,10 @@ int main() {
   // copy locations through the disk's lock-free epoch API and a round-robin
   // selector spreads the hits over them.
   constexpr std::uint64_t kRequests = 2'000'000;
-  const auto workload = make_workload("zipf:0.99", kBlocks);
-  const auto selector = make_replica_selector("round-robin");
+  const auto workload =
+      try_make_workload("zipf:0.99", kBlocks).value_or_throw();
+  const auto selector =
+      try_make_replica_selector("round-robin").value_or_throw();
   const IdleQueues queues(pool.size());
   Xoshiro256 rng(2026);
   std::vector<DeviceId> copies(kK);

@@ -42,9 +42,15 @@ int main() {
       pool.create_volume("archive", std::make_shared<ReedSolomonScheme>(4, 2));
 
   std::cout << "writing 3 tenants' data into one pool...\n";
-  for (std::uint64_t b = 0; b < 2000; ++b) scratch.write(b, payload(b, 1));
-  for (std::uint64_t b = 0; b < 1500; ++b) database.write(b, payload(b, 2));
-  for (std::uint64_t b = 0; b < 2500; ++b) archive.write(b, payload(b, 3));
+  for (std::uint64_t b = 0; b < 2000; ++b) {
+    scratch.try_write(b, payload(b, 1)).value_or_throw();
+  }
+  for (std::uint64_t b = 0; b < 1500; ++b) {
+    database.try_write(b, payload(b, 2)).value_or_throw();
+  }
+  for (std::uint64_t b = 0; b < 2500; ++b) {
+    archive.try_write(b, payload(b, 3)).value_or_throw();
+  }
 
   std::cout << std::fixed << std::setprecision(1);
   std::cout << "\nper-device usage (fragments, all volumes combined):\n";
@@ -59,11 +65,11 @@ int main() {
   std::cout << "\nnvme-a dies; every volume reads degraded...\n";
   pool.fail_device(1);
   std::cout << "  scratch block 7 ok:  "
-            << (scratch.read(7) == payload(7, 1)) << '\n'
+            << (scratch.try_read(7).value_or_throw() == payload(7, 1)) << '\n'
             << "  database block 7 ok: "
-            << (database.read(7) == payload(7, 2)) << '\n'
+            << (database.try_read(7).value_or_throw() == payload(7, 2)) << '\n'
             << "  archive block 7 ok:  "
-            << (archive.read(7) == payload(7, 3)) << '\n';
+            << (archive.try_read(7).value_or_throw() == payload(7, 3)) << '\n';
 
   const std::uint64_t rebuilt = pool.rebuild();
   std::cout << "\npool-wide rebuild restored " << rebuilt

@@ -1,12 +1,11 @@
 // Uniform fallible-operation return type for the storage layer.
 //
-// The original VirtualDisk API mixed three failure conventions: bool returns
-// (trim), exceptions (read/write/topology ops) and out-params.  Result<T>
-// replaces them with one shape -- a value or an (ErrorCode, message) pair --
-// so callers can branch on the code without string-matching what().  The old
-// throwing entry points remain as thin wrappers over the try_* methods;
-// value_or_throw() defines the one canonical ErrorCode -> exception mapping
-// (documented in docs/api.md) so both worlds agree.
+// Result<T> is one shape for every failure -- a value or an (ErrorCode,
+// message) pair -- so callers can branch on the code without
+// string-matching what().  A `try_` prefix marks a Result-returning call,
+// and each such operation exists in that one form only.  A caller that
+// wants an exception writes `.value_or_throw()`, which applies the one
+// canonical ErrorCode -> exception mapping (documented in docs/api.md).
 #pragma once
 
 #include <optional>
@@ -26,7 +25,6 @@ enum class ErrorCode {
   kUnrecoverable,     ///< too few fragments survive to decode the block
   kDeviceFailed,      ///< operation needs a device that is crashed
   kReshapeInProgress, ///< topology change rejected while one is in flight
-  kCancelled,         ///< cooperative cancellation stopped the operation
   kIoError,           ///< a device store rejected a read/write (full, ...)
   kCorruption,        ///< persisted data failed an integrity check (CRC,
                       ///< magic, content fingerprint) -- see
@@ -41,7 +39,6 @@ enum class ErrorCode {
     case ErrorCode::kUnrecoverable: return "unrecoverable";
     case ErrorCode::kDeviceFailed: return "device-failed";
     case ErrorCode::kReshapeInProgress: return "reshape-in-progress";
-    case ErrorCode::kCancelled: return "cancelled";
     case ErrorCode::kIoError: return "io-error";
     case ErrorCode::kCorruption: return "corruption";
   }
@@ -53,9 +50,8 @@ struct Error {
   std::string message;
 };
 
-/// The canonical ErrorCode -> exception mapping, shared by every throwing
-/// wrapper so legacy call sites keep catching the exact types the old API
-/// threw (docs/api.md, "Error handling conventions").
+/// The canonical ErrorCode -> exception mapping behind value_or_throw()
+/// (docs/api.md, "Error handling conventions").
 [[noreturn]] inline void throw_error(const Error& error) {
   switch (error.code) {
     case ErrorCode::kNotFound:
@@ -101,8 +97,7 @@ class [[nodiscard]] Result {
     return ok() ? ErrorCode::kOk : error_.code;
   }
 
-  /// Returns the value or throws per the canonical mapping (the bridge the
-  /// legacy throwing wrappers use).
+  /// Returns the value or throws per the canonical mapping.
   T value_or_throw() && {
     if (!ok()) throw_error(error_);
     return std::move(*value_);  // NOLINT(bugprone-unchecked-optional-access)

@@ -1,8 +1,9 @@
 #include "src/sim/block_map.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-#include <thread>
+#include <numeric>
+
+#include "src/placement/batch_placer.hpp"
 
 namespace rds {
 
@@ -27,35 +28,13 @@ BlockMap::BlockMap(const ReplicationStrategy& strategy,
   }
 }
 
-BlockMap BlockMap::build_parallel(const ReplicationStrategy& strategy,
-                                  std::uint64_t ball_count, unsigned threads,
-                                  std::uint64_t base_address) {
-  if (threads == 0) {
-    throw std::invalid_argument("BlockMap::build_parallel: zero threads");
-  }
-  BlockMap map;
-  map.balls_ = ball_count;
-  map.k_ = strategy.replication();
-  map.entries_.resize(ball_count * map.k_);
-  map.addresses_.resize(ball_count);
-
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  const std::uint64_t chunk = (ball_count + threads - 1) / threads;
-  for (unsigned t = 0; t < threads; ++t) {
-    const std::uint64_t begin = t * chunk;
-    const std::uint64_t end = std::min(ball_count, begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([&map, &strategy, base_address, begin, end] {
-      const unsigned k = map.k_;
-      for (std::uint64_t b = begin; b < end; ++b) {
-        map.addresses_[b] = base_address + b;
-        strategy.place(map.addresses_[b], {map.entries_.data() + b * k, k});
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  return map;
+BlockMap::BlockMap(const ReplicationStrategy& strategy,
+                   std::uint64_t ball_count, BatchPlacer& placer)
+    : balls_(ball_count), k_(strategy.replication()) {
+  entries_.resize(balls_ * k_);
+  addresses_.resize(balls_);
+  std::iota(addresses_.begin(), addresses_.end(), std::uint64_t{0});
+  placer.place(strategy, addresses_, entries_);
 }
 
 std::unordered_map<DeviceId, std::uint64_t> BlockMap::device_counts() const {

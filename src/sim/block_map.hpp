@@ -15,6 +15,8 @@
 
 namespace rds {
 
+class BatchPlacer;
+
 class BlockMap {
  public:
   BlockMap() = default;
@@ -28,12 +30,10 @@ class BlockMap {
   BlockMap(const ReplicationStrategy& strategy,
            std::span<const std::uint64_t> addresses);
 
-  /// Parallel materialization: strategies are immutable, so placements of
-  /// disjoint address ranges can be computed on `threads` threads.  Result
-  /// is identical to the sequential constructor.
-  [[nodiscard]] static BlockMap build_parallel(
-      const ReplicationStrategy& strategy, std::uint64_t ball_count,
-      unsigned threads, std::uint64_t base_address = 0);
+  /// Materializes balls 0..m-1 through `placer`'s worker pool; the table
+  /// is identical to the sequential constructor's.
+  BlockMap(const ReplicationStrategy& strategy, std::uint64_t ball_count,
+           BatchPlacer& placer);
 
   [[nodiscard]] std::uint64_t ball_count() const noexcept { return balls_; }
   [[nodiscard]] unsigned replication() const noexcept { return k_; }

@@ -12,9 +12,6 @@
 #include "src/metrics/registry.hpp"
 #include "src/util/checked_math.hpp"
 #include "src/sim/scenario.hpp"
-#include "src/storage/device_store.hpp"
-#include "src/storage/migration.hpp"
-#include "src/storage/migration_executor.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/gauge_guard.hpp"
 #include "src/util/random.hpp"
@@ -132,8 +129,6 @@ class ChurnSim {
   void accumulate_expected_loss(double now, std::uint64_t obj, double eta);
 
   void check_mirror(const char* when) const;
-  void physical_populate();
-  void physical_verify();
 
   template <typename... Args>
   void log(const char* fmt, Args... args) {
@@ -173,10 +168,6 @@ class ChurnSim {
   std::size_t min_devices_ = 0;
   std::size_t max_devices_ = 0;
   double bound_ = 0.0;  ///< 0 = unchecked
-
-  // Physical shadow (cfg_.physical): real stores driven by the real
-  // executor, so churn exercises the same machinery a deployment would.
-  std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores_;
 
   // Registry instruments, resolved once per run (docs/metrics.md).
   metrics::Counter* events_total_ = nullptr;
@@ -292,15 +283,6 @@ void ChurnSim::on_failure(double now, DeviceId uid) {
       std::max(result_.peak_objects_at_risk, at_risk_);
   at_risk_gauge_->set(static_cast<std::int64_t>(at_risk_));
 
-  if (cfg_.physical) {
-    // Crash, then slot-in an empty replacement with the same uid.
-    const auto store = stores_.find(uid);
-    if (store != stores_.end()) {
-      store->second->fail();
-      store->second->replace();
-    }
-  }
-
   log("F %.6f dev=%llu lost=%llu\n", now,
       static_cast<unsigned long long>(uid),
       static_cast<unsigned long long>(lost_here));
@@ -334,20 +316,6 @@ void ChurnSim::on_repair_done(double now, std::uint64_t job_index) {
   }
   ++result_.repairs_completed;
   repairs_completed_total_->inc();
-  if (cfg_.physical) {
-    // The restored copy materializes at the copy's *current* home (churn
-    // may have moved it while the repair waited).
-    const std::uint64_t payload = job.cid;
-    std::vector<std::uint8_t> bytes(8);
-    for (int b = 0; b < 8; ++b) {
-      bytes[static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>(payload >> (8 * b));
-    }
-    stores_.at(homes_[job.cid])
-        ->write(FragmentKey{obj, static_cast<std::uint32_t>(job.cid % cfg_.k),
-                            0},
-                std::move(bytes));
-  }
   log("R %.6f obj=%llu slot=%llu\n", now,
       static_cast<unsigned long long>(obj),
       static_cast<unsigned long long>(job.cid % cfg_.k));
@@ -436,7 +404,6 @@ void ChurnSim::on_churn(double now) {
   std::uint64_t moved_set = 0;
   std::uint64_t moved_indexed = 0;
   std::unordered_map<DeviceId, std::int64_t> delta;
-  std::vector<FragmentMove> moves;  // physical mode only
   for (std::uint64_t obj = 0; obj < cfg_.objects; ++obj) {
     if (alive_count_[obj] == 0) continue;
     const std::uint64_t base = obj * cfg_.k;
@@ -445,12 +412,7 @@ void ChurnSim::on_churn(double now) {
       const DeviceId after = next_homes[base + c];
       --delta[before];
       ++delta[after];
-      if (before != after) {
-        ++moved_indexed;
-        if (cfg_.physical && alive_[base + c]) {
-          moves.push_back(FragmentMove{obj, c, before, after});
-        }
-      }
+      if (before != after) ++moved_indexed;
       bool present_before = false;
       for (unsigned d = 0; d < cfg_.k && !present_before; ++d) {
         present_before = homes_[base + d] == after;
@@ -481,35 +443,6 @@ void ChurnSim::on_churn(double now) {
             " exceeds bound " + std::to_string(bound_) + " for strategy " +
             std::string(to_string(cfg_.strategy)));
       }
-    }
-  }
-
-  if (cfg_.physical) {
-    // Stores for new devices first, then the real executor moves live
-    // fragments; sources of removed devices drain before their store goes.
-    for (const Device& d : cand.devices()) {
-      if (!stores_.contains(d.uid)) {
-        stores_.emplace(d.uid, std::make_shared<DeviceStore>(d));
-      } else if (d.capacity > stores_.at(d.uid)->capacity()) {
-        stores_.at(d.uid)->resize(d.capacity);
-      }
-    }
-    MigrationPlan plan;
-    plan.moves = std::move(moves);
-    plan.total_fragments = cfg_.objects * cfg_.k;
-    plan.unchanged_fragments = plan.total_fragments - plan.moves.size();
-    MigrationExecutor executor(stores_);
-    const MigrationReport report =
-        executor.execute(plan).value_or_throw();
-    if (!report.complete() || report.moves_skipped != 0) {
-      throw std::logic_error(
-          "run_churn: physical migration incomplete: executed " +
-          std::to_string(report.moves_executed) + ", skipped " +
-          std::to_string(report.moves_skipped) + ", failed " +
-          std::to_string(report.moves_failed));
-    }
-    for (auto it = stores_.begin(); it != stores_.end();) {
-      it = cand.contains(it->first) ? std::next(it) : stores_.erase(it);
     }
   }
 
@@ -570,47 +503,6 @@ void ChurnSim::check_mirror(const char* when) const {
       }
     }
   }
-}
-
-void ChurnSim::physical_populate() {
-  for (const Device& d : topology_.devices()) {
-    stores_.emplace(d.uid, std::make_shared<DeviceStore>(d));
-  }
-  for (std::uint64_t cid = 0; cid < homes_.size(); ++cid) {
-    std::vector<std::uint8_t> bytes(8);
-    for (int b = 0; b < 8; ++b) {
-      bytes[static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>(cid >> (8 * b));
-    }
-    stores_.at(homes_[cid])
-        ->write(FragmentKey{cid / cfg_.k,
-                            static_cast<std::uint32_t>(cid % cfg_.k), 0},
-                std::move(bytes));
-  }
-}
-
-void ChurnSim::physical_verify() {
-  std::uint64_t present = 0;
-  for (const auto& [uid, store] : stores_) present += store->used();
-  std::uint64_t expected = 0;
-  for (std::uint64_t cid = 0; cid < homes_.size(); ++cid) {
-    if (!alive_[cid]) continue;
-    ++expected;
-    const FragmentKey key{cid / cfg_.k,
-                          static_cast<std::uint32_t>(cid % cfg_.k), 0};
-    if (!stores_.at(homes_[cid])->contains(key)) {
-      throw std::logic_error(
-          "run_churn: physical store lost track of live copy " +
-          std::to_string(cid) + " on device " +
-          std::to_string(homes_[cid]));
-    }
-  }
-  if (present != expected) {
-    throw std::logic_error(
-        "run_churn: physical fragment count " + std::to_string(present) +
-        " != live copies " + std::to_string(expected));
-  }
-  result_.physical_fragments = present;
 }
 
 ChurnResult ChurnSim::run() {
@@ -679,7 +571,6 @@ ChurnResult ChurnSim::run() {
     }
     check_mirror("initial");
   }
-  if (cfg_.physical) physical_populate();
 
   // Seed the clocks: one failure timer per device (canonical order, so the
   // draw sequence is reproducible), one churn timer for the fleet.
@@ -731,8 +622,6 @@ ChurnResult ChurnSim::run() {
   result_.simulated_years = cfg_.years;
   queue_peak_gauge_->set_max(
       static_cast<std::int64_t>(result_.peak_repair_queue));
-
-  if (cfg_.physical) physical_verify();
   return result_;
 }
 

@@ -13,9 +13,9 @@
 //   - Device failures: each device slot carries an exponential failure
 //     clock; per-device rates are log-uniform in [afr/spread, afr*spread]
 //     (heterogeneous reliabilities).  A failed device is immediately
-//     replaced by an empty unit with the same uid (DeviceStore::replace
-//     semantics), so failures never change the placement -- they only
-//     destroy the copies stored on the device, which become repair work.
+//     replaced by an empty unit with the same uid, so failures never
+//     change the placement -- they only destroy the copies stored on the
+//     device, which become repair work.
 //   - Repair: lost copies queue FIFO on one shared repair server whose
 //     aggregate bandwidth is repair_mbps * min(devices, repair_fanout)
 //     (declustered repair: every survivor contributes, up to a fanout cap).
@@ -55,9 +55,9 @@
 // Cross-checks against the storage layer
 //   run_churn(config, &mirror) drives a real VirtualDisk through the same
 //   churn edits via apply_config and verifies sampled placements agree.
-//   config.physical = true additionally shadows the fleet state in real
-//   DeviceStores and executes every churn edit through MigrationExecutor
-//   (small fleets only -- O(objects * k) payload bytes).
+//   Blocks written into the mirror beforehand move with every edit, so the
+//   disk's reshape -- the one engine that moves stored fragments -- is
+//   exercised by the same edit sequence.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +108,6 @@ struct ChurnSimConfig {
   std::optional<double> movement_bound;
 
   bool record_event_log = false;  ///< fill ChurnResult::event_log
-  bool physical = false;  ///< shadow fleet in DeviceStores + MigrationExecutor
 };
 
 struct ChurnResult {
@@ -148,7 +147,6 @@ struct ChurnResult {
   std::size_t final_devices = 0;
   double simulated_years = 0.0;
   std::string event_log;  ///< deterministic replay log ("" unless recorded)
-  std::uint64_t physical_fragments = 0;  ///< physical mode: live fragments
 };
 
 /// Runs the simulation.  Throws std::invalid_argument for unusable

@@ -54,7 +54,7 @@ TraceStats TraceRunner::run(std::istream& script) {
         std::size_t size = default_size;
         if (std::uint64_t s = 0; in >> s) size = static_cast<std::size_t>(s);
         for (std::uint64_t b = first; b < first + count; ++b) {
-          disk_.write(b, deterministic_payload(b, size));
+          disk_.try_write(b, deterministic_payload(b, size)).value_or_throw();
           ++stats.blocks_written;
         }
         default_size = size;
@@ -62,7 +62,7 @@ TraceStats TraceRunner::run(std::istream& script) {
         const std::uint64_t first = parse_u64(in, line_no, "first block");
         const std::uint64_t count = parse_u64(in, line_no, "count");
         for (std::uint64_t b = first; b < first + count; ++b) {
-          const Bytes content = disk_.read(b);
+          const Bytes content = disk_.try_read(b).value_or_throw();
           if (content != deterministic_payload(b, content.size())) {
             fail_at(line_no,
                     "verification failed for block " + std::to_string(b));
@@ -73,17 +73,18 @@ TraceStats TraceRunner::run(std::istream& script) {
         const std::uint64_t first = parse_u64(in, line_no, "first block");
         const std::uint64_t count = parse_u64(in, line_no, "count");
         for (std::uint64_t b = first; b < first + count; ++b) {
-          if (disk_.trim(b)) ++stats.blocks_trimmed;
+          if (disk_.try_trim(b).ok()) ++stats.blocks_trimmed;
         }
       } else if (cmd == "add") {
         const std::uint64_t uid = parse_u64(in, line_no, "device uid");
         const std::uint64_t capacity = parse_u64(in, line_no, "capacity");
         std::string name;
         in >> name;
-        disk_.add_device({uid, capacity, name});
+        disk_.try_add_device({uid, capacity, name}).value_or_throw();
         ++stats.topology_changes;
       } else if (cmd == "remove") {
-        disk_.remove_device(parse_u64(in, line_no, "device uid"));
+        disk_.try_remove_device(parse_u64(in, line_no, "device uid"))
+            .value_or_throw();
         ++stats.topology_changes;
       } else if (cmd == "fail") {
         disk_.fail_device(parse_u64(in, line_no, "device uid"));

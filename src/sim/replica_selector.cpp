@@ -199,13 +199,8 @@ Result<std::unique_ptr<ReplicaSelector>> try_make_replica_selector(
     }
   }
   return {ErrorCode::kInvalidArgument,
-          "make_replica_selector: unknown policy '" + std::string(name) +
+          "try_make_replica_selector: unknown policy '" + std::string(name) +
               "'; valid: " + replica_selector_names()};
-}
-
-std::unique_ptr<ReplicaSelector> make_replica_selector(
-    std::string_view name) {
-  return try_make_replica_selector(name).value_or_throw();
 }
 
 }  // namespace rds

@@ -6,10 +6,10 @@
 // request traffic the *load* can still pile onto whichever copy clients
 // happen to pick.  A ReplicaSelector is that client-side pick, pluggable so
 // the load simulator and benchmarks can compare policies.  Selectors are
-// constructed through make_replica_selector()/try_make_replica_selector()
-// from a name ("p2c", "least-loaded", ...) exactly like placement
-// strategies and workloads -- unknown names are rejected with an error that
-// enumerates every accepted spelling.
+// constructed through try_make_replica_selector() from a name ("p2c",
+// "least-loaded", ...) exactly like placement strategies and workloads --
+// unknown names are rejected with an error that enumerates every accepted
+// spelling.
 #pragma once
 
 #include <cstddef>
@@ -178,10 +178,6 @@ enum class SelectorKind {
 /// enumerates every accepted spelling, like the strategy factory.
 [[nodiscard]] Result<std::unique_ptr<ReplicaSelector>>
 try_make_replica_selector(std::string_view name);
-
-/// Throwing wrapper over try_make_replica_selector (std::invalid_argument).
-[[nodiscard]] std::unique_ptr<ReplicaSelector> make_replica_selector(
-    std::string_view name);
 
 /// The selector for an enum kind (always succeeds; used by sweep loops).
 [[nodiscard]] std::unique_ptr<ReplicaSelector> make_replica_selector(

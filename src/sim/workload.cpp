@@ -76,9 +76,6 @@ Result<ZipfGenerator> ZipfGenerator::try_make(std::uint64_t universe,
   return ZipfGenerator(Validated{}, universe, skew);
 }
 
-ZipfGenerator::ZipfGenerator(std::uint64_t universe, double skew)
-    : ZipfGenerator(try_make(universe, skew).value_or_throw()) {}
-
 ZipfGenerator::ZipfGenerator(Validated, std::uint64_t universe,
                              double skew) noexcept
     : n_(universe), s_(skew) {
@@ -123,7 +120,7 @@ FlashCrowdGenerator::FlashCrowdGenerator(std::uint64_t universe, double skew,
                                          double crowd_fraction,
                                          double period_us, double duty,
                                          double surge)
-    : base_(universe, skew),
+    : base_(ZipfGenerator::try_make(universe, skew).value_or_throw()),
       crowd_fraction_(crowd_fraction),
       period_us_(period_us),
       duty_(duty),
@@ -173,7 +170,9 @@ double FlashCrowdGenerator::rate_factor(double now_us) const noexcept {
 
 DiurnalGenerator::DiurnalGenerator(std::uint64_t universe, double skew,
                                    double amplitude, double period_us)
-    : base_(universe, skew), amplitude_(amplitude), period_us_(period_us) {
+    : base_(ZipfGenerator::try_make(universe, skew).value_or_throw()),
+      amplitude_(amplitude),
+      period_us_(period_us) {
   if (!(amplitude >= 0.0 && amplitude < 1.0)) {
     throw std::invalid_argument(
         "DiurnalGenerator: amplitude must be in [0, 1)");
@@ -196,7 +195,8 @@ double DiurnalGenerator::rate_factor(double now_us) const noexcept {
 
 HotspotShiftGenerator::HotspotShiftGenerator(std::uint64_t universe,
                                              double skew, double period_us)
-    : base_(universe, skew), period_us_(period_us) {
+    : base_(ZipfGenerator::try_make(universe, skew).value_or_throw()),
+      period_us_(period_us) {
   if (!(period_us > 0.0) || std::isinf(period_us)) {
     throw std::invalid_argument(
         "HotspotShiftGenerator: period must be positive and finite");
@@ -287,7 +287,7 @@ std::string_view to_string(WorkloadKind kind) noexcept {
 Result<std::unique_ptr<WorkloadGenerator>> try_make_workload(
     std::string_view spec, std::uint64_t universe) {
   if (universe == 0) {
-    return {ErrorCode::kInvalidArgument, "make_workload: universe=0"};
+    return {ErrorCode::kInvalidArgument, "try_make_workload: universe=0"};
   }
   const std::size_t colon = spec.find(':');
   const std::string_view kind_name =
@@ -303,7 +303,7 @@ Result<std::unique_ptr<WorkloadGenerator>> try_make_workload(
   }
   if (entry == nullptr) {
     return {ErrorCode::kInvalidArgument,
-            "make_workload: unknown workload '" + std::string(kind_name) +
+            "try_make_workload: unknown workload '" + std::string(kind_name) +
                 "'; valid: " + workload_kind_names()};
   }
 
@@ -318,7 +318,7 @@ Result<std::unique_ptr<WorkloadGenerator>> try_make_workload(
       double value = 0.0;
       if (!parse_param(token, value)) {
         return {ErrorCode::kInvalidArgument,
-                "make_workload: bad parameter '" + std::string(token) +
+                "try_make_workload: bad parameter '" + std::string(token) +
                     "' in spec '" + std::string(spec) + "'"};
       }
       params.push_back(value);
@@ -328,8 +328,8 @@ Result<std::unique_ptr<WorkloadGenerator>> try_make_workload(
   }
   if (params.size() > entry->max_params) {
     return {ErrorCode::kInvalidArgument,
-            "make_workload: " + std::string(entry->canonical) + " takes at "
-                "most " + std::to_string(entry->max_params) +
+            "try_make_workload: " + std::string(entry->canonical) +
+                " takes at most " + std::to_string(entry->max_params) +
                 " parameter(s) (" + std::string(entry->canonical) +
                 std::string(entry->params) + ")"};
   }
@@ -339,26 +339,26 @@ Result<std::unique_ptr<WorkloadGenerator>> try_make_workload(
   };
   const double skew = param(0, 0.9);
   // Shared skew validation (every parameterized kind embeds a Zipf base).
-  if (entry->kind != WorkloadKind::kUniform) {
-    const Result<ZipfGenerator> base = ZipfGenerator::try_make(universe, skew);
-    if (!base.ok()) return base.error();
+  const Result<ZipfGenerator> base = ZipfGenerator::try_make(universe, skew);
+  if (entry->kind != WorkloadKind::kUniform && !base.ok()) {
+    return base.error();
   }
 
   switch (entry->kind) {
     case WorkloadKind::kUniform:
       return {std::make_unique<UniformGenerator>(universe)};
     case WorkloadKind::kZipf:
-      return {std::make_unique<ZipfGenerator>(universe, skew)};
+      return {std::make_unique<ZipfGenerator>(base.value())};
     case WorkloadKind::kFlashCrowd: {
       const double fraction = param(1, 0.5);
       const double period_us = param(2, 2e6);
       if (!(fraction >= 0.0 && fraction <= 1.0)) {
         return {ErrorCode::kInvalidArgument,
-                "make_workload: flash-crowd fraction must be in [0, 1]"};
+                "try_make_workload: flash-crowd fraction must be in [0, 1]"};
       }
       if (!(period_us > 0.0)) {
         return {ErrorCode::kInvalidArgument,
-                "make_workload: flash-crowd period must be positive"};
+                "try_make_workload: flash-crowd period must be positive"};
       }
       return {std::make_unique<FlashCrowdGenerator>(universe, skew, fraction,
                                                     period_us)};
@@ -368,11 +368,11 @@ Result<std::unique_ptr<WorkloadGenerator>> try_make_workload(
       const double period_us = param(2, 10e6);
       if (!(amplitude >= 0.0 && amplitude < 1.0)) {
         return {ErrorCode::kInvalidArgument,
-                "make_workload: diurnal amplitude must be in [0, 1)"};
+                "try_make_workload: diurnal amplitude must be in [0, 1)"};
       }
       if (!(period_us > 0.0)) {
         return {ErrorCode::kInvalidArgument,
-                "make_workload: diurnal period must be positive"};
+                "try_make_workload: diurnal period must be positive"};
       }
       return {std::make_unique<DiurnalGenerator>(universe, skew, amplitude,
                                                  period_us)};
@@ -381,19 +381,14 @@ Result<std::unique_ptr<WorkloadGenerator>> try_make_workload(
       const double period_us = param(1, 1e6);
       if (!(period_us > 0.0)) {
         return {ErrorCode::kInvalidArgument,
-                "make_workload: hotspot-shift period must be positive"};
+                "try_make_workload: hotspot-shift period must be positive"};
       }
       return {std::make_unique<HotspotShiftGenerator>(universe, skew,
                                                       period_us)};
     }
   }
   return {ErrorCode::kInvalidArgument,
-          "make_workload: unhandled workload kind"};
-}
-
-std::unique_ptr<WorkloadGenerator> make_workload(std::string_view spec,
-                                                 std::uint64_t universe) {
-  return try_make_workload(spec, universe).value_or_throw();
+          "try_make_workload: unhandled workload kind"};
 }
 
 }  // namespace rds

@@ -3,7 +3,7 @@
 // Every request-level simulation draws from one WorkloadGenerator: a
 // (possibly time-varying) popularity distribution over `universe` balls
 // plus an arrival-rate modulation.  Generators are constructed through
-// make_workload()/try_make_workload() from a spec string ("zipf:0.9",
+// try_make_workload() from a spec string ("zipf:0.9",
 // "flash-crowd:0.9,0.5", ...) exactly like placement strategies go through
 // make_replication_strategy() -- adding a generator means one enum value
 // and one case in the factory, and every consumer (CLI, benches, tests)
@@ -86,14 +86,10 @@ class UniformGenerator final : public WorkloadGenerator {
 /// once at construction and cached for the generator's lifetime.
 class ZipfGenerator final : public WorkloadGenerator {
  public:
-  /// Validating constructor form: kInvalidArgument for universe == 0 or a
-  /// skew that is negative or not finite.  The factory path goes through
-  /// here so a bad spec comes back as a Result instead of an exception.
+  /// The one constructor: kInvalidArgument for universe == 0 or a skew
+  /// that is negative or not finite.
   [[nodiscard]] static Result<ZipfGenerator> try_make(std::uint64_t universe,
                                                       double skew);
-
-  /// Throwing wrapper over try_make (std::invalid_argument).
-  ZipfGenerator(std::uint64_t universe, double skew);
 
   /// Item index in [0, universe), item 0 hottest.
   [[nodiscard]] std::uint64_t sample(Xoshiro256& rng) const;
@@ -248,10 +244,6 @@ enum class WorkloadKind {
 /// message enumerates every accepted spelling, like the strategy factory),
 /// malformed or out-of-range parameters, or universe == 0.
 [[nodiscard]] Result<std::unique_ptr<WorkloadGenerator>> try_make_workload(
-    std::string_view spec, std::uint64_t universe);
-
-/// Throwing wrapper over try_make_workload (std::invalid_argument).
-[[nodiscard]] std::unique_ptr<WorkloadGenerator> make_workload(
     std::string_view spec, std::uint64_t universe);
 
 }  // namespace rds

@@ -81,12 +81,6 @@ class DeviceStore {
   /// the fragment existed.  Test/chaos hook.
   bool corrupt(const FragmentKey& key);
 
-  /// Device replaced by a fresh, empty unit with the same uid.
-  void replace() noexcept {
-    failed_ = false;
-    data_.clear();
-  }
-
  private:
   Device device_;
   std::unordered_map<FragmentKey, std::vector<std::uint8_t>, FragmentKeyHash>

@@ -26,7 +26,8 @@ std::uint64_t FileStore::allocate_block() {
 }
 
 void FileStore::release_blocks(const FileEntry& entry) {
-  for (const std::uint64_t id : entry.block_ids) disk_.trim(id);
+  // kNotFound only for the block a failed put could not store.
+  for (const std::uint64_t id : entry.block_ids) (void)disk_.try_trim(id);
   free_blocks_.insert(free_blocks_.end(), entry.block_ids.begin(),
                       entry.block_ids.end());
 }
@@ -42,11 +43,17 @@ void FileStore::put(const std::string& name,
   entry.block_ids.reserve(blocks);
   for (std::uint64_t b = 0; b < blocks; ++b) {
     const std::uint64_t id = allocate_block();
+    entry.block_ids.push_back(id);
     const std::size_t begin = static_cast<std::size_t>(b) * block_size_;
     const std::size_t end =
         std::min(content.size(), begin + block_size_);
-    disk_.write(id, content.subspan(begin, end - begin));
-    entry.block_ids.push_back(id);
+    const Result<void> written =
+        disk_.try_write(id, content.subspan(begin, end - begin));
+    if (!written.ok()) {
+      // Undo this put so no block is left that the store does not own.
+      release_blocks(entry);
+      throw_error(written.error());
+    }
   }
 
   const auto old = files_.find(name);
@@ -75,10 +82,6 @@ Result<std::optional<Bytes>> FileStore::try_get(const std::string& name) {
   }
   content.resize(it->second.size);
   return std::optional<Bytes>{std::move(content)};
-}
-
-std::optional<Bytes> FileStore::get(const std::string& name) {
-  return try_get(name).value_or_throw();
 }
 
 bool FileStore::remove(const std::string& name) {

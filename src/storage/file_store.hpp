@@ -32,17 +32,15 @@ class FileStore {
   /// block payload in bytes.
   FileStore(VirtualDisk disk, std::size_t block_size = 4096);
 
-  /// Creates or replaces a file.
+  /// Creates or replaces a file.  Throws (value_or_throw's mapping) when a
+  /// block cannot be stored; the blocks this put already stored are trimmed
+  /// and their ids freed, and a replaced file keeps its previous version.
   void put(const std::string& name, std::span<const std::uint8_t> content);
 
   /// Reads a file back.  ok(nullopt) when the file does not exist; an
   /// error (kUnrecoverable, kIoError, ...) naming the failing block when a
   /// stored file cannot be reconstructed.
   [[nodiscard]] Result<std::optional<Bytes>> try_get(const std::string& name);
-
-  /// Reads a file back; nullopt when absent.  Throwing wrapper over
-  /// try_get (value_or_throw's exception mapping).
-  [[nodiscard]] std::optional<Bytes> get(const std::string& name);
 
   /// Deletes a file, releasing its blocks.  Returns whether it existed.
   bool remove(const std::string& name);

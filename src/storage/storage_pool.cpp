@@ -71,7 +71,7 @@ bool StoragePool::drop_volume(const std::string& name) {
   if (it == volumes_.end()) return false;
   // Release the volume's fragments so the shared capacity is reusable.
   for (const std::uint64_t block : it->second->block_ids()) {
-    it->second->trim(block);
+    (void)it->second->try_trim(block);  // listed, so it exists
   }
   volumes_.erase(it);
   journal_locked(journal::make_drop_volume(name));
@@ -113,7 +113,7 @@ void StoragePool::remove_device(DeviceId uid) {
   }
   ensure_no_reshape();
   for (const auto& [name, disk] : volumes_) {
-    disk->remove_device(uid);
+    disk->try_remove_device(uid).value_or_throw();
   }
   stores_.erase(uid);
   config_.remove_device(uid);

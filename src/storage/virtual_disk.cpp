@@ -209,11 +209,6 @@ Result<void> VirtualDisk::write_locked(std::uint64_t block,
   return {};
 }
 
-void VirtualDisk::write(std::uint64_t block,
-                        std::span<const std::uint8_t> data) {
-  try_write(block, data).value_or_throw();
-}
-
 std::vector<std::optional<Bytes>> VirtualDisk::gather_fragments(
     std::uint64_t block, std::span<const DeviceId> locations) {
   std::vector<std::optional<Bytes>> fragments(scheme_->fragment_count());
@@ -265,10 +260,6 @@ Result<std::vector<std::uint8_t>> VirtualDisk::read_locked(
   return scheme_->decode(fragments, size_it->second);
 }
 
-std::vector<std::uint8_t> VirtualDisk::read(std::uint64_t block) {
-  return try_read(block).value_or_throw();
-}
-
 Result<void> VirtualDisk::try_trim(std::uint64_t block) {
   const MutexLock lock(mu_);
   return trim_locked(block);
@@ -293,13 +284,6 @@ Result<void> VirtualDisk::trim_locked(std::uint64_t block) {
   return {};
 }
 
-bool VirtualDisk::trim(std::uint64_t block) {
-  const Result<void> result = try_trim(block);
-  if (result.ok()) return true;
-  if (result.code() == ErrorCode::kNotFound) return false;
-  throw_error(result.error());
-}
-
 Result<void> VirtualDisk::try_add_device(const Device& device) {
   const MutexLock lock(mu_);
   ClusterConfig next = config_;
@@ -311,10 +295,6 @@ Result<void> VirtualDisk::try_add_device(const Device& device) {
   Result<std::size_t> migrated = apply_config_locked(std::move(next));
   if (!migrated.ok()) return migrated.error();
   return journal_locked(journal::make_add_device(device));
-}
-
-void VirtualDisk::add_device(const Device& device) {
-  try_add_device(device).value_or_throw();
 }
 
 void VirtualDisk::set_journal(std::shared_ptr<journal::JournalSink> sink) {
@@ -343,7 +323,7 @@ void VirtualDisk::attach_device(const Device& device,
   ClusterConfig next = config_;
   next.add_device(device);                 // validates (duplicate uid, ...)
   stores_.emplace(device.uid, std::move(store));
-  migrate_to_locked(std::move(next));
+  (void)apply_config_locked(std::move(next)).value_or_throw();
 }
 
 Result<void> VirtualDisk::try_remove_device(DeviceId uid) {
@@ -362,10 +342,6 @@ Result<void> VirtualDisk::try_remove_device(DeviceId uid) {
   if (!migrated.ok()) return migrated.error();
   stores_.erase(uid);
   return journal_locked(journal::make_remove_device(uid));
-}
-
-void VirtualDisk::remove_device(DeviceId uid) {
-  try_remove_device(uid).value_or_throw();
 }
 
 Result<void> VirtualDisk::try_resize_device(DeviceId uid,
@@ -415,10 +391,6 @@ Result<void> VirtualDisk::try_resize_device(DeviceId uid,
   return journal_locked(journal::make_resize_device(uid, new_capacity));
 }
 
-void VirtualDisk::resize_device(DeviceId uid, std::uint64_t new_capacity) {
-  try_resize_device(uid, new_capacity).value_or_throw();
-}
-
 Result<void> VirtualDisk::try_set_strategy(PlacementKind kind) {
   const MutexLock lock(mu_);
   if (kind == kind_) return {};
@@ -434,10 +406,6 @@ Result<void> VirtualDisk::try_set_strategy(PlacementKind kind) {
     return migrated.error();
   }
   return journal_locked(journal::make_set_strategy("", kind));
-}
-
-void VirtualDisk::set_strategy(PlacementKind kind) {
-  try_set_strategy(kind).value_or_throw();
 }
 
 Result<void> VirtualDisk::try_set_scheme(
@@ -515,10 +483,6 @@ Result<void> VirtualDisk::try_set_scheme(
   return journal_locked(journal::make_set_scheme("", scheme_->name()));
 }
 
-void VirtualDisk::set_scheme(std::shared_ptr<RedundancyScheme> next) {
-  try_set_scheme(std::move(next)).value_or_throw();
-}
-
 void VirtualDisk::fail_device(DeviceId uid) {
   const MutexLock lock(mu_);
   stores_.at(uid)->fail();
@@ -547,7 +511,7 @@ std::uint64_t VirtualDisk::rebuild() {
   for (const DeviceId uid : dead) next.remove_device(uid);
 
   const std::uint64_t rebuilt_before = stats_.fragments_rebuilt;
-  migrate_to_locked(std::move(next));
+  (void)apply_config_locked(std::move(next)).value_or_throw();
   for (const DeviceId uid : dead) stores_.erase(uid);
   journal_locked(journal::make_rebuild()).value_or_throw();
   return stats_.fragments_rebuilt - rebuilt_before;
@@ -591,10 +555,6 @@ Result<std::size_t> VirtualDisk::begin_reshape_locked(ClusterConfig next) {
   pending_.reserve(blocks_.size());
   for (const auto& [block, size] : blocks_) pending_.insert(block);
   return pending_.size();
-}
-
-std::size_t VirtualDisk::begin_reshape(ClusterConfig next) {
-  return try_begin_reshape(std::move(next)).value_or_throw();
 }
 
 void VirtualDisk::reshape_block(std::uint64_t block) {
@@ -678,10 +638,6 @@ Result<std::size_t> VirtualDisk::apply_config_locked(ClusterConfig next) {
   }
   step_reshape_locked(1);  // commit when the pool held no blocks at all
   return begun;
-}
-
-void VirtualDisk::migrate_to_locked(ClusterConfig next) {
-  apply_config_locked(std::move(next)).value_or_throw();
 }
 
 std::uint64_t VirtualDisk::repair() {

@@ -3,9 +3,10 @@
 //
 // Every logical block is encoded by a RedundancyScheme into k fragments,
 // which a placement strategy (Redundant Share by default) maps to k distinct
-// devices.  Growing, shrinking, or losing devices triggers a migration that
-// moves only the fragments the placement diff says must move; lost fragments
-// are rebuilt from the surviving ones through the scheme.
+// devices.  Growing, shrinking, or losing devices triggers a reshape -- the
+// one code path that moves stored fragments -- which moves exactly the
+// fragments whose copy-index home changed; lost fragments are rebuilt from
+// the surviving ones through the scheme.
 //
 // Concurrency model (docs/api.md, "Concurrency guarantees"): block I/O and
 // topology mutations are serialized by an internal mutex (`mu_`), so any
@@ -96,17 +97,18 @@ class VirtualDisk {
               std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>>
                   stores);
 
-  // --- Fallible operations, Result form (error taxonomy: docs/api.md) ---
+  // --- Fallible operations (error taxonomy: docs/api.md) ---
   //
-  // The try_* family is the primary interface: every failure comes back as
-  // an (ErrorCode, message) pair instead of the historical mix of bools and
-  // exception types.  The legacy names below each one are thin throwing
-  // wrappers (value_or_throw) kept for existing call sites.
+  // Block I/O and the topology edits return a Result -- an (ErrorCode,
+  // message) pair on failure -- and the try_ prefix marks them.  A caller
+  // that wants an exception writes `.value_or_throw()`, the one ErrorCode ->
+  // exception mapping.  attach_device, fail_device and rebuild exist in one
+  // form only and throw.
 
-  /// Stores a logical block.  kInvalidArgument when the payload does not
-  /// fit the fragment budget, kIoError when a device store rejects a
-  /// fragment (full / crashed) -- in that case fragments written before the
-  /// failure remain, exactly as the throwing path always behaved.
+  /// Stores a logical block (any length that fits the fragment budget).
+  /// kInvalidArgument when the payload does not fit, kIoError when a device
+  /// store rejects a fragment (full / crashed) -- in that case fragments
+  /// written before the failure remain.
   [[nodiscard]] Result<void> try_write(std::uint64_t block,
                                        std::span<const std::uint8_t> data)
       RDS_EXCLUDES(mu_);
@@ -120,21 +122,6 @@ class VirtualDisk {
   /// Discards a block: removes its fragments from every device.  kNotFound
   /// when the block was never written.
   [[nodiscard]] Result<void> try_trim(std::uint64_t block) RDS_EXCLUDES(mu_);
-
-  /// Stores a logical block (any length that fits the fragment budget).
-  /// Throwing wrapper over try_write.
-  void write(std::uint64_t block, std::span<const std::uint8_t> data)
-      RDS_EXCLUDES(mu_);
-
-  /// Reads a logical block back, reconstructing around failed devices.
-  /// Throws std::out_of_range for never-written blocks, std::runtime_error
-  /// when too many fragments are lost.  Throwing wrapper over try_read.
-  [[nodiscard]] std::vector<std::uint8_t> read(std::uint64_t block)
-      RDS_EXCLUDES(mu_);
-
-  /// Discards a block: removes its fragments from every device.  Returns
-  /// whether the block existed.  Wrapper over try_trim.
-  bool trim(std::uint64_t block) RDS_EXCLUDES(mu_);
 
   [[nodiscard]] bool contains(std::uint64_t block) const RDS_EXCLUDES(mu_) {
     const MutexLock lock(mu_);
@@ -190,10 +177,10 @@ class VirtualDisk {
       RDS_EXCLUDES(mu_);
 
   /// Adds a device and migrates the fragments the new placement assigns
-  /// it.  Result form + throwing wrapper.
+  /// it.  kInvalidArgument for devices the configuration rejects (duplicate
+  /// uid, zero capacity).
   [[nodiscard]] Result<void> try_add_device(const Device& device)
       RDS_EXCLUDES(mu_);
-  void add_device(const Device& device) RDS_EXCLUDES(mu_);
 
   /// Pool mode: adds a device backed by an existing (shared) store and
   /// migrates.  Used by StoragePool so every co-hosted volume sees the same
@@ -203,38 +190,33 @@ class VirtualDisk {
 
   /// Gracefully removes a healthy device, migrating its data away first.
   /// kNotFound for unknown uids, kInvalidArgument for failed devices (use
-  /// rebuild()).  Result form + throwing wrapper.
+  /// rebuild()).
   [[nodiscard]] Result<void> try_remove_device(DeviceId uid) RDS_EXCLUDES(mu_);
-  void remove_device(DeviceId uid) RDS_EXCLUDES(mu_);
 
   /// Changes a device's capacity in place.  Growing extends the store and
   /// migrates fragments onto the new room; shrinking drains fragments off
   /// first, then clamps the store.  kNotFound for unknown uids,
   /// kDeviceFailed for failed devices, kInvalidArgument for capacities the
-  /// configuration rejects.  Result form + throwing wrapper.
+  /// configuration rejects.
   [[nodiscard]] Result<void> try_resize_device(DeviceId uid,
                                                std::uint64_t new_capacity)
-      RDS_EXCLUDES(mu_);
-  void resize_device(DeviceId uid, std::uint64_t new_capacity)
       RDS_EXCLUDES(mu_);
 
   /// Swaps the placement strategy live: every block is re-placed under the
   /// new kind (same configuration), moving only the fragments whose homes
   /// differ.  No-op when `kind` is already active.  kReshapeInProgress if a
-  /// reshape is in flight.  Result form + throwing wrapper.
+  /// reshape is in flight.
   [[nodiscard]] Result<void> try_set_strategy(PlacementKind kind)
       RDS_EXCLUDES(mu_);
-  void set_strategy(PlacementKind kind) RDS_EXCLUDES(mu_);
 
   /// Re-encodes every block under a new redundancy scheme (e.g. mirror ->
   /// RS).  All blocks are decoded up front -- if any is unreadable, nothing
   /// is mutated; a failure while re-writing reports how far it got.  No-op
   /// when `next` names the active scheme.  kDeviceFailed on degraded pools
   /// (rebuild() first), kInvalidArgument when the scheme needs more
-  /// fragments than there are devices.  Result form + throwing wrapper.
+  /// fragments than there are devices.
   [[nodiscard]] Result<void> try_set_scheme(
       std::shared_ptr<RedundancyScheme> next) RDS_EXCLUDES(mu_);
-  void set_scheme(std::shared_ptr<RedundancyScheme> next) RDS_EXCLUDES(mu_);
 
   /// Attaches a journal sink: every committed topology mutation is appended
   /// in commit order (docs/persistence.md).  The sink's own mutex is a leaf
@@ -246,11 +228,10 @@ class VirtualDisk {
   /// Returns the number of blocks that still need re-placement.  While a
   /// reshape is in flight, reads and writes work normally (each block is
   /// served from wherever it currently lives); further topology operations
-  /// are rejected until the reshape drains (kReshapeInProgress).  Result
-  /// form + throwing wrapper.
+  /// are rejected until the reshape drains (kReshapeInProgress).
+  /// kDeviceFailed and kInvalidArgument as for apply_config.
   [[nodiscard]] Result<std::size_t> try_begin_reshape(ClusterConfig next)
       RDS_EXCLUDES(mu_);
-  std::size_t begin_reshape(ClusterConfig next) RDS_EXCLUDES(mu_);
 
   /// Migrates up to `max_blocks` pending blocks; returns how many were
   /// processed.  A return of 0 means the reshape is complete (the new
@@ -349,7 +330,7 @@ class VirtualDisk {
       RDS_REQUIRES(mu_);
 
   // Locked bodies of the public operations above.  Public entry points take
-  // `mu_` once and delegate here; internal call chains (add_device ->
+  // `mu_` once and delegate here; internal call chains (try_add_device ->
   // apply_config -> begin_reshape -> step_reshape) stay on the *_locked
   // layer so the mutex is never taken recursively.
   [[nodiscard]] Result<void> write_locked(std::uint64_t block,
@@ -367,10 +348,6 @@ class VirtualDisk {
   [[nodiscard]] bool reshaping_locked() const RDS_REQUIRES(mu_) {
     return next_strategy_ != nullptr;
   }
-
-  /// Re-places every block under `next` and moves/rebuilds fragments
-  /// (apply_config, throwing form).
-  void migrate_to_locked(ClusterConfig next) RDS_REQUIRES(mu_);
 
   /// Copies the committed (config_, strategy_) pair into a fresh epoch and
   /// installs it with one atomic store.

@@ -4,7 +4,7 @@
 // epoch semantics with shared_ptr reference counts standing in for grace
 // periods.
 //
-// load()/store()/exchange() are safe from any thread.  Move construction /
+// load()/store() are safe from any thread.  Move construction /
 // assignment exist so owning objects (VirtualDisk) stay movable and are NOT
 // thread-safe: only move a cell while no other thread touches either side.
 #pragma once
@@ -42,14 +42,6 @@ class RcuCell {
   /// Publishes `next`; readers holding the old snapshot keep it alive.
   void store(std::shared_ptr<const T> next) noexcept {
     cell_.store(std::move(next), std::memory_order_release);
-  }
-
-  /// Publishes `next` and returns the snapshot it replaced.  Discarding the
-  /// return value would silently drop the old snapshot's last reference
-  /// while readers may still need it named -- callers must look at it.
-  [[nodiscard]] std::shared_ptr<const T> exchange(
-      std::shared_ptr<const T> next) noexcept {
-    return cell_.exchange(std::move(next), std::memory_order_acq_rel);
   }
 
  private:

@@ -1,5 +1,6 @@
 // rds_analyze fixture: stored try_* Results inspected on every path --
-// either immediately after the call or on both branches.
+// either immediately after the call or on both branches -- and a Result
+// inspected in place, so only its value is stored.
 
 namespace fix {
 
@@ -16,6 +17,13 @@ int lookup(int key) {
 int lookup_or_throw(int key) {
   auto fetched = try_fetch(key);
   return fetched.value_or_throw();
+}
+
+int sum_or_throw(int key, int rounds) {
+  const int value = try_fetch(key).value_or_throw();
+  int sum = 0;
+  for (int r = 0; r < rounds; ++r) sum += value;
+  return sum;
 }
 
 }  // namespace fix

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/redundant_share.hpp"
+#include "src/placement/batch_placer.hpp"
 #include "src/placement/static_placement.hpp"
 
 namespace rds {
@@ -56,10 +57,11 @@ TEST(BlockMap, CountOnUnknownDeviceIsZero) {
   EXPECT_EQ(map.count_on(99), 0u);
 }
 
-TEST(BlockMap, ParallelBuildMatchesSequential) {
+TEST(BlockMap, BatchPlacerFillMatchesSequential) {
   const RedundantShare s(make_cluster(), 3);
-  const BlockMap seq(s, 5000, 100);
-  const BlockMap par = BlockMap::build_parallel(s, 5000, 4, 100);
+  const BlockMap seq(s, 5000);
+  BatchPlacer placer(4);
+  const BlockMap par(s, 5000, placer);
   ASSERT_EQ(par.ball_count(), seq.ball_count());
   for (std::uint64_t b = 0; b < 5000; ++b) {
     ASSERT_EQ(par.address(b), seq.address(b));
@@ -67,15 +69,6 @@ TEST(BlockMap, ParallelBuildMatchesSequential) {
     const auto cp = par.copies(b);
     ASSERT_TRUE(std::equal(cs.begin(), cs.end(), cp.begin()));
   }
-}
-
-TEST(BlockMap, ParallelBuildValidation) {
-  const RedundantShare s(make_cluster(), 2);
-  EXPECT_THROW((void)BlockMap::build_parallel(s, 10, 0),
-               std::invalid_argument);
-  // More threads than balls still works.
-  const BlockMap tiny = BlockMap::build_parallel(s, 3, 16);
-  EXPECT_EQ(tiny.ball_count(), 3u);
 }
 
 TEST(BlockMap, RedundancyHoldsForRedundantShare) {

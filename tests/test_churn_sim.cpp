@@ -267,7 +267,9 @@ TEST(ChurnSim, ValidatesConfiguration) {
 TEST(ChurnSim, MirrorCrossCheckAgreesWithVirtualDisk) {
   // The mirror VirtualDisk follows the same churn edits through
   // apply_config; any placement divergence throws std::logic_error, so a
-  // clean return is the cross-check.
+  // clean return is the placement cross-check.  Blocks written beforehand
+  // move with every edit, so the storage side is checked too: afterwards
+  // every block is fully redundant, where placement says, and reads back.
   ChurnSimConfig c;
   c.initial = uniform_fleet(12, 100);
   c.k = 3;
@@ -278,25 +280,27 @@ TEST(ChurnSim, MirrorCrossCheckAgreesWithVirtualDisk) {
   c.churn_per_year = 8.0;
   VirtualDisk mirror(c.initial, std::make_shared<MirroringScheme>(c.k),
                      c.strategy);
+  constexpr std::uint64_t kBlocks = 100;
+  const auto content = [](std::uint64_t block) {
+    std::vector<std::uint8_t> data(32);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<std::uint8_t>(block * 31 + i);
+    }
+    return data;
+  };
+  for (std::uint64_t b = 0; b < kBlocks; ++b) {
+    ASSERT_TRUE(mirror.try_write(b, content(b)).ok());
+  }
+
   const ChurnResult r = run_churn(c, &mirror);
   EXPECT_GT(r.churn_events, 0u);
-}
-
-TEST(ChurnSim, PhysicalModeExecutesRealMigrations) {
-  // physical = true shadows the fleet in DeviceStores and runs every churn
-  // edit through MigrationExecutor; fragment counts are cross-checked
-  // internally (std::logic_error on drift).
-  ChurnSimConfig c;
-  c.initial = uniform_fleet(10, 4'000);
-  c.k = 2;
-  c.objects = 300;
-  c.years = 2.0;
-  c.seed = 31;
-  c.afr = 0.10;
-  c.churn_per_year = 6.0;
-  c.physical = true;
-  const ChurnResult r = run_churn(c);
-  EXPECT_GT(r.physical_fragments, 0u);
+  EXPECT_GT(mirror.stats().fragments_moved, 0u);
+  EXPECT_TRUE(mirror.scrub().clean());
+  for (std::uint64_t b = 0; b < kBlocks; ++b) {
+    const Result<Bytes> got = mirror.try_read(b);
+    ASSERT_TRUE(got.ok()) << "block " << b << ": " << got.error().message;
+    EXPECT_EQ(got.value(), content(b)) << "block " << b;
+  }
 }
 
 }  // namespace

@@ -28,34 +28,39 @@ Bytes payload(std::uint64_t block) {
 
 TEST(Corruption, MirrorReadsAroundCorruptCopy) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  disk.write(5, payload(5));
+  disk.try_write(5, payload(5)).value_or_throw();
   ASSERT_TRUE(disk.corrupt_fragment(5, 0));
-  EXPECT_EQ(disk.read(5), payload(5));  // the healthy mirror serves
+  EXPECT_EQ(disk.try_read(5).value_or_throw(),
+            payload(5));  // the healthy mirror serves
   EXPECT_EQ(disk.stats().checksum_failures, 1u);
   EXPECT_EQ(disk.stats().degraded_reads, 1u);
 }
 
 TEST(Corruption, ErasureReadsAroundCorruptFragment) {
   VirtualDisk disk(pool(), std::make_shared<ReedSolomonScheme>(4, 2));
-  for (std::uint64_t b = 0; b < 50; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < 50; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
   ASSERT_TRUE(disk.corrupt_fragment(7, 2));
   ASSERT_TRUE(disk.corrupt_fragment(7, 5));
-  EXPECT_EQ(disk.read(7), payload(7));
+  EXPECT_EQ(disk.try_read(7).value_or_throw(), payload(7));
   EXPECT_EQ(disk.stats().checksum_failures, 2u);
 }
 
 TEST(Corruption, TooManyCorruptFragmentsIsUnrecoverable) {
   VirtualDisk disk(pool(), std::make_shared<ReedSolomonScheme>(4, 2));
-  disk.write(1, payload(1));
+  disk.try_write(1, payload(1)).value_or_throw();
   for (unsigned j = 0; j < 3; ++j) {
     ASSERT_TRUE(disk.corrupt_fragment(1, j));
   }
-  EXPECT_THROW((void)disk.read(1), std::runtime_error);
+  EXPECT_EQ(disk.try_read(1).code(), ErrorCode::kUnrecoverable);
 }
 
 TEST(Corruption, ScrubDetectsBitRot) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(3));
-  for (std::uint64_t b = 0; b < 20; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < 20; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
   EXPECT_TRUE(disk.scrub().clean());
   disk.corrupt_fragment(3, 1);
   const VirtualDisk::ScrubReport report = disk.scrub();
@@ -66,7 +71,9 @@ TEST(Corruption, ScrubDetectsBitRot) {
 
 TEST(Corruption, RepairRestoresFragmentsInPlace) {
   VirtualDisk disk(pool(), std::make_shared<ReedSolomonScheme>(3, 2));
-  for (std::uint64_t b = 0; b < 30; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < 30; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
   disk.corrupt_fragment(4, 0);
   disk.corrupt_fragment(9, 3);
   disk.corrupt_fragment(9, 4);
@@ -76,37 +83,40 @@ TEST(Corruption, RepairRestoresFragmentsInPlace) {
   EXPECT_EQ(repaired, 3u);
   EXPECT_TRUE(disk.scrub().clean());
   for (std::uint64_t b = 0; b < 30; ++b) {
-    EXPECT_EQ(disk.read(b), payload(b));
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), payload(b));
   }
   // Reads after repair are no longer degraded.
   const std::uint64_t degraded = disk.stats().degraded_reads;
-  (void)disk.read(4);
+  (void)disk.try_read(4).value_or_throw();
   EXPECT_EQ(disk.stats().degraded_reads, degraded);
 }
 
 TEST(Corruption, RepairWithEvenOdd) {
   VirtualDisk disk(pool(), std::make_shared<EvenOddScheme>(3));  // 5 frags
-  for (std::uint64_t b = 0; b < 20; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < 20; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
   disk.corrupt_fragment(2, 4);  // the diagonal parity column
   disk.corrupt_fragment(2, 1);
   EXPECT_EQ(disk.repair(), 2u);
   EXPECT_TRUE(disk.scrub().clean());
-  EXPECT_EQ(disk.read(2), payload(2));
+  EXPECT_EQ(disk.try_read(2).value_or_throw(), payload(2));
 }
 
 TEST(Corruption, CorruptUnknownTargetsReturnFalse) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
   EXPECT_FALSE(disk.corrupt_fragment(99, 0));  // never written
-  disk.write(1, payload(1));
+  disk.try_write(1, payload(1)).value_or_throw();
   EXPECT_FALSE(disk.corrupt_fragment(1, 5));  // fragment index out of range
 }
 
 TEST(Corruption, OverwriteClearsCorruption) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  disk.write(1, payload(1));
+  disk.try_write(1, payload(1)).value_or_throw();
   disk.corrupt_fragment(1, 0);
-  disk.write(1, payload(2));  // fresh content, fresh checksums
-  EXPECT_EQ(disk.read(1), payload(2));
+  // Fresh content, fresh checksums.
+  disk.try_write(1, payload(2)).value_or_throw();
+  EXPECT_EQ(disk.try_read(1).value_or_throw(), payload(2));
   EXPECT_TRUE(disk.scrub().clean());
 }
 

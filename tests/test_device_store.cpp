@@ -53,11 +53,6 @@ TEST(DeviceStore, FailureSemantics) {
   EXPECT_FALSE(store.read({1, 0}).has_value());
   EXPECT_FALSE(store.contains({1, 0}));
   EXPECT_THROW(store.write({2, 0}, {}), std::runtime_error);
-  store.replace();
-  EXPECT_FALSE(store.failed());
-  EXPECT_EQ(store.used(), 0u);  // replacement is empty
-  store.write({2, 0}, {1});
-  EXPECT_TRUE(store.contains({2, 0}));
 }
 
 TEST(DeviceStore, DeviceAccessor) {

@@ -24,11 +24,11 @@ Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
 TEST(FileStore, PutGetRoundTrip) {
   FileStore store = make_store();
   store.put("hello.txt", bytes_of("hello, world"));
-  const auto content = store.get("hello.txt");
+  const auto content = store.try_get("hello.txt").value_or_throw();
   ASSERT_TRUE(content.has_value());
   EXPECT_EQ(*content, bytes_of("hello, world"));
   EXPECT_TRUE(store.contains("hello.txt"));
-  EXPECT_FALSE(store.get("absent").has_value());
+  EXPECT_FALSE(store.try_get("absent").value_or_throw().has_value());
 }
 
 TEST(FileStore, MultiBlockFiles) {
@@ -37,7 +37,7 @@ TEST(FileStore, MultiBlockFiles) {
   Xoshiro256 rng(8);
   for (auto& b : big) b = static_cast<std::uint8_t>(rng());
   store.put("big.bin", big);
-  EXPECT_EQ(store.get("big.bin"), big);
+  EXPECT_EQ(store.try_get("big.bin").value_or_throw(), big);
   const auto listing = store.list();
   ASSERT_EQ(listing.size(), 1u);
   EXPECT_EQ(listing[0].size, 1000u);
@@ -47,7 +47,7 @@ TEST(FileStore, MultiBlockFiles) {
 TEST(FileStore, EmptyFile) {
   FileStore store = make_store();
   store.put("empty", {});
-  const auto content = store.get("empty");
+  const auto content = store.try_get("empty").value_or_throw();
   ASSERT_TRUE(content.has_value());
   EXPECT_TRUE(content->empty());
 }
@@ -58,7 +58,7 @@ TEST(FileStore, ReplaceReleasesOldBlocks) {
   const std::uint64_t blocks_after_first = store.disk().block_count();
   store.put("f", Bytes(160, 2));  // 10 blocks
   EXPECT_EQ(store.disk().block_count(), blocks_after_first - 90);
-  EXPECT_EQ(*store.get("f"), Bytes(160, 2));
+  EXPECT_EQ(*store.try_get("f").value_or_throw(), Bytes(160, 2));
 }
 
 TEST(FileStore, RemoveFreesAndReuses) {
@@ -71,7 +71,7 @@ TEST(FileStore, RemoveFreesAndReuses) {
   // Freed addresses are reused.
   store.put("b", Bytes(320, 4));
   EXPECT_EQ(store.disk().block_count(), used);
-  EXPECT_EQ(*store.get("b"), Bytes(320, 4));
+  EXPECT_EQ(*store.try_get("b").value_or_throw(), Bytes(320, 4));
 }
 
 TEST(FileStore, SurvivesDeviceFailureAndRebuild) {
@@ -84,10 +84,12 @@ TEST(FileStore, SurvivesDeviceFailureAndRebuild) {
   }
   store.disk().fail_device(1);  // biggest device
   // Readable degraded.
-  EXPECT_TRUE(store.get("file-7").has_value());
+  EXPECT_TRUE(store.try_get("file-7").value_or_throw().has_value());
   EXPECT_GT(store.disk().rebuild(), 0u);
   for (int f = 0; f < 20; ++f) {
-    EXPECT_TRUE(store.get("file-" + std::to_string(f)).has_value());
+    EXPECT_TRUE(store.try_get("file-" + std::to_string(f))
+                    .value_or_throw()
+                    .has_value());
   }
   EXPECT_TRUE(store.disk().scrub().clean());
 }
@@ -95,9 +97,9 @@ TEST(FileStore, SurvivesDeviceFailureAndRebuild) {
 TEST(FileStore, SurvivesPoolReshape) {
   FileStore store = make_store(2, 32);
   store.put("keep", Bytes(500, 9));
-  store.disk().add_device({9, 5000, "new"});
-  store.disk().remove_device(5);
-  EXPECT_EQ(*store.get("keep"), Bytes(500, 9));
+  store.disk().try_add_device({9, 5000, "new"}).value_or_throw();
+  store.disk().try_remove_device(5).value_or_throw();
+  EXPECT_EQ(*store.try_get("keep").value_or_throw(), Bytes(500, 9));
   EXPECT_TRUE(store.disk().scrub().clean());
 }
 
@@ -136,8 +138,28 @@ TEST(FileStore, TryGetSurfacesUnreadableBlocksAsTypedErrors) {
   EXPECT_EQ(result.error().code, ErrorCode::kUnrecoverable);
   EXPECT_NE(result.error().message.find("'doomed'"), std::string::npos);
   EXPECT_NE(result.error().message.find("block"), std::string::npos);
-  // The throwing wrapper maps the same failure per the canonical taxonomy.
-  EXPECT_THROW((void)store.get("doomed"), std::runtime_error);
+}
+
+TEST(FileStore, FailedPutLeavesNoOrphanBlocks) {
+  // mirror(2) over 40 fragment slots: "b" needs 80 fragments, so one of
+  // its block writes fails partway through.  The blocks it stored before
+  // the failure must be trimmed and their ids handed back.
+  const ClusterConfig pool(
+      {{1, 10, ""}, {2, 10, ""}, {3, 10, ""}, {4, 10, ""}});
+  FileStore store(VirtualDisk(pool, std::make_shared<MirroringScheme>(2)),
+                  64);
+  store.put("a", Bytes(256, 7));
+  EXPECT_THROW(store.put("b", Bytes(2560, 8)), std::runtime_error);
+  EXPECT_FALSE(store.contains("b"));
+
+  std::uint64_t referenced = 0;
+  for (const FileInfo& f : store.list()) referenced += f.blocks;
+  EXPECT_EQ(store.disk().block_count(), referenced);
+  EXPECT_EQ(store.try_get("a").value_or_throw(),
+            std::optional<Bytes>(Bytes(256, 7)));
+  store.put("c", Bytes(256, 9));
+  EXPECT_EQ(store.try_get("c").value_or_throw(),
+            std::optional<Bytes>(Bytes(256, 9)));
 }
 
 TEST(FileStore, Validation) {

@@ -68,7 +68,7 @@ TEST_P(VirtualDiskFuzz, RandomOperationSequenceKeepsIntegrity) {
 
   const auto verify_all = [&](const std::string& when) {
     for (const auto& [block, content] : oracle) {
-      ASSERT_EQ(disk.read(block), content)
+      ASSERT_EQ(disk.try_read(block).value_or_throw(), content)
           << when << ": block " << block << " corrupted";
     }
   };
@@ -82,7 +82,7 @@ TEST_P(VirtualDiskFuzz, RandomOperationSequenceKeepsIntegrity) {
           overwrite ? rng.next_below(next_block) : next_block++;
       Bytes content(24 + rng.next_below(200));
       for (auto& b : content) b = static_cast<std::uint8_t>(rng());
-      disk.write(block, content);
+      disk.try_write(block, content).value_or_throw();
       oracle[block] = std::move(content);
     } else if (dice < 70) {
       // Spot-check a random block.
@@ -90,17 +90,18 @@ TEST_P(VirtualDiskFuzz, RandomOperationSequenceKeepsIntegrity) {
         const auto it = std::next(
             oracle.begin(),
             static_cast<std::ptrdiff_t>(rng.next_below(oracle.size())));
-        ASSERT_EQ(disk.read(it->first), it->second);
+        ASSERT_EQ(disk.try_read(it->first).value_or_throw(), it->second);
       }
     } else if (dice < 80) {
-      disk.add_device({next_uid++, 1500 + rng.next_below(4000), "added"});
+      disk.try_add_device({next_uid++, 1500 + rng.next_below(4000), "added"})
+          .value_or_throw();
       verify_all("after add");
     } else if (dice < 90) {
       // Graceful removal (keep enough devices for k distinct fragments,
       // with one to spare so a later crash stays recoverable).
       if (disk.config().size() > k + 1) {
         const std::size_t idx = rng.next_below(disk.config().size());
-        disk.remove_device(disk.config()[idx].uid);
+        disk.try_remove_device(disk.config()[idx].uid).value_or_throw();
         verify_all("after remove");
       }
     } else {

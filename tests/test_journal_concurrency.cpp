@@ -70,7 +70,9 @@ TEST(JournalConcurrency, ParallelAppendersGetContiguousLsns) {
 TEST(JournalConcurrency, ConcurrentAdminAndIoReplaysToLiveTopology) {
   ClusterConfig config({{1, 4000, "a"}, {2, 4000, "b"}, {3, 4000, "c"}});
   VirtualDisk disk(std::move(config), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 16; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < 16; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
 
   std::stringstream ckpt;
   write_checkpoint(disk, 0, ckpt);
@@ -87,14 +89,15 @@ TEST(JournalConcurrency, ConcurrentAdminAndIoReplaysToLiveTopology) {
   for (int t = 0; t < kAdmins; ++t) {
     threads.emplace_back([&, t] {
       const auto uid = static_cast<DeviceId>(100 + t);
-      disk.add_device({uid, 3000, "late-" + std::to_string(t)});
-      disk.resize_device(uid, 3500);
+      disk.try_add_device({uid, 3000, "late-" + std::to_string(t)})
+          .value_or_throw();
+      disk.try_resize_device(uid, 3500).value_or_throw();
     });
   }
   threads.emplace_back([&] {
     for (std::uint64_t b = 0; b < 64; ++b) {
-      disk.write(1000 + b, payload(b));
-      (void)disk.read(1000 + (b % 16));
+      disk.try_write(1000 + b, payload(b)).value_or_throw();
+      (void)disk.try_read(1000 + (b % 16)).value_or_throw();
     }
   });
   for (auto& th : threads) th.join();
@@ -111,7 +114,7 @@ TEST(JournalConcurrency, ConcurrentAdminAndIoReplaysToLiveTopology) {
   EXPECT_TRUE(twin.config() == disk.config());
   // ...and the checkpoint-era data is intact under the final topology.
   for (std::uint64_t b = 0; b < 16; ++b) {
-    EXPECT_EQ(twin.read(b), payload(b));
+    EXPECT_EQ(twin.try_read(b).value_or_throw(), payload(b));
   }
   EXPECT_TRUE(twin.scrub().clean());
 }

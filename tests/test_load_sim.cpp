@@ -60,7 +60,8 @@ TEST(ServiceModelTest, ShapesPreserveTheMean) {
 }
 
 TEST(LoadSim, TraceGeneration) {
-  const ZipfGenerator zipf(1000, 0.9);
+  const ZipfGenerator zipf =
+      ZipfGenerator::try_make(1000, 0.9).value_or_throw();
   Xoshiro256 rng(5);
   const auto trace = make_trace(zipf, 5000, /*rate=*/0.01, rng);
   ASSERT_EQ(trace.size(), 5000u);
@@ -172,7 +173,8 @@ TEST(LoadSim, PowerOfTwoBeatsRandomAtSkew) {
   const ClusterConfig pool = make_pool();
   const RedundantShare strategy(pool, 2);
   const BlockMap map(strategy, 5'000);
-  const ZipfGenerator zipf(5'000, 0.9);
+  const ZipfGenerator zipf =
+      ZipfGenerator::try_make(5'000, 0.9).value_or_throw();
   Xoshiro256 trace_rng(42);
   // util ~ 0.7 at fair split: enough queueing for the policies to separate.
   const auto trace = make_trace(zipf, 60'000, /*rate=*/0.126, trace_rng);
@@ -198,7 +200,8 @@ TEST(LoadSim, RunsAreDeterministicGivenSeeds) {
   const ClusterConfig pool = make_pool();
   const RedundantShare strategy(pool, 2);
   const BlockMap map(strategy, 1'000);
-  const ZipfGenerator zipf(1'000, 0.9);
+  const ZipfGenerator zipf =
+      ZipfGenerator::try_make(1'000, 0.9).value_or_throw();
   std::vector<ServiceModel> models(1);
   models[0].shape = ServiceModel::Shape::kExponential;
 
@@ -225,7 +228,8 @@ TEST(LoadSim, VirtualDiskOverloadMatchesBlockMapRun) {
   const auto epoch = disk.placement_snapshot();
   const BlockMap map(*epoch->strategy, 2'000);
 
-  const ZipfGenerator zipf(2'000, 0.9);
+  const ZipfGenerator zipf =
+      ZipfGenerator::try_make(2'000, 0.9).value_or_throw();
   Xoshiro256 trace_rng(11);
   const auto trace = make_trace(zipf, 30'000, /*rate=*/0.04, trace_rng);
   const ServiceModel model = fixed(20.0, 5.0);
@@ -315,7 +319,7 @@ TEST(LoadSim, Validation) {
   const ClusterConfig pool = make_pool();
   const RedundantShare strategy(pool, 2);
   const BlockMap map(strategy, 10);
-  const ZipfGenerator zipf(10, 0.9);
+  const ZipfGenerator zipf = ZipfGenerator::try_make(10, 0.9).value_or_throw();
   Xoshiro256 rng(1);
   EXPECT_THROW((void)make_trace(zipf, 10, 0.0, rng), std::invalid_argument);
   EXPECT_THROW((void)make_trace(zipf, 10, -1.0, rng),

@@ -13,7 +13,6 @@
 #include "src/core/fast_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/metrics/registry.hpp"
-#include "src/storage/migration.hpp"
 #include "src/storage/storage_pool.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "tests/clusters.hpp"
@@ -75,8 +74,12 @@ TEST(MetricsIntegration, VirtualDiskReadWriteCounters) {
   VirtualDisk disk(cluster_from({1000, 1000, 1000}),
                    std::make_shared<MirroringScheme>(2));
   const auto data = payload(64);
-  for (std::uint64_t b = 0; b < 10; ++b) disk.write(b, data);
-  for (std::uint64_t b = 0; b < 10; ++b) (void)disk.read(b);
+  for (std::uint64_t b = 0; b < 10; ++b) {
+    disk.try_write(b, data).value_or_throw();
+  }
+  for (std::uint64_t b = 0; b < 10; ++b) {
+    (void)disk.try_read(b).value_or_throw();
+  }
 
   const metrics::Snapshot snap = metrics::Registry::global().snapshot();
   EXPECT_EQ(counter_value(snap, "rds_storage_writes_total"), 10u);
@@ -97,9 +100,13 @@ TEST(MetricsIntegration, DegradedReadsAreCounted) {
   VirtualDisk disk(cluster_from({1000, 1000, 1000}),
                    std::make_shared<MirroringScheme>(2));
   const auto data = payload(32);
-  for (std::uint64_t b = 0; b < 50; ++b) disk.write(b, data);
+  for (std::uint64_t b = 0; b < 50; ++b) {
+    disk.try_write(b, data).value_or_throw();
+  }
   disk.fail_device(0);
-  for (std::uint64_t b = 0; b < 50; ++b) (void)disk.read(b);
+  for (std::uint64_t b = 0; b < 50; ++b) {
+    (void)disk.try_read(b).value_or_throw();
+  }
 
   const metrics::Snapshot snap = metrics::Registry::global().snapshot();
   EXPECT_GT(counter_value(snap, "rds_storage_degraded_reads_total"), 0u);
@@ -112,7 +119,9 @@ TEST(MetricsIntegration, DeviceGaugesTrackFragmentCounts) {
   VirtualDisk disk(cluster_from({1000, 1000, 1000}),
                    std::make_shared<MirroringScheme>(2));
   const auto data = payload(16);
-  for (std::uint64_t b = 0; b < 100; ++b) disk.write(b, data);
+  for (std::uint64_t b = 0; b < 100; ++b) {
+    disk.try_write(b, data).value_or_throw();
+  }
   disk.publish_device_gauges();
 
   const metrics::Snapshot snap = metrics::Registry::global().snapshot();
@@ -128,7 +137,7 @@ TEST(MetricsIntegration, DeviceGaugesTrackFragmentCounts) {
   EXPECT_EQ(total, 200);  // 100 blocks, 2 fragments each
 
   // Trims must pull the gauges back down.
-  for (std::uint64_t b = 0; b < 100; ++b) disk.trim(b);
+  for (std::uint64_t b = 0; b < 100; ++b) ASSERT_TRUE(disk.try_trim(b).ok());
   const metrics::Snapshot after = metrics::Registry::global().snapshot();
   for (const DeviceId uid : {0u, 1u, 2u}) {
     const metrics::Sample* g = after.find(
@@ -143,8 +152,10 @@ TEST(MetricsIntegration, MigrationMovesAreCounted) {
   VirtualDisk disk(cluster_from({1000, 1000, 1000}),
                    std::make_shared<MirroringScheme>(2));
   const auto data = payload(128);
-  for (std::uint64_t b = 0; b < 200; ++b) disk.write(b, data);
-  disk.add_device({9, 5000, "grown"});
+  for (std::uint64_t b = 0; b < 200; ++b) {
+    disk.try_write(b, data).value_or_throw();
+  }
+  disk.try_add_device({9, 5000, "grown"}).value_or_throw();
 
   const metrics::Snapshot snap = metrics::Registry::global().snapshot();
   EXPECT_EQ(counter_value(snap, "rds_topology_events_total"), 1u);
@@ -164,7 +175,9 @@ TEST(MetricsIntegration, RebuildCountsFragments) {
   VirtualDisk disk(cluster_from({1000, 1000, 1000, 1000}),
                    std::make_shared<MirroringScheme>(2));
   const auto data = payload(64);
-  for (std::uint64_t b = 0; b < 100; ++b) disk.write(b, data);
+  for (std::uint64_t b = 0; b < 100; ++b) {
+    disk.try_write(b, data).value_or_throw();
+  }
   disk.fail_device(2);
   const std::uint64_t rebuilt = disk.rebuild();
   EXPECT_GT(rebuilt, 0u);
@@ -174,31 +187,13 @@ TEST(MetricsIntegration, RebuildCountsFragments) {
             rebuilt);
 }
 
-TEST(MetricsIntegration, MigrationPlannerCounters) {
-  metrics::Registry::global().reset();
-  const ClusterConfig before = cluster_from({500, 600, 700});
-  const ClusterConfig after = cluster_from({500, 600, 700, 800});
-  const RedundantShare sb(before, 2);
-  const RedundantShare sa(after, 2);
-  std::vector<std::uint64_t> blocks(1'000);
-  std::iota(blocks.begin(), blocks.end(), 0u);
-  const MigrationPlan plan = plan_migration(sb, sa, blocks);
-
-  const metrics::Snapshot snap = metrics::Registry::global().snapshot();
-  EXPECT_EQ(counter_value(snap, "rds_migration_plans_total"), 1u);
-  EXPECT_EQ(counter_value(snap, "rds_migration_planned_moves_total"),
-            plan.moves.size());
-  EXPECT_EQ(counter_value(snap, "rds_migration_planned_fragments_total"),
-            plan.total_fragments);
-}
-
 TEST(MetricsIntegration, PoolPublishesVolumeAndDeviceGauges) {
   metrics::Registry::global().reset();
   StoragePool pool(cluster_from({2000, 2000, 2000}));
   VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   (void)pool.create_volume("b", std::make_shared<MirroringScheme>(3));
   const auto data = payload(64);
-  for (std::uint64_t b = 0; b < 20; ++b) a.write(b, data);
+  for (std::uint64_t b = 0; b < 20; ++b) a.try_write(b, data).value_or_throw();
   pool.publish_metrics();
 
   const metrics::Snapshot snap = metrics::Registry::global().snapshot();

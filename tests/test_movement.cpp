@@ -121,5 +121,23 @@ TEST(Movement, EndToEndWithRedundantShare) {
   EXPECT_GE(r.moved_set, r.optimal_moves / 2);  // sanity: same order
 }
 
+TEST(Movement, AddBiggestMovesBoundedFraction) {
+  // Adding one 1.3M disk to a 6.8M cluster should migrate roughly its fair
+  // share (1.3/8.1 ~ 16%) of the fragments and certainly not the whole
+  // dataset.  Per-slot (erasure) semantics: a fragment moves iff its
+  // copy-index home changes.
+  const ClusterConfig before = paper_heterogeneous_base();
+  const EditResult edit =
+      apply_edit(before, EditKind::kAddBiggest, 50, 100'000);
+  const RedundantShare sb(before, 2);
+  const RedundantShare sa(edit.config, 2);
+  const MovementReport r =
+      diff_placements(BlockMap(sb, 20'000), BlockMap(sa, 20'000));
+  const double moved_fraction = static_cast<double>(r.moved_indexed) /
+                                static_cast<double>(r.total_copies);
+  EXPECT_GT(moved_fraction, 0.10);
+  EXPECT_LT(moved_fraction, 0.45);
+}
+
 }  // namespace
 }  // namespace rds

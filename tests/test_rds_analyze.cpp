@@ -247,20 +247,6 @@ TEST(RdsAnalyze, FactoryTypedCallResolutionPasses) {
   EXPECT_TRUE(analyze_fixture("factory_resolution_good.cpp").empty());
 }
 
-TEST(RdsAnalyze, WrapperPairResolutionTrips) {
-  // refresh() is declared-only; the blocking summary comes from the
-  // try_refresh twin through the wrapper edge.
-  const auto findings = analyze_fixture("wrapper_pair_bad.cpp");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "lock-held-across-call");
-  EXPECT_NE(findings[0].message.find("Index::try_refresh"),
-            std::string::npos);
-}
-
-TEST(RdsAnalyze, WrapperPairResolutionPasses) {
-  EXPECT_TRUE(analyze_fixture("wrapper_pair_good.cpp").empty());
-}
-
 // ---- lockset race model (shared-state-race / lambda-escape / drift) ---------
 
 TEST(RdsAnalyze, SharedStateRaceTrips) {
@@ -373,22 +359,6 @@ TEST(RdsAnalyze, AccessesJsonDumpsMembersAndLambdas) {
 
 // ---- call-graph construction and summary propagation ------------------------
 
-TEST(RdsAnalyze, CallGraphBuildsWrapperEdges) {
-  Analyzer analyzer;
-  ASSERT_TRUE(analyzer.add_file(fixture_path("wrapper_pair_bad.cpp")));
-  (void)analyzer.run();
-  bool wrapper_edge = false;
-  for (const auto& [from, outs] : analyzer.callgraph().edges()) {
-    for (const rds::analyze::CallEdge& e : outs) {
-      if (e.to == rds::analyze::MethodKey{"Index", "try_refresh"} &&
-          e.kind == rds::analyze::EdgeKind::kWrapper) {
-        wrapper_edge = true;
-      }
-    }
-  }
-  EXPECT_TRUE(wrapper_edge);
-}
-
 TEST(RdsAnalyze, CallGraphBuildsFactoryEdges) {
   Analyzer analyzer;
   ASSERT_TRUE(analyzer.add_file(fixture_path("factory_resolution_bad.cpp")));
@@ -470,16 +440,16 @@ TEST(RdsAnalyze, SummariesRecordGaugeAndResultFacts) {
 
 TEST(RdsAnalyze, CallgraphDumpsContainMethodsEdgesAndSccs) {
   Analyzer analyzer;
-  ASSERT_TRUE(analyzer.add_file(fixture_path("wrapper_pair_bad.cpp")));
+  ASSERT_TRUE(analyzer.add_file(fixture_path("factory_resolution_bad.cpp")));
   (void)analyzer.run();
   const std::string dot = rds::analyze::callgraph_to_dot(
       analyzer.callgraph(), analyzer.summaries());
   EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("Index::try_refresh"), std::string::npos);
-  EXPECT_NE(dot.find("wrapper"), std::string::npos);
+  EXPECT_NE(dot.find("Selector::pick"), std::string::npos);
+  EXPECT_NE(dot.find("factory"), std::string::npos);
   const std::string json = rds::analyze::callgraph_to_json(
       analyzer.callgraph(), analyzer.summaries());
-  EXPECT_NE(json.find("\"kind\": \"wrapper\""), std::string::npos);
+  EXPECT_NE(json.find("\"kind\": \"factory\""), std::string::npos);
   EXPECT_NE(json.find("\"sccs\""), std::string::npos);
   EXPECT_NE(json.find("\"blocking_unguarded\": true"), std::string::npos);
 }

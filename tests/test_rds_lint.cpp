@@ -37,8 +37,7 @@ std::set<std::string> rules_of(const std::vector<Finding>& findings) {
 TEST(RdsLint, RuleListIsComplete) {
   const std::vector<std::string> expected = {
       "atomic-memory-order",   "result-path-throw", "placement-determinism",
-      "header-hygiene",        "metrics-naming",    "nodiscard-result",
-      "stale-suppression"};
+      "header-hygiene",        "metrics-naming",    "stale-suppression"};
   EXPECT_EQ(rds::lint::rule_ids(), expected);
 }
 
@@ -106,16 +105,6 @@ TEST(RdsLint, MetricsNamingTrips) {
 
 TEST(RdsLint, MetricsNamingPasses) {
   EXPECT_TRUE(lint_fixture("metrics_good.cpp").empty());
-}
-
-TEST(RdsLint, NodiscardResultTrips) {
-  const auto findings = lint_fixture("nodiscard_bad.hpp");
-  EXPECT_EQ(findings.size(), 3u);
-  EXPECT_EQ(rules_of(findings), std::set<std::string>{"nodiscard-result"});
-}
-
-TEST(RdsLint, NodiscardResultPasses) {
-  EXPECT_TRUE(lint_fixture("nodiscard_good.hpp").empty());
 }
 
 TEST(RdsLint, JournalMetricsNamingTrips) {

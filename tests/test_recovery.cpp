@@ -74,7 +74,9 @@ TEST(CheckpointHeader, RejectsBadMagicTruncationAndCrc) {
 TEST(Recovery, DiskAdminOpsReplayToIdenticalState) {
   VirtualDisk disk(base_config(),
                    std::make_shared<ReedSolomonScheme>(3, 2));
-  for (std::uint64_t b = 0; b < 60; ++b) disk.write(b, payload(b, 1));
+  for (std::uint64_t b = 0; b < 60; ++b) {
+    disk.try_write(b, payload(b, 1)).value_or_throw();
+  }
 
   // Checkpoint first (watermark 0: no journaled mutation yet), then attach
   // the journal and run the full admin vocabulary.
@@ -84,13 +86,13 @@ TEST(Recovery, DiskAdminOpsReplayToIdenticalState) {
   auto writer = std::make_shared<JournalWriter>(wal);
   disk.set_journal(writer);
 
-  disk.add_device({9, 4000, "late"});
-  disk.resize_device(2, 3500);
+  disk.try_add_device({9, 4000, "late"}).value_or_throw();
+  disk.try_resize_device(2, 3500).value_or_throw();
   disk.fail_device(5);
   EXPECT_GT(disk.rebuild(), 0u);
-  disk.set_strategy(PlacementKind::kRoundRobin);
-  disk.set_scheme(std::make_shared<MirroringScheme>(3));
-  disk.remove_device(9);
+  disk.try_set_strategy(PlacementKind::kRoundRobin).value_or_throw();
+  disk.try_set_scheme(std::make_shared<MirroringScheme>(3)).value_or_throw();
+  disk.try_remove_device(9).value_or_throw();
   EXPECT_EQ(writer->last_lsn(), 7u);
 
   auto recovered = Recovery::recover_disk(ckpt, &wal);
@@ -108,25 +110,27 @@ TEST(Recovery, DiskAdminOpsReplayToIdenticalState) {
   EXPECT_EQ(twin.placement_kind(), disk.placement_kind());
   EXPECT_EQ(twin.block_count(), disk.block_count());
   for (std::uint64_t b = 0; b < 60; ++b) {
-    EXPECT_EQ(twin.read(b), payload(b, 1));
+    EXPECT_EQ(twin.try_read(b).value_or_throw(), payload(b, 1));
   }
   EXPECT_TRUE(twin.scrub().clean());
 }
 
 TEST(Recovery, WatermarkSkipsAlreadyCheckpointedRecords) {
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 20; ++b) disk.write(b, payload(b, 2));
+  for (std::uint64_t b = 0; b < 20; ++b) {
+    disk.try_write(b, payload(b, 2)).value_or_throw();
+  }
   std::stringstream wal;
   auto writer = std::make_shared<JournalWriter>(wal);
   disk.set_journal(writer);
 
-  disk.add_device({9, 4000, "first"});
+  disk.try_add_device({9, 4000, "first"}).value_or_throw();
   disk.fail_device(5);
   // Checkpoint absorbs LSNs 1-2; the old journal keeps all records.
   std::stringstream ckpt;
   write_checkpoint(disk, writer->last_lsn(), ckpt);
   disk.rebuild();
-  disk.resize_device(9, 5000);
+  disk.try_resize_device(9, 5000).value_or_throw();
 
   auto recovered = Recovery::recover_disk(ckpt, &wal);
   ASSERT_TRUE(recovered.ok()) << recovered.error().message;
@@ -141,11 +145,13 @@ TEST(Recovery, WatermarkSkipsAlreadyCheckpointedRecords) {
 
 TEST(Recovery, CheckpointRotatesAndFreshJournalContinues) {
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 20; ++b) disk.write(b, payload(b, 3));
+  for (std::uint64_t b = 0; b < 20; ++b) {
+    disk.try_write(b, payload(b, 3)).value_or_throw();
+  }
   std::stringstream wal;
   auto writer = std::make_shared<JournalWriter>(wal);
   disk.set_journal(writer);
-  disk.add_device({9, 4000, "x"});
+  disk.try_add_device({9, 4000, "x"}).value_or_throw();
   disk.fail_device(3);
 
   std::stringstream ckpt;
@@ -165,21 +171,23 @@ TEST(Recovery, CheckpointRotatesAndFreshJournalContinues) {
 
 TEST(Recovery, NullJournalRestoresBareSnapshot) {
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
-  disk.write(1, payload(1, 4));
+  disk.try_write(1, payload(1, 4)).value_or_throw();
   std::stringstream ckpt;
   write_checkpoint(disk, 0, ckpt);
   auto recovered = Recovery::recover_disk(ckpt, nullptr);
   ASSERT_TRUE(recovered.ok()) << recovered.error().message;
-  EXPECT_EQ(recovered.value().disk.read(1), payload(1, 4));
+  EXPECT_EQ(recovered.value().disk.try_read(1).value_or_throw(), payload(1, 4));
   EXPECT_EQ(recovered.value().report.records_applied, 0u);
 }
 
 TEST(Recovery, ReplayRejectsMidReshapeTarget) {
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 30; ++b) disk.write(b, payload(b, 5));
+  for (std::uint64_t b = 0; b < 30; ++b) {
+    disk.try_write(b, payload(b, 5)).value_or_throw();
+  }
   ClusterConfig next = disk.config();
   next.add_device({9, 2500, ""});
-  disk.begin_reshape(next);
+  disk.try_begin_reshape(next).value_or_throw();
   ASSERT_TRUE(disk.reshaping());
 
   std::stringstream wal;
@@ -257,7 +265,7 @@ TEST(Recovery, PoolLifecycleReplaysToIdenticalState) {
   StoragePool pool(base_config());
   pool.create_volume("keep", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 40; ++b) {
-    pool.volume("keep").write(b, payload(b, 6));
+    pool.volume("keep").try_write(b, payload(b, 6)).value_or_throw();
   }
   std::stringstream ckpt;
   write_checkpoint(pool, 0, ckpt);
@@ -285,7 +293,7 @@ TEST(Recovery, PoolLifecycleReplaysToIdenticalState) {
   EXPECT_EQ(twin.volume("keep").placement_kind(),
             PlacementKind::kFastRedundantShare);
   for (std::uint64_t b = 0; b < 40; ++b) {
-    EXPECT_EQ(twin.volume("keep").read(b), payload(b, 6));
+    EXPECT_EQ(twin.volume("keep").try_read(b).value_or_throw(), payload(b, 6));
   }
   EXPECT_TRUE(twin.volume("keep").scrub().clean());
 }
@@ -307,7 +315,7 @@ TEST(Recovery, FileStoreMutationsReplayByteIdentical) {
   ASSERT_TRUE(store.remove("a"));
   store.put("c", payload(4, 7));
   store.put("b", payload(5, 7));  // replace
-  store.disk().add_device({9, 4000, "late"});
+  store.disk().try_add_device({9, 4000, "late"}).value_or_throw();
   store.disk().fail_device(5);
   store.disk().rebuild();
 
@@ -316,9 +324,12 @@ TEST(Recovery, FileStoreMutationsReplayByteIdentical) {
   FileStore& twin = recovered.value().store;
   EXPECT_EQ(twin.file_count(), store.file_count());
   EXPECT_FALSE(twin.contains("a"));
-  EXPECT_EQ(twin.get("seed"), store.get("seed"));
-  EXPECT_EQ(twin.get("b"), store.get("b"));
-  EXPECT_EQ(twin.get("c"), store.get("c"));
+  EXPECT_EQ(twin.try_get("seed").value_or_throw(),
+            store.try_get("seed").value_or_throw());
+  EXPECT_EQ(twin.try_get("b").value_or_throw(),
+            store.try_get("b").value_or_throw());
+  EXPECT_EQ(twin.try_get("c").value_or_throw(),
+            store.try_get("c").value_or_throw());
   EXPECT_TRUE(twin.disk().config() == store.disk().config());
   EXPECT_TRUE(twin.disk().scrub().clean());
 }
@@ -344,7 +355,7 @@ TEST(Recovery, FilePutFingerprintMismatchIsCorruption) {
 
 TEST(Recovery, CorruptCheckpointBodyIsCorruption) {
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
-  disk.write(1, payload(1, 9));
+  disk.try_write(1, payload(1, 9)).value_or_throw();
   std::stringstream full;
   write_checkpoint(disk, 0, full);
   const std::string bytes = full.str();
@@ -363,7 +374,9 @@ TEST(Recovery, EveryPlacementKindRestoresAsItself) {
     SCOPED_TRACE(std::string(to_string(kind)));
     VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2),
                      kind);
-    for (std::uint64_t b = 0; b < 40; ++b) disk.write(b, payload(b, 11));
+    for (std::uint64_t b = 0; b < 40; ++b) {
+      disk.try_write(b, payload(b, 11)).value_or_throw();
+    }
     std::stringstream ckpt;
     write_checkpoint(disk, 0, ckpt);
 
@@ -372,7 +385,8 @@ TEST(Recovery, EveryPlacementKindRestoresAsItself) {
     VirtualDisk& twin = recovered.value().disk;
     EXPECT_EQ(twin.placement_kind(), kind);
     for (std::uint64_t b = 0; b < 40; ++b) {
-      EXPECT_EQ(twin.read(b), payload(b, 11)) << "block " << b;
+      EXPECT_EQ(twin.try_read(b).value_or_throw(), payload(b, 11))
+          << "block " << b;
     }
   }
 }

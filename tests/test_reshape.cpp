@@ -25,11 +25,13 @@ Bytes payload(std::uint64_t block) {
 
 TEST(Reshape, StepwiseDrainCommitsNewTopology) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 500; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < 500; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
 
   ClusterConfig next = disk.config();
   next.add_device({9, 4000, "new"});
-  const std::size_t planned = disk.begin_reshape(next);
+  const std::size_t planned = disk.try_begin_reshape(next).value_or_throw();
   EXPECT_EQ(planned, 500u);
   EXPECT_TRUE(disk.reshaping());
 
@@ -44,45 +46,50 @@ TEST(Reshape, StepwiseDrainCommitsNewTopology) {
   EXPECT_TRUE(disk.config().contains(9));
   EXPECT_GT(disk.used_on(9), 0u);
   for (std::uint64_t b = 0; b < 500; ++b) {
-    EXPECT_EQ(disk.read(b), payload(b));
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), payload(b));
   }
   EXPECT_TRUE(disk.scrub().clean());
 }
 
 TEST(Reshape, ReadableAndWritableMidFlight) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 400; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < 400; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
 
   ClusterConfig next = disk.config();
   next.add_device({9, 5000, "new"});
   next.remove_device(5);
-  disk.begin_reshape(next);
+  disk.try_begin_reshape(next).value_or_throw();
   disk.step_reshape(100);  // partially drained
 
   // Every block readable, whether migrated or not.
   for (std::uint64_t b = 0; b < 400; ++b) {
-    ASSERT_EQ(disk.read(b), payload(b)) << "mid-reshape read of " << b;
+    ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b))
+        << "mid-reshape read of " << b;
   }
   // New writes land on the new topology; overwrites of pending blocks work.
-  disk.write(1000, payload(1000));
-  disk.write(3, payload(9999));
-  EXPECT_EQ(disk.read(1000), payload(1000));
-  EXPECT_EQ(disk.read(3), payload(9999));
+  disk.try_write(1000, payload(1000)).value_or_throw();
+  disk.try_write(3, payload(9999)).value_or_throw();
+  EXPECT_EQ(disk.try_read(1000).value_or_throw(), payload(1000));
+  EXPECT_EQ(disk.try_read(3).value_or_throw(), payload(9999));
 
   while (disk.step_reshape(100) > 0) {
   }
   EXPECT_FALSE(disk.reshaping());
-  EXPECT_EQ(disk.read(3), payload(9999));
-  EXPECT_EQ(disk.read(1000), payload(1000));
+  EXPECT_EQ(disk.try_read(3).value_or_throw(), payload(9999));
+  EXPECT_EQ(disk.try_read(1000).value_or_throw(), payload(1000));
   EXPECT_TRUE(disk.scrub().clean());
 }
 
 TEST(Reshape, ScrubStaysCleanMidFlight) {
   VirtualDisk disk(pool(), std::make_shared<ReedSolomonScheme>(3, 2));
-  for (std::uint64_t b = 0; b < 200; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < 200; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
   ClusterConfig next = disk.config();
   next.add_device({9, 2500, ""});
-  disk.begin_reshape(next);
+  disk.try_begin_reshape(next).value_or_throw();
   disk.step_reshape(50);
   EXPECT_TRUE(disk.scrub().clean());
   while (disk.step_reshape(50) > 0) {
@@ -92,13 +99,15 @@ TEST(Reshape, ScrubStaysCleanMidFlight) {
 
 TEST(Reshape, TrimMidFlight) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 100; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < 100; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
   ClusterConfig next = disk.config();
   next.add_device({9, 2500, ""});
-  disk.begin_reshape(next);
+  disk.try_begin_reshape(next).value_or_throw();
   disk.step_reshape(10);
-  EXPECT_TRUE(disk.trim(50));   // likely still pending
-  EXPECT_TRUE(disk.trim(0));
+  EXPECT_TRUE(disk.try_trim(50).ok());  // likely still pending
+  EXPECT_TRUE(disk.try_trim(0).ok());
   while (disk.step_reshape(50) > 0) {
   }
   EXPECT_FALSE(disk.contains(50));
@@ -107,17 +116,19 @@ TEST(Reshape, TrimMidFlight) {
 
 TEST(Reshape, ConcurrentTopologyChangesRejected) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  disk.write(1, payload(1));
+  disk.try_write(1, payload(1)).value_or_throw();
   ClusterConfig next = disk.config();
   next.add_device({9, 2500, ""});
-  disk.begin_reshape(next);
-  EXPECT_THROW(disk.begin_reshape(next), std::runtime_error);
-  EXPECT_THROW(disk.add_device({10, 100, ""}), std::runtime_error);
-  EXPECT_THROW(disk.remove_device(5), std::runtime_error);
+  disk.try_begin_reshape(next).value_or_throw();
+  EXPECT_EQ(disk.try_begin_reshape(next).code(),
+            ErrorCode::kReshapeInProgress);
+  EXPECT_EQ(disk.try_add_device({10, 100, ""}).code(),
+            ErrorCode::kReshapeInProgress);
+  EXPECT_EQ(disk.try_remove_device(5).code(), ErrorCode::kReshapeInProgress);
   while (disk.step_reshape(50) > 0) {
   }
   // After draining, topology operations work again.
-  disk.add_device({10, 100, ""});
+  disk.try_add_device({10, 100, ""}).value_or_throw();
   EXPECT_TRUE(disk.config().contains(10));
 }
 
@@ -125,7 +136,7 @@ TEST(Reshape, EmptyPoolCommitsImmediately) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
   ClusterConfig next = disk.config();
   next.add_device({9, 2500, ""});
-  EXPECT_EQ(disk.begin_reshape(next), 0u);
+  EXPECT_EQ(disk.try_begin_reshape(next).value_or_throw(), 0u);
   EXPECT_EQ(disk.step_reshape(1), 0u);
   EXPECT_FALSE(disk.reshaping());
   EXPECT_TRUE(disk.config().contains(9));

@@ -1,5 +1,5 @@
-// Result<T> and the canonical ErrorCode -> exception mapping that keeps the
-// legacy throwing wrappers byte-compatible with the historical API.
+// Result<T> and the canonical ErrorCode -> exception mapping that
+// value_or_throw() applies for every caller that wants an exception.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -53,8 +53,8 @@ TEST(Result, RejectsErrorWithOkCode) {
   EXPECT_THROW(Result<int>(Error{ErrorCode::kOk, ""}), std::logic_error);
 }
 
-// The mapping the legacy wrappers (write/read/trim/add_device/...) rely on:
-// each code must keep throwing the exception type the pre-Result API threw.
+// The mapping every `.value_or_throw()` caller relies on: each code keeps
+// throwing the exception type the pre-Result API threw.
 TEST(Result, CanonicalExceptionMapping) {
   const auto thrown_by = [](ErrorCode code) {
     return Result<int>(Error{code, "m"});
@@ -68,8 +68,6 @@ TEST(Result, CanonicalExceptionMapping) {
   EXPECT_THROW(thrown_by(ErrorCode::kDeviceFailed).value_or_throw(),
                std::runtime_error);
   EXPECT_THROW(thrown_by(ErrorCode::kReshapeInProgress).value_or_throw(),
-               std::runtime_error);
-  EXPECT_THROW(thrown_by(ErrorCode::kCancelled).value_or_throw(),
                std::runtime_error);
   EXPECT_THROW(thrown_by(ErrorCode::kIoError).value_or_throw(),
                std::runtime_error);
@@ -92,7 +90,6 @@ TEST(Result, ErrorCodeNames) {
   EXPECT_EQ(to_string(ErrorCode::kUnrecoverable), "unrecoverable");
   EXPECT_EQ(to_string(ErrorCode::kDeviceFailed), "device-failed");
   EXPECT_EQ(to_string(ErrorCode::kReshapeInProgress), "reshape-in-progress");
-  EXPECT_EQ(to_string(ErrorCode::kCancelled), "cancelled");
   EXPECT_EQ(to_string(ErrorCode::kIoError), "io-error");
   EXPECT_EQ(to_string(ErrorCode::kCorruption), "corruption");
 }

@@ -41,7 +41,9 @@ TEST(SchemeFactory, RoundTripsEveryScheme) {
 
 TEST(Snapshot, DiskRoundTrip) {
   VirtualDisk disk(pool_config(), std::make_shared<ReedSolomonScheme>(3, 2));
-  for (std::uint64_t b = 0; b < 200; ++b) disk.write(b, payload(b, 1));
+  for (std::uint64_t b = 0; b < 200; ++b) {
+    disk.try_write(b, payload(b, 1)).value_or_throw();
+  }
 
   std::stringstream stream;
   Snapshot::save_disk(disk, stream);
@@ -51,17 +53,19 @@ TEST(Snapshot, DiskRoundTrip) {
   EXPECT_EQ(restored.scheme().name(), "reed-solomon(3+2)");
   EXPECT_TRUE(restored.config() == disk.config());
   for (std::uint64_t b = 0; b < 200; ++b) {
-    EXPECT_EQ(restored.read(b), payload(b, 1));
+    EXPECT_EQ(restored.try_read(b).value_or_throw(), payload(b, 1));
   }
   EXPECT_TRUE(restored.scrub().clean());
   // The restored disk is fully operational: reshape and rebuild work.
-  restored.add_device({9, 4000, "post-restore"});
-  EXPECT_EQ(restored.read(7), payload(7, 1));
+  restored.try_add_device({9, 4000, "post-restore"}).value_or_throw();
+  EXPECT_EQ(restored.try_read(7).value_or_throw(), payload(7, 1));
 }
 
 TEST(Snapshot, DegradedStateSurvivesRoundTrip) {
   VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 100; ++b) disk.write(b, payload(b, 2));
+  for (std::uint64_t b = 0; b < 100; ++b) {
+    disk.try_write(b, payload(b, 2)).value_or_throw();
+  }
   disk.fail_device(2);
 
   std::stringstream stream;
@@ -72,20 +76,20 @@ TEST(Snapshot, DegradedStateSurvivesRoundTrip) {
   EXPECT_FALSE(restored.scrub().clean());
   EXPECT_GT(restored.rebuild(), 0u);
   for (std::uint64_t b = 0; b < 100; ++b) {
-    EXPECT_EQ(restored.read(b), payload(b, 2));
+    EXPECT_EQ(restored.try_read(b).value_or_throw(), payload(b, 2));
   }
   EXPECT_TRUE(restored.scrub().clean());
 }
 
 TEST(Snapshot, ChecksumsSurviveRoundTrip) {
   VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(3));
-  disk.write(5, payload(5, 3));
+  disk.try_write(5, payload(5, 3)).value_or_throw();
   std::stringstream stream;
   Snapshot::save_disk(disk, stream);
   VirtualDisk restored = Snapshot::load_disk(stream);
   // Corrupt one restored fragment: the restored checksums must catch it.
   ASSERT_TRUE(restored.corrupt_fragment(5, 0));
-  EXPECT_EQ(restored.read(5), payload(5, 3));
+  EXPECT_EQ(restored.try_read(5).value_or_throw(), payload(5, 3));
   EXPECT_EQ(restored.stats().checksum_failures, 1u);
 }
 
@@ -94,8 +98,8 @@ TEST(Snapshot, PoolRoundTrip) {
   pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   pool.create_volume("b", std::make_shared<EvenOddScheme>(3));
   for (std::uint64_t blk = 0; blk < 120; ++blk) {
-    pool.volume("a").write(blk, payload(blk, 10));
-    pool.volume("b").write(blk, payload(blk, 20));
+    pool.volume("a").try_write(blk, payload(blk, 10)).value_or_throw();
+    pool.volume("b").try_write(blk, payload(blk, 20)).value_or_throw();
   }
 
   std::stringstream stream;
@@ -104,8 +108,10 @@ TEST(Snapshot, PoolRoundTrip) {
 
   EXPECT_EQ(restored.volume_count(), 2u);
   for (std::uint64_t blk = 0; blk < 120; ++blk) {
-    EXPECT_EQ(restored.volume("a").read(blk), payload(blk, 10));
-    EXPECT_EQ(restored.volume("b").read(blk), payload(blk, 20));
+    EXPECT_EQ(restored.volume("a").try_read(blk).value_or_throw(),
+              payload(blk, 10));
+    EXPECT_EQ(restored.volume("b").try_read(blk).value_or_throw(),
+              payload(blk, 20));
   }
   EXPECT_TRUE(restored.volume("a").scrub().clean());
   EXPECT_TRUE(restored.volume("b").scrub().clean());
@@ -113,7 +119,7 @@ TEST(Snapshot, PoolRoundTrip) {
   // Volumes still share stores: pool-wide failure degrades both.
   restored.fail_device(1);
   EXPECT_GT(restored.rebuild(), 0u);
-  EXPECT_EQ(restored.volume("a").read(3), payload(3, 10));
+  EXPECT_EQ(restored.volume("a").try_read(3).value_or_throw(), payload(3, 10));
   // New volumes get fresh ids (the counter was persisted).
   VirtualDisk& c =
       restored.create_volume("c", std::make_shared<MirroringScheme>(2));
@@ -129,7 +135,7 @@ TEST(Snapshot, RejectsGarbage) {
 
   // Truncated stream: valid header, missing body.
   VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
-  disk.write(1, payload(1, 1));
+  disk.try_write(1, payload(1, 1)).value_or_throw();
   std::stringstream stream;
   Snapshot::save_disk(disk, stream);
   const std::string full = stream.str();
@@ -139,10 +145,12 @@ TEST(Snapshot, RejectsGarbage) {
 
 TEST(Snapshot, SaveDuringReshapeRejected) {
   VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 50; ++b) disk.write(b, payload(b, 1));
+  for (std::uint64_t b = 0; b < 50; ++b) {
+    disk.try_write(b, payload(b, 1)).value_or_throw();
+  }
   ClusterConfig next = disk.config();
   next.add_device({9, 2500, ""});
-  disk.begin_reshape(next);
+  disk.try_begin_reshape(next).value_or_throw();
   std::stringstream stream;
   EXPECT_THROW(Snapshot::save_disk(disk, stream), std::runtime_error);
 }

@@ -45,7 +45,9 @@ TEST(SnapshotDegraded, EverySchemeKindSurvivesAFailedDeviceRoundTrip) {
   for (const auto& scheme : every_scheme_kind()) {
     SCOPED_TRACE(scheme->name());
     VirtualDisk disk(wide_config(), scheme);
-    for (std::uint64_t b = 0; b < 50; ++b) disk.write(b, payload(b, 1));
+    for (std::uint64_t b = 0; b < 50; ++b) {
+      disk.try_write(b, payload(b, 1)).value_or_throw();
+    }
     disk.fail_device(2);
 
     std::stringstream stream;
@@ -58,7 +60,7 @@ TEST(SnapshotDegraded, EverySchemeKindSurvivesAFailedDeviceRoundTrip) {
     EXPECT_FALSE(restored.scrub().clean());
     const std::uint64_t degraded_before = restored.stats().degraded_reads;
     for (std::uint64_t b = 0; b < 50; ++b) {
-      EXPECT_EQ(restored.read(b), payload(b, 1));
+      EXPECT_EQ(restored.try_read(b).value_or_throw(), payload(b, 1));
     }
     EXPECT_GT(restored.stats().degraded_reads, degraded_before);
 
@@ -72,7 +74,9 @@ TEST(SnapshotDegraded, EverySchemeKindSurvivesAFailedDeviceRoundTrip) {
 TEST(SnapshotDegraded, MultipleFailuresWithinToleranceRoundTrip) {
   // RS(3+2) tolerates two lost devices; both flags must survive.
   VirtualDisk disk(wide_config(), std::make_shared<ReedSolomonScheme>(3, 2));
-  for (std::uint64_t b = 0; b < 40; ++b) disk.write(b, payload(b, 2));
+  for (std::uint64_t b = 0; b < 40; ++b) {
+    disk.try_write(b, payload(b, 2)).value_or_throw();
+  }
   disk.fail_device(1);
   disk.fail_device(5);
 
@@ -82,7 +86,7 @@ TEST(SnapshotDegraded, MultipleFailuresWithinToleranceRoundTrip) {
 
   EXPECT_FALSE(restored.scrub().clean());
   for (std::uint64_t b = 0; b < 40; ++b) {
-    EXPECT_EQ(restored.read(b), payload(b, 2));
+    EXPECT_EQ(restored.try_read(b).value_or_throw(), payload(b, 2));
   }
   EXPECT_GT(restored.rebuild(), 0u);
   EXPECT_TRUE(restored.scrub().clean());
@@ -98,7 +102,8 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
   }
   for (std::uint64_t b = 0; b < 25; ++b) {
     for (std::size_t i = 0; i < schemes.size(); ++i) {
-      pool.volume(test::numbered("v", i)).write(b, payload(b, 10 + i));
+      pool.volume(test::numbered("v", i)).try_write(b, payload(b, 10 + i))
+          .value_or_throw();
     }
   }
   pool.fail_device(4);
@@ -114,7 +119,7 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
     EXPECT_EQ(vol.scheme().name(), schemes[i]->name());
     EXPECT_FALSE(vol.scrub().clean());
     for (std::uint64_t b = 0; b < 25; ++b) {
-      EXPECT_EQ(vol.read(b), payload(b, 10 + i));
+      EXPECT_EQ(vol.try_read(b).value_or_throw(), payload(b, 10 + i));
     }
   }
   // The failure flag is on the SHARED store: one rebuild heals all volumes.
@@ -128,7 +133,7 @@ TEST(SnapshotDegraded, PoolUsageReportsFailureAfterRestore) {
   StoragePool pool(wide_config());
   pool.create_volume("v", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 10; ++b) {
-    pool.volume("v").write(b, payload(b, 3));
+    pool.volume("v").try_write(b, payload(b, 3)).value_or_throw();
   }
   pool.fail_device(7);
 
@@ -165,8 +170,10 @@ TEST(SnapshotDegraded, FileStoreRoundTripsFilesAndDegradation) {
   EXPECT_EQ(restored.file_count(), 2u);
   EXPECT_EQ(restored.block_size(), store.block_size());
   EXPECT_FALSE(restored.contains("alpha"));
-  EXPECT_EQ(restored.get("beta"), store.get("beta"));
-  EXPECT_EQ(restored.get("gamma"), store.get("gamma"));
+  EXPECT_EQ(restored.try_get("beta").value_or_throw(),
+            store.try_get("beta").value_or_throw());
+  EXPECT_EQ(restored.try_get("gamma").value_or_throw(),
+            store.try_get("gamma").value_or_throw());
   EXPECT_FALSE(restored.disk().scrub().clean());
   EXPECT_GT(restored.disk().rebuild(), 0u);
   EXPECT_TRUE(restored.disk().scrub().clean());
@@ -174,8 +181,10 @@ TEST(SnapshotDegraded, FileStoreRoundTripsFilesAndDegradation) {
   // The persisted block allocator stays consistent: new writes after the
   // restore reuse the same address space without colliding.
   restored.put("delta", payload(4, 4));
-  EXPECT_EQ(restored.get("delta"), std::optional<Bytes>(payload(4, 4)));
-  EXPECT_EQ(restored.get("beta"), store.get("beta"));
+  EXPECT_EQ(restored.try_get("delta").value_or_throw(),
+            std::optional<Bytes>(payload(4, 4)));
+  EXPECT_EQ(restored.try_get("beta").value_or_throw(),
+            store.try_get("beta").value_or_throw());
 }
 
 }  // namespace

@@ -32,12 +32,12 @@ TEST(StoragePool, VolumesAreIsolatedNamespaces) {
 
   // Both volumes use the SAME block ids with different content.
   for (std::uint64_t b = 0; b < 100; ++b) {
-    scratch.write(b, payload(b, 1));
-    archive.write(b, payload(b, 2));
+    scratch.try_write(b, payload(b, 1)).value_or_throw();
+    archive.try_write(b, payload(b, 2)).value_or_throw();
   }
   for (std::uint64_t b = 0; b < 100; ++b) {
-    EXPECT_EQ(scratch.read(b), payload(b, 1));
-    EXPECT_EQ(archive.read(b), payload(b, 2));
+    EXPECT_EQ(scratch.try_read(b).value_or_throw(), payload(b, 1));
+    EXPECT_EQ(archive.try_read(b).value_or_throw(), payload(b, 2));
   }
   EXPECT_TRUE(scratch.scrub().clean());
   EXPECT_TRUE(archive.scrub().clean());
@@ -52,8 +52,8 @@ TEST(StoragePool, SharedCapacityIsContended) {
   VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(3));
   for (std::uint64_t block = 0; block < 200; ++block) {
-    a.write(block, payload(block, 1));
-    b.write(block, payload(block, 2));
+    a.try_write(block, payload(block, 1)).value_or_throw();
+    b.try_write(block, payload(block, 2)).value_or_throw();
   }
   std::uint64_t total = 0;
   for (const auto& u : pool.usage()) total += u.used;
@@ -65,8 +65,8 @@ TEST(StoragePool, PoolWideDeviceAddMigratesEveryVolume) {
   VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   VirtualDisk& b = pool.create_volume("b", std::make_shared<ReedSolomonScheme>(3, 2));
   for (std::uint64_t block = 0; block < 200; ++block) {
-    a.write(block, payload(block, 1));
-    b.write(block, payload(block, 2));
+    a.try_write(block, payload(block, 1)).value_or_throw();
+    b.try_write(block, payload(block, 2)).value_or_throw();
   }
   pool.add_device({9, 4000, "grown"});
   EXPECT_TRUE(pool.config().contains(9));
@@ -74,8 +74,8 @@ TEST(StoragePool, PoolWideDeviceAddMigratesEveryVolume) {
   EXPECT_TRUE(b.config().contains(9));
   EXPECT_GT(a.used_on(9), 0u);  // shared store: counts both volumes
   for (std::uint64_t block = 0; block < 200; ++block) {
-    EXPECT_EQ(a.read(block), payload(block, 1));
-    EXPECT_EQ(b.read(block), payload(block, 2));
+    EXPECT_EQ(a.try_read(block).value_or_throw(), payload(block, 1));
+    EXPECT_EQ(b.try_read(block).value_or_throw(), payload(block, 2));
   }
   EXPECT_TRUE(a.scrub().clean());
   EXPECT_TRUE(b.scrub().clean());
@@ -86,14 +86,14 @@ TEST(StoragePool, PoolWideRemoveDrainsEveryVolume) {
   VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t block = 0; block < 150; ++block) {
-    a.write(block, payload(block, 1));
-    b.write(block, payload(block, 2));
+    a.try_write(block, payload(block, 1)).value_or_throw();
+    b.try_write(block, payload(block, 2)).value_or_throw();
   }
   pool.remove_device(6);
   EXPECT_FALSE(pool.config().contains(6));
   for (std::uint64_t block = 0; block < 150; ++block) {
-    EXPECT_EQ(a.read(block), payload(block, 1));
-    EXPECT_EQ(b.read(block), payload(block, 2));
+    EXPECT_EQ(a.try_read(block).value_or_throw(), payload(block, 1));
+    EXPECT_EQ(b.try_read(block).value_or_throw(), payload(block, 2));
   }
 }
 
@@ -102,13 +102,13 @@ TEST(StoragePool, FailureAndRebuildSpanVolumes) {
   VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   VirtualDisk& b = pool.create_volume("b", std::make_shared<ReedSolomonScheme>(3, 2));
   for (std::uint64_t block = 0; block < 150; ++block) {
-    a.write(block, payload(block, 1));
-    b.write(block, payload(block, 2));
+    a.try_write(block, payload(block, 1)).value_or_throw();
+    b.try_write(block, payload(block, 2)).value_or_throw();
   }
   pool.fail_device(1);  // biggest device; both volumes degraded
   for (std::uint64_t block = 0; block < 150; ++block) {
-    EXPECT_EQ(a.read(block), payload(block, 1));
-    EXPECT_EQ(b.read(block), payload(block, 2));
+    EXPECT_EQ(a.try_read(block).value_or_throw(), payload(block, 1));
+    EXPECT_EQ(b.try_read(block).value_or_throw(), payload(block, 2));
   }
   const std::uint64_t rebuilt = pool.rebuild();
   EXPECT_GT(rebuilt, 0u);
@@ -123,8 +123,8 @@ TEST(StoragePool, DropVolumeReleasesCapacity) {
   VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t block = 0; block < 100; ++block) {
-    a.write(block, payload(block, 1));
-    b.write(block, payload(block, 2));
+    a.try_write(block, payload(block, 1)).value_or_throw();
+    b.try_write(block, payload(block, 2)).value_or_throw();
   }
   std::uint64_t before = 0;
   for (const auto& u : pool.usage()) before += u.used;
@@ -135,7 +135,8 @@ TEST(StoragePool, DropVolumeReleasesCapacity) {
   EXPECT_EQ(after, before - 200u);
   // Volume b untouched.
   for (std::uint64_t block = 0; block < 100; ++block) {
-    EXPECT_EQ(pool.volume("b").read(block), payload(block, 2));
+    EXPECT_EQ(pool.volume("b").try_read(block).value_or_throw(),
+              payload(block, 2));
   }
 }
 

@@ -55,7 +55,7 @@ Fingerprint fingerprint_of(VirtualDisk& disk, std::uint64_t block_count) {
   fp.scheme = disk.scheme().name();
   fp.kind = disk.placement_kind();
   for (std::uint64_t b = 0; b < block_count; ++b) {
-    fp.blocks.push_back(disk.read(b));
+    fp.blocks.push_back(disk.try_read(b).value_or_throw());
   }
   fp.clean = disk.scrub().clean();
   return fp;
@@ -75,7 +75,9 @@ Scenario build_scenario() {
   Scenario s;
   s.block_count = 12;
   VirtualDisk disk(small_config(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < s.block_count; ++b) disk.write(b, payload(b));
+  for (std::uint64_t b = 0; b < s.block_count; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
 
   std::stringstream ckpt;
   write_checkpoint(disk, 0, ckpt);
@@ -87,11 +89,15 @@ Scenario build_scenario() {
   s.boundaries.push_back(static_cast<std::size_t>(wal.tellp()));  // header end
 
   const std::vector<std::function<void(VirtualDisk&)>> ops = {
-      [](VirtualDisk& d) { d.add_device({9, 2500, "late"}); },
+      [](VirtualDisk& d) {
+        d.try_add_device({9, 2500, "late"}).value_or_throw();
+      },
       [](VirtualDisk& d) { d.fail_device(3); },
       [](VirtualDisk& d) { d.rebuild(); },
-      [](VirtualDisk& d) { d.resize_device(9, 3000); },
-      [](VirtualDisk& d) { d.set_strategy(PlacementKind::kRoundRobin); },
+      [](VirtualDisk& d) { d.try_resize_device(9, 3000).value_or_throw(); },
+      [](VirtualDisk& d) {
+        d.try_set_strategy(PlacementKind::kRoundRobin).value_or_throw();
+      },
   };
   for (const auto& op : ops) {
     op(disk);

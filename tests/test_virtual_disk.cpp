@@ -27,11 +27,12 @@ Bytes block_payload(std::uint64_t block, std::size_t size = 64) {
 TEST(VirtualDisk, WriteReadRoundTrip) {
   VirtualDisk disk(small_cluster(), std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 200; ++b) {
-    disk.write(b, block_payload(b));
+    disk.try_write(b, block_payload(b)).value_or_throw();
   }
   EXPECT_EQ(disk.block_count(), 200u);
   for (std::uint64_t b = 0; b < 200; ++b) {
-    EXPECT_EQ(disk.read(b), block_payload(b)) << "block " << b;
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), block_payload(b))
+        << "block " << b;
   }
   EXPECT_TRUE(disk.scrub().clean());
   EXPECT_EQ(disk.stats().fragments_written, 400u);
@@ -39,53 +40,60 @@ TEST(VirtualDisk, WriteReadRoundTrip) {
 
 TEST(VirtualDisk, ReadUnknownBlockThrows) {
   VirtualDisk disk(small_cluster(), std::make_shared<MirroringScheme>(2));
-  EXPECT_THROW((void)disk.read(7), std::out_of_range);
+  EXPECT_EQ(disk.try_read(7).code(), ErrorCode::kNotFound);
+  EXPECT_THROW((void)disk.try_read(7).value_or_throw(), std::out_of_range);
   EXPECT_FALSE(disk.contains(7));
 }
 
 TEST(VirtualDisk, OverwriteBlock) {
   VirtualDisk disk(small_cluster(), std::make_shared<MirroringScheme>(2));
-  disk.write(1, block_payload(1));
-  disk.write(1, block_payload(99, 32));
-  EXPECT_EQ(disk.read(1), block_payload(99, 32));
+  disk.try_write(1, block_payload(1)).value_or_throw();
+  disk.try_write(1, block_payload(99, 32)).value_or_throw();
+  EXPECT_EQ(disk.try_read(1).value_or_throw(), block_payload(99, 32));
   EXPECT_EQ(disk.block_count(), 1u);
   EXPECT_TRUE(disk.scrub().clean());
 }
 
 TEST(VirtualDisk, AddDeviceMigratesAndStaysReadable) {
   VirtualDisk disk(small_cluster(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 300; ++b) disk.write(b, block_payload(b));
+  for (std::uint64_t b = 0; b < 300; ++b) {
+    disk.try_write(b, block_payload(b)).value_or_throw();
+  }
 
-  disk.add_device({6, 2500, "new-big"});
+  disk.try_add_device({6, 2500, "new-big"}).value_or_throw();
   EXPECT_GT(disk.stats().fragments_moved, 0u);
   EXPECT_GT(disk.used_on(6), 0u);
   for (std::uint64_t b = 0; b < 300; ++b) {
-    EXPECT_EQ(disk.read(b), block_payload(b));
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), block_payload(b));
   }
   EXPECT_TRUE(disk.scrub().clean());
 }
 
 TEST(VirtualDisk, RemoveDeviceDrainsIt) {
   VirtualDisk disk(small_cluster(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 300; ++b) disk.write(b, block_payload(b));
+  for (std::uint64_t b = 0; b < 300; ++b) {
+    disk.try_write(b, block_payload(b)).value_or_throw();
+  }
   const std::uint64_t before_moves = disk.stats().fragments_moved;
-  disk.remove_device(5);
+  disk.try_remove_device(5).value_or_throw();
   EXPECT_GT(disk.stats().fragments_moved, before_moves);
   EXPECT_FALSE(disk.config().contains(5));
   for (std::uint64_t b = 0; b < 300; ++b) {
-    EXPECT_EQ(disk.read(b), block_payload(b));
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), block_payload(b));
   }
   EXPECT_TRUE(disk.scrub().clean());
 }
 
 TEST(VirtualDisk, FailureDegradedReadsThenRebuild) {
   VirtualDisk disk(small_cluster(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 300; ++b) disk.write(b, block_payload(b));
+  for (std::uint64_t b = 0; b < 300; ++b) {
+    disk.try_write(b, block_payload(b)).value_or_throw();
+  }
 
   disk.fail_device(1);  // biggest device
   // Degraded but fully readable through the surviving copies.
   for (std::uint64_t b = 0; b < 300; ++b) {
-    EXPECT_EQ(disk.read(b), block_payload(b));
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), block_payload(b));
   }
   EXPECT_GT(disk.stats().degraded_reads, 0u);
   EXPECT_FALSE(disk.scrub().clean());
@@ -94,7 +102,7 @@ TEST(VirtualDisk, FailureDegradedReadsThenRebuild) {
   EXPECT_GT(rebuilt, 0u);
   EXPECT_FALSE(disk.config().contains(1));
   for (std::uint64_t b = 0; b < 300; ++b) {
-    EXPECT_EQ(disk.read(b), block_payload(b));
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), block_payload(b));
   }
   EXPECT_TRUE(disk.scrub().clean());
 }
@@ -105,18 +113,20 @@ TEST(VirtualDisk, ErasureCodedFailureAndRebuild) {
   config.add_device({6, 1200, "f"});
   config.add_device({7, 800, "g"});
   VirtualDisk disk(config, std::make_shared<ReedSolomonScheme>(3, 2));
-  for (std::uint64_t b = 0; b < 200; ++b) disk.write(b, block_payload(b, 96));
+  for (std::uint64_t b = 0; b < 200; ++b) {
+    disk.try_write(b, block_payload(b, 96)).value_or_throw();
+  }
 
   disk.fail_device(3);
   disk.fail_device(5);
   for (std::uint64_t b = 0; b < 200; ++b) {
-    EXPECT_EQ(disk.read(b), block_payload(b, 96));
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), block_payload(b, 96));
   }
   const std::uint64_t rebuilt = disk.rebuild();
   EXPECT_GT(rebuilt, 0u);
   EXPECT_EQ(disk.config().size(), 5u);
   for (std::uint64_t b = 0; b < 200; ++b) {
-    EXPECT_EQ(disk.read(b), block_payload(b, 96));
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), block_payload(b, 96));
   }
   EXPECT_TRUE(disk.scrub().clean());
 }
@@ -125,19 +135,23 @@ TEST(VirtualDisk, RebuildImpossibleWhenTooFewDevicesRemain) {
   // RS(3+2) needs 5 distinct devices; losing 2 of 5 leaves too few.  The
   // rebuild must fail atomically (no partial migration).
   VirtualDisk disk(small_cluster(), std::make_shared<ReedSolomonScheme>(3, 2));
-  for (std::uint64_t b = 0; b < 50; ++b) disk.write(b, block_payload(b, 96));
+  for (std::uint64_t b = 0; b < 50; ++b) {
+    disk.try_write(b, block_payload(b, 96)).value_or_throw();
+  }
   disk.fail_device(3);
   disk.fail_device(5);
   EXPECT_THROW(disk.rebuild(), std::invalid_argument);
   // Data remains readable in degraded mode.
   for (std::uint64_t b = 0; b < 50; ++b) {
-    EXPECT_EQ(disk.read(b), block_payload(b, 96));
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), block_payload(b, 96));
   }
 }
 
 TEST(VirtualDisk, ErasureUnrecoverableWhenTooManyFail) {
   VirtualDisk disk(small_cluster(), std::make_shared<ReedSolomonScheme>(3, 2));
-  for (std::uint64_t b = 0; b < 50; ++b) disk.write(b, block_payload(b, 96));
+  for (std::uint64_t b = 0; b < 50; ++b) {
+    disk.try_write(b, block_payload(b, 96)).value_or_throw();
+  }
   disk.fail_device(1);
   disk.fail_device(2);
   disk.fail_device(3);
@@ -146,7 +160,7 @@ TEST(VirtualDisk, ErasureUnrecoverableWhenTooManyFail) {
   bool any_failure = false;
   for (std::uint64_t b = 0; b < 50; ++b) {
     try {
-      (void)disk.read(b);
+      (void)disk.try_read(b).value_or_throw();
     } catch (const std::runtime_error&) {
       any_failure = true;
     }
@@ -156,19 +170,22 @@ TEST(VirtualDisk, ErasureUnrecoverableWhenTooManyFail) {
 
 TEST(VirtualDisk, RemoveFailedDeviceRejected) {
   VirtualDisk disk(small_cluster(), std::make_shared<MirroringScheme>(2));
-  disk.write(1, block_payload(1));
+  disk.try_write(1, block_payload(1)).value_or_throw();
   disk.fail_device(2);
-  EXPECT_THROW(disk.remove_device(2), std::invalid_argument);
-  EXPECT_THROW(disk.add_device({9, 100, ""}), std::runtime_error);
+  EXPECT_EQ(disk.try_remove_device(2).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(disk.try_add_device({9, 100, ""}).code(),
+            ErrorCode::kDeviceFailed);
 }
 
 TEST(VirtualDisk, FastStrategyBackend) {
   VirtualDisk disk(small_cluster(), std::make_shared<MirroringScheme>(3),
                    PlacementKind::kFastRedundantShare);
-  for (std::uint64_t b = 0; b < 150; ++b) disk.write(b, block_payload(b));
-  disk.add_device({7, 1200, ""});
   for (std::uint64_t b = 0; b < 150; ++b) {
-    EXPECT_EQ(disk.read(b), block_payload(b));
+    disk.try_write(b, block_payload(b)).value_or_throw();
+  }
+  disk.try_add_device({7, 1200, ""}).value_or_throw();
+  for (std::uint64_t b = 0; b < 150; ++b) {
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), block_payload(b));
   }
   EXPECT_TRUE(disk.scrub().clean());
 }
@@ -179,8 +196,10 @@ TEST(VirtualDisk, MigrationMovesLessThanStriping) {
   auto run = [](PlacementKind kind) {
     VirtualDisk disk(small_cluster(), std::make_shared<MirroringScheme>(2),
                      kind);
-    for (std::uint64_t b = 0; b < 400; ++b) disk.write(b, block_payload(b, 16));
-    disk.add_device({6, 1500, ""});
+    for (std::uint64_t b = 0; b < 400; ++b) {
+      disk.try_write(b, block_payload(b, 16)).value_or_throw();
+    }
+    disk.try_add_device({6, 1500, ""}).value_or_throw();
     return disk.stats().fragments_moved;
   };
   const std::uint64_t rs_moves = run(PlacementKind::kRedundantShare);

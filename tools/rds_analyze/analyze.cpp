@@ -503,6 +503,10 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
                ++j) {
             if (b[j].kind == Kind::kIdent && b[j].text.starts_with("try_") &&
                 is_punct(b[j + 1], "(")) {
+              // `x = try_f(...).value_or_throw()` stores the value: the
+              // member call inspects the Result in place.
+              const std::size_t close = fwd_match(b, j + 1, "(", ")");
+              if (close + 1 < b.size() && is_punct(b[close + 1], ".")) break;
               def = k;
               var = b[k].text;
               break;

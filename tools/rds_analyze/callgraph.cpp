@@ -152,8 +152,6 @@ std::string_view edge_kind_name(EdgeKind k) {
   switch (k) {
     case EdgeKind::kDirect:
       return "direct";
-    case EdgeKind::kWrapper:
-      return "wrapper";
     case EdgeKind::kFactory:
       return "factory";
     case EdgeKind::kVirtual:
@@ -547,12 +545,6 @@ std::vector<std::pair<MethodKey, EdgeKind>> CallGraph::resolve(
                : (types_via_factory_.contains(c.recv_type)
                       ? EdgeKind::kFactory
                       : EdgeKind::kDirect));
-    const MethodInfo* mi = find(k.first, k.second);
-    // Wrapper twin: a declared-but-unseen `f` forwards to `try_f`.
-    if (mi != nullptr && !mi->defined &&
-        find(k.first, "try_" + k.second) != nullptr) {
-      add({k.first, "try_" + k.second}, EdgeKind::kWrapper);
-    }
     // Virtual fan-out: every derived class overriding the method.
     const auto dit = derived_.find(k.first);
     if (dit != derived_.end()) {
@@ -579,29 +571,13 @@ std::vector<std::pair<MethodKey, EdgeKind>> CallGraph::resolve(
         expand(hit.front());
         return out;
       }
-      if (find(enclosing, "try_" + c.name) != nullptr) {
-        add({enclosing, "try_" + c.name}, EdgeKind::kWrapper);
-        return out;
-      }
     }
-    if (find("", c.name) != nullptr) {
-      expand({"", c.name});
-      return out;
-    }
-    if (find("", "try_" + c.name) != nullptr) {
-      add({"", "try_" + c.name}, EdgeKind::kWrapper);
-    }
+    if (find("", c.name) != nullptr) expand({"", c.name});
     return out;
   }
   if (!c.recv_type.empty()) {
     const auto hit = find_in_hierarchy(c.recv_type, c.name);
-    if (!hit.empty()) {
-      expand(hit.front());
-      return out;
-    }
-    if (find(c.recv_type, "try_" + c.name) != nullptr) {
-      add({c.recv_type, "try_" + c.name}, EdgeKind::kWrapper);
-    }
+    if (!hit.empty()) expand(hit.front());
     return out;
   }
   // Unknown receiver: candidates are lock-relevant definers elsewhere,

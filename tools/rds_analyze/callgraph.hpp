@@ -4,10 +4,8 @@
 ///
 /// Builds on the per-file models from cfg.hpp: a method registry keyed by
 /// (class, name), per-function lock/call/blocking facts from a token-linear
-/// walk, and a resolved call graph whose edges cover four resolution forms:
+/// walk, and a resolved call graph whose edges cover three resolution forms:
 ///   - direct:  unqualified / receiver-typed / `Q::f` calls,
-///   - wrapper: a call to a declared-but-unseen `f` also resolves to the
-///     `try_f` twin on the same class (the throwing-wrapper convention),
 ///   - factory: a local assigned from a `make_*` factory carries the
 ///     factory's declared interface type, so calls through it resolve,
 ///   - virtual: a call through an interface type fans out to every class
@@ -84,7 +82,7 @@ struct FnFacts {
   std::vector<LambdaSite> lambda_sites;
 };
 
-enum class EdgeKind { kDirect, kWrapper, kFactory, kVirtual };
+enum class EdgeKind { kDirect, kFactory, kVirtual };
 
 [[nodiscard]] std::string_view edge_kind_name(EdgeKind k);
 
@@ -131,7 +129,7 @@ class CallGraph {
   /// The FileModels must outlive the graph (MethodInfo points into them).
   [[nodiscard]] static CallGraph build(const std::vector<FileModel>& files);
 
-  /// All resolution forms (direct + wrapper + factory + virtual).  Kinds
+  /// All resolution forms (direct + factory + virtual).  Kinds
   /// are reported per target; unresolvable calls return empty.
   [[nodiscard]] std::vector<std::pair<MethodKey, EdgeKind>> resolve(
       const CallSite& c, const std::string& enclosing) const;

@@ -515,8 +515,8 @@ int cmd_place(const Args& args) {
 int cmd_fairness(const Args& args) {
   const ClusterConfig config = config_from(args.caps);
   const auto strategy = make_strategy(args, config);
-  const BlockMap map =
-      BlockMap::build_parallel(*strategy, args.balls, effective_threads(args));
+  BatchPlacer placer(effective_threads(args));
+  const BlockMap map(*strategy, args.balls, placer);
   const FairnessReport report =
       fairness_report(config, usable_capacities(*strategy, config), map);
   report.print(std::cout, std::string(to_string(args.strategy)) + ", " +
@@ -593,8 +593,8 @@ int cmd_simulate(const Args& args) {
 int cmd_stats(const Args& args) {
   const ClusterConfig config = config_from(args.caps);
   const auto strategy = make_strategy(args, config);
-  const BlockMap map =
-      BlockMap::build_parallel(*strategy, args.balls, effective_threads(args));
+  BatchPlacer placer(effective_threads(args));
+  const BlockMap map(*strategy, args.balls, placer);
   metrics::Registry& reg = metrics::Registry::global();
   for (const auto& [uid, fragments] : map.device_counts()) {
     reg.gauge("rds_device_fragments",

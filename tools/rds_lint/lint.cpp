@@ -394,8 +394,7 @@ bool ends_with_any(const std::string& path,
 const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> kIds = {
       "atomic-memory-order",   "result-path-throw", "placement-determinism",
-      "header-hygiene",        "metrics-naming",    "nodiscard-result",
-      "stale-suppression"};
+      "header-hygiene",        "metrics-naming",    "stale-suppression"};
   return kIds;
 }
 
@@ -555,29 +554,6 @@ std::vector<Finding> lint_text(const std::string& path, std::string_view text,
         }
       }
 
-      if (is_header && nearest_function() == nullptr) {
-        const Tok* n1 = at(k + 1);
-        const bool is_call_shape = n1 != nullptr && n1->text == "(";
-        const auto decl_has = [&](std::string_view word) {
-          for (const Tok* d : decl) {
-            if (d->kind == Kind::kIdent && d->text == word) return true;
-          }
-          return false;
-        };
-        if (is_call_shape && t.text.starts_with("try_") &&
-            decl_has("Result") && !decl_has("nodiscard")) {
-          emit(t.line, "nodiscard-result",
-               "Result-returning '" + t.text +
-                   "' must be [[nodiscard]]: a dropped Result is a "
-                   "silently swallowed error");
-        }
-        if (is_call_shape && t.text == "exchange" && decl_has("shared_ptr") &&
-            !decl_has("nodiscard")) {
-          emit(t.line, "nodiscard-result",
-               "'exchange' hands back the previous pointer; dropping it "
-               "defeats the swap -- mark it [[nodiscard]]");
-        }
-      }
     }
 
     // Bounded: giant table initializers would otherwise balloon the span.

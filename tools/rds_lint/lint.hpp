@@ -14,8 +14,6 @@
 //   header-hygiene          headers start with #pragma once and never say
 //                           `using namespace` at namespace scope
 //   metrics-naming          metric family literals follow the `rds_` scheme
-//   nodiscard-result        Result-returning try_* declarations (and
-//                           pointer-swapping exchange()) are [[nodiscard]]
 //   stale-suppression       an `allow(rule)` comment naming one of the
 //                           rules above that no longer shields a finding
 //                           (only when every rule runs, i.e. an empty
