@@ -1,13 +1,16 @@
 // Storage-layer microbenchmarks: VirtualDisk write/read throughput across
 // redundancy schemes and placement strategies, codec encode/decode speed,
-// and migration planning.
+// and the stage floors a 4 KiB operation is measured against: one fragment
+// checksum and one memcpy of the same bytes.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <memory>
 
 #include "bench/perf_main.hpp"
 #include "src/storage/erasure/evenodd.hpp"
 #include "src/storage/virtual_disk.hpp"
+#include "src/util/crc32.hpp"
 #include "src/util/random.hpp"
 
 namespace {
@@ -112,6 +115,31 @@ void bm_codec_decode_two_losses(benchmark::State& state) {
   state.SetLabel(scheme->name());
 }
 
+// One fragment checksum pass (VirtualDisk checksums fragments with crc32).
+// run_perf.sh --check holds a mirrored read to at most two of these.
+void bm_fragment_checksum(benchmark::State& state) {
+  const Bytes data = payload(static_cast<std::size_t>(state.range(0)), 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+  state.SetLabel("crc32");
+}
+
+// The floor for moving the same bytes once.
+void bm_memcpy(benchmark::State& state) {
+  const Bytes data = payload(static_cast<std::size_t>(state.range(0)), 9);
+  Bytes copy(data.size());
+  for (auto _ : state) {
+    std::memcpy(copy.data(), data.data(), data.size());
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
 // Same write path under different placement strategies: the placement
 // lookup is a small slice of a mirrored 4 KiB write, so these rows bound
 // how much the fast strategy can matter end-to-end at the storage layer.
@@ -133,6 +161,8 @@ BENCHMARK(bm_disk_read)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(bm_disk_degraded_read)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(bm_codec_encode)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(bm_codec_decode_two_losses)->Arg(1)->Arg(2);
+BENCHMARK(bm_fragment_checksum)->Arg(4096);
+BENCHMARK(bm_memcpy)->Arg(4096);
 BENCHMARK_CAPTURE(bm_disk_write_strategy, redundant_share,
                   rds::PlacementKind::kRedundantShare);
 BENCHMARK_CAPTURE(bm_disk_write_strategy, fast_redundant_share,

@@ -13,29 +13,27 @@ std::size_t FragmentKeyHash::operator()(const FragmentKey& k) const noexcept {
 
 DeviceStore::DeviceStore(Device device) : device_(std::move(device)) {}
 
-void DeviceStore::write(const FragmentKey& key,
-                        std::vector<std::uint8_t> payload) {
-  if (failed_) {
-    throw std::runtime_error("DeviceStore: write to failed device " +
-                             device_.name);
-  }
-  const auto it = data_.find(key);
-  if (it != data_.end()) {
-    it->second = std::move(payload);  // overwrite in place
-    return;
-  }
-  if (data_.size() >= device_.capacity) {
-    throw std::runtime_error("DeviceStore: device full: " + device_.name);
-  }
-  data_.emplace(key, std::move(payload));
+bool DeviceStore::can_write(const FragmentKey& key) const {
+  return !failed_ &&
+         (data_.size() < device_.capacity || data_.contains(key));
 }
 
-std::optional<std::vector<std::uint8_t>> DeviceStore::read(
+void DeviceStore::write(const FragmentKey& key,
+                        std::vector<std::uint8_t> payload) {
+  if (!can_write(key)) {
+    throw std::runtime_error(
+        (failed_ ? "DeviceStore: write to failed device "
+                 : "DeviceStore: device full: ") +
+        device_.name);
+  }
+  data_.insert_or_assign(key, std::move(payload));
+}
+
+const std::vector<std::uint8_t>* DeviceStore::read(
     const FragmentKey& key) const {
-  if (failed_) return std::nullopt;
+  if (failed_) return nullptr;
   const auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  return it->second;
+  return it == data_.end() ? nullptr : &it->second;
 }
 
 bool DeviceStore::contains(const FragmentKey& key) const {

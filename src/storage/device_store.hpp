@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -48,12 +47,17 @@ class DeviceStore {
   }
   [[nodiscard]] bool failed() const noexcept { return failed_; }
 
-  /// Stores a fragment.  Throws std::runtime_error when the device is
-  /// failed or full (and the key is new).
+  /// Whether write(key, ...) would succeed: the device has not failed, and
+  /// either the key is already stored (an overwrite) or there is room.
+  [[nodiscard]] bool can_write(const FragmentKey& key) const;
+
+  /// Stores a fragment, replacing the key's old payload in place.  Throws
+  /// std::runtime_error when !can_write(key).
   void write(const FragmentKey& key, std::vector<std::uint8_t> payload);
 
-  /// Reads a fragment; nullopt if absent or the device is failed.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> read(
+  /// The stored payload, without a copy; nullptr if absent or the device is
+  /// failed.  Valid until this store's next mutation.
+  [[nodiscard]] const std::vector<std::uint8_t>* read(
       const FragmentKey& key) const;
 
   [[nodiscard]] bool contains(const FragmentKey& key) const;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "src/storage/erasure/systematic.hpp"
+
 namespace rds {
 namespace {
 
@@ -269,6 +271,10 @@ std::vector<std::vector<Bytes>> EvenOddScheme::recover(
 
 Bytes EvenOddScheme::decode(std::span<const std::optional<Bytes>> fragments,
                             std::size_t block_size) const {
+  if (std::optional<Bytes> block = concat_data_fragments(
+          fragments, p_ + 2, p_, p_ - 1, block_size, "EvenOddScheme")) {
+    return std::move(*block);
+  }
   const std::vector<std::vector<Bytes>> grid = recover(fragments);
   const unsigned rows = p_ - 1;
   Bytes block;

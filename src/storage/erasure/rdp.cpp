@@ -4,6 +4,8 @@
 #include <deque>
 #include <stdexcept>
 
+#include "src/storage/erasure/systematic.hpp"
+
 namespace rds {
 namespace {
 
@@ -273,6 +275,10 @@ std::vector<std::vector<Bytes>> RdpScheme::recover(
 
 Bytes RdpScheme::decode(std::span<const std::optional<Bytes>> fragments,
                         std::size_t block_size) const {
+  if (std::optional<Bytes> block = concat_data_fragments(
+          fragments, p_ + 1, p_ - 1, p_ - 1, block_size, "RdpScheme")) {
+    return std::move(*block);
+  }
   const std::vector<std::vector<Bytes>> grid = recover(fragments);
   const unsigned rows = p_ - 1;
   Bytes block;

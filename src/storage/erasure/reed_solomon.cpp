@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "src/storage/erasure/gf256.hpp"
+#include "src/storage/erasure/systematic.hpp"
 
 namespace rds {
 namespace {
@@ -131,6 +132,10 @@ std::vector<std::vector<std::uint8_t>> ReedSolomon::recover_data(
 std::vector<std::uint8_t> ReedSolomon::decode(
     std::span<const std::optional<std::vector<std::uint8_t>>> shards,
     std::size_t block_size) const {
+  if (std::optional<std::vector<std::uint8_t>> block = concat_data_fragments(
+          shards, total_shards(), d_, 1, block_size, "ReedSolomon")) {
+    return std::move(*block);
+  }
   const std::vector<std::vector<std::uint8_t>> data = recover_data(shards);
   const std::size_t shard_size = data.front().size();
   if (block_size > shard_size * d_) {

@@ -12,9 +12,11 @@
 namespace rds {
 namespace {
 
-constexpr char kDiskMagic[] = "RDSDISK1";
-constexpr char kPoolMagic[] = "RDSPOOL1";
-constexpr char kFileStoreMagic[] = "RDSFSTO1";
+// The last byte is the format version.  Version 2 stores CRC-32 fragment
+// checksums; version 1 stored FNV-1a ones, which no longer verify.
+constexpr char kDiskMagic[] = "RDSDISK2";
+constexpr char kPoolMagic[] = "RDSPOOL2";
+constexpr char kFileStoreMagic[] = "RDSFSTO2";
 
 // ---- little-endian primitives ---------------------------------------------
 
@@ -85,9 +87,17 @@ Bytes get_bytes(std::istream& in) {
 void expect_magic(std::istream& in, const char* magic) {
   char buf[8];
   in.read(buf, 8);
-  if (in.gcount() != 8 || std::string(buf, 8) != std::string(magic, 8)) {
-    throw std::runtime_error("snapshot: bad magic/version");
+  const std::string_view got(buf, in.gcount() == 8 ? 8 : 0);
+  const std::string_view want(magic, 8);
+  if (got == want) return;
+  if (!got.empty() && got.substr(0, 7) == want.substr(0, 7)) {
+    throw std::runtime_error(
+        "snapshot: " + std::string(got) + " is format version " +
+        std::string(got.substr(7)) + "; this build reads only version " +
+        std::string(want.substr(7)) + " (" + std::string(want) +
+        "), whose fragment checksums are CRC-32");
   }
+  throw std::runtime_error("snapshot: bad magic/version");
 }
 
 // ---- sections --------------------------------------------------------------
@@ -171,7 +181,7 @@ void Snapshot::put_volume_meta(std::ostream& out, const VirtualDisk& disk) {
     put_u64(out, key.block);
     put_u32(out, key.fragment);
     put_u32(out, key.volume);
-    put_u64(out, sum);
+    put_u32(out, sum);
   }
   // Stats are observability, not state: deliberately not persisted.
 }
@@ -201,7 +211,7 @@ VirtualDisk Snapshot::get_volume_meta(
       key.block = get_u64(in);
       key.fragment = get_u32(in);
       key.volume = get_u32(in);
-      disk.checksums_[key] = get_u64(in);
+      disk.checksums_[key] = get_u32(in);
     }
   }
   return disk;

@@ -34,7 +34,8 @@ class Snapshot {
   static void save_disk(const VirtualDisk& disk, std::ostream& out);
 
   /// Restores a disk saved by save_disk.  Throws std::runtime_error on a
-  /// bad magic/version or truncated stream.
+  /// bad magic/version or truncated stream; an older format version is
+  /// rejected with a message that names it.
   static VirtualDisk load_disk(std::istream& in);
 
   /// Serializes a pool: shared stores once, then every volume's metadata.

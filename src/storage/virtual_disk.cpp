@@ -1,13 +1,12 @@
 #include "src/storage/virtual_disk.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "src/journal/journal.hpp"
 #include "src/journal/record.hpp"
 #include "src/metrics/scoped_timer.hpp"
-#include "src/util/hash.hpp"
+#include "src/util/crc32.hpp"
 
 namespace rds {
 
@@ -141,23 +140,17 @@ Result<std::uint64_t> VirtualDisk::try_copy_locations(
   return {epoch->epoch};
 }
 
-std::uint64_t VirtualDisk::checksum(
+std::uint32_t VirtualDisk::checksum(
     std::span<const std::uint8_t> payload) noexcept {
-  // FNV-1a over the payload, finalized by mix64 (matches util/hash.hpp's
-  // string hashing; collisions are 2^-64 events, fine for bit-rot checks).
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : payload) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return mix64(h ^ payload.size());
+  return crc32(payload);
 }
 
 void VirtualDisk::store_fragment(DeviceId target, std::uint64_t block,
-                                 unsigned j, Bytes payload) {
+                                 unsigned j, Bytes payload,
+                                 std::uint32_t sum) {
   const FragmentKey key{block, j, volume_id_};
-  checksums_[key] = checksum(payload);
   stores_.at(target)->write(key, std::move(payload));
+  checksums_[key] = sum;
   sync_device_gauge(target);
 }
 
@@ -187,46 +180,64 @@ Result<void> VirtualDisk::write_locked(std::uint64_t block,
   writes_total_->inc();
   written_bytes_total_->inc(data.size());
 
-  // If the block already exists, clear its old fragments first (it may have
-  // been written under a previous configuration).
-  if (blocks_.contains(block)) {
-    for (unsigned j = 0; j < scheme_->fragment_count(); ++j) {
-      for (auto& [uid, store] : stores_) store->erase({block, j, volume_id_});
-      checksums_.erase({block, j, volume_id_});
+  // Check every home before touching any, so a rejected write changes
+  // nothing.  A block's old fragments live on these same homes (a reshape
+  // moves them with the placement), so the new ones overwrite them in place.
+  const unsigned k = scheme_->fragment_count();
+  for (unsigned j = 0; j < k; ++j) {
+    const auto store = stores_.find(targets[j]);
+    if (store == stores_.end() ||
+        !store->second->can_write({block, j, volume_id_})) {
+      const bool failed = store != stores_.end() && store->second->failed();
+      return Error{ErrorCode::kIoError,
+                   "VirtualDisk: block " + std::to_string(block) +
+                       " not written: device " + std::to_string(targets[j]) +
+                       (failed ? " has failed" : " is full")};
     }
   }
-  for (unsigned j = 0; j < scheme_->fragment_count(); ++j) {
-    try {
-      store_fragment(targets[j], block, j, std::move(fragments[j]));
-    } catch (const std::runtime_error& e) {
-      // Device full or crashed.  Fragments stored before the failure stay
-      // (same partial state the throwing path always left).
-      return Error{ErrorCode::kIoError, e.what()};
-    }
+  // Mirror copies are byte-identical: a memcmp against the previous
+  // fragment is far cheaper than hashing the copy again.
+  std::vector<std::uint32_t> sums(k);
+  for (unsigned j = 0; j < k; ++j) {
+    sums[j] = j > 0 && fragments[j] == fragments[j - 1]
+                  ? sums[j - 1]
+                  : checksum(fragments[j]);
+  }
+  for (unsigned j = 0; j < k; ++j) {
+    store_fragment(targets[j], block, j, std::move(fragments[j]), sums[j]);
     ++stats_.fragments_written;
   }
   blocks_[block] = data.size();
   return {};
 }
 
-std::vector<std::optional<Bytes>> VirtualDisk::gather_fragments(
-    std::uint64_t block, std::span<const DeviceId> locations) {
-  std::vector<std::optional<Bytes>> fragments(scheme_->fragment_count());
-  for (unsigned j = 0; j < scheme_->fragment_count(); ++j) {
-    const auto it = stores_.find(locations[j]);
-    if (it == stores_.end()) continue;
-    fragments[j] = it->second->read({block, j, volume_id_});
-    if (!fragments[j]) continue;
-    const auto sum = checksums_.find({block, j, volume_id_});
-    if (sum != checksums_.end() && sum->second != checksum(*fragments[j])) {
-      // Bit rot: a corrupt fragment is worse than a missing one -- drop it
+VirtualDisk::Gathered VirtualDisk::gather_fragments(
+    std::uint64_t block, std::span<const DeviceId> locations, unsigned need) {
+  const unsigned k = scheme_->fragment_count();
+  Gathered out;
+  out.fragments.resize(k);
+  for (unsigned j = 0; j < k && out.present < need; ++j) {
+    const FragmentKey key{block, j, volume_id_};
+    const auto store = stores_.find(locations[j]);
+    const Bytes* stored =
+        store == stores_.end() ? nullptr : store->second->read(key);
+    if (stored == nullptr) {
+      ++out.skipped;
+      continue;
+    }
+    const auto sum = checksums_.find(key);
+    if (sum != checksums_.end() && sum->second != checksum(*stored)) {
+      // Bit rot: a corrupt fragment is worse than a missing one -- skip it
       // so the decoder reconstructs from healthy peers.
-      fragments[j].reset();
+      ++out.skipped;
       ++stats_.checksum_failures;
       checksum_failures_total_->inc();
+      continue;
     }
+    out.fragments[j] = *stored;
+    ++out.present;
   }
-  return fragments;
+  return out;
 }
 
 Result<std::vector<std::uint8_t>> VirtualDisk::try_read(std::uint64_t block) {
@@ -243,21 +254,18 @@ Result<std::vector<std::uint8_t>> VirtualDisk::read_locked(
   metrics::ScopedTimer placement_span(*placement_latency_ns_);
   const std::vector<DeviceId> targets = strategy_for(block).place(block);
   placement_span.stop();
-  const std::vector<std::optional<Bytes>> fragments =
-      gather_fragments(block, targets);
-
-  const auto present = static_cast<unsigned>(std::ranges::count_if(
-      fragments, [](const auto& f) { return f.has_value(); }));
-  if (present < scheme_->min_fragments()) {
+  const Gathered gathered =
+      gather_fragments(block, targets, scheme_->min_fragments());
+  if (gathered.present < scheme_->min_fragments()) {
     return Error{ErrorCode::kUnrecoverable, "VirtualDisk: block unrecoverable"};
   }
-  if (present < scheme_->fragment_count()) {
+  if (gathered.skipped > 0) {
     ++stats_.degraded_reads;
     degraded_reads_total_->inc();
   }
   reads_total_->inc();
   read_bytes_total_->inc(size_it->second);
-  return scheme_->decode(fragments, size_it->second);
+  return scheme_->decode(gathered.fragments, size_it->second);
 }
 
 Result<void> VirtualDisk::try_trim(std::uint64_t block) {
@@ -569,8 +577,8 @@ void VirtualDisk::reshape_block(std::uint64_t block) {
   }
   if (!any) return;
 
-  std::vector<std::optional<Bytes>> fragments =
-      gather_fragments(block, old_loc);
+  const std::vector<std::optional<Bytes>> fragments =
+      gather_fragments(block, old_loc, k).fragments;
   for (unsigned j = 0; j < k; ++j) {
     if (old_loc[j] == new_loc[j]) continue;
     Bytes payload;
@@ -593,7 +601,8 @@ void VirtualDisk::reshape_block(std::uint64_t block) {
     ++stats_.fragments_moved;
     migration_bytes_moved_total_->inc(payload.size());
     fragments_moved_total_->inc();
-    store_fragment(new_loc[j], block, j, std::move(payload));
+    const std::uint32_t sum = checksum(payload);
+    store_fragment(new_loc[j], block, j, std::move(payload), sum);
   }
 }
 
@@ -647,20 +656,18 @@ std::uint64_t VirtualDisk::repair() {
   std::vector<DeviceId> loc(k);
   for (const auto& [block, size] : blocks_) {
     strategy_for(block).place(block, loc);
-    std::vector<std::optional<Bytes>> fragments =
-        gather_fragments(block, loc);
-    const auto present = static_cast<unsigned>(std::ranges::count_if(
-        fragments, [](const auto& f) { return f.has_value(); }));
-    if (present == k) continue;                       // fully healthy
-    if (present < scheme_->min_fragments()) continue;  // unrecoverable
+    const Gathered gathered = gather_fragments(block, loc, k);
+    if (gathered.present == k) continue;                       // healthy
+    if (gathered.present < scheme_->min_fragments()) continue;  // lost
     for (unsigned j = 0; j < k; ++j) {
-      if (fragments[j]) continue;
+      if (gathered.fragments[j]) continue;
       const auto store = stores_.find(loc[j]);
       if (store == stores_.end() || store->second->failed()) {
         continue;  // home device gone: rebuild() handles that case
       }
-      Bytes payload = scheme_->reconstruct_fragment(fragments, j);
-      store_fragment(loc[j], block, j, std::move(payload));
+      Bytes payload = scheme_->reconstruct_fragment(gathered.fragments, j);
+      const std::uint32_t sum = checksum(payload);
+      store_fragment(loc[j], block, j, std::move(payload), sum);
       ++stats_.fragments_repaired;
       fragments_repaired_total_->inc();
     }
@@ -676,11 +683,9 @@ VirtualDisk::ScrubReport VirtualDisk::scrub() {
   for (const auto& [block, size] : blocks_) {
     ++report.blocks_checked;
     strategy_for(block).place(block, loc);
-    // Full read path: presence AND checksum validity.
-    const std::vector<std::optional<Bytes>> fragments =
-        gather_fragments(block, loc);
-    const auto present = static_cast<unsigned>(std::ranges::count_if(
-        fragments, [](const auto& f) { return f.has_value(); }));
+    // Every fragment, not just the ones a read needs: presence AND
+    // checksum validity, so rot in fragments reads skip is found here.
+    const unsigned present = gather_fragments(block, loc, k).present;
     if (present < scheme_->min_fragments()) {
       ++report.unreadable_blocks;
     } else if (present < k) {

@@ -67,9 +67,11 @@ class VirtualDisk {
     std::uint64_t fragments_moved = 0;     ///< by migrations
     std::uint64_t bytes_moved = 0;
     std::uint64_t fragments_rebuilt = 0;   ///< reconstructed from peers
-    std::uint64_t degraded_reads = 0;      ///< reads that needed decoding
-                                           ///< around missing fragments
+    std::uint64_t degraded_reads = 0;      ///< reads that skipped a missing
+                                           ///< or corrupt fragment
     std::uint64_t checksum_failures = 0;   ///< corrupt fragments detected
+                                           ///< (by reads, scrub, repair,
+                                           ///< reshape)
     std::uint64_t fragments_repaired = 0;  ///< restored by repair()
   };
 
@@ -106,16 +108,20 @@ class VirtualDisk {
   // form only and throw.
 
   /// Stores a logical block (any length that fits the fragment budget).
-  /// kInvalidArgument when the payload does not fit, kIoError when a device
-  /// store rejects a fragment (full / crashed) -- in that case fragments
-  /// written before the failure remain.
+  /// kInvalidArgument when the payload does not fit, kIoError when one of
+  /// the block's k home devices has failed or is full.  Every home is
+  /// checked before any is touched, so a rejected write leaves the block
+  /// (and every device) exactly as it was.
   [[nodiscard]] Result<void> try_write(std::uint64_t block,
                                        std::span<const std::uint8_t> data)
       RDS_EXCLUDES(mu_);
 
-  /// Reads a block back, reconstructing around failed devices.  kNotFound
-  /// for never-written blocks, kUnrecoverable when too few fragments
-  /// survive.
+  /// Reads a block back.  Fragments are verified in copy-index order and
+  /// the read stops at the first min_fragments() intact ones: one mirror
+  /// copy, or the data shards of an erasure code; a missing or corrupt
+  /// fragment is skipped (a degraded read) and the next one tried.
+  /// Fragments the read never reaches are left to scrub().  kNotFound for
+  /// never-written blocks, kUnrecoverable when too few fragments survive.
   [[nodiscard]] Result<std::vector<std::uint8_t>> try_read(std::uint64_t block)
       RDS_EXCLUDES(mu_);
 
@@ -361,19 +367,28 @@ class VirtualDisk {
   /// Moves one block's fragments from `strategy_` to `next_strategy_`.
   void reshape_block(std::uint64_t block) RDS_REQUIRES(mu_);
 
-  /// Reads all currently reachable, checksum-valid fragments of a block;
-  /// corrupt fragments count as missing (and bump the failure stat).
-  [[nodiscard]] std::vector<std::optional<Bytes>> gather_fragments(
-      std::uint64_t block, std::span<const DeviceId> locations)
-      RDS_REQUIRES(mu_);
+  /// The fragments of one block an operation gathered.
+  struct Gathered {
+    std::vector<std::optional<Bytes>> fragments;  ///< by index; verified
+    unsigned present = 0;  ///< fragments held
+    unsigned skipped = 0;  ///< missing or corrupt fragments passed over
+  };
 
-  /// Checksum over a fragment payload (placement-independent).
-  [[nodiscard]] static std::uint64_t checksum(
+  /// Verifies fragments of `block` in copy-index order, straight from the
+  /// stores, and copies out only the intact ones; stops once `need` are
+  /// held.  Corrupt fragments count as missing (and bump the failure stat).
+  [[nodiscard]] Gathered gather_fragments(std::uint64_t block,
+                                          std::span<const DeviceId> locations,
+                                          unsigned need) RDS_REQUIRES(mu_);
+
+  /// Checksum over a fragment payload (placement-independent): CRC-32.
+  [[nodiscard]] static std::uint32_t checksum(
       std::span<const std::uint8_t> payload) noexcept;
 
-  /// Stores fragment j of `block` with its checksum recorded.
+  /// Stores fragment j of `block` on `target` and records `sum`, the
+  /// payload's checksum.
   void store_fragment(DeviceId target, std::uint64_t block, unsigned j,
-                      Bytes payload) RDS_REQUIRES(mu_);
+                      Bytes payload, std::uint32_t sum) RDS_REQUIRES(mu_);
 
   /// Resolves the registry instruments (both constructors).
   void init_metrics();
@@ -401,7 +416,7 @@ class VirtualDisk {
       RDS_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, std::size_t> blocks_
       RDS_GUARDED_BY(mu_);  // block -> size
-  std::unordered_map<FragmentKey, std::uint64_t, FragmentKeyHash> checksums_
+  std::unordered_map<FragmentKey, std::uint32_t, FragmentKeyHash> checksums_
       RDS_GUARDED_BY(mu_);
   Stats stats_ RDS_GUARDED_BY(mu_);
 

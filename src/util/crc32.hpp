@@ -1,9 +1,12 @@
 // CRC-32 (IEEE 802.3: reflected, polynomial 0xEDB88320, init/final ~0).
 //
-// The journal's per-record integrity check (docs/persistence.md).  Unlike
-// the 64-bit mixing hashes in util/hash.hpp -- built for placement
+// The one integrity check of the storage stack (docs/persistence.md): the
+// journal's per-record checksum and VirtualDisk's per-fragment checksum.
+// Unlike the 64-bit mixing hashes in util/hash.hpp -- built for placement
 // experiments -- this is the standard checksum whose value for "123456789"
 // is 0xCBF43926, so journal files stay verifiable by any external CRC tool.
+// It detects every error burst of up to 32 bits.  Slicing-by-4 on
+// little-endian targets, a byte loop elsewhere; the output is the same.
 #pragma once
 
 #include <cstdint>

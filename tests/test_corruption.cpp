@@ -43,8 +43,54 @@ TEST(Corruption, ErasureReadsAroundCorruptFragment) {
   }
   ASSERT_TRUE(disk.corrupt_fragment(7, 2));
   ASSERT_TRUE(disk.corrupt_fragment(7, 5));
+  // The read verifies fragments 0..4 and decodes from 0, 1, 3, 4: parity
+  // fragment 5 is never reached, so only fragment 2's rot is seen.
+  EXPECT_EQ(disk.try_read(7).value_or_throw(), payload(7));
+  EXPECT_EQ(disk.stats().checksum_failures, 1u);
+  EXPECT_EQ(disk.stats().degraded_reads, 1u);
+  // Scrub checks every fragment and finds both.
+  const VirtualDisk::ScrubReport report = disk.scrub();
+  EXPECT_EQ(report.degraded_blocks, 1u);
+  EXPECT_EQ(report.unreadable_blocks, 0u);
+  EXPECT_EQ(disk.stats().checksum_failures, 3u);
+}
+
+TEST(Corruption, ErasureReadsAroundTwoCorruptDataFragments) {
+  VirtualDisk disk(pool(), std::make_shared<ReedSolomonScheme>(4, 2));
+  for (std::uint64_t b = 0; b < 50; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
+  ASSERT_TRUE(disk.corrupt_fragment(7, 2));
+  ASSERT_TRUE(disk.corrupt_fragment(7, 3));
+  // Both are data fragments the read needs: it reaches on into both
+  // parity fragments and solves.
   EXPECT_EQ(disk.try_read(7).value_or_throw(), payload(7));
   EXPECT_EQ(disk.stats().checksum_failures, 2u);
+  EXPECT_EQ(disk.stats().degraded_reads, 1u);
+}
+
+TEST(Corruption, MirrorFallsBackPastCorruptAndFailedCopies) {
+  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(3));
+  disk.try_write(5, payload(5)).value_or_throw();
+  const std::vector<DeviceId> homes = disk.copy_locations(5).devices;
+  ASSERT_TRUE(disk.corrupt_fragment(5, 0));
+  disk.fail_device(homes[1]);
+  EXPECT_EQ(disk.try_read(5).value_or_throw(), payload(5));  // copy 2
+  EXPECT_EQ(disk.stats().checksum_failures, 1u);
+  EXPECT_EQ(disk.stats().degraded_reads, 1u);
+}
+
+TEST(Corruption, ReadSkipsRotThatScrubFinds) {
+  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(3));
+  disk.try_write(5, payload(5)).value_or_throw();
+  ASSERT_TRUE(disk.corrupt_fragment(5, 2));
+  // Copy 0 is intact, so the read stops there and never sees copy 2.
+  EXPECT_EQ(disk.try_read(5).value_or_throw(), payload(5));
+  EXPECT_EQ(disk.stats().checksum_failures, 0u);
+  EXPECT_EQ(disk.stats().degraded_reads, 0u);
+  const VirtualDisk::ScrubReport report = disk.scrub();
+  EXPECT_EQ(report.degraded_blocks, 1u);
+  EXPECT_EQ(disk.stats().checksum_failures, 1u);
 }
 
 TEST(Corruption, TooManyCorruptFragmentsIsUnrecoverable) {

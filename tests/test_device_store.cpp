@@ -12,8 +12,8 @@ TEST(DeviceStore, WriteReadEraseCycle) {
   store.write(key, {1, 2, 3});
   EXPECT_TRUE(store.contains(key));
   EXPECT_EQ(store.used(), 1u);
-  const auto payload = store.read(key);
-  ASSERT_TRUE(payload.has_value());
+  const std::vector<std::uint8_t>* payload = store.read(key);
+  ASSERT_NE(payload, nullptr);
   EXPECT_EQ(*payload, (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_TRUE(store.erase(key));
   EXPECT_FALSE(store.erase(key));
@@ -32,8 +32,10 @@ TEST(DeviceStore, CapacityEnforced) {
   DeviceStore store({1, 2, "d"});
   store.write({1, 0}, {});
   store.write({2, 0}, {});
+  EXPECT_FALSE(store.can_write({3, 0}));
   EXPECT_THROW(store.write({3, 0}, {}), std::runtime_error);
   // Overwriting an existing key is fine at capacity.
+  EXPECT_TRUE(store.can_write({1, 0}));
   store.write({1, 0}, {9});
 }
 
@@ -50,7 +52,8 @@ TEST(DeviceStore, FailureSemantics) {
   store.write({1, 0}, {5});
   store.fail();
   EXPECT_TRUE(store.failed());
-  EXPECT_FALSE(store.read({1, 0}).has_value());
+  EXPECT_EQ(store.read({1, 0}), nullptr);
+  EXPECT_FALSE(store.can_write({1, 0}));
   EXPECT_FALSE(store.contains({1, 0}));
   EXPECT_THROW(store.write({2, 0}, {}), std::runtime_error);
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -332,6 +333,47 @@ TEST(Recovery, FileStoreMutationsReplayByteIdentical) {
             store.try_get("c").value_or_throw());
   EXPECT_TRUE(twin.disk().config() == store.disk().config());
   EXPECT_TRUE(twin.disk().scrub().clean());
+}
+
+// tests/data/parent_journal.wal was written by the byte-at-a-time CRC-32
+// this library used before its slicing-by-4 rewrite: on a 3-device
+// mirror(2) FileStore with 64-byte blocks, it holds add device 4 (400),
+// resize device 3 to 500, and puts of alpha, beta and gamma.  Its frame
+// CRCs must still verify, so RDSWAL01 journals written before the rewrite
+// stay readable.
+TEST(Recovery, CommittedJournalReplaysIntoFreshFileStore) {
+  const auto content = [](std::size_t size, std::uint8_t salt) {
+    Bytes b(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      b[i] = static_cast<std::uint8_t>(i * 31 + salt);
+    }
+    return b;
+  };
+  std::ifstream wal(RDS_TEST_DATA_DIR "/parent_journal.wal", std::ios::binary);
+  ASSERT_TRUE(wal) << "missing " RDS_TEST_DATA_DIR "/parent_journal.wal";
+  FileStore store(VirtualDisk(ClusterConfig({{1, 300, "a"},
+                                             {2, 300, "b"},
+                                             {3, 200, "c"}}),
+                              std::make_shared<MirroringScheme>(2)),
+                  64);
+  auto replayed =
+      Recovery::replay(store, 0, wal, RecoveryOptions{.strict = true});
+  ASSERT_TRUE(replayed.ok()) << replayed.error().message;
+  EXPECT_EQ(replayed.value().records_applied, 5u);
+  EXPECT_FALSE(replayed.value().tail_corrupt);
+
+  const ClusterConfig& config = store.disk().config();
+  const auto capacity = [&](DeviceId uid) -> std::uint64_t {
+    const std::optional<std::size_t> i = config.index_of(uid);
+    return i ? config.devices()[*i].capacity : 0;
+  };
+  EXPECT_EQ(capacity(4), 400u);
+  EXPECT_EQ(capacity(3), 500u);
+  EXPECT_EQ(store.file_count(), 3u);
+  EXPECT_EQ(store.try_get("alpha").value_or_throw(), content(100, 1));
+  EXPECT_EQ(store.try_get("beta").value_or_throw(), content(64, 2));
+  EXPECT_EQ(store.try_get("gamma").value_or_throw(), content(150, 3));
+  EXPECT_TRUE(store.disk().scrub().clean());
 }
 
 TEST(Recovery, FilePutFingerprintMismatchIsCorruption) {

@@ -143,6 +143,52 @@ TEST(Snapshot, RejectsGarbage) {
   EXPECT_THROW((void)Snapshot::load_disk(truncated), std::runtime_error);
 }
 
+// Version 1 streams stored FNV-1a fragment checksums; loaded under CRC-32
+// every fragment would read as corrupt, so the loaders refuse them and say
+// which version they got.
+TEST(Snapshot, RejectsVersionOneStreamsNamingTheVersion) {
+  const auto expect_rejected = [](std::string bytes, const char* v1_magic,
+                                  const auto& load) {
+    bytes.replace(0, 8, v1_magic);
+    std::stringstream stream(bytes);
+    try {
+      load(stream);
+      ADD_FAILURE() << v1_magic << " stream was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(v1_magic), std::string::npos) << message;
+      EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+    }
+  };
+
+  VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
+  disk.try_write(1, payload(1, 1)).value_or_throw();
+  std::stringstream disk_stream;
+  Snapshot::save_disk(disk, disk_stream);
+  EXPECT_EQ(disk_stream.str().substr(0, 8), "RDSDISK2");
+  expect_rejected(disk_stream.str(), "RDSDISK1", [](std::istream& in) {
+    (void)Snapshot::load_disk(in);
+  });
+
+  StoragePool pool(pool_config());
+  pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  std::stringstream pool_stream;
+  Snapshot::save_pool(pool, pool_stream);
+  EXPECT_EQ(pool_stream.str().substr(0, 8), "RDSPOOL2");
+  expect_rejected(pool_stream.str(), "RDSPOOL1", [](std::istream& in) {
+    (void)Snapshot::load_pool(in);
+  });
+
+  const FileStore files(
+      VirtualDisk(pool_config(), std::make_shared<MirroringScheme>(2)));
+  std::stringstream files_stream;
+  Snapshot::save_file_store(files, files_stream);
+  EXPECT_EQ(files_stream.str().substr(0, 8), "RDSFSTO2");
+  expect_rejected(files_stream.str(), "RDSFSTO1", [](std::istream& in) {
+    (void)Snapshot::load_file_store(in);
+  });
+}
+
 TEST(Snapshot, SaveDuringReshapeRejected) {
   VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 50; ++b) {

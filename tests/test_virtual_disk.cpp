@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "src/util/random.hpp"
@@ -51,6 +52,64 @@ TEST(VirtualDisk, OverwriteBlock) {
   disk.try_write(1, block_payload(99, 32)).value_or_throw();
   EXPECT_EQ(disk.try_read(1).value_or_throw(), block_payload(99, 32));
   EXPECT_EQ(disk.block_count(), 1u);
+  EXPECT_TRUE(disk.scrub().clean());
+}
+
+// A write checks all k homes before it touches any, so a home that failed
+// rejects the overwrite and both old copies survive -- whichever copy
+// index the failed device holds.
+TEST(VirtualDisk, RejectedOverwriteKeepsOldContents) {
+  for (const unsigned victim : {0u, 1u}) {
+    SCOPED_TRACE("failed copy " + std::to_string(victim));
+    VirtualDisk disk(
+        ClusterConfig({{1, 100, ""}, {2, 100, ""}, {3, 100, ""}, {4, 100, ""}}),
+        std::make_shared<MirroringScheme>(2));
+    const Bytes old_data(10, 0xAA);
+    disk.try_write(7, old_data).value_or_throw();
+    disk.fail_device(disk.copy_locations(7).devices[victim]);
+    EXPECT_EQ(disk.try_write(7, Bytes(20, 0xBB)).code(), ErrorCode::kIoError);
+    EXPECT_EQ(disk.try_read(7).value_or_throw(), old_data);
+    EXPECT_EQ(disk.stats().fragments_written, 2u);
+  }
+}
+
+// A new block whose copy-0 or copy-1 home is full is rejected before either
+// copy is stored: no device's occupancy moves and the block stays absent.
+TEST(VirtualDisk, WriteToFullDeviceTouchesNothing) {
+  VirtualDisk disk(
+      ClusterConfig({{1, 3, ""}, {2, 3, ""}, {3, 3, ""}, {4, 3, ""}}),
+      std::make_shared<MirroringScheme>(2));
+  const std::vector<DeviceId> uids = {1, 2, 3, 4};
+  const auto full = [&](DeviceId uid) { return disk.used_on(uid) == 3; };
+  const auto used = [&] {
+    std::vector<std::uint64_t> out;
+    for (const DeviceId uid : uids) out.push_back(disk.used_on(uid));
+    return out;
+  };
+  std::uint64_t written = 0;
+  while (std::ranges::none_of(uids, full)) {
+    disk.try_write(written, block_payload(written)).value_or_throw();
+    ++written;
+  }
+  for (const unsigned victim : {0u, 1u}) {
+    SCOPED_TRACE("full copy " + std::to_string(victim));
+    std::uint64_t block = 1000;
+    for (; block < 2000; ++block) {
+      const std::vector<DeviceId> homes = disk.copy_locations(block).devices;
+      if (full(homes[victim]) && !full(homes[1 - victim])) break;
+    }
+    ASSERT_LT(block, 2000u) << "no block has its copy " << victim
+                            << " on the full device";
+    const std::vector<std::uint64_t> used_before = used();
+    EXPECT_EQ(disk.try_write(block, block_payload(block)).code(),
+              ErrorCode::kIoError);
+    EXPECT_EQ(used(), used_before);
+    EXPECT_EQ(disk.block_count(), written);
+    EXPECT_FALSE(disk.contains(block));
+  }
+  for (std::uint64_t b = 0; b < written; ++b) {
+    EXPECT_EQ(disk.try_read(b).value_or_throw(), block_payload(b));
+  }
   EXPECT_TRUE(disk.scrub().clean());
 }
 
