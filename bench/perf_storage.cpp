@@ -1,7 +1,7 @@
 // Storage-layer microbenchmarks: VirtualDisk write/read throughput across
-// redundancy schemes and placement strategies, codec encode/decode speed,
-// and the stage floors a 4 KiB operation is measured against: one fragment
-// checksum and one memcpy of the same bytes.
+// redundancy schemes and placement strategies, the topology edit, codec
+// encode/decode speed, and the stage floors a 4 KiB operation is measured
+// against: one fragment checksum and one memcpy of the same bytes.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -84,6 +84,43 @@ void bm_disk_degraded_read(benchmark::State& state) {
   state.SetLabel(disk.scheme().name());
 }
 
+// A topology edit on a pool shaped like perfbench's `reconfig`: mirror(3)
+// on 64 devices in three capacity tiers, holding 16 384 blocks of 4 KiB.
+// Each iteration adds a device and removes it again, so every iteration
+// starts from the same placement and times two edits (items = edits).
+// The edit holds the disk's mutex throughout, so this is also the stall
+// block I/O sees.
+void bm_disk_edit(benchmark::State& state) {
+  constexpr std::uint64_t kTiers[3] = {1536, 2304, 3072};
+  constexpr unsigned kPerTier[3] = {24, 24, 16};
+  constexpr std::uint64_t kBlocks = 16384;
+  std::vector<Device> devices;
+  DeviceId uid = 1;
+  for (int t = 0; t < 3; ++t) {
+    for (unsigned i = 0; i < kPerTier[t]; ++i) {
+      devices.push_back({uid++, kTiers[t], ""});
+    }
+  }
+  VirtualDisk disk(ClusterConfig(std::move(devices)),
+                   std::make_shared<MirroringScheme>(3));
+  const Bytes data = payload(4096, 10);
+  for (std::uint64_t b = 0; b < kBlocks; ++b) {
+    disk.try_write(b, data).value_or_throw();
+  }
+  const Device added{uid, kTiers[1], ""};
+  const std::uint64_t moved_before = disk.stats().fragments_moved;
+  for (auto _ : state) {
+    disk.try_add_device(added).value_or_throw();
+    disk.try_remove_device(added.uid).value_or_throw();
+  }
+  const auto edits = static_cast<double>(state.iterations()) * 2;
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
+  state.counters["moved_per_edit"] = benchmark::Counter(
+      static_cast<double>(disk.stats().fragments_moved - moved_before) /
+      edits);
+  state.SetLabel(disk.scheme().name());
+}
+
 void bm_codec_encode(benchmark::State& state) {
   const auto scheme = scheme_for(static_cast<int>(state.range(0)));
   const Bytes data = payload(65536, 4);
@@ -159,6 +196,7 @@ void bm_disk_write_strategy(benchmark::State& state, PlacementKind kind) {
 BENCHMARK(bm_disk_write)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(bm_disk_read)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(bm_disk_degraded_read)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(bm_disk_edit)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_codec_encode)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(bm_codec_decode_two_losses)->Arg(1)->Arg(2);
 BENCHMARK(bm_fragment_checksum)->Arg(4096);

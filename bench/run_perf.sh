@@ -81,21 +81,33 @@ run_and_stamp "$BUILD_DIR/bench/perf_durability" \
   "$BUILD_DIR/bench/durability_raw.json" \
   "$OUT_DIR/BENCH_durability.json" "$FILTER"
 
+# Every rule runs, whatever the ones before it found: `check` records a
+# failing rule instead of letting `set -e` stop the script, and the script
+# exits non-zero at the end if any rule failed.
+FAILED_RULES=()
+check() {
+  local name="$1"
+  shift
+  if ! "$RATCHET" check "$@"; then
+    FAILED_RULES+=("$name")
+  fi
+}
+
 if [ "$CHECK" = 1 ]; then
-  "$RATCHET" check \
+  check placement \
     --baseline "$ROOT/BENCH_placement.json" \
     --current "$OUT_DIR/BENCH_placement.json" \
     --min-speedup "bm_factory_replicated/fast_redundant_share/1000/4:bm_factory_replicated/redundant_share/1000/4:10"
   # The SLO rule is machine-independent (seeded queueing-model outputs),
   # so it is strict: power-of-two must beat random at p99 under Zipf-0.9.
-  "$RATCHET" check \
+  check latency \
     --baseline "$ROOT/BENCH_latency.json" \
     --current "$OUT_DIR/BENCH_latency.json" \
     --max-p99-ratio "bm_loadsim/zipf09/power-of-two:bm_loadsim/zipf09/random:1.0"
   # Durability orderings are machine-independent too (seeded event-model
   # counters): more replication never loses more, repair never hurts, and
   # the adaptive strategy never moves more than the striping baseline.
-  "$RATCHET" check \
+  check durability \
     --baseline "$ROOT/BENCH_durability.json" \
     --current "$OUT_DIR/BENCH_durability.json" \
     --max-counter-ratio "exp_loss_ppm:bm_churnsim/k3:bm_churnsim/k2:1.0" \
@@ -104,10 +116,14 @@ if [ "$CHECK" = 1 ]; then
     --max-counter-ratio "max_move_ratio:bm_churnsim/k3:bm_churnsim/k3/round_robin:1.0"
   # Same-run storage budget: a mirrored 4 KiB read verifies one copy, so it
   # may cost at most two fragment-checksum passes of the same bytes.
-  "$RATCHET" check \
+  check storage \
     --baseline "$ROOT/BENCH_storage.json" \
     --current "$OUT_DIR/BENCH_storage.json" \
     --min-speedup "bm_disk_read/0:bm_fragment_checksum/4096:0.5"
+  if [ "${#FAILED_RULES[@]}" -gt 0 ]; then
+    echo "run_perf: ratchet check failed for: ${FAILED_RULES[*]}" >&2
+    exit 1
+  fi
 fi
 
 echo "run_perf: done; stamped results in $OUT_DIR"

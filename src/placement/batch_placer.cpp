@@ -25,6 +25,13 @@ BatchPlacer::BatchPlacer(unsigned threads) {
   }
 }
 
+BatchPlacer& BatchPlacer::shared() {
+  // Intentionally leaked (see the declaration): destroying it would join
+  // its workers inside static destructors.
+  static BatchPlacer* instance = new BatchPlacer();
+  return *instance;
+}
+
 BatchPlacer::~BatchPlacer() {
   {
     const MutexLock lock(mu_);
@@ -79,6 +86,7 @@ void BatchPlacer::place(const ReplicationStrategy& strategy,
   }
   if (addresses.empty()) return;
 
+  const MutexLock turn(turn_);
   const metrics::GaugeGuard inflight_guard(*inflight_);
   metrics::ScopedTimer batch_span(*batch_latency_ns_);
 

@@ -8,10 +8,12 @@
 // histogram, placement counter), not once per placement, which is the point:
 // a placement is tens of nanoseconds, a clock read is not.
 //
-// place() itself is not reentrant: one batch at a time per BatchPlacer.
-// Different BatchPlacer instances are independent.  The calling thread
-// participates in the batch, so `threads == 1` means "no extra threads"
-// and runs entirely inline.
+// place() is safe from any number of threads: callers take turns on an
+// internal mutex, so one batch runs at a time per BatchPlacer.  Different
+// BatchPlacer instances are independent.  The calling thread participates
+// in the batch, so `threads == 1` means "no extra threads" and runs
+// entirely inline.  shared() is the process-wide instance VirtualDisk's
+// reshapes place on.
 #pragma once
 
 #include <atomic>
@@ -42,6 +44,11 @@ class BatchPlacer {
   BatchPlacer(const BatchPlacer&) = delete;
   BatchPlacer& operator=(const BatchPlacer&) = delete;
 
+  /// The process-wide placer at hardware_concurrency() threads.  Built on
+  /// first use and never destroyed, like metrics::Registry::global(): its
+  /// workers start once per process, and no caller ever joins them.
+  [[nodiscard]] static BatchPlacer& shared();
+
   /// Worker threads plus the participating caller.
   [[nodiscard]] unsigned thread_count() const noexcept {
     return static_cast<unsigned>(workers_.size()) + 1;
@@ -50,10 +57,11 @@ class BatchPlacer {
   /// Places every address of the batch under `strategy`.  `out.size()`
   /// must equal `addresses.size() * strategy.replication()` (throws
   /// std::invalid_argument otherwise).  Identical output to a sequential
-  /// place_many(); blocks until the batch is complete.
+  /// place_many(); blocks until the batch is complete, and until batches
+  /// other threads started on this placer are done.
   void place(const ReplicationStrategy& strategy,
              std::span<const std::uint64_t> addresses,
-             std::span<DeviceId> out) RDS_EXCLUDES(mu_);
+             std::span<DeviceId> out) RDS_EXCLUDES(turn_, mu_);
 
  private:
   struct Batch {
@@ -71,6 +79,7 @@ class BatchPlacer {
   void worker_loop() RDS_EXCLUDES(mu_);
   void run_chunks(Batch& batch) RDS_EXCLUDES(mu_);
 
+  Mutex turn_ RDS_ACQUIRED_BEFORE(mu_);  ///< held by the caller of a batch
   Mutex mu_;
   CondVar work_cv_;                   ///< workers wait for a new batch
   CondVar done_cv_;                   ///< caller waits for completion

@@ -262,7 +262,7 @@ LoadResult simulate_load(const VirtualDisk& disk,
                          std::span<const std::uint8_t> degraded) {
   // The device table (and models indexing) is fixed at entry; each request
   // still resolves its copies through one live epoch read, so the run
-  // exercises the same wait-free path a real read does.
+  // exercises the same lookup path a real read does.
   const std::shared_ptr<const PlacementEpoch> entry =
       disk.placement_snapshot();
   std::unordered_map<DeviceId, std::size_t> index_of;

@@ -1,11 +1,13 @@
 #include "src/storage/virtual_disk.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "src/journal/journal.hpp"
 #include "src/journal/record.hpp"
 #include "src/metrics/scoped_timer.hpp"
+#include "src/placement/batch_placer.hpp"
 #include "src/util/crc32.hpp"
 
 namespace rds {
@@ -92,15 +94,15 @@ void VirtualDisk::publish_epoch() {
   epoch->config = config_;
   epoch->strategy = strategy_;
   epoch->epoch = ++epoch_counter_;
-  // rds_lint: allow(atomic-memory-order) -- RcuCell::store is release
-  // internally; this is a shared_ptr publish, not a raw atomic op.
+  // rds_lint: allow(atomic-memory-order) -- RcuCell::store swaps under its
+  // mutex; this is a shared_ptr publish, not a raw atomic op.
   published_.store(std::move(epoch));
 }
 
 std::shared_ptr<const PlacementEpoch> VirtualDisk::placement_snapshot()
     const noexcept {
-  // rds_lint: allow(atomic-memory-order) -- RcuCell::load is acquire
-  // internally; this is a shared_ptr read, not a raw atomic op.
+  // rds_lint: allow(atomic-memory-order) -- RcuCell::load copies under its
+  // mutex; this is a shared_ptr read, not a raw atomic op.
   return published_.load();
 }
 
@@ -211,27 +213,40 @@ Result<void> VirtualDisk::write_locked(std::uint64_t block,
   return {};
 }
 
+const Bytes* VirtualDisk::verified_fragment(std::uint64_t block, unsigned j,
+                                           DeviceId location,
+                                           std::uint32_t& sum) {
+  const FragmentKey key{block, j, volume_id_};
+  const auto store = stores_.find(location);
+  const Bytes* stored =
+      store == stores_.end() ? nullptr : store->second->read(key);
+  if (stored == nullptr) return nullptr;
+  const auto recorded = checksums_.find(key);
+  if (recorded == checksums_.end()) {
+    sum = checksum(*stored);
+    return stored;
+  }
+  if (recorded->second != checksum(*stored)) {
+    // Bit rot: a corrupt fragment is worse than a missing one -- the caller
+    // skips it and works from healthy peers.
+    ++stats_.checksum_failures;
+    checksum_failures_total_->inc();
+    return nullptr;
+  }
+  sum = recorded->second;
+  return stored;
+}
+
 VirtualDisk::Gathered VirtualDisk::gather_fragments(
     std::uint64_t block, std::span<const DeviceId> locations, unsigned need) {
   const unsigned k = scheme_->fragment_count();
   Gathered out;
   out.fragments.resize(k);
+  std::uint32_t sum = 0;
   for (unsigned j = 0; j < k && out.present < need; ++j) {
-    const FragmentKey key{block, j, volume_id_};
-    const auto store = stores_.find(locations[j]);
-    const Bytes* stored =
-        store == stores_.end() ? nullptr : store->second->read(key);
+    const Bytes* stored = verified_fragment(block, j, locations[j], sum);
     if (stored == nullptr) {
       ++out.skipped;
-      continue;
-    }
-    const auto sum = checksums_.find(key);
-    if (sum != checksums_.end() && sum->second != checksum(*stored)) {
-      // Bit rot: a corrupt fragment is worse than a missing one -- skip it
-      // so the decoder reconstructs from healthy peers.
-      ++out.skipped;
-      ++stats_.checksum_failures;
-      checksum_failures_total_->inc();
       continue;
     }
     out.fragments[j] = *stored;
@@ -551,6 +566,7 @@ Result<std::size_t> VirtualDisk::begin_reshape_locked(ClusterConfig next) {
   } catch (const std::invalid_argument& e) {
     return Error{ErrorCode::kInvalidArgument, e.what()};
   }
+  std::unordered_set<std::uint64_t> moving = moving_blocks(*next_strategy);
   topology_events_total_->inc();
   next_strategy_ = std::move(next_strategy);
   for (const Device& d : next.devices()) {
@@ -559,10 +575,31 @@ Result<std::size_t> VirtualDisk::begin_reshape_locked(ClusterConfig next) {
     }
   }
   next_config_ = std::move(next);
-  pending_.clear();
-  pending_.reserve(blocks_.size());
-  for (const auto& [block, size] : blocks_) pending_.insert(block);
+  pending_ = std::move(moving);
   return pending_.size();
+}
+
+std::unordered_set<std::uint64_t> VirtualDisk::moving_blocks(
+    const ReplicationStrategy& next) const {
+  std::vector<std::uint64_t> ids;
+  ids.reserve(blocks_.size());
+  for (const auto& [block, size] : blocks_) ids.push_back(block);
+  const unsigned k = scheme_->fragment_count();
+  std::vector<DeviceId> old_homes(ids.size() * k);
+  std::vector<DeviceId> new_homes(ids.size() * k);
+  BatchPlacer& placer = BatchPlacer::shared();
+  placer.place(*strategy_, ids, old_homes);
+  placer.place(next, ids, new_homes);
+  const std::span<const DeviceId> before(old_homes);
+  const std::span<const DeviceId> after(new_homes);
+  std::unordered_set<std::uint64_t> moving;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (!std::ranges::equal(before.subspan(i * k, k),
+                            after.subspan(i * k, k))) {
+      moving.insert(ids[i]);
+    }
+  }
+  return moving;
 }
 
 void VirtualDisk::reshape_block(std::uint64_t block) {
@@ -571,25 +608,44 @@ void VirtualDisk::reshape_block(std::uint64_t block) {
   strategy_->place(block, old_loc);
   next_strategy_->place(block, new_loc);
 
-  bool any = false;
-  for (unsigned j = 0; j < k; ++j) {
-    if (old_loc[j] != new_loc[j]) any = true;
-  }
-  if (!any) return;
-
-  const std::vector<std::optional<Bytes>> fragments =
-      gather_fragments(block, old_loc, k).fragments;
+  // Verify each moving fragment in its old home.  A fragment that stays is
+  // not read: rot there is scrub()'s to find, as it is for reads.
+  std::vector<std::optional<Bytes>> fragments(k);
+  std::vector<std::uint32_t> sums(k);
+  std::vector<unsigned> lost;  // moving fragments whose source is gone
+  unsigned present = 0;
   for (unsigned j = 0; j < k; ++j) {
     if (old_loc[j] == new_loc[j]) continue;
-    Bytes payload;
-    if (fragments[j].has_value()) {
-      payload = *fragments[j];
-    } else {
-      // The source copy is gone (failed device) or rotted: rebuild it.
-      payload = scheme_->reconstruct_fragment(fragments, j);
+    const Bytes* stored = verified_fragment(block, j, old_loc[j], sums[j]);
+    if (stored == nullptr) {
+      lost.push_back(j);
+      continue;
+    }
+    fragments[j] = *stored;
+    ++present;
+  }
+  if (!lost.empty()) {
+    // Rebuild each lost source from verified peers, all gathered before
+    // any fragment of the block moves.
+    std::uint32_t sum = 0;
+    for (unsigned j = 0; j < k && present < scheme_->min_fragments(); ++j) {
+      if (old_loc[j] != new_loc[j]) continue;  // moving: checked above
+      const Bytes* stored = verified_fragment(block, j, old_loc[j], sum);
+      if (stored == nullptr) continue;
+      fragments[j] = *stored;
+      ++present;
+    }
+    for (const unsigned j : lost) {
+      fragments[j] = scheme_->reconstruct_fragment(fragments, j);
+      sums[j] = checksum(*fragments[j]);
       ++stats_.fragments_rebuilt;
       fragments_rebuilt_total_->inc();
     }
+  }
+
+  for (unsigned j = 0; j < k; ++j) {
+    if (old_loc[j] == new_loc[j]) continue;
+    Bytes payload = std::move(*fragments[j]);
     // Erase before write so a device swapping fragments with another does
     // not transiently exceed its capacity.
     const auto src = stores_.find(old_loc[j]);
@@ -601,8 +657,7 @@ void VirtualDisk::reshape_block(std::uint64_t block) {
     ++stats_.fragments_moved;
     migration_bytes_moved_total_->inc(payload.size());
     fragments_moved_total_->inc();
-    const std::uint32_t sum = checksum(payload);
-    store_fragment(new_loc[j], block, j, std::move(payload), sum);
+    store_fragment(new_loc[j], block, j, std::move(payload), sums[j]);
   }
 }
 

@@ -4,17 +4,21 @@
 // Every logical block is encoded by a RedundancyScheme into k fragments,
 // which a placement strategy (Redundant Share by default) maps to k distinct
 // devices.  Growing, shrinking, or losing devices triggers a reshape -- the
-// one code path that moves stored fragments -- which moves exactly the
-// fragments whose copy-index home changed; lost fragments are rebuilt from
-// the surviving ones through the scheme.
+// one code path that moves stored fragments.  A reshape places every block
+// under the old and the new strategy in one parallel pass
+// (BatchPlacer::shared()) and queues only the blocks whose copy-index homes
+// differ.  It then moves exactly the fragments whose home changed,
+// verifying each first; a lost or corrupt source is rebuilt from verified
+// peers through the scheme.
 //
 // Concurrency model (docs/api.md, "Concurrency guarantees"): block I/O and
 // topology mutations are serialized by an internal mutex (`mu_`), so any
 // number of threads may call them -- one at a time gets in.  Placement
-// lookups (place(), placement_snapshot()) are lock-free and may run from any
-// number of threads concurrently with that writer: they read an immutable
-// PlacementEpoch published by shared_ptr-RCU, so every lookup sees one
-// consistent (strategy, config) pair even in the middle of apply_config.
+// lookups (place(), placement_snapshot()) never take `mu_` and may run from
+// any number of threads concurrently with that writer: they read an
+// immutable PlacementEpoch published by shared_ptr-RCU (RcuCell, whose own
+// lock guards only a pointer copy), so every lookup sees one consistent
+// (strategy, config) pair even in the middle of apply_config.
 // The locking discipline is machine-checked: every mutable field is
 // RDS_GUARDED_BY(mu_) and the build enforces -Werror=thread-safety under
 // Clang (docs/static_analysis.md).
@@ -138,16 +142,16 @@ class VirtualDisk {
     return blocks_.size();
   }
 
-  // --- Concurrent placement (lock-free reads, atomic strategy swap) ---
+  // --- Concurrent placement (never behind mu_, atomic strategy swap) ---
 
-  /// The committed placement epoch: one wait-free shared_ptr load.  Safe
-  /// from any thread at any time, including while apply_config / a reshape
-  /// commit installs a successor.
+  /// The committed placement epoch: one shared_ptr copy from the RcuCell,
+  /// never blocked by `mu_`.  Safe from any thread at any time, including
+  /// while apply_config / a reshape commit installs a successor.
   [[nodiscard]] std::shared_ptr<const PlacementEpoch> placement_snapshot()
       const noexcept;
 
-  /// Places `block` under the current committed epoch (lock-free; safe
-  /// concurrently with the serialized mutators).  Fills `out` (size == k)
+  /// Places `block` under the current committed epoch (never takes `mu_`;
+  /// safe concurrently with the serialized mutators).  Fills `out` (size == k)
   /// and returns the epoch id the placement came from.
   std::uint64_t place(std::uint64_t block, std::span<DeviceId> out) const;
 
@@ -158,10 +162,10 @@ class VirtualDisk {
   };
 
   /// The k copy locations of `block` -- the read path's view of the paper's
-  /// copy-identification property.  One wait-free epoch load resolves both
-  /// the replication degree and the placement, so the result is internally
-  /// consistent even while a strategy/scheme swap is committing (lock-free,
-  /// like place()).  Allocates the result vector; hot loops use
+  /// copy-identification property.  One epoch load resolves both the
+  /// replication degree and the placement, so the result is internally
+  /// consistent even while a strategy/scheme swap is committing (never
+  /// behind `mu_`, like place()).  Allocates the result vector; hot loops use
   /// try_copy_locations with a reused buffer.
   [[nodiscard]] CopyLocations copy_locations(std::uint64_t block) const;
 
@@ -176,8 +180,9 @@ class VirtualDisk {
   /// Migrates data to `next` (validate, reshape, drain) and atomically
   /// installs the new (strategy, config) epoch; concurrent place() calls
   /// see either the old pair or the new pair, never a mix.  Returns the
-  /// number of blocks re-examined.  kReshapeInProgress if a reshape is in
-  /// flight, kDeviceFailed if a failed device would remain in `next`,
+  /// number of blocks that needed re-placement: those with a fragment
+  /// whose home changed.  kReshapeInProgress if a reshape is in flight,
+  /// kDeviceFailed if a failed device would remain in `next`,
   /// kInvalidArgument for configs the strategy rejects.
   [[nodiscard]] Result<std::size_t> apply_config(ClusterConfig next)
       RDS_EXCLUDES(mu_);
@@ -231,17 +236,21 @@ class VirtualDisk {
       RDS_EXCLUDES(mu_);
 
   /// Incremental reshaping: starts migrating toward `next` without blocking.
-  /// Returns the number of blocks that still need re-placement.  While a
-  /// reshape is in flight, reads and writes work normally (each block is
-  /// served from wherever it currently lives); further topology operations
-  /// are rejected until the reshape drains (kReshapeInProgress).
-  /// kDeviceFailed and kInvalidArgument as for apply_config.
+  /// Returns the number of blocks that still need re-placement: one
+  /// parallel pass places every block under both strategies, and only the
+  /// blocks whose homes differ are queued (every other block already sits
+  /// where `next` puts it).  While a reshape is in flight, reads and writes
+  /// work normally (each block is served from wherever it currently lives);
+  /// further topology operations are rejected until the reshape drains
+  /// (kReshapeInProgress).  kDeviceFailed and kInvalidArgument as for
+  /// apply_config.
   [[nodiscard]] Result<std::size_t> try_begin_reshape(ClusterConfig next)
       RDS_EXCLUDES(mu_);
 
   /// Migrates up to `max_blocks` pending blocks; returns how many were
   /// processed.  A return of 0 means the reshape is complete (the new
-  /// configuration is committed).
+  /// configuration is committed).  Only the fragments that move are read,
+  /// and each is checksum-verified in its old home first.
   std::size_t step_reshape(std::size_t max_blocks) RDS_EXCLUDES(mu_);
 
   [[nodiscard]] bool reshaping() const RDS_EXCLUDES(mu_) {
@@ -356,7 +365,7 @@ class VirtualDisk {
   }
 
   /// Copies the committed (config_, strategy_) pair into a fresh epoch and
-  /// installs it with one atomic store.
+  /// installs it with one RcuCell::store.
   void publish_epoch() RDS_REQUIRES(mu_);
 
   /// The strategy that currently governs `block` (old placement while the
@@ -364,7 +373,16 @@ class VirtualDisk {
   [[nodiscard]] const ReplicationStrategy& strategy_for(
       std::uint64_t block) const RDS_REQUIRES(mu_);
 
-  /// Moves one block's fragments from `strategy_` to `next_strategy_`.
+  /// The blocks with a fragment whose home differs between `strategy_`
+  /// and `next`: one BatchPlacer::shared() pass per strategy.
+  [[nodiscard]] std::unordered_set<std::uint64_t> moving_blocks(
+      const ReplicationStrategy& next) const RDS_REQUIRES(mu_);
+
+  /// Moves one block's fragments from `strategy_` to `next_strategy_`:
+  /// verifies each moving fragment in its old home and keeps its recorded
+  /// checksum; a missing or corrupt source is rebuilt (fresh checksum) from
+  /// verified peers gathered before anything moves.  Fragments that stay
+  /// are not read.
   void reshape_block(std::uint64_t block) RDS_REQUIRES(mu_);
 
   /// The fragments of one block an operation gathered.
@@ -373,6 +391,16 @@ class VirtualDisk {
     unsigned present = 0;  ///< fragments held
     unsigned skipped = 0;  ///< missing or corrupt fragments passed over
   };
+
+  /// Fragment j of `block` in `location`'s store, without a copy, if it is
+  /// there and matches its recorded checksum; nullptr otherwise (a corrupt
+  /// one bumps the failure stat).  `sum` receives the recorded checksum
+  /// (computed when none is recorded).  Valid until that store's next
+  /// mutation.
+  [[nodiscard]] const Bytes* verified_fragment(std::uint64_t block,
+                                               unsigned j, DeviceId location,
+                                               std::uint32_t& sum)
+      RDS_REQUIRES(mu_);
 
   /// Verifies fragments of `block` in copy-index order, straight from the
   /// stores, and copies out only the intact ones; stops once `need` are
@@ -446,7 +474,7 @@ class VirtualDisk {
   ClusterConfig next_config_ RDS_GUARDED_BY(mu_);
   std::unique_ptr<ReplicationStrategy> next_strategy_ RDS_GUARDED_BY(mu_);
   std::unordered_set<std::uint64_t> pending_
-      RDS_GUARDED_BY(mu_);  // blocks still on `strategy_`
+      RDS_GUARDED_BY(mu_);  // moving blocks still on `strategy_`
 };
 
 }  // namespace rds

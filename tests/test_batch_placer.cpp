@@ -3,8 +3,10 @@
 // reusable across batches and strategies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/core/fast_redundant_share.hpp"
@@ -65,6 +67,41 @@ TEST(BatchPlacer, ReusableAcrossBatchesAndStrategies) {
       EXPECT_EQ(got, expected) << to_string(kind) << " round " << round;
     }
   }
+}
+
+// place() is safe from several threads at once: callers take turns, and
+// every batch still equals its sequential place_many().
+TEST(BatchPlacer, ConcurrentCallersEachGetTheirOwnBatch) {
+  const ClusterConfig config = make_cluster();
+  const auto exact =
+      make_replication_strategy(PlacementKind::kRedundantShare, config, 3);
+  const auto fast =
+      make_replication_strategy(PlacementKind::kFastRedundantShare, config, 2);
+  const std::vector<std::uint64_t> addrs = addresses(3000);
+  std::vector<DeviceId> expected_exact(addrs.size() * 3);
+  std::vector<DeviceId> expected_fast(addrs.size() * 2);
+  exact->place_many(addrs, expected_exact);
+  fast->place_many(addrs, expected_fast);
+
+  BatchPlacer placer(3);
+  const auto caller = [&](const ReplicationStrategy& strategy,
+                          const std::vector<DeviceId>& expected,
+                          int& mismatches) {
+    std::vector<DeviceId> got(expected.size());
+    for (int round = 0; round < 20; ++round) {
+      std::fill(got.begin(), got.end(), kNoDevice);
+      placer.place(strategy, addrs, got);
+      if (got != expected) ++mismatches;
+    }
+  };
+  int exact_mismatches = 0;
+  int fast_mismatches = 0;
+  std::thread a([&] { caller(*exact, expected_exact, exact_mismatches); });
+  std::thread b([&] { caller(*fast, expected_fast, fast_mismatches); });
+  a.join();
+  b.join();
+  EXPECT_EQ(exact_mismatches, 0);
+  EXPECT_EQ(fast_mismatches, 0);
 }
 
 TEST(BatchPlacer, RejectsMismatchedOutputSpan) {

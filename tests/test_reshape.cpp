@@ -2,6 +2,9 @@
 // steps while staying fully readable and writable.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/random.hpp"
 
@@ -23,6 +26,30 @@ Bytes payload(std::uint64_t block) {
   return b;
 }
 
+// Copy-index homes of `block` before (the disk's committed epoch) and after
+// (a strategy built for `next`) a reshape toward `next`.
+struct Homes {
+  std::vector<DeviceId> before;
+  std::vector<DeviceId> after;
+  [[nodiscard]] bool moves(unsigned j) const { return before[j] != after[j]; }
+  [[nodiscard]] bool any_moves() const { return before != after; }
+};
+
+class HomeOracle {
+ public:
+  HomeOracle(const VirtualDisk& disk, const ClusterConfig& next)
+      : before_(disk.placement_snapshot()),
+        after_(make_replication_strategy(disk.placement_kind(), next,
+                                         disk.scheme().fragment_count())) {}
+  [[nodiscard]] Homes homes(std::uint64_t block) const {
+    return {before_->strategy->place(block), after_->place(block)};
+  }
+
+ private:
+  std::shared_ptr<const PlacementEpoch> before_;
+  std::unique_ptr<ReplicationStrategy> after_;
+};
+
 TEST(Reshape, StepwiseDrainCommitsNewTopology) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 500; ++b) {
@@ -31,8 +58,17 @@ TEST(Reshape, StepwiseDrainCommitsNewTopology) {
 
   ClusterConfig next = disk.config();
   next.add_device({9, 4000, "new"});
+  // Only the blocks with a fragment whose home changes are queued.
+  const HomeOracle oracle(disk, next);
+  std::size_t moving = 0;
+  for (std::uint64_t b = 0; b < 500; ++b) {
+    if (oracle.homes(b).any_moves()) ++moving;
+  }
   const std::size_t planned = disk.try_begin_reshape(next).value_or_throw();
-  EXPECT_EQ(planned, 500u);
+  EXPECT_EQ(planned, moving);
+  EXPECT_GT(planned, 0u);
+  EXPECT_LT(planned, 500u);
+  EXPECT_EQ(disk.reshape_pending(), planned);
   EXPECT_TRUE(disk.reshaping());
 
   std::size_t total = 0;
@@ -41,7 +77,7 @@ TEST(Reshape, StepwiseDrainCommitsNewTopology) {
     total += done;
     if (done == 0) break;
   }
-  EXPECT_EQ(total, 500u);
+  EXPECT_EQ(total, planned);
   EXPECT_FALSE(disk.reshaping());
   EXPECT_TRUE(disk.config().contains(9));
   EXPECT_GT(disk.used_on(9), 0u);
@@ -140,6 +176,108 @@ TEST(Reshape, EmptyPoolCommitsImmediately) {
   EXPECT_EQ(disk.step_reshape(1), 0u);
   EXPECT_FALSE(disk.reshaping());
   EXPECT_TRUE(disk.config().contains(9));
+}
+
+// An edit reads only the fragments that move.  Block A's moving copy is
+// corrupt: it is detected once and rebuilt from an intact copy.  Block B's
+// corrupt copy stays put, so the edit never reads it: the rot is scrub()'s
+// to find and repair()'s to fix, as it is for reads.
+TEST(Reshape, EditVerifiesOnlyMovingFragments) {
+  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(3));
+  for (std::uint64_t b = 0; b < 300; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
+  const Device added{9, 4000, "new"};
+  ClusterConfig next = disk.config();
+  next.add_device(added);
+  const HomeOracle oracle(disk, next);
+
+  std::optional<std::pair<std::uint64_t, unsigned>> a;  // moving copy
+  std::optional<std::pair<std::uint64_t, unsigned>> b;  // copy that stays
+  for (std::uint64_t blk = 0; blk < 300 && !(a && b); ++blk) {
+    const Homes h = oracle.homes(blk);
+    if (!h.any_moves()) continue;
+    for (unsigned j = 0; j < 3; ++j) {
+      if (!a && h.moves(j)) {
+        a.emplace(blk, j);
+        break;
+      }
+      if (a && !h.moves(j)) {
+        b.emplace(blk, j);
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(a && b);
+  ASSERT_TRUE(disk.corrupt_fragment(a->first, a->second));
+  ASSERT_TRUE(disk.corrupt_fragment(b->first, b->second));
+
+  disk.try_add_device(added).value_or_throw();
+  EXPECT_EQ(disk.stats().checksum_failures, 1u);
+  EXPECT_EQ(disk.stats().fragments_rebuilt, 1u);
+  EXPECT_EQ(disk.try_read(a->first).value_or_throw(), payload(a->first));
+  EXPECT_EQ(disk.try_read(b->first).value_or_throw(), payload(b->first));
+
+  const VirtualDisk::ScrubReport report = disk.scrub();
+  EXPECT_EQ(report.degraded_blocks, 1u);  // block B
+  EXPECT_EQ(report.unreadable_blocks, 0u);
+  EXPECT_EQ(disk.repair(), 1u);
+  EXPECT_TRUE(disk.scrub().clean());
+}
+
+// A rebuild that moves two fragments of one RS(4+2) block, one of them off
+// the failed device, while a fragment that stays is corrupt: exactly four
+// intact fragments are left, so the lost one is rebuilt only if every peer
+// is gathered before the other moving fragment leaves its old home.  That
+// fragment precedes the lost one in copy-index order, so a reshape that
+// moved fragments in order and gathered peers late would have erased it.
+TEST(Reshape, RebuildGathersPeersBeforeMoving) {
+  std::vector<Device> devices;
+  for (DeviceId uid = 1; uid <= 9; ++uid) {
+    devices.push_back({uid, 1000 + 250 * uid, ""});
+  }
+  VirtualDisk disk(ClusterConfig(std::move(devices)),
+                   std::make_shared<ReedSolomonScheme>(4, 2));
+  for (std::uint64_t b = 0; b < 400; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
+  const DeviceId failed = 4;
+  ClusterConfig next = disk.config();
+  next.remove_device(failed);
+  const HomeOracle oracle(disk, next);
+
+  std::optional<std::uint64_t> block;
+  unsigned stays = 0;
+  for (std::uint64_t blk = 0; blk < 400 && !block; ++blk) {
+    const Homes h = oracle.homes(blk);
+    bool moves_first = false;  // a fragment moves ahead of the lost one
+    bool on_failed = false;
+    std::optional<unsigned> still;
+    for (unsigned j = 0; j < 6; ++j) {
+      if (h.before[j] == failed) {
+        on_failed = true;
+      } else if (h.moves(j) && !on_failed) {
+        moves_first = true;
+      }
+      if (!h.moves(j) && !still) still = j;
+    }
+    if (on_failed && moves_first && still) {
+      block = blk;
+      stays = *still;
+    }
+  }
+  ASSERT_TRUE(block.has_value());
+  ASSERT_TRUE(disk.corrupt_fragment(*block, stays));
+
+  disk.fail_device(failed);
+  EXPECT_GT(disk.rebuild(), 0u);
+  EXPECT_FALSE(disk.config().contains(failed));
+  EXPECT_EQ(disk.try_read(*block).value_or_throw(), payload(*block));
+  for (std::uint64_t b = 0; b < 400; ++b) {
+    ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
+  }
+  EXPECT_EQ(disk.repair(), 1u);  // the corrupt fragment that stayed
+  EXPECT_TRUE(disk.scrub().clean());
 }
 
 TEST(Reshape, StepOnIdleDiskIsNoop) {
