@@ -1,7 +1,8 @@
-// Storage-layer microbenchmarks: VirtualDisk write/read throughput across
-// redundancy schemes and placement strategies, the topology edit, codec
-// encode/decode speed, and the stage floors a 4 KiB operation is measured
-// against: one fragment checksum and one memcpy of the same bytes.
+// Storage-layer microbenchmarks: VirtualDisk write, overwrite and read
+// throughput across redundancy schemes and placement strategies, the
+// topology edit, codec encode/decode speed, and the stage floors a 4 KiB
+// operation is measured against: one fragment checksum and one memcpy of
+// the same bytes.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -62,6 +63,26 @@ void bm_disk_read(benchmark::State& state) {
   std::uint64_t block = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(disk.try_read(block++ % 256).value_or_throw());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          4096);
+  state.SetLabel(disk.scheme().name());
+}
+
+// Overwrites of stored blocks, as perfbench's `disk-mirror` issues them:
+// each home's fragment is replaced in place, so allocation and first touch
+// stay out of the row (bm_disk_write appends fresh blocks).  run_perf.sh
+// --check holds a mirrored overwrite to at most two fragment-checksum
+// passes: the write seals one copy and matches the others with memcmp.
+void bm_disk_overwrite(benchmark::State& state) {
+  VirtualDisk disk(pool(), scheme_for(static_cast<int>(state.range(0))));
+  const Bytes data = payload(4096, 11);
+  for (std::uint64_t b = 0; b < 256; ++b) {
+    disk.try_write(b, data).value_or_throw();
+  }
+  std::uint64_t block = 0;
+  for (auto _ : state) {
+    disk.try_write(block++ % 256, data).value_or_throw();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           4096);
@@ -152,8 +173,9 @@ void bm_codec_decode_two_losses(benchmark::State& state) {
   state.SetLabel(scheme->name());
 }
 
-// One fragment checksum pass (VirtualDisk checksums fragments with crc32).
-// run_perf.sh --check holds a mirrored read to at most two of these.
+// One fragment checksum pass: Fragment::seal and Fragment::intact() run
+// crc32 over a fragment's bytes.  run_perf.sh --check holds a mirrored read
+// and a mirrored overwrite to at most two of these each.
 void bm_fragment_checksum(benchmark::State& state) {
   const Bytes data = payload(static_cast<std::size_t>(state.range(0)), 8);
   for (auto _ : state) {
@@ -195,6 +217,7 @@ void bm_disk_write_strategy(benchmark::State& state, PlacementKind kind) {
 
 BENCHMARK(bm_disk_write)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(bm_disk_read)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(bm_disk_overwrite)->Arg(0)->Arg(1);
 BENCHMARK(bm_disk_degraded_read)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(bm_disk_edit)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_codec_encode)->Arg(0)->Arg(1)->Arg(2);

@@ -114,12 +114,14 @@ if [ "$CHECK" = 1 ]; then
     --max-counter-ratio "exp_loss_ppm:bm_churnsim/k4:bm_churnsim/k3:1.0" \
     --max-counter-ratio "loss_ppm:bm_churnsim/k3:bm_churnsim/k3_repair_off:1.0" \
     --max-counter-ratio "max_move_ratio:bm_churnsim/k3:bm_churnsim/k3/round_robin:1.0"
-  # Same-run storage budget: a mirrored 4 KiB read verifies one copy, so it
-  # may cost at most two fragment-checksum passes of the same bytes.
+  # Same-run storage budgets: a mirrored 4 KiB read verifies one copy, and
+  # a mirrored 4 KiB overwrite seals one copy (memcmp matches the others),
+  # so each may cost at most two fragment-checksum passes of the same bytes.
   check storage \
     --baseline "$ROOT/BENCH_storage.json" \
     --current "$OUT_DIR/BENCH_storage.json" \
-    --min-speedup "bm_disk_read/0:bm_fragment_checksum/4096:0.5"
+    --min-speedup "bm_disk_read/0:bm_fragment_checksum/4096:0.5" \
+    --min-speedup "bm_disk_overwrite/0:bm_fragment_checksum/4096:0.5"
   if [ "${#FAILED_RULES[@]}" -gt 0 ]; then
     echo "run_perf: ratchet check failed for: ${FAILED_RULES[*]}" >&2
     exit 1

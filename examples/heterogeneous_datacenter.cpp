@@ -7,9 +7,9 @@
 // showing that per-device request load tracks capacity share -- including
 // for the hottest blocks, because placement is hash-random rather than
 // correlated with block popularity.  Replica locations come from
-// VirtualDisk::copy_locations (one epoch-consistent read per block) and the
-// serving copy is picked by a ReplicaSelector from the factory, the same
-// read path rds_cli loadsim exercises.
+// VirtualDisk::try_copy_locations (one epoch-consistent read per block),
+// and the serving copy is picked by a ReplicaSelector from the factory, the
+// same read path rds_cli loadsim exercises.
 #include <cstdint>
 #include <iomanip>
 #include <iostream>

@@ -491,7 +491,7 @@ void ChurnSim::check_mirror(const char* when) const {
   const std::uint64_t stride = std::max<std::uint64_t>(1, cfg_.objects / 64);
   std::vector<DeviceId> buf(cfg_.k);
   for (std::uint64_t obj = 0; obj < cfg_.objects; obj += stride) {
-    (void)mirror_->place(obj, buf);
+    (void)mirror_->try_copy_locations(obj, buf).value_or_throw();
     for (unsigned c = 0; c < cfg_.k; ++c) {
       if (buf[c] != homes_[obj * cfg_.k + c]) {
         throw std::logic_error(

@@ -1,8 +1,8 @@
 // Replica selection: which of a ball's k copies serves a read.
 //
 // The paper's copy-identification property gives every address k known
-// replica locations (VirtualDisk::copy_locations); capacity fairness says
-// the *data* is spread in proportion to device size, but under skewed
+// replica locations (VirtualDisk::try_copy_locations); capacity fairness
+// says the *data* is spread in proportion to device size, but under skewed
 // request traffic the *load* can still pile onto whichever copy clients
 // happen to pick.  A ReplicaSelector is that client-side pick, pluggable so
 // the load simulator and benchmarks can compare policies.  Selectors are

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "src/util/crc32.hpp"
 #include "src/util/hash.hpp"
 
 namespace rds {
@@ -11,6 +12,13 @@ std::size_t FragmentKeyHash::operator()(const FragmentKey& k) const noexcept {
       k.block, (static_cast<std::uint64_t>(k.volume) << 32) | k.fragment));
 }
 
+Fragment Fragment::seal(std::vector<std::uint8_t> bytes) {
+  const std::uint32_t crc = crc32(bytes);
+  return {std::move(bytes), crc};
+}
+
+bool Fragment::intact() const noexcept { return crc32(bytes) == crc; }
+
 DeviceStore::DeviceStore(Device device) : device_(std::move(device)) {}
 
 bool DeviceStore::can_write(const FragmentKey& key) const {
@@ -18,19 +26,17 @@ bool DeviceStore::can_write(const FragmentKey& key) const {
          (data_.size() < device_.capacity || data_.contains(key));
 }
 
-void DeviceStore::write(const FragmentKey& key,
-                        std::vector<std::uint8_t> payload) {
+void DeviceStore::write(const FragmentKey& key, Fragment fragment) {
   if (!can_write(key)) {
     throw std::runtime_error(
         (failed_ ? "DeviceStore: write to failed device "
                  : "DeviceStore: device full: ") +
         device_.name);
   }
-  data_.insert_or_assign(key, std::move(payload));
+  data_.insert_or_assign(key, std::move(fragment));
 }
 
-const std::vector<std::uint8_t>* DeviceStore::read(
-    const FragmentKey& key) const {
+const Fragment* DeviceStore::read(const FragmentKey& key) const {
   if (failed_) return nullptr;
   const auto it = data_.find(key);
   return it == data_.end() ? nullptr : &it->second;
@@ -44,7 +50,7 @@ bool DeviceStore::erase(const FragmentKey& key) { return data_.erase(key) > 0; }
 
 std::uint64_t DeviceStore::used_by_volume(std::uint32_t volume) const {
   std::uint64_t count = 0;
-  for (const auto& [key, payload] : data_) {
+  for (const auto& [key, fragment] : data_) {
     if (key.volume == volume) ++count;
   }
   return count;
@@ -65,10 +71,11 @@ void DeviceStore::resize(std::uint64_t new_capacity) {
 bool DeviceStore::corrupt(const FragmentKey& key) {
   const auto it = data_.find(key);
   if (it == data_.end()) return false;
-  if (it->second.empty()) {
-    it->second.push_back(0xEE);  // growth is also corruption
+  auto& bytes = it->second.bytes;
+  if (bytes.empty()) {
+    bytes.push_back(0xEE);  // growth is also corruption
   } else {
-    it->second[it->second.size() / 2] ^= 0x5A;
+    bytes[bytes.size() / 2] ^= 0x5A;
   }
   return true;
 }

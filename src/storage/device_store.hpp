@@ -31,6 +31,20 @@ struct FragmentKeyHash {
   [[nodiscard]] std::size_t operator()(const FragmentKey& k) const noexcept;
 };
 
+/// One stored fragment: its bytes and the CRC-32 recorded when they were
+/// encoded.  The record travels whole: a reshape moves it and a snapshot
+/// saves and loads it, CRC included.
+struct Fragment {
+  std::vector<std::uint8_t> bytes;
+  std::uint32_t crc = 0;
+
+  /// Records the CRC of freshly encoded (or rebuilt) bytes.
+  [[nodiscard]] static Fragment seal(std::vector<std::uint8_t> bytes);
+
+  /// Whether the bytes still match their recorded CRC.
+  [[nodiscard]] bool intact() const noexcept;
+};
+
 class DeviceStore {
  public:
   /// `capacity` is in fragments (the paper's "balls").
@@ -51,14 +65,14 @@ class DeviceStore {
   /// either the key is already stored (an overwrite) or there is room.
   [[nodiscard]] bool can_write(const FragmentKey& key) const;
 
-  /// Stores a fragment, replacing the key's old payload in place.  Throws
+  /// Stores a fragment, replacing the key's old record in place.  Throws
   /// std::runtime_error when !can_write(key).
-  void write(const FragmentKey& key, std::vector<std::uint8_t> payload);
+  void write(const FragmentKey& key, Fragment fragment);
 
-  /// The stored payload, without a copy; nullptr if absent or the device is
-  /// failed.  Valid until this store's next mutation.
-  [[nodiscard]] const std::vector<std::uint8_t>* read(
-      const FragmentKey& key) const;
+  /// The stored record, without a copy; nullptr if absent or the device is
+  /// failed.  Not verified: callers check intact().  Valid until this
+  /// store's next mutation.
+  [[nodiscard]] const Fragment* read(const FragmentKey& key) const;
 
   [[nodiscard]] bool contains(const FragmentKey& key) const;
 
@@ -66,7 +80,7 @@ class DeviceStore {
   bool erase(const FragmentKey& key);
 
   /// All stored fragments (serialization/diagnostics).
-  [[nodiscard]] const std::unordered_map<FragmentKey, std::vector<std::uint8_t>,
+  [[nodiscard]] const std::unordered_map<FragmentKey, Fragment,
                                          FragmentKeyHash>&
   contents() const noexcept {
     return data_;
@@ -81,14 +95,14 @@ class DeviceStore {
   void fail() noexcept { failed_ = true; }
 
   /// Simulates silent data corruption (bit rot): flips a byte of the
-  /// stored payload, or truncates an empty payload marker.  Returns whether
-  /// the fragment existed.  Test/chaos hook.
+  /// stored bytes (or grows empty ones) and leaves the recorded CRC alone,
+  /// so the fragment no longer reads as intact().  Returns whether the
+  /// fragment existed.  Test/chaos hook.
   bool corrupt(const FragmentKey& key);
 
  private:
   Device device_;
-  std::unordered_map<FragmentKey, std::vector<std::uint8_t>, FragmentKeyHash>
-      data_;
+  std::unordered_map<FragmentKey, Fragment, FragmentKeyHash> data_;
   bool failed_ = false;
 };
 

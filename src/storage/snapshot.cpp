@@ -1,5 +1,6 @@
 #include "src/storage/snapshot.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <istream>
 #include <ostream>
@@ -12,11 +13,17 @@
 namespace rds {
 namespace {
 
-// The last byte is the format version.  Version 2 stores CRC-32 fragment
-// checksums; version 1 stored FNV-1a ones, which no longer verify.
-constexpr char kDiskMagic[] = "RDSDISK2";
-constexpr char kPoolMagic[] = "RDSPOOL2";
-constexpr char kFileStoreMagic[] = "RDSFSTO2";
+// The last byte is the format version.  Version 3 stores each fragment's
+// CRC-32 with its bytes.  Version 2 kept the CRCs in a per-volume table,
+// and version 1 stored FNV-1a checksums, which no longer verify.
+constexpr char kDiskMagic[] = "RDSDISK3";
+constexpr char kPoolMagic[] = "RDSPOOL3";
+constexpr char kFileStoreMagic[] = "RDSFSTO3";
+
+// A length field is only a claim until its bytes arrive: buffers grow by at
+// most this much per read, so a corrupt length costs memory only for the
+// bytes the stream really holds.
+constexpr std::uint64_t kReadChunk = 1 << 16;
 
 // ---- little-endian primitives ---------------------------------------------
 
@@ -63,25 +70,30 @@ std::uint64_t get_u64(std::istream& in) {
   return v;
 }
 
-std::string get_string(std::istream& in) {
-  const std::uint32_t size = get_u32(in);
-  std::string s(size, '\0');
-  in.read(s.data(), size);
-  if (in.gcount() != static_cast<std::streamsize>(size)) {
-    throw std::runtime_error("snapshot: truncated stream");
+/// Reads a `size`-byte field in chunks of at most kReadChunk.
+template <typename Buffer>
+Buffer get_exactly(std::istream& in, std::uint64_t size) {
+  Buffer buf;
+  while (buf.size() < size) {
+    const std::size_t have = buf.size();
+    const auto step = static_cast<std::size_t>(
+        std::min<std::uint64_t>(size - have, kReadChunk));
+    buf.resize(have + step);
+    in.read(reinterpret_cast<char*>(buf.data() + have),
+            static_cast<std::streamsize>(step));
+    if (in.gcount() != static_cast<std::streamsize>(step)) {
+      throw std::runtime_error("snapshot: truncated stream");
+    }
   }
-  return s;
+  return buf;
+}
+
+std::string get_string(std::istream& in) {
+  return get_exactly<std::string>(in, get_u32(in));
 }
 
 Bytes get_bytes(std::istream& in) {
-  const std::uint64_t size = get_u64(in);
-  Bytes b(size);
-  in.read(reinterpret_cast<char*>(b.data()),
-          static_cast<std::streamsize>(size));
-  if (in.gcount() != static_cast<std::streamsize>(size)) {
-    throw std::runtime_error("snapshot: truncated stream");
-  }
-  return b;
+  return get_exactly<Bytes>(in, get_u64(in));
 }
 
 void expect_magic(std::istream& in, const char* magic) {
@@ -95,7 +107,7 @@ void expect_magic(std::istream& in, const char* magic) {
         "snapshot: " + std::string(got) + " is format version " +
         std::string(got.substr(7)) + "; this build reads only version " +
         std::string(want.substr(7)) + " (" + std::string(want) +
-        "), whose fragment checksums are CRC-32");
+        "), which stores each fragment's CRC-32 with its bytes");
   }
   throw std::runtime_error("snapshot: bad magic/version");
 }
@@ -113,8 +125,7 @@ void put_config(std::ostream& out, const ClusterConfig& config) {
 
 ClusterConfig get_config(std::istream& in) {
   const std::uint32_t n = get_u32(in);
-  std::vector<Device> devices;
-  devices.reserve(n);
+  std::vector<Device> devices;  // grown per device read: `n` is a claim
   for (std::uint32_t i = 0; i < n; ++i) {
     Device d;
     d.uid = get_u64(in);
@@ -136,11 +147,12 @@ void put_store(std::ostream& out, const DeviceStore& store) {
     return;
   }
   put_u64(out, store.used());
-  for (const auto& [key, payload] : store.contents()) {
+  for (const auto& [key, fragment] : store.contents()) {
     put_u64(out, key.block);
     put_u32(out, key.fragment);
     put_u32(out, key.volume);
-    put_bytes(out, payload);
+    put_u32(out, fragment.crc);
+    put_bytes(out, fragment.bytes);
   }
 }
 
@@ -157,7 +169,10 @@ std::shared_ptr<DeviceStore> get_store(std::istream& in) {
     key.block = get_u64(in);
     key.fragment = get_u32(in);
     key.volume = get_u32(in);
-    store->write(key, get_bytes(in));
+    // The stored CRC is kept, never recomputed: rot inside the snapshot
+    // file then fails the fragment's check on read.
+    const std::uint32_t crc = get_u32(in);
+    store->write(key, {get_bytes(in), crc});
   }
   if (failed) store->fail();
   return store;
@@ -176,13 +191,6 @@ void Snapshot::put_volume_meta(std::ostream& out, const VirtualDisk& disk) {
     put_u64(out, block);
     put_u64(out, size);
   }
-  put_u64(out, disk.checksums_.size());
-  for (const auto& [key, sum] : disk.checksums_) {
-    put_u64(out, key.block);
-    put_u32(out, key.fragment);
-    put_u32(out, key.volume);
-    put_u32(out, sum);
-  }
   // Stats are observability, not state: deliberately not persisted.
 }
 
@@ -196,22 +204,14 @@ VirtualDisk Snapshot::get_volume_meta(
   VirtualDisk disk(std::move(config), make_scheme_from_name(scheme_name),
                    kind, volume_id, std::move(stores));
   {
-    // The disk is private to this function, but its block/checksum tables
-    // are lock-guarded members; take the lock so the access is provably
+    // The disk is private to this function, but its block table is a
+    // lock-guarded member; take the lock so the access is provably
     // consistent under the thread-safety analysis.
     const MutexLock lock(disk.mu_);
     const std::uint64_t blocks = get_u64(in);
     for (std::uint64_t b = 0; b < blocks; ++b) {
       const std::uint64_t block = get_u64(in);
       disk.blocks_[block] = get_u64(in);
-    }
-    const std::uint64_t sums = get_u64(in);
-    for (std::uint64_t s = 0; s < sums; ++s) {
-      FragmentKey key;
-      key.block = get_u64(in);
-      key.fragment = get_u32(in);
-      key.volume = get_u32(in);
-      disk.checksums_[key] = get_u32(in);
     }
   }
   return disk;
@@ -367,16 +367,20 @@ FileStore Snapshot::load_file_store(std::istream& in) {
   expect_magic(in, kFileStoreMagic);
   const std::uint64_t block_size = get_u64(in);
   const std::uint64_t next_block = get_u64(in);
-  std::vector<std::uint64_t> free_blocks(get_u64(in));
-  for (std::uint64_t& id : free_blocks) id = get_u64(in);
+  // Counted lists grow per element read: a count is only a claim.
+  std::vector<std::uint64_t> free_blocks;
+  for (std::uint64_t n = get_u64(in); n > 0; --n) {
+    free_blocks.push_back(get_u64(in));
+  }
   std::map<std::string, FileStore::FileEntry> files;
   const std::uint32_t n_files = get_u32(in);
   for (std::uint32_t i = 0; i < n_files; ++i) {
     std::string name = get_string(in);
     FileStore::FileEntry entry;
     entry.size = get_u64(in);
-    entry.block_ids.resize(get_u64(in));
-    for (std::uint64_t& id : entry.block_ids) id = get_u64(in);
+    for (std::uint64_t n = get_u64(in); n > 0; --n) {
+      entry.block_ids.push_back(get_u64(in));
+    }
     files.emplace(std::move(name), std::move(entry));
   }
   FileStore store(load_disk(in), static_cast<std::size_t>(block_size));

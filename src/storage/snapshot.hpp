@@ -1,10 +1,13 @@
 // Snapshot persistence: save/restore the full state of a VirtualDisk or a
-// StoragePool to a byte stream (metadata, fragment payloads, checksums,
-// failure flags).  Restart semantics for the simulation stack: a loaded
-// snapshot behaves identically to the original, including degraded state.
+// StoragePool to a byte stream (metadata, fragment records -- bytes with
+// their CRC-32 -- and failure flags).  Restart semantics for the simulation
+// stack: a loaded snapshot behaves identically to the original, including
+// degraded state.
 //
 // Format: little-endian, length-prefixed, versioned magic header.  Not a
 // wire protocol -- a local persistence format with a strict version check.
+// Length fields are read in bounded chunks, so a corrupt length fails as a
+// truncated stream instead of allocating what it claims.
 #pragma once
 
 #include <iosfwd>
@@ -29,7 +32,8 @@ namespace rds {
 class Snapshot {
  public:
   /// Serializes a standalone disk (configuration, placement kind, scheme,
-  /// block table, checksums, device stores including failure flags).
+  /// block table, device stores with their fragment records and failure
+  /// flags).
   /// Throws std::runtime_error if a reshape is in flight.
   static void save_disk(const VirtualDisk& disk, std::ostream& out);
 

@@ -8,7 +8,6 @@
 #include "src/journal/record.hpp"
 #include "src/metrics/scoped_timer.hpp"
 #include "src/placement/batch_placer.hpp"
-#include "src/util/crc32.hpp"
 
 namespace rds {
 
@@ -106,25 +105,6 @@ std::shared_ptr<const PlacementEpoch> VirtualDisk::placement_snapshot()
   return published_.load();
 }
 
-std::uint64_t VirtualDisk::place(std::uint64_t block,
-                                 std::span<DeviceId> out) const {
-  // rds_lint: allow(atomic-memory-order) -- see placement_snapshot().
-  const std::shared_ptr<const PlacementEpoch> epoch = published_.load();
-  epoch->strategy->place(block, out);
-  return epoch->epoch;
-}
-
-VirtualDisk::CopyLocations VirtualDisk::copy_locations(
-    std::uint64_t block) const {
-  // rds_lint: allow(atomic-memory-order) -- see placement_snapshot().
-  const std::shared_ptr<const PlacementEpoch> epoch = published_.load();
-  CopyLocations out;
-  out.epoch = epoch->epoch;
-  out.devices.resize(epoch->strategy->replication());
-  epoch->strategy->place(block, out.devices);
-  return out;
-}
-
 Result<std::uint64_t> VirtualDisk::try_copy_locations(
     std::uint64_t block, std::span<DeviceId> out) const {
   // rds_lint: allow(atomic-memory-order) -- see placement_snapshot().
@@ -142,17 +122,9 @@ Result<std::uint64_t> VirtualDisk::try_copy_locations(
   return {epoch->epoch};
 }
 
-std::uint32_t VirtualDisk::checksum(
-    std::span<const std::uint8_t> payload) noexcept {
-  return crc32(payload);
-}
-
 void VirtualDisk::store_fragment(DeviceId target, std::uint64_t block,
-                                 unsigned j, Bytes payload,
-                                 std::uint32_t sum) {
-  const FragmentKey key{block, j, volume_id_};
-  stores_.at(target)->write(key, std::move(payload));
-  checksums_[key] = sum;
+                                 unsigned j, Fragment fragment) {
+  stores_.at(target)->write({block, j, volume_id_}, std::move(fragment));
   sync_device_gauge(target);
 }
 
@@ -197,43 +169,40 @@ Result<void> VirtualDisk::write_locked(std::uint64_t block,
                        (failed ? " has failed" : " is full")};
     }
   }
-  // Mirror copies are byte-identical: a memcmp against the previous
-  // fragment is far cheaper than hashing the copy again.
-  std::vector<std::uint32_t> sums(k);
-  for (unsigned j = 0; j < k; ++j) {
-    sums[j] = j > 0 && fragments[j] == fragments[j - 1]
-                  ? sums[j - 1]
-                  : checksum(fragments[j]);
+  // Seal every fragment before any is stored.  Mirror copies are
+  // byte-identical: a memcmp against the previous sealed fragment is far
+  // cheaper than hashing the copy again.
+  std::vector<Fragment> sealed;
+  sealed.reserve(k);
+  for (Bytes& bytes : fragments) {
+    if (!sealed.empty() && bytes == sealed.back().bytes) {
+      sealed.push_back({std::move(bytes), sealed.back().crc});
+    } else {
+      sealed.push_back(Fragment::seal(std::move(bytes)));
+    }
   }
   for (unsigned j = 0; j < k; ++j) {
-    store_fragment(targets[j], block, j, std::move(fragments[j]), sums[j]);
+    store_fragment(targets[j], block, j, std::move(sealed[j]));
     ++stats_.fragments_written;
   }
   blocks_[block] = data.size();
   return {};
 }
 
-const Bytes* VirtualDisk::verified_fragment(std::uint64_t block, unsigned j,
-                                           DeviceId location,
-                                           std::uint32_t& sum) {
-  const FragmentKey key{block, j, volume_id_};
+const Fragment* VirtualDisk::verified_fragment(std::uint64_t block,
+                                              unsigned j, DeviceId location) {
   const auto store = stores_.find(location);
-  const Bytes* stored =
-      store == stores_.end() ? nullptr : store->second->read(key);
+  const Fragment* stored = store == stores_.end()
+                               ? nullptr
+                               : store->second->read({block, j, volume_id_});
   if (stored == nullptr) return nullptr;
-  const auto recorded = checksums_.find(key);
-  if (recorded == checksums_.end()) {
-    sum = checksum(*stored);
-    return stored;
-  }
-  if (recorded->second != checksum(*stored)) {
+  if (!stored->intact()) {
     // Bit rot: a corrupt fragment is worse than a missing one -- the caller
     // skips it and works from healthy peers.
     ++stats_.checksum_failures;
     checksum_failures_total_->inc();
     return nullptr;
   }
-  sum = recorded->second;
   return stored;
 }
 
@@ -242,14 +211,13 @@ VirtualDisk::Gathered VirtualDisk::gather_fragments(
   const unsigned k = scheme_->fragment_count();
   Gathered out;
   out.fragments.resize(k);
-  std::uint32_t sum = 0;
   for (unsigned j = 0; j < k && out.present < need; ++j) {
-    const Bytes* stored = verified_fragment(block, j, locations[j], sum);
+    const Fragment* stored = verified_fragment(block, j, locations[j]);
     if (stored == nullptr) {
       ++out.skipped;
       continue;
     }
-    out.fragments[j] = *stored;
+    out.fragments[j] = stored->bytes;
     ++out.present;
   }
   return out;
@@ -300,7 +268,6 @@ Result<void> VirtualDisk::trim_locked(std::uint64_t block) {
       store->second->erase({block, j, volume_id_});
       sync_device_gauge(targets[j]);
     }
-    checksums_.erase({block, j, volume_id_});
   }
   blocks_.erase(it);
   pending_.erase(block);
@@ -484,7 +451,6 @@ Result<void> VirtualDisk::try_set_scheme(
   for (const auto& [block, data] : contents) {
     for (unsigned j = 0; j < old_k; ++j) {
       for (auto& [uid, store] : stores_) store->erase({block, j, volume_id_});
-      checksums_.erase({block, j, volume_id_});
     }
   }
   scheme_ = std::move(next);
@@ -611,33 +577,34 @@ void VirtualDisk::reshape_block(std::uint64_t block) {
   // Verify each moving fragment in its old home.  A fragment that stays is
   // not read: rot there is scrub()'s to find, as it is for reads.
   std::vector<std::optional<Bytes>> fragments(k);
-  std::vector<std::uint32_t> sums(k);
+  // The recorded CRC of each verified moving fragment; a rebuilt one has
+  // none and is sealed as it moves.
+  std::vector<std::optional<std::uint32_t>> crcs(k);
   std::vector<unsigned> lost;  // moving fragments whose source is gone
   unsigned present = 0;
   for (unsigned j = 0; j < k; ++j) {
     if (old_loc[j] == new_loc[j]) continue;
-    const Bytes* stored = verified_fragment(block, j, old_loc[j], sums[j]);
+    const Fragment* stored = verified_fragment(block, j, old_loc[j]);
     if (stored == nullptr) {
       lost.push_back(j);
       continue;
     }
-    fragments[j] = *stored;
+    fragments[j] = stored->bytes;
+    crcs[j] = stored->crc;
     ++present;
   }
   if (!lost.empty()) {
     // Rebuild each lost source from verified peers, all gathered before
     // any fragment of the block moves.
-    std::uint32_t sum = 0;
     for (unsigned j = 0; j < k && present < scheme_->min_fragments(); ++j) {
       if (old_loc[j] != new_loc[j]) continue;  // moving: checked above
-      const Bytes* stored = verified_fragment(block, j, old_loc[j], sum);
+      const Fragment* stored = verified_fragment(block, j, old_loc[j]);
       if (stored == nullptr) continue;
-      fragments[j] = *stored;
+      fragments[j] = stored->bytes;
       ++present;
     }
     for (const unsigned j : lost) {
       fragments[j] = scheme_->reconstruct_fragment(fragments, j);
-      sums[j] = checksum(*fragments[j]);
       ++stats_.fragments_rebuilt;
       fragments_rebuilt_total_->inc();
     }
@@ -645,7 +612,8 @@ void VirtualDisk::reshape_block(std::uint64_t block) {
 
   for (unsigned j = 0; j < k; ++j) {
     if (old_loc[j] == new_loc[j]) continue;
-    Bytes payload = std::move(*fragments[j]);
+    Fragment moving = crcs[j] ? Fragment{std::move(*fragments[j]), *crcs[j]}
+                              : Fragment::seal(std::move(*fragments[j]));
     // Erase before write so a device swapping fragments with another does
     // not transiently exceed its capacity.
     const auto src = stores_.find(old_loc[j]);
@@ -653,11 +621,11 @@ void VirtualDisk::reshape_block(std::uint64_t block) {
       src->second->erase({block, j, volume_id_});
       sync_device_gauge(old_loc[j]);
     }
-    stats_.bytes_moved += payload.size();
+    stats_.bytes_moved += moving.bytes.size();
     ++stats_.fragments_moved;
-    migration_bytes_moved_total_->inc(payload.size());
+    migration_bytes_moved_total_->inc(moving.bytes.size());
     fragments_moved_total_->inc();
-    store_fragment(new_loc[j], block, j, std::move(payload), sums[j]);
+    store_fragment(new_loc[j], block, j, std::move(moving));
   }
 }
 
@@ -720,9 +688,9 @@ std::uint64_t VirtualDisk::repair() {
       if (store == stores_.end() || store->second->failed()) {
         continue;  // home device gone: rebuild() handles that case
       }
-      Bytes payload = scheme_->reconstruct_fragment(gathered.fragments, j);
-      const std::uint32_t sum = checksum(payload);
-      store_fragment(loc[j], block, j, std::move(payload), sum);
+      store_fragment(loc[j], block, j,
+                     Fragment::seal(scheme_->reconstruct_fragment(
+                         gathered.fragments, j)));
       ++stats_.fragments_repaired;
       fragments_repaired_total_->inc();
     }

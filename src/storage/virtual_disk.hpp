@@ -14,11 +14,11 @@
 // Concurrency model (docs/api.md, "Concurrency guarantees"): block I/O and
 // topology mutations are serialized by an internal mutex (`mu_`), so any
 // number of threads may call them -- one at a time gets in.  Placement
-// lookups (place(), placement_snapshot()) never take `mu_` and may run from
-// any number of threads concurrently with that writer: they read an
-// immutable PlacementEpoch published by shared_ptr-RCU (RcuCell, whose own
-// lock guards only a pointer copy), so every lookup sees one consistent
-// (strategy, config) pair even in the middle of apply_config.
+// lookups (try_copy_locations(), placement_snapshot()) never take `mu_` and
+// may run from any number of threads concurrently with that writer: they
+// read an immutable PlacementEpoch published by shared_ptr-RCU (RcuCell,
+// whose own lock guards only a pointer copy), so every lookup sees one
+// consistent (strategy, config) pair even in the middle of apply_config.
 // The locking discipline is machine-checked: every mutable field is
 // RDS_GUARDED_BY(mu_) and the build enforces -Werror=thread-safety under
 // Clang (docs/static_analysis.md).
@@ -150,36 +150,21 @@ class VirtualDisk {
   [[nodiscard]] std::shared_ptr<const PlacementEpoch> placement_snapshot()
       const noexcept;
 
-  /// Places `block` under the current committed epoch (never takes `mu_`;
-  /// safe concurrently with the serialized mutators).  Fills `out` (size == k)
-  /// and returns the epoch id the placement came from.
-  std::uint64_t place(std::uint64_t block, std::span<DeviceId> out) const;
-
-  /// All k replica locations of one block, resolved against ONE epoch read.
-  struct CopyLocations {
-    std::uint64_t epoch = 0;        ///< the epoch the devices came from
-    std::vector<DeviceId> devices;  ///< copies 0..k-1, pairwise distinct
-  };
-
   /// The k copy locations of `block` -- the read path's view of the paper's
-  /// copy-identification property.  One epoch load resolves both the
-  /// replication degree and the placement, so the result is internally
-  /// consistent even while a strategy/scheme swap is committing (never
-  /// behind `mu_`, like place()).  Allocates the result vector; hot loops use
-  /// try_copy_locations with a reused buffer.
-  [[nodiscard]] CopyLocations copy_locations(std::uint64_t block) const;
-
-  /// Allocation-free form: fills `out` with the k copy locations and
-  /// returns the epoch id they came from.  kInvalidArgument when out.size()
-  /// differs from the epoch's replication degree -- the mismatch a live
-  /// set_scheme swap can produce between sizing the buffer and placing;
-  /// callers re-size and retry (or size from the same placement_snapshot).
+  /// copy-identification property.  Fills `out` with copies 0..k-1 under
+  /// the committed epoch and returns that epoch's id.  One epoch load
+  /// resolves both the replication degree and the placement, so the result
+  /// is consistent even while a strategy/scheme swap is committing; never
+  /// takes `mu_`.  kInvalidArgument when out.size() differs from the
+  /// epoch's replication degree -- the mismatch a live set_scheme swap can
+  /// produce between sizing the buffer and placing; callers re-size and
+  /// retry (or size from the same placement_snapshot).
   [[nodiscard]] Result<std::uint64_t> try_copy_locations(
       std::uint64_t block, std::span<DeviceId> out) const;
 
   /// Migrates data to `next` (validate, reshape, drain) and atomically
-  /// installs the new (strategy, config) epoch; concurrent place() calls
-  /// see either the old pair or the new pair, never a mix.  Returns the
+  /// installs the new (strategy, config) epoch; concurrent placement
+  /// lookups see either the old pair or the new pair, never a mix.  Returns the
   /// number of blocks that needed re-placement: those with a fragment
   /// whose home changed.  kReshapeInProgress if a reshape is in flight,
   /// kDeviceFailed if a failed device would remain in `next`,
@@ -379,8 +364,8 @@ class VirtualDisk {
       const ReplicationStrategy& next) const RDS_REQUIRES(mu_);
 
   /// Moves one block's fragments from `strategy_` to `next_strategy_`:
-  /// verifies each moving fragment in its old home and keeps its recorded
-  /// checksum; a missing or corrupt source is rebuilt (fresh checksum) from
+  /// verifies each moving fragment in its old home and moves it with its
+  /// recorded CRC; a missing or corrupt source is rebuilt (and sealed) from
   /// verified peers gathered before anything moves.  Fragments that stay
   /// are not read.
   void reshape_block(std::uint64_t block) RDS_REQUIRES(mu_);
@@ -393,13 +378,11 @@ class VirtualDisk {
   };
 
   /// Fragment j of `block` in `location`'s store, without a copy, if it is
-  /// there and matches its recorded checksum; nullptr otherwise (a corrupt
-  /// one bumps the failure stat).  `sum` receives the recorded checksum
-  /// (computed when none is recorded).  Valid until that store's next
-  /// mutation.
-  [[nodiscard]] const Bytes* verified_fragment(std::uint64_t block,
-                                               unsigned j, DeviceId location,
-                                               std::uint32_t& sum)
+  /// there and intact(); nullptr otherwise (a corrupt one bumps the failure
+  /// stat).  Valid until that store's next mutation.
+  [[nodiscard]] const Fragment* verified_fragment(std::uint64_t block,
+                                                  unsigned j,
+                                                  DeviceId location)
       RDS_REQUIRES(mu_);
 
   /// Verifies fragments of `block` in copy-index order, straight from the
@@ -409,14 +392,9 @@ class VirtualDisk {
                                           std::span<const DeviceId> locations,
                                           unsigned need) RDS_REQUIRES(mu_);
 
-  /// Checksum over a fragment payload (placement-independent): CRC-32.
-  [[nodiscard]] static std::uint32_t checksum(
-      std::span<const std::uint8_t> payload) noexcept;
-
-  /// Stores fragment j of `block` on `target` and records `sum`, the
-  /// payload's checksum.
+  /// Stores fragment j of `block` on `target`.
   void store_fragment(DeviceId target, std::uint64_t block, unsigned j,
-                      Bytes payload, std::uint32_t sum) RDS_REQUIRES(mu_);
+                      Fragment fragment) RDS_REQUIRES(mu_);
 
   /// Resolves the registry instruments (both constructors).
   void init_metrics();
@@ -425,8 +403,8 @@ class VirtualDisk {
   void sync_device_gauge(DeviceId uid) const RDS_REQUIRES(mu_);
 
   /// Serializes block I/O and topology mutations; mutable so const
-  /// observers (stats(), used_on(), ...) can take it.  place() and
-  /// placement_snapshot() never touch it -- they read `published_`.
+  /// observers (stats(), used_on(), ...) can take it.  try_copy_locations()
+  /// and placement_snapshot() never touch it -- they read `published_`.
   mutable Mutex mu_;
 
   ClusterConfig config_ RDS_GUARDED_BY(mu_);
@@ -444,8 +422,6 @@ class VirtualDisk {
       RDS_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, std::size_t> blocks_
       RDS_GUARDED_BY(mu_);  // block -> size
-  std::unordered_map<FragmentKey, std::uint32_t, FragmentKeyHash> checksums_
-      RDS_GUARDED_BY(mu_);
   Stats stats_ RDS_GUARDED_BY(mu_);
 
   // Registry-owned instruments (process lifetime; see docs/metrics.md).

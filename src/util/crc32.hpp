@@ -1,7 +1,7 @@
 // CRC-32 (IEEE 802.3: reflected, polynomial 0xEDB88320, init/final ~0).
 //
 // The one integrity check of the storage stack (docs/persistence.md): the
-// journal's per-record checksum and VirtualDisk's per-fragment checksum.
+// journal's per-record checksum and the CRC each stored Fragment carries.
 // Unlike the 64-bit mixing hashes in util/hash.hpp -- built for placement
 // experiments -- this is the standard checksum whose value for "123456789"
 // is 0xCBF43926, so journal files stay verifiable by any external CRC tool.

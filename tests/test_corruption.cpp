@@ -72,7 +72,8 @@ TEST(Corruption, ErasureReadsAroundTwoCorruptDataFragments) {
 TEST(Corruption, MirrorFallsBackPastCorruptAndFailedCopies) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(3));
   disk.try_write(5, payload(5)).value_or_throw();
-  const std::vector<DeviceId> homes = disk.copy_locations(5).devices;
+  std::vector<DeviceId> homes(3);
+  (void)disk.try_copy_locations(5, homes).value_or_throw();
   ASSERT_TRUE(disk.corrupt_fragment(5, 0));
   disk.fail_device(homes[1]);
   EXPECT_EQ(disk.try_read(5).value_or_throw(), payload(5));  // copy 2

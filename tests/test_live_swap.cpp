@@ -62,11 +62,11 @@ TEST(LiveSwap, ApplyConfigPublishesNewEpoch) {
 TEST(LiveSwap, PlaceReturnsTheEpochItUsed) {
   VirtualDisk disk = make_disk(small_pool());
   DeviceId copies[2] = {kNoDevice, kNoDevice};
-  const std::uint64_t e1 = disk.place(7, copies);
+  const std::uint64_t e1 = disk.try_copy_locations(7, copies).value_or_throw();
   EXPECT_EQ(e1, disk.placement_snapshot()->epoch);
   EXPECT_NE(copies[0], copies[1]);
   ASSERT_TRUE(disk.apply_config(big_pool()).ok());
-  const std::uint64_t e2 = disk.place(7, copies);
+  const std::uint64_t e2 = disk.try_copy_locations(7, copies).value_or_throw();
   EXPECT_GT(e2, e1);
 }
 
@@ -167,19 +167,6 @@ TEST(Concurrency, ReadersSurviveSwapsAcrossEveryKind) {
   EXPECT_EQ(disk.placement_kind(), kinds[(kSwaps - 1) % kinds.size()]);
 }
 
-TEST(CopyLocations, MatchesPlaceAndReportsEpoch) {
-  VirtualDisk disk = make_disk(small_pool());
-  for (std::uint64_t block = 0; block < 200; ++block) {
-    const VirtualDisk::CopyLocations locs = disk.copy_locations(block);
-    ASSERT_EQ(locs.devices.size(), 2u);
-    DeviceId copies[2] = {kNoDevice, kNoDevice};
-    const std::uint64_t epoch = disk.place(block, copies);
-    EXPECT_EQ(locs.epoch, epoch);
-    EXPECT_EQ(locs.devices[0], copies[0]);
-    EXPECT_EQ(locs.devices[1], copies[1]);
-  }
-}
-
 TEST(CopyLocations, TryFormFillsSpanAndReturnsEpoch) {
   VirtualDisk disk = make_disk(small_pool());
   std::vector<DeviceId> out(2, kNoDevice);
@@ -200,9 +187,9 @@ TEST(CopyLocations, TryFormRejectsWrongSizeWithoutWriting) {
   for (const DeviceId uid : wrong) EXPECT_EQ(uid, kNoDevice);
 }
 
-// copy_locations under a racing strategy swap: every result must be a
-// self-consistent k-set from SOME epoch, and the allocation-free form must
-// either agree or fail cleanly with kInvalidArgument (never tear).
+// try_copy_locations under racing config swaps: k stays 2, so every lookup
+// must succeed with 2 distinct devices from SOME epoch, and epochs never go
+// backwards (never tears, never fails).
 TEST(Concurrency, CopyLocationsStaysConsistentDuringSwaps) {
   VirtualDisk disk = make_disk(small_pool());
 
@@ -210,38 +197,34 @@ TEST(Concurrency, CopyLocationsStaysConsistentDuringSwaps) {
   constexpr int kSwaps = 25;
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
+  std::atomic<int> lookups{0};
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
 
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&disk, &stop, &failures, r] {
+    readers.emplace_back([&disk, &stop, &failures, &lookups, r] {
       std::uint64_t address = static_cast<std::uint64_t>(r) << 32;
       std::uint64_t last_epoch = 0;
-      std::vector<DeviceId> buf(2, kNoDevice);
+      std::vector<DeviceId> buf(2);
       while (!stop.load(std::memory_order_relaxed)) {
-        const VirtualDisk::CopyLocations locs =
-            disk.copy_locations(address);
-        if (locs.devices.size() != 2) failures.fetch_add(1);
-        for (std::size_t i = 0; i < locs.devices.size(); ++i) {
-          for (std::size_t j = i + 1; j < locs.devices.size(); ++j) {
-            if (locs.devices[i] == locs.devices[j]) failures.fetch_add(1);
-          }
-        }
-        if (locs.epoch < last_epoch) failures.fetch_add(1);
-        last_epoch = locs.epoch;
-
+        buf.assign(2, kNoDevice);
         const Result<std::uint64_t> epoch =
-            disk.try_copy_locations(address, buf);
-        if (epoch.ok()) {
-          if (buf[0] == buf[1]) failures.fetch_add(1);
-        } else if (epoch.code() != ErrorCode::kInvalidArgument) {
-          failures.fetch_add(1);  // only the size race may fail
+            disk.try_copy_locations(address++, buf);
+        if (!epoch.ok() || buf[0] == kNoDevice || buf[1] == kNoDevice ||
+            buf[0] == buf[1] || epoch.value() < last_epoch) {
+          failures.fetch_add(1);
+          continue;
         }
-        ++address;
+        last_epoch = epoch.value();
+        lookups.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
 
+  // Let the readers start before the swaps, so the lookups race them.
+  while (lookups.load() + failures.load() < kReaders) {
+    std::this_thread::yield();
+  }
   const ClusterConfig configs[2] = {big_pool(), small_pool()};
   for (int s = 0; s < kSwaps; ++s) {
     const Result<std::size_t> r = disk.apply_config(configs[s % 2]);
@@ -250,9 +233,11 @@ TEST(Concurrency, CopyLocationsStaysConsistentDuringSwaps) {
   stop.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(lookups.load(), kReaders);
 }
 
-// Same race through the convenience API: place() grabs its own snapshot.
+// Same race against device adds and removes: each lookup grabs its own
+// snapshot and never waits for the reshape holding `mu_`.
 TEST(Concurrency, PlaceIsLockFreeAgainstTopologyChanges) {
   VirtualDisk disk = make_disk(small_pool());
   std::atomic<bool> stop{false};
@@ -263,10 +248,14 @@ TEST(Concurrency, PlaceIsLockFreeAgainstTopologyChanges) {
     std::uint64_t address = 0;
     std::uint64_t last_epoch = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      const std::uint64_t epoch = disk.place(address++, copies);
-      if (copies[0] == copies[1]) failures.fetch_add(1);
-      if (epoch < last_epoch) failures.fetch_add(1);
-      last_epoch = epoch;
+      const Result<std::uint64_t> epoch =
+          disk.try_copy_locations(address++, copies);
+      if (!epoch.ok() || copies[0] == copies[1] ||
+          epoch.value() < last_epoch) {
+        failures.fetch_add(1);
+        continue;
+      }
+      last_epoch = epoch.value();
     }
   });
 

@@ -488,6 +488,16 @@ TEST(RdsAnalyze, BaselineRoundTripsAndRatchets) {
   const auto partial =
       std::vector<std::string>(keys.begin(), keys.begin() + 2);
   EXPECT_EQ(rds::analyze::new_findings(findings, partial, root).size(), 1u);
+  // Keys carry no line: the same finding on another line stays baselined.
+  std::vector<Finding> moved = findings;
+  for (Finding& f : moved) f.line += 40;
+  EXPECT_TRUE(rds::analyze::new_findings(moved, keys, root).empty());
+  // Each key tolerates one finding: a duplicate of a baselined one is new.
+  std::vector<Finding> doubled = findings;
+  doubled.push_back(findings.front());
+  const auto fresh = rds::analyze::new_findings(doubled, keys, root);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(fresh.front().message, findings.front().message);
 }
 
 // The committed baseline's keys must reproduce exactly from the tree the

@@ -27,6 +27,15 @@ Bytes payload(std::uint64_t block, std::uint64_t salt) {
   return b;
 }
 
+// `v` as the snapshot writes it: `width` little-endian bytes.
+std::string little_endian(std::uint64_t v, int width) {
+  std::string out;
+  for (int i = 0; i < width; ++i) {
+    out.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  return out;
+}
+
 TEST(SchemeFactory, RoundTripsEveryScheme) {
   for (const auto& name :
        {std::string("mirror(k=3)"), std::string("reed-solomon(4+2)"),
@@ -82,15 +91,55 @@ TEST(Snapshot, DegradedStateSurvivesRoundTrip) {
 }
 
 TEST(Snapshot, ChecksumsSurviveRoundTrip) {
-  VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(3));
-  disk.try_write(5, payload(5, 3)).value_or_throw();
-  std::stringstream stream;
-  Snapshot::save_disk(disk, stream);
-  VirtualDisk restored = Snapshot::load_disk(stream);
-  // Corrupt one restored fragment: the restored checksums must catch it.
-  ASSERT_TRUE(restored.corrupt_fragment(5, 0));
-  EXPECT_EQ(restored.try_read(5).value_or_throw(), payload(5, 3));
-  EXPECT_EQ(restored.stats().checksum_failures, 1u);
+  {
+    VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(3));
+    disk.try_write(5, payload(5, 3)).value_or_throw();
+    std::stringstream stream;
+    Snapshot::save_disk(disk, stream);
+    VirtualDisk restored = Snapshot::load_disk(stream);
+    // Corrupt one restored fragment: the restored checksums must catch it.
+    ASSERT_TRUE(restored.corrupt_fragment(5, 0));
+    EXPECT_EQ(restored.try_read(5).value_or_throw(), payload(5, 3));
+    EXPECT_EQ(restored.stats().checksum_failures, 1u);
+  }
+  {
+    // A pool volume's CRCs live in the shared stores and survive with them.
+    StoragePool pool(pool_config());
+    pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+    pool.create_volume("b", std::make_shared<MirroringScheme>(3));
+    pool.volume("a").try_write(5, payload(5, 4)).value_or_throw();
+    pool.volume("b").try_write(5, payload(5, 5)).value_or_throw();
+    std::stringstream stream;
+    Snapshot::save_pool(pool, stream);
+    StoragePool restored = Snapshot::load_pool(stream);
+    VirtualDisk& second = restored.volume("b");
+    ASSERT_TRUE(second.corrupt_fragment(5, 0));
+    EXPECT_EQ(second.try_read(5).value_or_throw(), payload(5, 5));
+    EXPECT_EQ(second.stats().checksum_failures, 1u);
+  }
+  {
+    // Rot inside the snapshot file: the loader keeps each stored CRC
+    // rather than sealing the bytes afresh, so the read catches it.
+    VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(3));
+    const Bytes data = payload(5, 3);
+    disk.try_write(5, data).value_or_throw();
+    std::stringstream stream;
+    Snapshot::save_disk(disk, stream);
+    std::string bytes = stream.str();
+    // Copy 0's entry: block u64, fragment u32, volume u32, crc u32,
+    // length u64, then the bytes.
+    const std::string entry =
+        little_endian(5, 8) + little_endian(0, 4) + little_endian(0, 4) +
+        little_endian(Fragment::seal(data).crc, 4) +
+        little_endian(data.size(), 8);
+    const std::size_t at = bytes.find(entry);
+    ASSERT_NE(at, std::string::npos);
+    bytes[at + entry.size() + data.size() / 2] ^= 0x01;
+    std::stringstream rotten(bytes);
+    VirtualDisk restored = Snapshot::load_disk(rotten);
+    EXPECT_EQ(restored.try_read(5).value_or_throw(), data);
+    EXPECT_EQ(restored.stats().checksum_failures, 1u);
+  }
 }
 
 TEST(Snapshot, PoolRoundTrip) {
@@ -143,21 +192,26 @@ TEST(Snapshot, RejectsGarbage) {
   EXPECT_THROW((void)Snapshot::load_disk(truncated), std::runtime_error);
 }
 
-// Version 1 streams stored FNV-1a fragment checksums; loaded under CRC-32
-// every fragment would read as corrupt, so the loaders refuse them and say
-// which version they got.
+// Version 2 streams kept fragment CRCs in a per-volume table, and version
+// 1 streams stored FNV-1a checksums.  The loaders refuse both and say which
+// version they got.
 TEST(Snapshot, RejectsVersionOneStreamsNamingTheVersion) {
-  const auto expect_rejected = [](std::string bytes, const char* v1_magic,
+  const auto expect_rejected = [](std::string bytes, const std::string& kind,
                                   const auto& load) {
-    bytes.replace(0, 8, v1_magic);
-    std::stringstream stream(bytes);
-    try {
-      load(stream);
-      ADD_FAILURE() << v1_magic << " stream was accepted";
-    } catch (const std::runtime_error& e) {
-      const std::string message = e.what();
-      EXPECT_NE(message.find(v1_magic), std::string::npos) << message;
-      EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+    for (const char version : {'1', '2'}) {
+      const std::string old_magic = kind + version;
+      bytes.replace(0, 8, old_magic);
+      std::stringstream stream(bytes);
+      try {
+        load(stream);
+        ADD_FAILURE() << old_magic << " stream was accepted";
+      } catch (const std::runtime_error& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find(old_magic), std::string::npos) << message;
+        EXPECT_NE(message.find(std::string("version ") + version),
+                  std::string::npos)
+            << message;
+      }
     }
   };
 
@@ -165,8 +219,8 @@ TEST(Snapshot, RejectsVersionOneStreamsNamingTheVersion) {
   disk.try_write(1, payload(1, 1)).value_or_throw();
   std::stringstream disk_stream;
   Snapshot::save_disk(disk, disk_stream);
-  EXPECT_EQ(disk_stream.str().substr(0, 8), "RDSDISK2");
-  expect_rejected(disk_stream.str(), "RDSDISK1", [](std::istream& in) {
+  EXPECT_EQ(disk_stream.str().substr(0, 8), "RDSDISK3");
+  expect_rejected(disk_stream.str(), "RDSDISK", [](std::istream& in) {
     (void)Snapshot::load_disk(in);
   });
 
@@ -174,8 +228,8 @@ TEST(Snapshot, RejectsVersionOneStreamsNamingTheVersion) {
   pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   std::stringstream pool_stream;
   Snapshot::save_pool(pool, pool_stream);
-  EXPECT_EQ(pool_stream.str().substr(0, 8), "RDSPOOL2");
-  expect_rejected(pool_stream.str(), "RDSPOOL1", [](std::istream& in) {
+  EXPECT_EQ(pool_stream.str().substr(0, 8), "RDSPOOL3");
+  expect_rejected(pool_stream.str(), "RDSPOOL", [](std::istream& in) {
     (void)Snapshot::load_pool(in);
   });
 
@@ -183,8 +237,51 @@ TEST(Snapshot, RejectsVersionOneStreamsNamingTheVersion) {
       VirtualDisk(pool_config(), std::make_shared<MirroringScheme>(2)));
   std::stringstream files_stream;
   Snapshot::save_file_store(files, files_stream);
-  EXPECT_EQ(files_stream.str().substr(0, 8), "RDSFSTO2");
-  expect_rejected(files_stream.str(), "RDSFSTO1", [](std::istream& in) {
+  EXPECT_EQ(files_stream.str().substr(0, 8), "RDSFSTO3");
+  expect_rejected(files_stream.str(), "RDSFSTO", [](std::istream& in) {
+    (void)Snapshot::load_file_store(in);
+  });
+}
+
+// A length or count field is only a claim until its bytes arrive: the
+// loaders read in bounded chunks and grow lists per element, so a corrupt
+// claim fails as a truncated stream instead of allocating what it says.
+TEST(Snapshot, CorruptLengthsFailAsTruncatedStreams) {
+  const auto expect_truncated = [](const std::string& bytes,
+                                   const auto& load) {
+    std::stringstream stream(bytes);
+    try {
+      load(stream);
+      ADD_FAILURE() << "stream was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::string claim = little_endian(std::uint64_t{1} << 40, 8);
+
+  // A fragment length that claims 1 TiB over 80 bytes of payload.
+  VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
+  const Bytes data = payload(1, 1);
+  disk.try_write(1, data).value_or_throw();
+  std::stringstream disk_stream;
+  Snapshot::save_disk(disk, disk_stream);
+  std::string bytes = disk_stream.str();
+  const std::size_t at = bytes.find(std::string(data.begin(), data.end()));
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at - 8, 8, claim);  // the u64 length before the bytes
+  expect_truncated(bytes,
+                   [](std::istream& in) { (void)Snapshot::load_disk(in); });
+
+  // A FileStore free list that claims 2^40 block ids.
+  const FileStore files(
+      VirtualDisk(pool_config(), std::make_shared<MirroringScheme>(2)));
+  std::stringstream files_stream;
+  Snapshot::save_file_store(files, files_stream);
+  bytes = files_stream.str();
+  // Magic, block size u64 and next block u64 come before the count.
+  bytes.replace(24, 8, claim);
+  expect_truncated(bytes, [](std::istream& in) {
     (void)Snapshot::load_file_store(in);
   });
 }

@@ -66,7 +66,9 @@ TEST(VirtualDisk, RejectedOverwriteKeepsOldContents) {
         std::make_shared<MirroringScheme>(2));
     const Bytes old_data(10, 0xAA);
     disk.try_write(7, old_data).value_or_throw();
-    disk.fail_device(disk.copy_locations(7).devices[victim]);
+    std::vector<DeviceId> homes(2);
+    (void)disk.try_copy_locations(7, homes).value_or_throw();
+    disk.fail_device(homes[victim]);
     EXPECT_EQ(disk.try_write(7, Bytes(20, 0xBB)).code(), ErrorCode::kIoError);
     EXPECT_EQ(disk.try_read(7).value_or_throw(), old_data);
     EXPECT_EQ(disk.stats().fragments_written, 2u);
@@ -94,8 +96,9 @@ TEST(VirtualDisk, WriteToFullDeviceTouchesNothing) {
   for (const unsigned victim : {0u, 1u}) {
     SCOPED_TRACE("full copy " + std::to_string(victim));
     std::uint64_t block = 1000;
+    std::vector<DeviceId> homes(2);
     for (; block < 2000; ++block) {
-      const std::vector<DeviceId> homes = disk.copy_locations(block).devices;
+      (void)disk.try_copy_locations(block, homes).value_or_throw();
       if (full(homes[victim]) && !full(homes[1 - victim])) break;
     }
     ASSERT_LT(block, 2000u) << "no block has its copy " << victim

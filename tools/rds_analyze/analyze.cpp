@@ -158,7 +158,7 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
   race_ = RaceModel::build(files_, cg_);
 
   // Functions known to hand back an epoch handle, for source matching.
-  std::set<std::string> epoch_fns = {"placement_snapshot", "copy_locations"};
+  std::set<std::string> epoch_fns = {"placement_snapshot"};
   for (const auto& [key, s] : sums_.all()) {
     if (s.returns_epoch) epoch_fns.insert(key.second);
   }

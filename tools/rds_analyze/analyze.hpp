@@ -25,9 +25,9 @@
 ///   capacity-arith        unchecked +/* on capacity values outside
 ///                         src/util/checked_math.hpp
 ///   rcu-escape            an epoch-guarded pointer (RcuCell read,
-///                         placement_snapshot, copy_locations) must not
-///                         be stored in a member, captured by an
-///                         escaping lambda, or returned as a raw view
+///                         placement_snapshot) must not be stored in a
+///                         member, captured by an escaping lambda, or
+///                         returned as a raw view
 ///   lock-held-across-call blocking operations (journal append, fsync,
 ///                         sleep, thread join) while a mutex is held --
 ///                         directly or through a call whose callee

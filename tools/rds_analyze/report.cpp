@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -32,9 +33,9 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+// No line number: a finding keeps its key when edits above it move it.
 std::string baseline_key(const Finding& f, const std::string& root) {
-  return relative_to(f.file, root) + "|" + std::to_string(f.line) + "|" +
-         f.rule + "|" + f.message;
+  return relative_to(f.file, root) + "|" + f.rule + "|" + f.message;
 }
 
 }  // namespace
@@ -95,9 +96,8 @@ std::string format_baseline(const std::vector<Finding>& findings,
   keys.reserve(findings.size());
   for (const Finding& f : findings) keys.push_back(baseline_key(f, root));
   std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   std::string out =
-      "# rds_analyze baseline: one `file|line|rule|message` per line.\n"
+      "# rds_analyze baseline: one `file|rule|message` per finding.\n"
       "# Findings listed here are tolerated (ratchet); anything new fails.\n"
       "# Regenerate with: rds_analyze --emit-baseline <this file> ...\n";
   for (const std::string& k : keys) {
@@ -124,10 +124,17 @@ std::vector<std::string> parse_baseline(const std::string& text) {
 std::vector<Finding> new_findings(const std::vector<Finding>& findings,
                                   const std::vector<std::string>& baseline,
                                   const std::string& root) {
-  const std::set<std::string> base(baseline.begin(), baseline.end());
+  // Each baseline line tolerates one finding, so a second copy is new.
+  std::map<std::string, std::size_t> tolerated;
+  for (const std::string& key : baseline) ++tolerated[key];
   std::vector<Finding> out;
   for (const Finding& f : findings) {
-    if (!base.contains(baseline_key(f, root))) out.push_back(f);
+    std::size_t& left = tolerated[baseline_key(f, root)];
+    if (left > 0) {
+      --left;
+    } else {
+      out.push_back(f);
+    }
   }
   return out;
 }

@@ -144,7 +144,7 @@ const FnSummary& Summaries::of(const MethodKey& key) const {
 std::set<std::string> collect_epoch_vars(const Function& fn,
                                          const CallGraph& cg,
                                          const Summaries& sums) {
-  std::set<std::string> epoch_fns = {"placement_snapshot", "copy_locations"};
+  std::set<std::string> epoch_fns = {"placement_snapshot"};
   for (const auto& [key, s] : sums.all()) {
     if (s.returns_epoch) epoch_fns.insert(key.second);
   }
@@ -187,7 +187,7 @@ Summaries Summaries::compute(const CallGraph& cg) {
     if (it == cfgs.end()) it = cfgs.emplace(fn, build_cfg(*fn)).first;
     return it->second;
   };
-  std::set<std::string> epoch_fns = {"placement_snapshot", "copy_locations"};
+  std::set<std::string> epoch_fns = {"placement_snapshot"};
 
   const auto param_consumed = [&](const std::vector<Tok>& b,
                                   const std::string& p) {

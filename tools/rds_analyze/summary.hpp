@@ -63,9 +63,9 @@ class Summaries {
                                    const std::set<std::string>& epoch_fns);
 
 /// Local variables of `fn` bound to an epoch-guarded snapshot: assigned
-/// from an RcuCell member load()/read(), from placement_snapshot /
-/// copy_locations, from a callee whose summary returns_epoch, or copied
-/// from another epoch variable.
+/// from an RcuCell member load()/read(), from placement_snapshot, from a
+/// callee whose summary returns_epoch, or copied from another epoch
+/// variable.
 [[nodiscard]] std::set<std::string> collect_epoch_vars(const Function& fn,
                                                        const CallGraph& cg,
                                                        const Summaries& sums);
