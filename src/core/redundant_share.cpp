@@ -143,6 +143,31 @@ RedundantShare::RedundantShare(const ClusterConfig& config, unsigned k,
 void RedundantShare::place(std::uint64_t address,
                            std::span<DeviceId> out) const {
   check_out_span(out, tables_.k);
+  place_many({&address, 1}, out);
+}
+
+void RedundantShare::place_many(std::span<const std::uint64_t> addresses,
+                                std::span<DeviceId> out) const {
+  const unsigned k = tables_.k;
+  if (out.size() != addresses.size() * k) {
+    throw std::invalid_argument(
+        "RedundantShare::place_many: output size != addresses * k");
+  }
+  // Tally locally and bump each shared counter once per call: on a
+  // BatchPlacer's threads, per-placement increments contend on one line.
+  std::uint64_t columns = 0;
+  std::uint64_t candidates = 0;
+  for (std::size_t i = 0; i < addresses.size(); ++i) {
+    place_one(addresses[i], out.subspan(i * k, k), columns, candidates);
+  }
+  placements_total_->inc(addresses.size());
+  chain_columns_total_->inc(columns);
+  last_copy_candidates_total_->inc(candidates);
+}
+
+void RedundantShare::place_one(std::uint64_t address, std::span<DeviceId> out,
+                               std::uint64_t& columns,
+                               std::uint64_t& candidates) const {
   const std::size_t n = tables_.size();
   unsigned m = tables_.k;
   std::size_t pos = 0;
@@ -155,9 +180,8 @@ void RedundantShare::place(std::uint64_t address,
       // independent experiment per bin instead of a positional cascade).
       // Without clamped columns the weights reduce to the plain adjusted
       // capacities, exactly the paper's placeonecopy input.
-      out[pos] = place_last(address, j);
-      placements_total_->inc();
-      chain_columns_total_->inc(j);
+      out[pos] = place_last(address, j, candidates);
+      columns += j;
       return;
     }
     const double f = tables_.f(m, j);
@@ -172,8 +196,8 @@ void RedundantShare::place(std::uint64_t address,
   throw std::logic_error("RedundantShare: selection chain ran off the end");
 }
 
-DeviceId RedundantShare::place_last(std::uint64_t address,
-                                    std::size_t start) const {
+DeviceId RedundantShare::place_last(std::uint64_t address, std::size_t start,
+                                    std::uint64_t& candidates_raced) const {
   const std::size_t n = tables_.size();
   // Hot path: reuse one buffer per thread instead of allocating per ball.
   static thread_local std::vector<Candidate> candidates;
@@ -187,7 +211,7 @@ DeviceId RedundantShare::place_last(std::uint64_t address,
     if (f >= 1.0) break;  // absorbing: no mass beyond
     survive *= 1.0 - f;
   }
-  last_copy_candidates_total_->inc(candidates.size());
+  candidates_raced += candidates.size();
   const DeviceId uid = rendezvous_draw(address, /*salt=*/1, candidates);
   if (uid == kNoDevice) {
     throw std::logic_error("RedundantShare: empty last-copy suffix");

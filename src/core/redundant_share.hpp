@@ -105,9 +105,15 @@ class RedundantShare final : public ReplicationStrategy {
   RedundantShare(const ClusterConfig& config, unsigned k);
   RedundantShare(const ClusterConfig& config, unsigned k, Options opt);
 
-  /// out[0] is the primary copy, out[i] the i-th copy.  O(n).
+  /// out[0] is the primary copy, out[i] the i-th copy.  O(n).  The same
+  /// as place_many() over one address.
   void place(std::uint64_t address, std::span<DeviceId> out) const override;
   using ReplicationStrategy::place;
+
+  /// Places every address (row-major, as ReplicationStrategy::place_many)
+  /// and bumps each placement counter once for the whole call.
+  void place_many(std::span<const std::uint64_t> addresses,
+                  std::span<DeviceId> out) const override;
 
   [[nodiscard]] unsigned replication() const override { return tables_.k; }
   [[nodiscard]] std::string name() const override;
@@ -142,16 +148,23 @@ class RedundantShare final : public ReplicationStrategy {
   }
 
  private:
+  /// One placement into `out`; adds the chain columns it walked and the
+  /// last-copy candidates it raced to the caller's tallies.
+  void place_one(std::uint64_t address, std::span<DeviceId> out,
+                 std::uint64_t& columns, std::uint64_t& candidates) const;
+
   /// Last copy via `placeonecopy`: a rendezvous race over the exact
-  /// conditional law of the chain from state (1, start).
-  [[nodiscard]] DeviceId place_last(std::uint64_t address,
-                                    std::size_t start) const;
+  /// conditional law of the chain from state (1, start).  Adds the race's
+  /// size to `candidates_raced`.
+  [[nodiscard]] DeviceId place_last(std::uint64_t address, std::size_t start,
+                                    std::uint64_t& candidates_raced) const;
 
   detail::RsTables tables_;
 
   // Registry-owned instruments (see src/metrics/): placements served, chain
-  // columns walked, and last-copy rendezvous sizes.  Single relaxed
-  // increments per place(); never null after construction.
+  // columns walked, and last-copy rendezvous sizes.  Bumped once per
+  // place_many() call (place() is a call over one address) with the call's
+  // summed tallies; never null after construction.
   metrics::Counter* placements_total_ = nullptr;
   metrics::Counter* chain_columns_total_ = nullptr;
   metrics::Counter* last_copy_candidates_total_ = nullptr;

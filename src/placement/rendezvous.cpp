@@ -9,13 +9,20 @@
 
 namespace rds {
 
+namespace {
+
+// -w / ln(u) for the candidate's uniform u.  u in [2^-53, 1): ln(u) < 0, so
+// the score is positive and finite.  Guard u == 0 anyway (belt and braces
+// against future hash changes).
+double score_of(double u, double weight) noexcept {
+  return -weight / std::log(u > 0.0 ? u : 0x1.0p-53);
+}
+
+}  // namespace
+
 double rendezvous_score(std::uint64_t address, DeviceId uid,
                         std::uint64_t salt, double weight) noexcept {
-  const double u = unit_value(address, uid, salt);
-  // u in [2^-53, 1): ln(u) < 0, so the score is positive and finite.
-  // Guard u == 0 anyway (belt and braces against future hash changes).
-  const double lg = std::log(u > 0.0 ? u : 0x1.0p-53);
-  return -weight / lg;
+  return score_of(unit_value(address, uid, salt), weight);
 }
 
 DeviceId rendezvous_draw(std::uint64_t address, std::uint64_t salt,
@@ -24,7 +31,14 @@ DeviceId rendezvous_draw(std::uint64_t address, std::uint64_t salt,
   double best_score = -std::numeric_limits<double>::infinity();
   for (const Candidate& c : candidates) {
     if (c.weight <= 0.0) continue;
-    const double s = rendezvous_score(address, c.uid, salt, c.weight);
+    const double u = unit_value(address, c.uid, salt);
+    // -ln u >= 1 - u, so the score is at most w / (1 - u).  1 - u is exact
+    // (u is a multiple of 2^-53), and the 2^-40 margin covers the rounding
+    // of the log and of both divisions.  A candidate whose bound cannot
+    // beat the leader would fail the strict > below, so its log is skipped
+    // and the winner is the one the full race picks.
+    if (c.weight / (1.0 - u) * (1.0 + 0x1.0p-40) <= best_score) continue;
+    const double s = score_of(u, c.weight);
     if (s > best_score) {
       best_score = s;
       best = c.uid;

@@ -33,7 +33,10 @@ namespace rds {
 
 /// Winner of a weighted rendezvous race over `candidates`.  Candidates with
 /// non-positive weight never win.  Returns kNoDevice when no candidate has
-/// positive weight.  O(|candidates|).
+/// positive weight.  O(|candidates|) hashes; the logarithm is skipped for
+/// every candidate whose score bound w / (1 - u) cannot beat the leader,
+/// which leaves the winner bit-identical to scoring every candidate with
+/// rendezvous_score() for weights that are normal doubles.
 [[nodiscard]] DeviceId rendezvous_draw(std::uint64_t address,
                                        std::uint64_t salt,
                                        std::span<const Candidate> candidates);

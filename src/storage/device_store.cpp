@@ -17,6 +17,12 @@ Fragment Fragment::seal(std::vector<std::uint8_t> bytes) {
   return {std::move(bytes), crc};
 }
 
+Fragment Fragment::seal_like(std::vector<std::uint8_t> bytes,
+                             const Fragment& peer) {
+  if (bytes == peer.bytes) return {std::move(bytes), peer.crc};
+  return seal(std::move(bytes));
+}
+
 bool Fragment::intact() const noexcept { return crc32(bytes) == crc; }
 
 DeviceStore::DeviceStore(Device device) : device_(std::move(device)) {}

@@ -41,6 +41,11 @@ struct Fragment {
   /// Records the CRC of freshly encoded (or rebuilt) bytes.
   [[nodiscard]] static Fragment seal(std::vector<std::uint8_t> bytes);
 
+  /// seal(), except that bytes equal to `peer`'s (a mirror copy) take the
+  /// peer's recorded CRC: a memcmp is far cheaper than a second CRC pass.
+  [[nodiscard]] static Fragment seal_like(std::vector<std::uint8_t> bytes,
+                                          const Fragment& peer);
+
   /// Whether the bytes still match their recorded CRC.
   [[nodiscard]] bool intact() const noexcept;
 };

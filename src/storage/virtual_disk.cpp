@@ -169,17 +169,14 @@ Result<void> VirtualDisk::write_locked(std::uint64_t block,
                        (failed ? " has failed" : " is full")};
     }
   }
-  // Seal every fragment before any is stored.  Mirror copies are
-  // byte-identical: a memcmp against the previous sealed fragment is far
-  // cheaper than hashing the copy again.
+  // Seal every fragment before any is stored; a mirror copy takes the CRC
+  // of the copy before it.
   std::vector<Fragment> sealed;
   sealed.reserve(k);
   for (Bytes& bytes : fragments) {
-    if (!sealed.empty() && bytes == sealed.back().bytes) {
-      sealed.push_back({std::move(bytes), sealed.back().crc});
-    } else {
-      sealed.push_back(Fragment::seal(std::move(bytes)));
-    }
+    sealed.push_back(
+        sealed.empty() ? Fragment::seal(std::move(bytes))
+                       : Fragment::seal_like(std::move(bytes), sealed.back()));
   }
   for (unsigned j = 0; j < k; ++j) {
     store_fragment(targets[j], block, j, std::move(sealed[j]));
@@ -532,7 +529,7 @@ Result<std::size_t> VirtualDisk::begin_reshape_locked(ClusterConfig next) {
   } catch (const std::invalid_argument& e) {
     return Error{ErrorCode::kInvalidArgument, e.what()};
   }
-  std::unordered_set<std::uint64_t> moving = moving_blocks(*next_strategy);
+  MovingHomes moving = moving_blocks(*next_strategy);
   topology_events_total_->inc();
   next_strategy_ = std::move(next_strategy);
   for (const Device& d : next.devices()) {
@@ -545,7 +542,7 @@ Result<std::size_t> VirtualDisk::begin_reshape_locked(ClusterConfig next) {
   return pending_.size();
 }
 
-std::unordered_set<std::uint64_t> VirtualDisk::moving_blocks(
+VirtualDisk::MovingHomes VirtualDisk::moving_blocks(
     const ReplicationStrategy& next) const {
   std::vector<std::uint64_t> ids;
   ids.reserve(blocks_.size());
@@ -558,74 +555,106 @@ std::unordered_set<std::uint64_t> VirtualDisk::moving_blocks(
   placer.place(next, ids, new_homes);
   const std::span<const DeviceId> before(old_homes);
   const std::span<const DeviceId> after(new_homes);
-  std::unordered_set<std::uint64_t> moving;
+  MovingHomes moving;
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (!std::ranges::equal(before.subspan(i * k, k),
-                            after.subspan(i * k, k))) {
-      moving.insert(ids[i]);
-    }
+    const auto from = before.subspan(i * k, k);
+    const auto to = after.subspan(i * k, k);
+    if (std::ranges::equal(from, to)) continue;
+    std::vector<DeviceId>& homes = moving[ids[i]];
+    homes.reserve(2 * k);
+    homes.assign(from.begin(), from.end());
+    homes.insert(homes.end(), to.begin(), to.end());
   }
   return moving;
 }
 
-void VirtualDisk::reshape_block(std::uint64_t block) {
+void VirtualDisk::reshape_block(std::uint64_t block,
+                                std::span<const DeviceId> homes) {
   const unsigned k = scheme_->fragment_count();
-  std::vector<DeviceId> old_loc(k), new_loc(k);
-  strategy_->place(block, old_loc);
-  next_strategy_->place(block, new_loc);
+  const std::span<const DeviceId> from = homes.first(k);
+  const std::span<const DeviceId> to = homes.subspan(k, k);
+
+  // Every new home must take its arrivals once this block's own departures
+  // have left it.  Checked before anything is read or erased, so a step
+  // that throws here leaves the block where it was.
+  for (unsigned j = 0; j < k; ++j) {
+    if (from[j] == to[j]) continue;
+    const auto target = stores_.find(to[j]);
+    const bool failed =
+        target == stores_.end() || target->second->failed();
+    std::uint64_t used = failed ? 0 : target->second->used();
+    for (unsigned i = 0; i < k && !failed; ++i) {
+      if (from[i] == to[i]) continue;
+      const FragmentKey key{block, i, volume_id_};
+      if (from[i] == to[j] && target->second->contains(key)) --used;
+      if (to[i] == to[j] && !target->second->contains(key)) ++used;
+    }
+    if (failed || used > target->second->capacity()) {
+      throw std::runtime_error(
+          "VirtualDisk: reshape cannot move block " + std::to_string(block) +
+          ": device " + std::to_string(to[j]) +
+          (failed ? " has failed" : " has no room for it"));
+    }
+  }
 
   // Verify each moving fragment in its old home.  A fragment that stays is
   // not read: rot there is scrub()'s to find, as it is for reads.
-  std::vector<std::optional<Bytes>> fragments(k);
-  // The recorded CRC of each verified moving fragment; a rebuilt one has
-  // none and is sealed as it moves.
-  std::vector<std::optional<std::uint32_t>> crcs(k);
-  std::vector<unsigned> lost;  // moving fragments whose source is gone
+  std::vector<std::optional<Bytes>> fragments(k);  // verified or rebuilt
+  std::vector<std::uint32_t> crcs(k);              // and their CRCs
+  // The first verified fragment, in its store: valid until the first erase.
+  const Fragment* peer = nullptr;
   unsigned present = 0;
-  for (unsigned j = 0; j < k; ++j) {
-    if (old_loc[j] == new_loc[j]) continue;
-    const Fragment* stored = verified_fragment(block, j, old_loc[j]);
-    if (stored == nullptr) {
-      lost.push_back(j);
-      continue;
-    }
+  const auto take = [&](unsigned j) {
+    const Fragment* stored = verified_fragment(block, j, from[j]);
+    if (stored == nullptr) return false;
     fragments[j] = stored->bytes;
     crcs[j] = stored->crc;
+    if (peer == nullptr) peer = stored;
     ++present;
+    return true;
+  };
+  std::vector<unsigned> lost;  // moving fragments whose source is gone
+  for (unsigned j = 0; j < k; ++j) {
+    if (from[j] != to[j] && !take(j)) lost.push_back(j);
   }
   if (!lost.empty()) {
     // Rebuild each lost source from verified peers, all gathered before
     // any fragment of the block moves.
     for (unsigned j = 0; j < k && present < scheme_->min_fragments(); ++j) {
-      if (old_loc[j] != new_loc[j]) continue;  // moving: checked above
-      const Fragment* stored = verified_fragment(block, j, old_loc[j]);
-      if (stored == nullptr) continue;
-      fragments[j] = stored->bytes;
-      ++present;
+      if (from[j] == to[j]) (void)take(j);  // moving ones: taken above
     }
     for (const unsigned j : lost) {
-      fragments[j] = scheme_->reconstruct_fragment(fragments, j);
+      // A rebuild throws without verified peers, so `peer` is set after it.
+      // A rebuilt mirror copy equals the peer and takes its CRC; any other
+      // rebuilt fragment is sealed fresh.
+      Bytes bytes = scheme_->reconstruct_fragment(fragments, j);
+      Fragment rebuilt = Fragment::seal_like(std::move(bytes), *peer);
+      fragments[j] = std::move(rebuilt.bytes);
+      crcs[j] = rebuilt.crc;
       ++stats_.fragments_rebuilt;
       fragments_rebuilt_total_->inc();
     }
   }
 
+  // Erase every moving source before writing any, so a device swapping
+  // fragments with another never transiently exceeds its capacity, and the
+  // writes checked above cannot fail partway.
   for (unsigned j = 0; j < k; ++j) {
-    if (old_loc[j] == new_loc[j]) continue;
-    Fragment moving = crcs[j] ? Fragment{std::move(*fragments[j]), *crcs[j]}
-                              : Fragment::seal(std::move(*fragments[j]));
-    // Erase before write so a device swapping fragments with another does
-    // not transiently exceed its capacity.
-    const auto src = stores_.find(old_loc[j]);
+    if (from[j] == to[j]) continue;
+    const auto src = stores_.find(from[j]);
     if (src != stores_.end()) {
       src->second->erase({block, j, volume_id_});
-      sync_device_gauge(old_loc[j]);
+      sync_device_gauge(from[j]);
     }
+  }
+  for (unsigned j = 0; j < k; ++j) {
+    if (from[j] == to[j]) continue;
+    Fragment moving{std::move(*fragments[j]), crcs[j]};
     stats_.bytes_moved += moving.bytes.size();
     ++stats_.fragments_moved;
     migration_bytes_moved_total_->inc(moving.bytes.size());
     fragments_moved_total_->inc();
-    store_fragment(new_loc[j], block, j, std::move(moving));
+    store_fragment(to[j], block, j, std::move(moving));
   }
 }
 
@@ -639,9 +668,9 @@ std::size_t VirtualDisk::step_reshape_locked(std::size_t max_blocks) {
   metrics::ScopedTimer step_span(*migration_step_latency_ns_);
   std::size_t processed = 0;
   while (processed < max_blocks && !pending_.empty()) {
-    const std::uint64_t block = *pending_.begin();
-    reshape_block(block);
-    pending_.erase(pending_.begin());
+    const auto next = pending_.begin();
+    reshape_block(next->first, next->second);
+    pending_.erase(next);
     ++processed;
   }
   if (pending_.empty()) {

@@ -7,7 +7,8 @@
 // one code path that moves stored fragments.  A reshape places every block
 // under the old and the new strategy in one parallel pass
 // (BatchPlacer::shared()) and queues only the blocks whose copy-index homes
-// differ.  It then moves exactly the fragments whose home changed,
+// differ, each with the homes the pass computed, so no block is placed
+// again.  It then moves exactly the fragments whose home changed,
 // verifying each first; a lost or corrupt source is rebuilt from verified
 // peers through the scheme.
 //
@@ -30,7 +31,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/cluster/cluster_config.hpp"
@@ -235,7 +235,10 @@ class VirtualDisk {
   /// Migrates up to `max_blocks` pending blocks; returns how many were
   /// processed.  A return of 0 means the reshape is complete (the new
   /// configuration is committed).  Only the fragments that move are read,
-  /// and each is checksum-verified in its old home first.
+  /// and each is checksum-verified in its old home first.  Throws
+  /// std::runtime_error, naming the block and the device, when a block's
+  /// new home has failed or has no room for it; that block is left
+  /// untouched and pending (blocks moved before it stay moved).
   std::size_t step_reshape(std::size_t max_blocks) RDS_EXCLUDES(mu_);
 
   [[nodiscard]] bool reshaping() const RDS_EXCLUDES(mu_) {
@@ -358,17 +361,27 @@ class VirtualDisk {
   [[nodiscard]] const ReplicationStrategy& strategy_for(
       std::uint64_t block) const RDS_REQUIRES(mu_);
 
-  /// The blocks with a fragment whose home differs between `strategy_`
-  /// and `next`: one BatchPlacer::shared() pass per strategy.
-  [[nodiscard]] std::unordered_set<std::uint64_t> moving_blocks(
-      const ReplicationStrategy& next) const RDS_REQUIRES(mu_);
+  /// A moving block's k homes under `strategy_`, then its k homes under
+  /// the next strategy.
+  using MovingHomes = std::unordered_map<std::uint64_t, std::vector<DeviceId>>;
 
-  /// Moves one block's fragments from `strategy_` to `next_strategy_`:
-  /// verifies each moving fragment in its old home and moves it with its
-  /// recorded CRC; a missing or corrupt source is rebuilt (and sealed) from
-  /// verified peers gathered before anything moves.  Fragments that stay
-  /// are not read.
-  void reshape_block(std::uint64_t block) RDS_REQUIRES(mu_);
+  /// The blocks with a fragment whose home differs between `strategy_`
+  /// and `next`, with both sets of homes: one BatchPlacer::shared() pass
+  /// per strategy.
+  [[nodiscard]] MovingHomes moving_blocks(const ReplicationStrategy& next)
+      const RDS_REQUIRES(mu_);
+
+  /// Moves one block's fragments from its old `homes` to its new ones (as
+  /// moving_blocks() gives them; nothing is placed).  Checks every new home
+  /// first and throws, touching nothing, when one has failed or lacks room
+  /// once this block's own departures have left it.  Then verifies each
+  /// moving fragment in its old home and moves it with its recorded CRC; a
+  /// missing or corrupt source is rebuilt from verified peers gathered
+  /// before anything moves (Fragment::seal_like against the first verified
+  /// one).  All moving fragments are erased before any is written.
+  /// Fragments that stay are not read.
+  void reshape_block(std::uint64_t block, std::span<const DeviceId> homes)
+      RDS_REQUIRES(mu_);
 
   /// The fragments of one block an operation gathered.
   struct Gathered {
@@ -449,8 +462,8 @@ class VirtualDisk {
   // In-flight reshape state (empty/null when idle).
   ClusterConfig next_config_ RDS_GUARDED_BY(mu_);
   std::unique_ptr<ReplicationStrategy> next_strategy_ RDS_GUARDED_BY(mu_);
-  std::unordered_set<std::uint64_t> pending_
-      RDS_GUARDED_BY(mu_);  // moving blocks still on `strategy_`
+  MovingHomes pending_ RDS_GUARDED_BY(mu_);  // moving blocks still on
+                                            // `strategy_`, with their homes
 };
 
 }  // namespace rds

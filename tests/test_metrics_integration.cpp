@@ -13,6 +13,7 @@
 #include "src/core/fast_redundant_share.hpp"
 #include "src/core/redundant_share.hpp"
 #include "src/metrics/registry.hpp"
+#include "src/placement/batch_placer.hpp"
 #include "src/storage/storage_pool.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "tests/clusters.hpp"
@@ -52,6 +53,22 @@ TEST(MetricsIntegration, RedundantSharePlacementCounters) {
   EXPECT_GE(
       counter_value(snap, "rds_placement_last_copy_candidates_total", labels),
       kBalls);
+
+  // The same balls on four threads: place_many() flushes its tallies once
+  // per chunk, and each counter rises by exactly what the sequential pass
+  // added.
+  std::vector<std::uint64_t> addresses(kBalls);
+  std::iota(addresses.begin(), addresses.end(), std::uint64_t{0});
+  std::vector<DeviceId> out(kBalls * 2);
+  BatchPlacer(4).place(strategy, addresses, out);
+  const metrics::Snapshot batched = metrics::Registry::global().snapshot();
+  for (const std::string_view name :
+       {"rds_placements_total", "rds_placement_chain_columns_total",
+        "rds_placement_last_copy_candidates_total"}) {
+    EXPECT_EQ(counter_value(batched, name, labels),
+              2 * counter_value(snap, name, labels))
+        << name;
+  }
 }
 
 TEST(MetricsIntegration, FastRedundantShareUsesOwnLabel) {

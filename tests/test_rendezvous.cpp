@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
+#include "src/core/redundant_share.hpp"
 #include "src/util/stats.hpp"
 
 namespace rds {
@@ -97,6 +101,66 @@ TEST(RendezvousDraw, EmptyMeansNoDevice) {
   EXPECT_EQ(rendezvous_draw(1, 0, std::vector<Candidate>{}), kNoDevice);
   EXPECT_EQ(rendezvous_draw(1, 0, std::vector<Candidate>{{1, 0.0}}),
             kNoDevice);
+}
+
+// The full race: every positive candidate scored, strict > keeps the first
+// of equal scores.  rendezvous_draw skips the logarithm of candidates that
+// cannot win, and must pick the same device.
+DeviceId full_race(std::uint64_t address, std::uint64_t salt,
+                   std::span<const Candidate> candidates) {
+  DeviceId best = kNoDevice;
+  double best_score = -std::numeric_limits<double>::infinity();
+  for (const Candidate& c : candidates) {
+    if (c.weight <= 0.0) continue;
+    const double s = rendezvous_score(address, c.uid, salt, c.weight);
+    if (s > best_score) {
+      best_score = s;
+      best = c.uid;
+    }
+  }
+  return best;
+}
+
+TEST(RendezvousDraw, PrunedRaceMatchesFullRace) {
+  std::vector<std::vector<Candidate>> sets;
+  // Redundant Share's last-copy weights (survive * f) on three capacity
+  // tiers of 64 devices, raced from the head of the chain and from its
+  // middle.
+  std::vector<Device> devices;
+  for (DeviceId uid = 1; uid <= 64; ++uid) {
+    devices.push_back({uid, uid <= 24 ? 1536u : uid <= 48 ? 2304u : 3072u,
+                       ""});
+  }
+  const RedundantShare rs(ClusterConfig(std::move(devices)), 3);
+  const detail::RsTables& t = rs.tables();
+  for (const std::size_t start : {std::size_t{0}, t.size() / 2}) {
+    std::vector<Candidate>& tail = sets.emplace_back();
+    double survive = 1.0;
+    for (std::size_t l = start; l < t.size(); ++l) {
+      tail.push_back({t.uids[l], survive * t.f(1, l)});
+      if (t.f(1, l) >= 1.0) break;
+      survive *= 1.0 - t.f(1, l);
+    }
+  }
+  // Weights spanning 1e-9 to 1e9, shuffled so the leader changes often.
+  std::vector<Candidate>& wide = sets.emplace_back();
+  for (DeviceId uid = 0; uid < 19; ++uid) {
+    wide.push_back({uid, std::pow(10.0, static_cast<double>(
+                                            (uid * 7) % 19) - 9.0)});
+  }
+  // All-equal weights: ties between equal scores go to the earlier one.
+  sets.emplace_back();
+  for (DeviceId uid = 0; uid < 16; ++uid) sets.back().push_back({uid, 2.5});
+  // A single positive weight among zeros and negatives.
+  sets.push_back({{1, 0.0}, {2, -1.0}, {3, 0.0}, {4, 1e-3}, {5, -7.0},
+                  {6, 0.0}});
+
+  for (const std::vector<Candidate>& set : sets) {
+    for (std::uint64_t a = 0; a < 200'000; ++a) {
+      ASSERT_EQ(rendezvous_draw(a, 1, set), full_race(a, 1, set))
+          << "address " << a << ", " << set.size() << " candidates";
+    }
+  }
 }
 
 TEST(RendezvousTopK, DistinctAndConsistentWithSingleDraw) {

@@ -2,9 +2,12 @@
 // steps while staying fully readable and writable.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
+#include "src/metrics/registry.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/random.hpp"
 
@@ -50,6 +53,14 @@ class HomeOracle {
   std::unique_ptr<ReplicationStrategy> after_;
 };
 
+// Redundant Share placements so far, process-wide.
+std::uint64_t placements() {
+  const metrics::Snapshot snap = metrics::Registry::global().snapshot();
+  const metrics::Sample* s =
+      snap.find("rds_placements_total", {{"strategy", "redundant-share"}});
+  return s == nullptr ? 0 : s->counter_value;
+}
+
 TEST(Reshape, StepwiseDrainCommitsNewTopology) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 500; ++b) {
@@ -64,6 +75,7 @@ TEST(Reshape, StepwiseDrainCommitsNewTopology) {
   for (std::uint64_t b = 0; b < 500; ++b) {
     if (oracle.homes(b).any_moves()) ++moving;
   }
+  const std::uint64_t placed_before = placements();
   const std::size_t planned = disk.try_begin_reshape(next).value_or_throw();
   EXPECT_EQ(planned, moving);
   EXPECT_GT(planned, 0u);
@@ -78,6 +90,9 @@ TEST(Reshape, StepwiseDrainCommitsNewTopology) {
     if (done == 0) break;
   }
   EXPECT_EQ(total, planned);
+  // One pass placed each block once per strategy; the steps reuse the homes
+  // it computed and place nothing.
+  EXPECT_EQ(placements() - placed_before, 2u * 500u);
   EXPECT_FALSE(disk.reshaping());
   EXPECT_TRUE(disk.config().contains(9));
   EXPECT_GT(disk.used_on(9), 0u);
@@ -277,6 +292,98 @@ TEST(Reshape, RebuildGathersPeersBeforeMoving) {
     ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
   }
   EXPECT_EQ(disk.repair(), 1u);  // the corrupt fragment that stayed
+  EXPECT_TRUE(disk.scrub().clean());
+}
+
+// A step whose target has failed throws before it touches the block: the
+// moving fragment's source is neither erased nor half-written, so nothing
+// degrades and every block still reads back.
+TEST(Reshape, StepToFailedTargetTouchesNothing) {
+  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
+  for (std::uint64_t b = 0; b < 500; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
+  ClusterConfig next = disk.config();
+  next.add_device({9, 4000, "new"});
+  ASSERT_GT(disk.try_begin_reshape(next).value_or_throw(), 0u);
+  disk.fail_device(9);
+
+  EXPECT_THROW(
+      {
+        while (disk.step_reshape(64) > 0) {
+        }
+      },
+      std::runtime_error);
+  EXPECT_TRUE(disk.reshaping());
+  EXPECT_GT(disk.reshape_pending(), 0u);
+  // A retry fails the same way, still touching nothing.
+  EXPECT_THROW((void)disk.step_reshape(64), std::runtime_error);
+  const VirtualDisk::ScrubReport report = disk.scrub();
+  EXPECT_EQ(report.degraded_blocks, 0u);
+  EXPECT_EQ(report.unreadable_blocks, 0u);
+  for (std::uint64_t b = 0; b < 500; ++b) {
+    ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
+  }
+}
+
+// The same for a target with no room: a shared store another volume has
+// filled.  The edit throws at the first block that needs that store.
+TEST(Reshape, StepToFullTargetTouchesNothing) {
+  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
+  for (std::uint64_t b = 0; b < 500; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
+  const Device added{9, 4000, "shared"};
+  auto store = std::make_shared<DeviceStore>(added);
+  for (std::uint64_t b = 0; b < added.capacity; ++b) {
+    store->write({b, 0, /*volume=*/7}, Fragment::seal(payload(b)));
+  }
+  EXPECT_THROW(disk.attach_device(added, store), std::runtime_error);
+  EXPECT_EQ(store->used(), added.capacity);
+  const VirtualDisk::ScrubReport report = disk.scrub();
+  EXPECT_EQ(report.degraded_blocks, 0u);
+  EXPECT_EQ(report.unreadable_blocks, 0u);
+  for (std::uint64_t b = 0; b < 500; ++b) {
+    ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
+  }
+}
+
+// A full device that a block's fragment i leaves while its fragment j
+// arrives takes the arrival: a step counts the block's own departures and
+// erases every moving fragment before it writes any.  j < i, so a step that
+// moved fragments in order would find the device full.
+TEST(Reshape, StepFreesRoomBeforeWriting) {
+  ClusterConfig next = pool();
+  next.add_device({9, 4000, "new"});
+  std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores;
+  for (const Device& d : next.devices()) {
+    stores.emplace(d.uid, std::make_shared<DeviceStore>(d));
+  }
+  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(3),
+                   PlacementKind::kRedundantShare, /*volume_id=*/0, stores);
+  const HomeOracle oracle(disk, next);
+  std::optional<std::pair<std::uint64_t, DeviceId>> pass;  // block, device
+  for (std::uint64_t blk = 0; blk < 1000 && !pass; ++blk) {
+    const Homes h = oracle.homes(blk);
+    for (unsigned i = 0; i < 3; ++i) {
+      for (unsigned j = 0; j < i; ++j) {
+        if (h.moves(i) && h.moves(j) && h.before[i] == h.after[j]) {
+          pass.emplace(blk, h.before[i]);
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(pass.has_value());
+  const auto [block, device] = *pass;
+  disk.try_write(block, payload(block)).value_or_throw();
+  DeviceStore& full = *stores.at(device);
+  for (std::uint64_t b = 0; full.used() < full.capacity(); ++b) {
+    full.write({b, 0, /*volume=*/7}, Fragment::seal(payload(b)));
+  }
+
+  EXPECT_EQ(disk.apply_config(next).value_or_throw(), 1u);
+  EXPECT_EQ(full.used(), full.capacity());
+  EXPECT_EQ(disk.try_read(block).value_or_throw(), payload(block));
   EXPECT_TRUE(disk.scrub().clean());
 }
 
