@@ -38,7 +38,8 @@ std::vector<std::vector<double>> RedundantShare::exact_copy_index_law() const {
   const unsigned k = tables_.k;
   // Copy index r is placed by the selection in state (m = k - r, j), so its
   // law is the per-state selection mass of that level.
-  std::vector<std::vector<double>> law(k, std::vector<double>(n, 0.0));
+  std::vector<std::vector<double>> law(k);
+  for (std::vector<double>& row : law) row.assign(n, 0.0);
   std::vector<double> pi(k + 1, 0.0);
   pi[k] = 1.0;
   for (std::size_t j = 0; j < n; ++j) {

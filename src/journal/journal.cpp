@@ -57,17 +57,8 @@ JournalWriter::JournalWriter(std::ostream& out, Options options)
     : out_(&out),
       next_lsn_(options.start_lsn == 0 ? 1 : options.start_lsn),
       sync_hook_(std::move(options.sync_hook)) {
-  init_metrics();
   const MutexLock lock(mu_);
   if (options.write_header) write_header_locked();
-}
-
-void JournalWriter::init_metrics() {
-  metrics::Registry& reg = metrics::Registry::global();
-  records_total_ = &reg.counter("rds_journal_records_total");
-  bytes_total_ = &reg.counter("rds_journal_bytes_total");
-  append_failures_total_ = &reg.counter("rds_journal_append_failures_total");
-  append_latency_ns_ = &reg.histogram("rds_journal_append_latency_ns");
 }
 
 void JournalWriter::write_header_locked() {

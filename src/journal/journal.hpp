@@ -94,19 +94,24 @@ class JournalWriter final : public JournalSink {
 
  private:
   void write_header_locked() RDS_REQUIRES(mu_);
-  void init_metrics();
 
   mutable Mutex mu_;
   std::ostream* out_ RDS_GUARDED_BY(mu_);
   Lsn next_lsn_ RDS_GUARDED_BY(mu_);
   bool healthy_ RDS_GUARDED_BY(mu_) = true;
-  std::function<void()> sync_hook_;  // immutable after construction
+  const std::function<void()> sync_hook_;
 
-  // Registry-owned instruments (docs/metrics.md); internally thread-safe.
-  metrics::Counter* records_total_ = nullptr;
-  metrics::Counter* bytes_total_ = nullptr;
-  metrics::Counter* append_failures_total_ = nullptr;
-  metrics::LatencyHistogram* append_latency_ns_ = nullptr;
+  // Registry-owned instruments (docs/metrics.md), resolved once at
+  // construction and internally thread-safe: `const`.
+  metrics::Counter* const records_total_ =
+      &metrics::Registry::global().counter("rds_journal_records_total");
+  metrics::Counter* const bytes_total_ =
+      &metrics::Registry::global().counter("rds_journal_bytes_total");
+  metrics::Counter* const append_failures_total_ =
+      &metrics::Registry::global().counter(
+          "rds_journal_append_failures_total");
+  metrics::LatencyHistogram* const append_latency_ns_ =
+      &metrics::Registry::global().histogram("rds_journal_append_latency_ns");
 };
 
 /// Sequential reader over a journal stream.  Not thread-safe (recovery is

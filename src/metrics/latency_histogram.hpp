@@ -72,7 +72,7 @@ class LatencyHistogram {
     sum_.fetch_add(value, std::memory_order_relaxed);
     // Peak/floor tracking; the CAS loops exit on the first load except under
     // a genuinely new extreme.  Relaxed on success AND failure (spelled out
-    // for rds_lint): extremes are standalone scalars, nothing is published
+    // for rds_analyze): extremes are standalone scalars, nothing is published
     // through them, so no ordering stronger than atomicity is needed.
     std::uint64_t cur = min_.load(std::memory_order_relaxed);
     while (value < cur &&

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/metrics/registry.hpp"
 #include "src/metrics/scoped_timer.hpp"
 #include "src/util/gauge_guard.hpp"
 
@@ -13,12 +12,6 @@ BatchPlacer::BatchPlacer(unsigned threads) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  metrics::Registry& reg = metrics::Registry::global();
-  placements_total_ = &reg.counter("rds_batch_placements_total");
-  batches_total_ = &reg.counter("rds_batch_batches_total");
-  inflight_ = &reg.gauge("rds_batch_inflight");
-  batch_latency_ns_ = &reg.histogram("rds_batch_placement_latency_ns");
-
   workers_.reserve(threads - 1);
   for (unsigned t = 1; t < threads; ++t) {
     workers_.emplace_back([this] { worker_loop(); });

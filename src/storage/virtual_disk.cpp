@@ -20,7 +20,6 @@ VirtualDisk::VirtualDisk(ClusterConfig config,
   for (const Device& d : config_.devices()) {
     stores_.emplace(d.uid, std::make_shared<DeviceStore>(d));
   }
-  init_metrics();
   publish_epoch();
 }
 
@@ -39,29 +38,7 @@ VirtualDisk::VirtualDisk(
     }
   }
   strategy_ = make_strategy(config_);
-  init_metrics();
   publish_epoch();
-}
-
-void VirtualDisk::init_metrics() {
-  metrics::Registry& reg = metrics::Registry::global();
-  reads_total_ = &reg.counter("rds_storage_reads_total");
-  writes_total_ = &reg.counter("rds_storage_writes_total");
-  read_bytes_total_ = &reg.counter("rds_storage_read_bytes_total");
-  written_bytes_total_ = &reg.counter("rds_storage_written_bytes_total");
-  degraded_reads_total_ = &reg.counter("rds_storage_degraded_reads_total");
-  checksum_failures_total_ =
-      &reg.counter("rds_storage_checksum_failures_total");
-  fragments_moved_total_ = &reg.counter("rds_migration_fragments_moved_total");
-  migration_bytes_moved_total_ =
-      &reg.counter("rds_migration_bytes_moved_total");
-  fragments_rebuilt_total_ =
-      &reg.counter("rds_migration_fragments_rebuilt_total");
-  fragments_repaired_total_ =
-      &reg.counter("rds_storage_fragments_repaired_total");
-  topology_events_total_ = &reg.counter("rds_topology_events_total");
-  placement_latency_ns_ = &reg.histogram("rds_placement_latency_ns");
-  migration_step_latency_ns_ = &reg.histogram("rds_migration_step_latency_ns");
 }
 
 void VirtualDisk::sync_device_gauge(DeviceId uid) const {
@@ -93,21 +70,16 @@ void VirtualDisk::publish_epoch() {
   epoch->config = config_;
   epoch->strategy = strategy_;
   epoch->epoch = ++epoch_counter_;
-  // rds_lint: allow(atomic-memory-order) -- RcuCell::store swaps under its
-  // mutex; this is a shared_ptr publish, not a raw atomic op.
   published_.store(std::move(epoch));
 }
 
 std::shared_ptr<const PlacementEpoch> VirtualDisk::placement_snapshot()
     const noexcept {
-  // rds_lint: allow(atomic-memory-order) -- RcuCell::load copies under its
-  // mutex; this is a shared_ptr read, not a raw atomic op.
   return published_.load();
 }
 
 Result<std::uint64_t> VirtualDisk::try_copy_locations(
     std::uint64_t block, std::span<DeviceId> out) const {
-  // rds_lint: allow(atomic-memory-order) -- see placement_snapshot().
   const std::shared_ptr<const PlacementEpoch> epoch = published_.load();
   const unsigned k = epoch->strategy->replication();
   if (out.size() != k) {

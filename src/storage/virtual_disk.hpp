@@ -21,8 +21,8 @@
 // whose own lock guards only a pointer copy), so every lookup sees one
 // consistent (strategy, config) pair even in the middle of apply_config.
 // The locking discipline is machine-checked: every mutable field is
-// RDS_GUARDED_BY(mu_) and the build enforces -Werror=thread-safety under
-// Clang (docs/static_analysis.md).
+// RDS_GUARDED_BY(mu_) (rds_analyze's guarded-member rule) and the build
+// enforces -Werror=thread-safety under Clang (docs/static_analysis.md).
 #pragma once
 
 #include <cstdint>
@@ -409,9 +409,6 @@ class VirtualDisk {
   void store_fragment(DeviceId target, std::uint64_t block, unsigned j,
                       Fragment fragment) RDS_REQUIRES(mu_);
 
-  /// Resolves the registry instruments (both constructors).
-  void init_metrics();
-
   /// Updates `uid`'s load gauge from its store (no-op for unknown uids).
   void sync_device_gauge(DeviceId uid) const RDS_REQUIRES(mu_);
 
@@ -423,7 +420,7 @@ class VirtualDisk {
   ClusterConfig config_ RDS_GUARDED_BY(mu_);
   std::shared_ptr<RedundancyScheme> scheme_ RDS_GUARDED_BY(mu_);
   PlacementKind kind_ RDS_GUARDED_BY(mu_);
-  std::uint32_t volume_id_ = 0;
+  const std::uint32_t volume_id_ = 0;
   std::shared_ptr<journal::JournalSink> journal_ RDS_GUARDED_BY(mu_);
   // Committed strategy, shared with the published epoch so concurrent
   // readers keep it alive across a swap.  `config_`/`strategy_` are the
@@ -437,22 +434,38 @@ class VirtualDisk {
       RDS_GUARDED_BY(mu_);  // block -> size
   Stats stats_ RDS_GUARDED_BY(mu_);
 
-  // Registry-owned instruments (process lifetime; see docs/metrics.md).
-  // Written once by init_metrics() before the disk is shared, internally
-  // thread-safe: unguarded.
-  metrics::Counter* reads_total_ = nullptr;
-  metrics::Counter* writes_total_ = nullptr;
-  metrics::Counter* read_bytes_total_ = nullptr;
-  metrics::Counter* written_bytes_total_ = nullptr;
-  metrics::Counter* degraded_reads_total_ = nullptr;
-  metrics::Counter* checksum_failures_total_ = nullptr;
-  metrics::Counter* fragments_moved_total_ = nullptr;
-  metrics::Counter* migration_bytes_moved_total_ = nullptr;
-  metrics::Counter* fragments_rebuilt_total_ = nullptr;
-  metrics::Counter* fragments_repaired_total_ = nullptr;
-  metrics::Counter* topology_events_total_ = nullptr;
-  metrics::LatencyHistogram* placement_latency_ns_ = nullptr;
-  metrics::LatencyHistogram* migration_step_latency_ns_ = nullptr;
+  // Registry-owned instruments (process lifetime; see docs/metrics.md),
+  // resolved once at construction and internally thread-safe: `const`.
+  metrics::Counter* const reads_total_ =
+      &metrics::Registry::global().counter("rds_storage_reads_total");
+  metrics::Counter* const writes_total_ =
+      &metrics::Registry::global().counter("rds_storage_writes_total");
+  metrics::Counter* const read_bytes_total_ =
+      &metrics::Registry::global().counter("rds_storage_read_bytes_total");
+  metrics::Counter* const written_bytes_total_ =
+      &metrics::Registry::global().counter("rds_storage_written_bytes_total");
+  metrics::Counter* const degraded_reads_total_ =
+      &metrics::Registry::global().counter("rds_storage_degraded_reads_total");
+  metrics::Counter* const checksum_failures_total_ =
+      &metrics::Registry::global().counter(
+          "rds_storage_checksum_failures_total");
+  metrics::Counter* const fragments_moved_total_ =
+      &metrics::Registry::global().counter(
+          "rds_migration_fragments_moved_total");
+  metrics::Counter* const migration_bytes_moved_total_ =
+      &metrics::Registry::global().counter("rds_migration_bytes_moved_total");
+  metrics::Counter* const fragments_rebuilt_total_ =
+      &metrics::Registry::global().counter(
+          "rds_migration_fragments_rebuilt_total");
+  metrics::Counter* const fragments_repaired_total_ =
+      &metrics::Registry::global().counter(
+          "rds_storage_fragments_repaired_total");
+  metrics::Counter* const topology_events_total_ =
+      &metrics::Registry::global().counter("rds_topology_events_total");
+  metrics::LatencyHistogram* const placement_latency_ns_ =
+      &metrics::Registry::global().histogram("rds_placement_latency_ns");
+  metrics::LatencyHistogram* const migration_step_latency_ns_ =
+      &metrics::Registry::global().histogram("rds_migration_step_latency_ns");
   // Per-device load gauges, cached so the write path never touches the
   // registry mutex (mutable because the cache fills lazily from const
   // paths).

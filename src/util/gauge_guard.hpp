@@ -1,10 +1,9 @@
 // RAII balance for metrics::Gauge: add(n) on construction, sub(n) on every
 // exit path -- normal return, early return, or exception unwind.
 //
-// This is the structural fix for the gauge-leak defect class (an in-flight
-// gauge stuck high after a throwing placement or migration step) and the
-// shape rds_analyze's metric-balance rule recognizes as balanced
-// (docs/static_analysis.md).
+// The guard is the only friend of Gauge's private add()/sub(), so the
+// gauge-leak defect class (an in-flight gauge stuck high after a throwing
+// placement or migration step) cannot be written (docs/static_analysis.md).
 #pragma once
 
 #include <cstdint>

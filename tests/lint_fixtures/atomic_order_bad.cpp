@@ -1,5 +1,5 @@
 // Fixture: every implicit-seq_cst atomic call shape the rule must catch.
-// Not compiled -- consumed as text by test_rds_lint.
+// Not compiled -- consumed as text by test_rds_analyze.
 #include <atomic>
 
 namespace fixture {

@@ -1,8 +1,8 @@
-// rds_analyze fixture: trips annotation-drift twice.  `value_` is
-// consistently accessed under mu_ but declares no RDS_GUARDED_BY
-// (missing annotation: clang's thread-safety analysis cannot enforce
-// the invariant), and `stamp_` claims mu_ while every access actually
-// holds io_mu_ (wrong annotation: the declared lock is never taken).
+// rds_analyze fixture: trips guarded-member once.  `value_` is accessed
+// under mu_ on every path but declares no RDS_GUARDED_BY, so Clang's
+// thread-safety analysis cannot hold the next access to that lock.
+// `stamp_` declares the lock it is accessed under and passes; naming the
+// wrong lock there is Clang's error at each access, not this rule's.
 
 namespace fix {
 
@@ -27,7 +27,7 @@ class Config {
   Mutex mu_;
   Mutex io_mu_;
   int value_ = 0;
-  long stamp_ RDS_GUARDED_BY(mu_) = 0;
+  long stamp_ RDS_GUARDED_BY(io_mu_) = 0;
 };
 
 }  // namespace fix

@@ -1,6 +1,6 @@
 // rds_analyze fixture: the silent twin of annotation_drift_bad.cpp.
 // Every guarded member declares the lock its access paths actually
-// hold, so the inferred locksets and the annotations agree.
+// hold, so Clang's thread-safety analysis checks each access.
 
 namespace fix {
 

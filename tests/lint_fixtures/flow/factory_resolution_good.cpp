@@ -26,7 +26,7 @@ class Balancer {
 
  private:
   Mutex mu_;
-  int generation_ = 0;
+  int generation_ RDS_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace fix

@@ -19,9 +19,9 @@ class Syncer {
 
  private:
   Mutex mu_;
-  bool dirty_ = false;
-  int fd_ = -1;
-  Duration backoff_;
+  bool dirty_ RDS_GUARDED_BY(mu_) = false;
+  const int fd_ = -1;
+  const Duration backoff_;
 };
 
 }  // namespace fix

@@ -15,8 +15,8 @@ class Syncer {
 
  private:
   Mutex mu_;
-  bool dirty_ = false;
-  int fd_ = -1;
+  bool dirty_ RDS_GUARDED_BY(mu_) = false;
+  const int fd_ = -1;
 };
 
 }  // namespace fix

@@ -19,9 +19,9 @@ class Pool {
   }
 
   Mutex mu_;
-  int staged_ = 0;
-  int pending_ = 0;
-  int fd_ = -1;
+  int staged_ RDS_GUARDED_BY(mu_) = 0;
+  int pending_ RDS_GUARDED_BY(mu_) = 0;
+  const int fd_ = -1;
 };
 
 }  // namespace fix

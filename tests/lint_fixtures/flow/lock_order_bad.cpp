@@ -21,7 +21,7 @@ class A {
  private:
   friend class B;
   Mutex mu_;
-  int hits_ = 0;
+  int hits_ RDS_GUARDED_BY(mu_) = 0;
 };
 
 class B {
@@ -49,7 +49,7 @@ class StoragePool {
 
  private:
   Mutex mu_;
-  int admitted_ = 0;
+  int admitted_ RDS_GUARDED_BY(mu_) = 0;
 };
 
 class VirtualDisk {

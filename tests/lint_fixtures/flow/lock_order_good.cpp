@@ -14,7 +14,7 @@ class B {
 
  private:
   Mutex mu_;
-  int hits_ = 0;
+  int hits_ RDS_GUARDED_BY(mu_) = 0;
 };
 
 class A {
@@ -38,7 +38,7 @@ class VirtualDisk {
  private:
   friend class StoragePool;
   Mutex mu_;
-  int flushed_ = 0;
+  int flushed_ RDS_GUARDED_BY(mu_) = 0;
 };
 
 class StoragePool {

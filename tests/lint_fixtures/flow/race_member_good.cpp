@@ -1,14 +1,14 @@
-// rds_analyze fixture: the silent twin of race_member_bad.cpp.  The
-// counter is atomic (lock-free by design), the guarded member carries
-// its RDS_GUARDED_BY annotation, `quota_` is written only during
-// construction (through the init helper the ctor calls) and is
-// const-after-construction from then on.
+// rds_analyze fixture: the silent twin of race_member_bad.cpp.  Every
+// member of a mutex-owning class says how it is shared: guarded by a
+// named lock, atomic, const (a quota set once at construction, a const
+// pointer, a reference), static, an RcuCell, or a sync primitive.  A
+// class without a mutex is not judged.
 
 namespace fix {
 
 class Ledger {
  public:
-  Ledger() { init_limits(); }
+  explicit Ledger(const Limits& limits) : limits_(limits) {}
 
   void bump() {
     count_.fetch_add(1, std::memory_order_relaxed);
@@ -22,14 +22,19 @@ class Ledger {
   }
 
  private:
-  void init_limits() {
-    quota_ = 64;
-  }
-
   Mutex mu_;
+  CondVar changed_;
   std::atomic<long> count_{0};
   long total_ RDS_GUARDED_BY(mu_) = 0;
-  long quota_ = 0;
+  const long quota_ = 64;
+  Counter* const bumps_ = nullptr;
+  const Limits& limits_;
+  static constexpr int kShards_ = 4;
+  RcuCell<Snapshot> published_;
+};
+
+struct Plain {
+  int hits_ = 0;
 };
 
 }  // namespace fix

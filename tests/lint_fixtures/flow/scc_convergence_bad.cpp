@@ -23,7 +23,7 @@ class Drainer {
   }
 
   Mutex mu_;
-  int fd_ = -1;
+  const int fd_ = -1;
 };
 
 }  // namespace fix

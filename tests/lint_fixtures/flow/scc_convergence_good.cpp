@@ -24,8 +24,8 @@ class Drainer {
   }
 
   Mutex mu_;
-  bool sealed_ = false;
-  int fd_ = -1;
+  bool sealed_ RDS_GUARDED_BY(mu_) = false;
+  const int fd_ = -1;
 };
 
 }  // namespace fix

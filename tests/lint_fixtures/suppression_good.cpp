@@ -6,16 +6,16 @@ namespace fixture {
 std::atomic<int> counter_value{0};
 
 int same_line() {
-  return counter_value.load();  // rds_lint: allow(atomic-memory-order) -- fixture: same-line suppression
+  return counter_value.load();  // rds_analyze: allow(atomic-memory-order) -- fixture: same-line suppression
 }
 
 int standalone_above() {
-  // rds_lint: allow(atomic-memory-order) -- fixture: standalone comment
+  // rds_analyze: allow(atomic-memory-order) -- fixture: standalone comment
   return counter_value.load();
 }
 
 int multi_line_comment_block() {
-  // rds_lint: allow(atomic-memory-order) -- fixture: the suppression
+  // rds_analyze: allow(atomic-memory-order) -- fixture: the suppression
   // comment wraps onto a second line before the code it covers.
   return counter_value.load();
 }

@@ -8,7 +8,7 @@ namespace fixture {
 std::atomic<int> counter_value{0};
 
 int fixed_long_ago() {
-  // rds_lint: allow(atomic-memory-order) -- load below was once implicit
+  // rds_analyze: allow(atomic-memory-order) -- load below was once implicit
   return counter_value.load(std::memory_order_relaxed);
 }
 

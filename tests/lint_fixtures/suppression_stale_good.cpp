@@ -1,6 +1,6 @@
-// Fixture twin: every allow() either shields a live finding or names a
-// rule that belongs to another tool (rds_analyze), which rds_lint must
-// leave alone -- zero findings expected.
+// Fixture twin: every allow() shields a live finding, whichever rule
+// family it names -- a convention or a flow rule, one stale-suppression
+// pass judges both.  Zero findings expected.
 #include <atomic>
 
 namespace fixture {
@@ -8,13 +8,13 @@ namespace fixture {
 std::atomic<int> counter_value{0};
 
 int still_violating() {
-  // rds_lint: allow(atomic-memory-order) -- fixture: suppression in use
+  // rds_analyze: allow(atomic-memory-order) -- fixture: suppression in use
   return counter_value.load();
 }
 
-int foreign_rule() {
-  // rds_lint: allow(lock-order) -- rds_analyze's rule; not ours to judge
-  return counter_value.load(std::memory_order_relaxed);
+unsigned long long grow(unsigned long long capacity, unsigned long long n) {
+  // rds_analyze: allow(capacity-arith) -- fixture: a flow rule's suppression
+  return capacity + n;
 }
 
 }  // namespace fixture

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/metrics/scoped_timer.hpp"
+#include "src/util/gauge_guard.hpp"
 
 namespace rds::metrics {
 namespace {
@@ -41,12 +42,29 @@ TEST(Counter, ConcurrentIncrementsAreLossless) {
 }
 
 TEST(Gauge, SetAddSub) {
+  // add()/sub() are reachable only through GaugeGuard: the level rises by
+  // n for the guard's scope and falls back on every exit, unwinding too.
   Gauge g;
   EXPECT_EQ(g.value(), 0);
   g.set(10);
-  g.add(5);
-  g.sub(7);
-  EXPECT_EQ(g.value(), 8);
+  {
+    const GaugeGuard guard(g, 5);
+    EXPECT_EQ(g.value(), 15);
+    {
+      const GaugeGuard inner(g);
+      EXPECT_EQ(g.value(), 16);
+    }
+    EXPECT_EQ(g.value(), 15);
+  }
+  EXPECT_EQ(g.value(), 10);
+  EXPECT_THROW(
+      {
+        const GaugeGuard guard(g, 7);
+        EXPECT_EQ(g.value(), 17);
+        throw std::runtime_error("placement failed");
+      },
+      std::runtime_error);
+  EXPECT_EQ(g.value(), 10);
   g.set(-3);
   EXPECT_EQ(g.value(), -3);
   g.reset();

@@ -1,9 +1,11 @@
-// rds_analyze contract tests: every flow rule fires on its tripping
-// fixture and stays quiet on its passing twin, suppressions carry over
-// from rds_lint, the reporting back ends round-trip, and the committed
-// baseline reproduces byte-for-byte over the tree
-// (docs/static_analysis.md).
+// rds_analyze contract tests: every rule fires on its tripping fixture
+// and stays quiet on its passing twin, the conventions cover exactly the
+// project's own code, suppressions behave as documented, the reporting
+// back ends round-trip, and the committed baseline reproduces over the
+// tree (docs/static_analysis.md).
+#include <algorithm>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,7 +23,16 @@ using rds::analyze::Finding;
 using rds::analyze::Options;
 
 std::string fixture_path(const std::string& name) {
-  return std::string(RDS_LINT_FIXTURE_DIR) + "/flow/" + name;
+  return std::string(RDS_FIXTURE_DIR) + "/flow/" + name;
+}
+
+std::string read_fixture(const std::string& name) {
+  std::ifstream in(std::string(RDS_FIXTURE_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(in) << name;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return std::move(ss).str();
 }
 
 std::vector<Finding> analyze_fixture(const std::string& name,
@@ -44,13 +55,18 @@ std::vector<int> lines_of(const std::vector<Finding>& findings) {
   return lines;
 }
 
+const std::vector<std::string> kConventionRules = {
+    "atomic-memory-order", "result-path-throw", "placement-determinism",
+    "header-hygiene", "metrics-naming"};
+
 TEST(RdsAnalyze, RuleListIsComplete) {
   const std::vector<std::string> expected = {
-      "lock-order",        "journal-protocol",
-      "metric-balance",    "result-flow",
-      "capacity-arith",    "rcu-escape",
-      "lock-held-across-call", "shared-state-race",
-      "lambda-escape",     "annotation-drift",
+      "lock-order",          "journal-protocol",
+      "result-flow",         "capacity-arith",
+      "rcu-escape",          "lock-held-across-call",
+      "guarded-member",      "atomic-memory-order",
+      "result-path-throw",   "placement-determinism",
+      "header-hygiene",      "metrics-naming",
       "stale-suppression"};
   EXPECT_EQ(rds::analyze::rule_ids(), expected);
 }
@@ -78,35 +94,6 @@ TEST(RdsAnalyze, JournalProtocolTrips) {
 
 TEST(RdsAnalyze, JournalProtocolPasses) {
   EXPECT_TRUE(analyze_fixture("journal_good.cpp").empty());
-}
-
-TEST(RdsAnalyze, MetricBalanceTripsOnHistoricalBatchPlacerShape) {
-  const auto findings = analyze_fixture("gauge_leak_bad.cpp");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "metric-balance");
-  // The finding points at the add(), not at the leaky call after it.
-  EXPECT_EQ(findings[0].line, 15);
-  EXPECT_NE(findings[0].message.find("inflight_"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("GaugeGuard"), std::string::npos);
-}
-
-TEST(RdsAnalyze, MetricBalancePassesGuardAndManualBalance) {
-  EXPECT_TRUE(analyze_fixture("gauge_leak_good.cpp").empty());
-}
-
-TEST(RdsAnalyze, MetricBalanceTripsOnLoadSimInflightShape) {
-  // The read-path simulator's per-request in-flight gauge: a throwing
-  // selector call between add() and sub() leaks on the exception edge.
-  const auto findings = analyze_fixture("loadsim_gauge_bad.cpp");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "metric-balance");
-  EXPECT_EQ(findings[0].line, 15);
-  EXPECT_NE(findings[0].message.find("inflight_"), std::string::npos);
-}
-
-TEST(RdsAnalyze, MetricBalancePassesLoadSimGuardShape) {
-  // The guard shape src/sim/load_sim.cpp uses, plus the manual balance.
-  EXPECT_TRUE(analyze_fixture("loadsim_gauge_good.cpp").empty());
 }
 
 TEST(RdsAnalyze, ResultFlowTrips) {
@@ -208,21 +195,6 @@ TEST(RdsAnalyze, RecursiveSccPassesOutsideGuard) {
   EXPECT_TRUE(analyze_fixture("scc_convergence_good.cpp").empty());
 }
 
-TEST(RdsAnalyze, InterproceduralGaugeLeakTrips) {
-  // finish() subs on all of ITS paths, but the throwing call before it
-  // leaks the add on the exception edge.
-  const auto findings = analyze_fixture("interproc_gauge_bad.cpp");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "metric-balance");
-  EXPECT_EQ(findings[0].line, 11);
-}
-
-TEST(RdsAnalyze, InterproceduralGaugeBalancePasses) {
-  // The callee's subs-on-all-paths summary balances the add at its call
-  // site when nothing throwing sits in between.
-  EXPECT_TRUE(analyze_fixture("interproc_gauge_good.cpp").empty());
-}
-
 TEST(RdsAnalyze, ResultIgnoredByCalleeTrips) {
   const auto findings = analyze_fixture("result_callee_bad.cpp");
   ASSERT_EQ(findings.size(), 2u);
@@ -247,114 +219,44 @@ TEST(RdsAnalyze, FactoryTypedCallResolutionPasses) {
   EXPECT_TRUE(analyze_fixture("factory_resolution_good.cpp").empty());
 }
 
-// ---- lockset race model (shared-state-race / lambda-escape / drift) ---------
+// ---- guarded-member --------------------------------------------------------
+// Two shapes, one rule: a member shared across threads with nothing that
+// declares its guard (race_member), and a member locked on every access
+// whose declaration never says so (annotation_drift).  The tests keep the
+// names they had under the retired shared-state-race and annotation-drift
+// rules.
 
 TEST(RdsAnalyze, SharedStateRaceTrips) {
   const auto findings = analyze_fixture("race_member_bad.cpp");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "shared-state-race");
-  // Anchored at the unlocked write, not at the locked read.
-  EXPECT_EQ(findings[0].line, 11);
-  EXPECT_NE(findings[0].message.find("'count_'"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("no common lock"), std::string::npos);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(rules_of(findings), std::set<std::string>{"guarded-member"});
+  // Anchored at the declarations: the unlocked counter and the mutable
+  // pointer to const data.
+  EXPECT_EQ(lines_of(findings), (std::vector<int>{21, 23}));
+  EXPECT_NE(findings[0].message.find("'count_' of 'Ledger'"),
+            std::string::npos);
+  EXPECT_NE(findings[1].message.find("'limits_'"), std::string::npos);
 }
 
 TEST(RdsAnalyze, SharedStateRacePassesAtomicAnnotatedAndConfined) {
-  // Atomic counter, annotated guarded member, and a member written only
-  // through an init helper the ctor calls: all benign.
+  // Atomic counter, annotated guarded member, construction-only state
+  // declared const, and the other declared forms; a class without a mutex
+  // is not judged.
   EXPECT_TRUE(analyze_fixture("race_member_good.cpp").empty());
-}
-
-TEST(RdsAnalyze, ConstructionConfinementCoversInitHelpers) {
-  Analyzer analyzer;
-  ASSERT_TRUE(analyzer.add_file(fixture_path("race_member_good.cpp")));
-  (void)analyzer.run();
-  bool saw_quota = false;
-  for (const rds::analyze::MemberReport& r :
-       analyzer.race_model().members()) {
-    if (r.decl.name != "quota_") continue;
-    saw_quota = true;
-    // The write in init_limits() counts as construction because every
-    // call site of init_limits() sits inside the Ledger ctor.
-    EXPECT_EQ(r.classification, "const-after-construction");
-    EXPECT_EQ(r.construction_writes, 1);
-    EXPECT_FALSE(r.has_write);
-  }
-  EXPECT_TRUE(saw_quota);
-}
-
-TEST(RdsAnalyze, LambdaEscapeTrips) {
-  const auto findings = analyze_fixture("lambda_escape_bad.cpp");
-  ASSERT_EQ(findings.size(), 2u);
-  EXPECT_EQ(rules_of(findings), std::set<std::string>{"lambda-escape"});
-  EXPECT_EQ(lines_of(findings), (std::vector<int>{12, 17}));
-  EXPECT_NE(findings[0].message.find("executor_.submit"), std::string::npos);
-  EXPECT_NE(findings[1].message.find("no join()"), std::string::npos);
-}
-
-TEST(RdsAnalyze, LambdaEscapePassesValueJoinAndInline) {
-  EXPECT_TRUE(analyze_fixture("lambda_escape_good.cpp").empty());
-}
-
-TEST(RdsAnalyze, LambdaEscapeClassification) {
-  // Lambda bodies are extracted as full Functions with CFGs and linked
-  // back to their definition sites; the escape kinds follow the sink.
-  Analyzer analyzer;
-  ASSERT_TRUE(analyzer.add_file(fixture_path("lambda_escape_good.cpp")));
-  (void)analyzer.run();
-  const auto& lambdas = analyzer.race_model().lambdas();
-  ASSERT_EQ(lambdas.size(), 3u);
-  using rds::analyze::LambdaEscape;
-  // start(): submitted by value -> deferred, no by-ref capture.
-  EXPECT_EQ(lambdas[0].escape, LambdaEscape::kDeferred);
-  EXPECT_FALSE(lambdas[0].captures_ref);
-  // fanout(): worker thread, joined in the defining frame.
-  EXPECT_EQ(lambdas[1].escape, LambdaEscape::kThread);
-  EXPECT_TRUE(lambdas[1].joined);
-  EXPECT_TRUE(lambdas[1].captures_ref);
-  // fold(): algorithm callback runs inline on the defining thread.
-  EXPECT_EQ(lambdas[2].escape, LambdaEscape::kInline);
-  EXPECT_FALSE(lambdas[2].on_other_thread);
-  for (const rds::analyze::LambdaFacts& lf : lambdas) {
-    EXPECT_NE(lf.parent, nullptr);
-    EXPECT_FALSE(lf.fn->body.empty());  // the body was not excised
-  }
 }
 
 TEST(RdsAnalyze, AnnotationDriftTrips) {
   const auto findings = analyze_fixture("annotation_drift_bad.cpp");
-  ASSERT_EQ(findings.size(), 2u);
-  EXPECT_EQ(rules_of(findings), std::set<std::string>{"annotation-drift"});
-  // Wrong annotation anchors at the access, missing at the declaration.
-  EXPECT_EQ(lines_of(findings), (std::vector<int>{23, 29}));
-  EXPECT_NE(findings[0].message.find("'stamp_'"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("fix the annotation"),
-            std::string::npos);
-  EXPECT_NE(findings[1].message.find("'value_'"), std::string::npos);
-  EXPECT_NE(findings[1].message.find("declares no RDS_GUARDED_BY"),
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "guarded-member");
+  // The consistently locked but unannotated value, at its declaration.
+  EXPECT_EQ(findings[0].line, 29);
+  EXPECT_NE(findings[0].message.find("'value_' of 'Config'"),
             std::string::npos);
 }
 
 TEST(RdsAnalyze, AnnotationDriftPasses) {
   EXPECT_TRUE(analyze_fixture("annotation_drift_good.cpp").empty());
-}
-
-TEST(RdsAnalyze, AccessesJsonDumpsMembersAndLambdas) {
-  Analyzer analyzer;
-  ASSERT_TRUE(analyzer.add_file(fixture_path("race_member_bad.cpp")));
-  ASSERT_TRUE(analyzer.add_file(fixture_path("lambda_escape_bad.cpp")));
-  (void)analyzer.run();
-  const std::string json = rds::analyze::accesses_to_json(
-      analyzer.race_model(), RDS_LINT_FIXTURE_DIR);
-  EXPECT_NE(json.find("\"class\": \"Ledger\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"count_\""), std::string::npos);
-  EXPECT_NE(json.find("\"classification\": \"unguarded\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"classification\": \"guarded\""), std::string::npos);
-  EXPECT_NE(json.find("\"Ledger::mu_\""), std::string::npos);
-  EXPECT_NE(json.find("\"escape\": \"thread\""), std::string::npos);
-  EXPECT_NE(json.find("\"escape\": \"deferred\""), std::string::npos);
-  EXPECT_NE(json.find("flow/race_member_bad.cpp"), std::string::npos);
 }
 
 // ---- call-graph construction and summary propagation ------------------------
@@ -426,13 +328,10 @@ TEST(RdsAnalyze, SummariesPropagateTransitiveLocks) {
 
 TEST(RdsAnalyze, SummariesRecordGaugeAndResultFacts) {
   Analyzer analyzer;
-  ASSERT_TRUE(analyzer.add_file(fixture_path("interproc_gauge_bad.cpp")));
   ASSERT_TRUE(analyzer.add_file(fixture_path("result_callee_bad.cpp")));
   ASSERT_TRUE(analyzer.add_file(fixture_path("rcu_escape_return_good.cpp")));
   (void)analyzer.run();
   const rds::analyze::Summaries& sums = analyzer.summaries();
-  EXPECT_TRUE(
-      sums.of({"Placer", "finish"}).subs_on_all_paths.contains("inflight_"));
   EXPECT_TRUE(sums.of({"Pool", "log_only"}).has_result_params);
   EXPECT_FALSE(sums.of({"Pool", "log_only"}).consumes_result_params);
   EXPECT_TRUE(sums.of({"Reader", "borrow"}).returns_epoch);
@@ -468,7 +367,7 @@ TEST(RdsAnalyze, OnlyRulesFilterApplies) {
 TEST(RdsAnalyze, SarifContainsEveryFinding) {
   const auto findings = analyze_fixture("capacity_math_bad.cpp");
   const std::string sarif =
-      rds::analyze::to_sarif(findings, RDS_LINT_FIXTURE_DIR);
+      rds::analyze::to_sarif(findings, RDS_FIXTURE_DIR);
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
   EXPECT_NE(sarif.find("\"ruleId\": \"capacity-arith\""), std::string::npos);
   EXPECT_NE(sarif.find("flow/capacity_math_bad.cpp"), std::string::npos);
@@ -478,7 +377,7 @@ TEST(RdsAnalyze, SarifContainsEveryFinding) {
 TEST(RdsAnalyze, BaselineRoundTripsAndRatchets) {
   const auto findings = analyze_fixture("capacity_math_bad.cpp");
   ASSERT_EQ(findings.size(), 3u);
-  const std::string root = RDS_LINT_FIXTURE_DIR;
+  const std::string root = RDS_FIXTURE_DIR;
   const std::string text = rds::analyze::format_baseline(findings, root);
   const auto keys = rds::analyze::parse_baseline(text);
   EXPECT_EQ(keys.size(), 3u);
@@ -506,15 +405,17 @@ TEST(RdsAnalyze, BaselineRoundTripsAndRatchets) {
 // the committed file carries '#' justification comments the regenerated
 // header does not.
 TEST(RdsAnalyze, CommittedBaselineReproduces) {
-  const std::string root = RDS_LINT_SOURCE_DIR;
+  const std::string root = RDS_SOURCE_DIR;
   const std::vector<std::string> sources = rds::analyze::collect_sources(
       {root + "/src", root + "/tools", root + "/bench"});
   ASSERT_FALSE(sources.empty());
   Analyzer analyzer;
   for (const std::string& s : sources) analyzer.add_file(s);
   ASSERT_TRUE(analyzer.io_errors().empty());
+  Options opts;
+  opts.root = root;
   const std::string regenerated =
-      rds::analyze::format_baseline(analyzer.run(), root);
+      rds::analyze::format_baseline(analyzer.run(opts), root);
 
   std::ifstream in(root + "/tools/rds_analyze/baseline.txt",
                    std::ios::binary);
@@ -524,6 +425,253 @@ TEST(RdsAnalyze, CommittedBaselineReproduces) {
   EXPECT_EQ(rds::analyze::parse_baseline(regenerated),
             rds::analyze::parse_baseline(committed.str()))
       << "stale baseline: regenerate with rds_analyze --emit-baseline";
+}
+
+// ---- conventions -----------------------------------------------------------
+// Each case analyzes one fixture (or inline source) under a root-relative
+// path, which decides the scope: conventions cover src/, tools/ and
+// bench/, header rules .hpp files, determinism placement/ and core/.  The
+// cases keep the test ids of the retired rds_lint checker, which ran the
+// same fixtures.
+
+struct ConventionCase {
+  const char* name;
+  const char* fixture;  ///< under lint_fixtures/; "" = use `text`
+  const char* text;
+  const char* path;  ///< the root-relative path it is analyzed as
+  std::map<std::string, std::size_t> expected;  ///< rule -> finding count
+  std::vector<int> lines;  ///< finding lines, when the case pins them
+};
+
+const std::vector<ConventionCase> kConventionCases = {
+    {"AtomicMemoryOrderTrips", "atomic_order_bad.cpp", "",
+     "src/atomic_order_bad.cpp", {{"atomic-memory-order", 5}}, {}},
+    {"AtomicMemoryOrderPasses", "atomic_order_good.cpp", "",
+     "src/atomic_order_good.cpp", {}, {}},
+    {"ResultPathThrowTrips", "result_throw_bad.cpp", "",
+     "src/result_throw_bad.cpp", {{"result-path-throw", 2}}, {}},
+    {"ResultPathThrowPasses", "result_throw_good.cpp", "",
+     "src/result_throw_good.cpp", {}, {}},
+    {"PlacementDeterminismTrips", "placement/determinism_bad.cpp", "",
+     "src/placement/determinism_bad.cpp", {{"placement-determinism", 5}}, {}},
+    {"PlacementDeterminismPasses", "placement/determinism_good.cpp", "",
+     "src/placement/determinism_good.cpp", {}, {}},
+    {"HeaderHygieneTrips", "header_bad.hpp", "", "src/header_bad.hpp",
+     {{"header-hygiene", 2}}, {1, 5}},  // missing #pragma once -> line 1
+    {"HeaderHygienePasses", "header_good.hpp", "", "src/header_good.hpp",
+     {}, {}},
+    {"MetricsNamingTrips", "metrics_bad.cpp", "", "src/metrics_bad.cpp",
+     {{"metrics-naming", 3}}, {}},
+    {"MetricsNamingPasses", "metrics_good.cpp", "", "src/metrics_good.cpp",
+     {}, {}},
+    {"JournalMetricsNamingTrips", "journal/metrics_bad.cpp", "",
+     "src/journal/metrics_bad.cpp", {{"metrics-naming", 3}}, {}},
+    // Every metric family the journal subsystem actually registers.
+    {"JournalMetricsNamingPasses", "journal/metrics_good.cpp", "",
+     "src/journal/metrics_good.cpp", {}, {}},
+    {"JournalHeaderHygieneTrips", "journal/header_bad.hpp", "",
+     "src/journal/header_bad.hpp", {{"header-hygiene", 2}}, {}},
+    {"JournalHeaderHygienePasses", "journal/header_good.hpp", "",
+     "src/journal/header_good.hpp", {}, {}},
+    {"SuppressionsWithReasonsAreHonored", "suppression_good.cpp", "",
+     "src/suppression_good.cpp", {}, {}},
+    // Bare allow(), wrong rule id, and a comment separated from the finding
+    // by another code line all leave the finding standing; the two
+    // reasoned-but-useless comments are stale too (the bare one was never
+    // a suppression, so it cannot be stale).
+    {"BadSuppressionsKeepTheFinding", "suppression_bad.cpp", "",
+     "src/suppression_bad.cpp",
+     {{"atomic-memory-order", 3}, {"stale-suppression", 2}}, {}},
+    // Reported at the comment line, not at the code.
+    {"StaleSuppressionTrips", "suppression_stale_bad.cpp", "",
+     "src/suppression_stale_bad.cpp", {{"stale-suppression", 1}}, {11}},
+    {"StaleSuppressionPasses", "suppression_stale_good.cpp", "",
+     "src/suppression_stale_good.cpp", {}, {}},
+    // Raw strings holding quotes and comment markers must not desync the
+    // lexer; the atomic op after one must still be seen.
+    {"TokenizerSurvivesRawStringsAndOddLiterals", "", R"src(
+#include <atomic>
+const char* kDoc = R"doc(not a "comment" // nor /* one */)doc";
+std::atomic<int> v;
+int f() { return v.load(); }
+)src",
+     "src/odd.cpp", {{"atomic-memory-order", 1}}, {5}},
+    // An order-less store is no more acceptable inside a closure.
+    {"AtomicMemoryOrderFiresInsideLambdaBodies", "", R"src(
+#include <atomic>
+std::atomic<int> v;
+void f() {
+  auto g = [] { v.store(1); };
+  g();
+}
+)src",
+     "src/lambda.cpp", {{"atomic-memory-order", 1}}, {5}},
+    // A throw inside a plain lambda defined in a try_* function belongs to
+    // the lambda, not to the enclosing Result path.
+    {"ResultPathThrowStopsAtLambdaBoundary", "", R"src(
+int try_fetch() {
+  auto fail = [](const char* m) { throw m; };
+  fail("boom");
+  return 0;
+}
+)src",
+     "src/lambda.cpp", {}, {}},
+    // The obligation attaches to the lambda itself: declared noexcept, or
+    // named like a try_* path through the variable it initializes.
+    {"ResultPathThrowFiresInNoexceptAndTryLambdas", "", R"src(
+void run() {
+  auto cb = [](int v) noexcept { if (v < 0) throw v; };
+  auto try_push = [](int v) { if (v < 0) throw v; return v; };
+  cb(try_push(1));
+}
+)src",
+     "src/lambda.cpp", {{"result-path-throw", 2}}, {3, 4}},
+};
+
+class ConventionTest : public testing::Test {
+ public:
+  explicit ConventionTest(const ConventionCase& c) : c_(c) {}
+
+  void TestBody() override {
+    const std::string text =
+        *c_.fixture != '\0' ? read_fixture(c_.fixture) : c_.text;
+    const auto findings = rds::analyze::analyze_text(c_.path, text);
+    std::map<std::string, std::size_t> counts;
+    for (const Finding& f : findings) ++counts[f.rule];
+    EXPECT_EQ(counts, c_.expected);
+    if (!c_.lines.empty()) {
+      EXPECT_EQ(lines_of(findings), c_.lines);
+    }
+  }
+
+ private:
+  const ConventionCase& c_;
+};
+
+const bool kConventionCasesRegistered = [] {
+  for (const ConventionCase& c : kConventionCases) {
+    testing::RegisterTest("RdsLint", c.name, nullptr, nullptr, __FILE__,
+                          __LINE__, [&c]() -> testing::Test* {
+                            return new ConventionTest(c);
+                          });
+  }
+  return true;
+}();
+
+TEST(RdsLint, RuleListIsComplete) {
+  // The conventions and the stale-suppression pass share one rule table.
+  const std::vector<std::string>& ids = rds::analyze::rule_ids();
+  for (const std::string& rule : kConventionRules) {
+    EXPECT_NE(std::find(ids.begin(), ids.end(), rule), ids.end()) << rule;
+  }
+  EXPECT_EQ(ids.back(), "stale-suppression");
+}
+
+TEST(RdsLint, PlacementRuleIsPathScoped) {
+  // The same entropy calls outside placement/ and core/ are legal.
+  const std::string bad = read_fixture("placement/determinism_bad.cpp");
+  Options only;
+  only.only_rules = {"placement-determinism"};
+  EXPECT_FALSE(
+      rds::analyze::analyze_text("src/placement/d.cpp", bad, only).empty());
+  EXPECT_TRUE(
+      rds::analyze::analyze_text("src/sim/workload.cpp", bad, only).empty());
+}
+
+TEST(RdsAnalyze, PlacementDeterminismCoversCore) {
+  // The paper's placement functions live in src/core/.
+  const auto findings = rds::analyze::analyze_text(
+      "src/core/determinism_bad.cpp", read_fixture("core/determinism_bad.cpp"));
+  EXPECT_EQ(findings.size(), 2u);
+  EXPECT_EQ(rules_of(findings),
+            std::set<std::string>{"placement-determinism"});
+}
+
+TEST(RdsAnalyze, ConventionsCoverOnlyProjectCode) {
+  // Tests, examples and the benchmark driver may use seq_cst atomics and
+  // their own metric names; only src/, tools/ and bench/ are judged.
+  const std::string bad = read_fixture("atomic_order_bad.cpp");
+  for (const char* path : {"tests/a.cpp", "examples/a.cpp", "perfbench/a.cpp",
+                           "a.cpp", "srcx/a.cpp"}) {
+    EXPECT_TRUE(rds::analyze::analyze_text(path, bad).empty()) << path;
+  }
+  for (const char* path : {"tools/a.cpp", "bench/a.cpp"}) {
+    EXPECT_EQ(rds::analyze::analyze_text(path, bad).size(), 5u) << path;
+  }
+  // Paths are judged relative to Options::root.
+  Options opts;
+  opts.root = RDS_SOURCE_DIR;
+  EXPECT_EQ(rds::analyze::analyze_text(std::string(RDS_SOURCE_DIR) +
+                                           "/src/a.cpp",
+                                       bad, opts)
+                .size(),
+            5u);
+  EXPECT_TRUE(rds::analyze::analyze_text(std::string(RDS_SOURCE_DIR) +
+                                             "/tests/a.cpp",
+                                         bad, opts)
+                  .empty());
+}
+
+TEST(RdsLint, JournalSourcesLintClean) {
+  // The shipped journal subsystem obeys every convention (the recovery
+  // path is the one most tempted to throw inside Result-returning code).
+  const std::string root = RDS_SOURCE_DIR;
+  Analyzer analyzer;
+  for (const char* file :
+       {"/src/journal/journal.cpp", "/src/journal/record.cpp",
+        "/src/journal/recovery.cpp", "/src/journal/journal.hpp",
+        "/src/journal/record.hpp", "/src/journal/recovery.hpp",
+        "/src/journal/torn_write.hpp"}) {
+    ASSERT_TRUE(analyzer.add_file(root + file)) << file;
+  }
+  Options opts;
+  opts.only_rules = kConventionRules;
+  opts.root = root;
+  const auto findings = analyzer.run(opts);
+  EXPECT_TRUE(findings.empty())
+      << findings.front().file << ":" << findings.front().line << " ["
+      << findings.front().rule << "] " << findings.front().message;
+}
+
+TEST(RdsLint, LintTreeIsClean) {
+  // The storage path, whose RcuCell load()/store() calls once needed
+  // allow() comments, obeys every convention with none.
+  const std::string root = RDS_SOURCE_DIR;
+  Analyzer analyzer;
+  ASSERT_TRUE(analyzer.add_file(root + "/src/storage/virtual_disk.hpp"));
+  ASSERT_TRUE(analyzer.add_file(root + "/src/storage/virtual_disk.cpp"));
+  Options opts;
+  opts.only_rules = kConventionRules;
+  opts.root = root;
+  const auto findings = analyzer.run(opts);
+  EXPECT_TRUE(findings.empty())
+      << findings.front().file << ":" << findings.front().line << " ["
+      << findings.front().rule << "] " << findings.front().message;
+}
+
+TEST(RdsLint, StaleSuppressionNeedsAllRules) {
+  // With a rule filter the other rules never ran, so "matches nothing"
+  // would be meaningless; the stale pass must stay off.
+  Options only;
+  only.only_rules = {"atomic-memory-order"};
+  EXPECT_TRUE(rds::analyze::analyze_text(
+                  "src/suppression_stale_bad.cpp",
+                  read_fixture("suppression_stale_bad.cpp"), only)
+                  .empty());
+}
+
+TEST(RdsLint, OnlyRulesFilters) {
+  Options only;
+  only.only_rules = {"metrics-naming"};
+  EXPECT_TRUE(rds::analyze::analyze_text("src/header_bad.hpp",
+                                         read_fixture("header_bad.hpp"), only)
+                  .empty());
+}
+
+TEST(RdsLint, UnreadableFileReportsError) {
+  Analyzer analyzer;
+  EXPECT_FALSE(analyzer.add_file(fixture_path("does_not_exist.cpp")));
+  EXPECT_FALSE(analyzer.io_errors().empty());
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 #include <utility>
 
 #include "tools/rds_analyze/cfg.hpp"
+#include "tools/rds_analyze/conventions.hpp"
 #include "tools/rds_analyze/lexer.hpp"
+#include "tools/rds_analyze/report.hpp"
 
 namespace rds::analyze {
 namespace {
@@ -97,11 +99,14 @@ std::map<std::string, int> lock_scc(const LockGraph& g) {
 }
 
 /// Calls a lambda intro could escape through: thread pools, schedulers,
-/// callbacks -- anything that runs the closure after the caller returns.
-/// The canonical list lives with the escape analysis (members.hpp);
-/// std::thread construction counts too for the rcu-escape capture rule.
+/// callbacks, std::thread -- anything that runs the closure after the
+/// caller returns (rcu-escape).
 bool escape_call(const std::string& name) {
-  return is_escape_call(name) || lower(name) == "thread";
+  static const std::set<std::string> kEscape = {
+      "submit",       "post",  "enqueue",     "dispatch", "defer",
+      "schedule",     "async", "spawn",       "detach",   "start_thread",
+      "set_callback", "then",  "on_complete", "add_task", "thread"};
+  return kEscape.contains(lower(name));
 }
 
 }  // namespace
@@ -110,11 +115,12 @@ bool escape_call(const std::string& name) {
 
 const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> kIds = {
-      "lock-order",     "journal-protocol",
-      "metric-balance", "result-flow",
-      "capacity-arith", "rcu-escape",
-      "lock-held-across-call", "shared-state-race",
-      "lambda-escape",  "annotation-drift",
+      "lock-order",          "journal-protocol",
+      "result-flow",         "capacity-arith",
+      "rcu-escape",          "lock-held-across-call",
+      "guarded-member",      "atomic-memory-order",
+      "result-path-throw",   "placement-determinism",
+      "header-hygiene",      "metrics-naming",
       "stale-suppression"};
   return kIds;
 }
@@ -155,7 +161,6 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
 
   cg_ = CallGraph::build(files_);
   sums_ = Summaries::compute(cg_);
-  race_ = RaceModel::build(files_, cg_);
 
   // Functions known to hand back an epoch handle, for source matching.
   std::set<std::string> epoch_fns = {"placement_snapshot"};
@@ -245,39 +250,15 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
 
   // ---- per-function CFG rules ---------------------------------------------
   for (const FileModel& fm : files_) {
-    // Gauge-typed receivers bound in this translation unit.
-    std::set<std::string> gauge_vars;
-    for (std::size_t i = 0; i + 2 < fm.toks.size(); ++i) {
-      const Tok& t = fm.toks[i];
-      if (t.kind != Kind::kIdent) continue;
-      if (!(is_punct(fm.toks[i + 1], "=") || is_punct(fm.toks[i + 1], "(") ||
-            is_punct(fm.toks[i + 1], "{"))) {
-        continue;
-      }
-      for (std::size_t j = i + 2; j < std::min(fm.toks.size(), i + 14); ++j) {
-        if (is_ident(fm.toks[j], "gauge") && j + 1 < fm.toks.size() &&
-            is_punct(fm.toks[j + 1], "(")) {
-          gauge_vars.insert(t.text);
-          break;
-        }
-        if (is_punct(fm.toks[j], ";")) break;
-      }
-    }
+    check_conventions(fm, relative_to(fm.path, opts.root), cg_.rcu_members(),
+                      [&](int line, const char* rule, std::string message) {
+                        emit(fm.path, line, rule, std::move(message));
+                      });
 
     for (const Function& fn : fm.functions) {
       const Cfg cfg = build_cfg(fn);
       const std::vector<Tok>& b = fn.body;
       const FnFacts& facts = cg_.facts_of(&fn);
-
-      // CFG node holding each call site, for summary-aware barriers.
-      const auto node_of_tok = [&](std::size_t tok) -> int {
-        for (std::size_t n = 2; n < cfg.nodes.size(); ++n) {
-          if (tok >= cfg.nodes[n].begin && tok < cfg.nodes[n].end) {
-            return static_cast<int>(n);
-          }
-        }
-        return -1;
-      };
 
       // A mention of a Result local that really consumes it: member
       // access, negation, return, or passing it to a callee that
@@ -424,69 +405,6 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
                    std::to_string(node.line) +
                    "; mutate before journaling (journal order is commit "
                    "order, docs/persistence.md)");
-        }
-      }
-
-      // ---- metric-balance ----
-      {
-        // Receivers: locals bound to a gauge() factory, plus member
-        // gauges used with add()/sub() in this function.
-        std::set<std::string> receivers = gauge_vars;
-        for (std::size_t k = 0; k + 3 < b.size(); ++k) {
-          if (member_ident(b, k) &&
-              (is_punct(b[k + 1], ".") || is_punct(b[k + 1], "->")) &&
-              (is_ident(b[k + 2], "add") || is_ident(b[k + 2], "sub")) &&
-              is_punct(b[k + 3], "(")) {
-            receivers.insert(b[k].text);
-          }
-        }
-        const auto site_of = [&](const CfgNode& node, const char* what)
-            -> std::string {
-          for (std::size_t k = node.begin;
-               k + 3 < node.end && k + 3 < b.size(); ++k) {
-            if (b[k].kind == Kind::kIdent && receivers.contains(b[k].text) &&
-                (is_punct(b[k + 1], ".") || is_punct(b[k + 1], "->")) &&
-                is_ident(b[k + 2], what) && is_punct(b[k + 3], "(")) {
-              return b[k].text;
-            }
-          }
-          return {};
-        };
-        std::map<std::string, std::vector<int>> adds;
-        std::map<std::string, std::set<int>> subs;
-        for (std::size_t n = 2; n < cfg.nodes.size(); ++n) {
-          const std::string a = site_of(cfg.nodes[n], "add");
-          if (!a.empty()) adds[a].push_back(static_cast<int>(n));
-          const std::string s = site_of(cfg.nodes[n], "sub");
-          if (!s.empty()) subs[s].insert(static_cast<int>(n));
-        }
-        // A callee that sub()s the gauge on all its paths balances the
-        // add at its call site.
-        for (const CallSite& c : facts.calls) {
-          const int n = node_of_tok(c.tok);
-          if (n < 0) continue;
-          for (const MethodKey& t : cg_.resolve_keys(c, fn.cls)) {
-            for (const std::string& g : sums_.of(t).subs_on_all_paths) {
-              subs[g].insert(n);
-            }
-          }
-        }
-        for (const auto& [var, add_nodes] : adds) {
-          const auto sit = subs.find(var);
-          if (sit == subs.end()) continue;  // monotonic gauge: no pairing
-          const std::set<int>& sub_set = sit->second;
-          for (const int a : add_nodes) {
-            // The add itself does not throw; everything after it may.
-            if (reaches_exit(cfg, a, /*use_esucc=*/true,
-                             /*start_esucc=*/false, [&](int m) {
-                               return sub_set.contains(m);
-                             })) {
-              emit(fm.path, cfg.nodes[a].line, "metric-balance",
-                   "gauge '" + var + "' add() in " + fn.display +
-                       " is not matched by sub() on every path (exception "
-                       "edges included); use rds::metrics::GaugeGuard");
-            }
-          }
         }
       }
 
@@ -826,110 +744,29 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
              " are not inspected on every path; consume or propagate them");
   }
 
-  // ---- shared-state-race / annotation-drift (lockset model) ----------------
-  // Eraser-style: intersect the lockset over every non-construction
-  // access to each data member of a mutex-owning class (members.hpp).
+  // ---- guarded-member ------------------------------------------------------
+  // The thread-safety contract is declarative: in a class that owns a
+  // mutex, every data member says how it is shared, and clang's
+  // -Wthread-safety checks each access against RDS_GUARDED_BY.
   {
-    std::set<std::pair<std::string, std::string>> mutex_members;
-    for (const MemberReport& r : race_.members()) {
-      if (r.decl.is_mutex) mutex_members.insert({r.decl.cls, r.decl.name});
-    }
-    for (const MemberReport& r : race_.members()) {
-      const MemberDecl& d = r.decl;
-      if (!r.class_has_mutex) continue;
-      if (d.is_mutex || d.is_atomic || d.is_rcu || d.is_const || d.is_static) {
-        continue;  // benign by construction (atomics, RCU, immutables)
-      }
-      // Candidate race: written outside construction, >= 2 accesses, and
-      // the loose intersection (caller-inferred locks included) is empty.
-      // Annotated members are clang -Wthread-safety's job on every build.
-      if (d.guarded_by.empty() && r.has_write && r.accesses.size() >= 2 &&
-          r.loose_lockset.empty()) {
-        const AccessRec* at = nullptr;
-        for (const AccessRec& a : r.accesses) {
-          if (a.is_write && a.loose_locks.empty()) {
-            at = &a;
-            break;
-          }
-        }
-        if (at == nullptr) {
-          for (const AccessRec& a : r.accesses) {
-            if (a.loose_locks.empty()) {
-              at = &a;
-              break;
-            }
-          }
-        }
-        if (at == nullptr) at = &r.accesses.front();
-        emit(at->file->path, at->line, "shared-state-race",
-             "candidate race: member '" + d.name + "' of '" + d.cls +
-                 "' is written here without a lock and its " +
-                 std::to_string(r.accesses.size()) +
-                 " accesses share no common lock; guard it with the class "
-                 "mutex (RDS_GUARDED_BY) or make it atomic");
-        continue;
-      }
-      // Missing annotation: consistently locked on the access path itself
-      // (strict lockset: no caller-inference) but never annotated.  Only
-      // a same-class mutex member is annotatable.
-      if (d.guarded_by.empty() && r.has_write && r.accesses.size() >= 2 &&
-          !r.strict_lockset.empty()) {
-        std::string lock;
-        for (const std::string& node : r.strict_lockset) {
-          const std::string prefix = d.cls + "::";
-          if (node.starts_with(prefix) &&
-              mutex_members.contains({d.cls, node.substr(prefix.size())})) {
-            lock = node.substr(prefix.size());
-            break;
-          }
-        }
-        if (!lock.empty()) {
-          emit(r.file, d.line, "annotation-drift",
-               "member '" + d.name + "' of '" + d.cls +
-                   "' is consistently accessed under '" + lock +
-                   "' but declares no RDS_GUARDED_BY(" + lock +
-                   ") annotation; add it so clang enforces the invariant");
-        }
-      }
-      // Wrong annotation: the declared lock is held at none of the
-      // observed accesses (a single missed path is clang's job; a lock
-      // that is *never* held means the annotation names the wrong one).
-      if (!d.guarded_by.empty() && !r.accesses.empty()) {
-        const std::string want = d.cls + "::" + d.guarded_by;
-        const bool ever_held = std::any_of(
-            r.accesses.begin(), r.accesses.end(), [&](const AccessRec& a) {
-              return std::find(a.loose_locks.begin(), a.loose_locks.end(),
-                               want) != a.loose_locks.end();
-            });
-        if (!ever_held) {
-          const AccessRec& at = r.accesses.front();
-          emit(at.file->path, at.line, "annotation-drift",
-               "member '" + d.name + "' of '" + d.cls +
-                   "' is annotated RDS_GUARDED_BY(" + d.guarded_by +
-                   ") but no access path holds '" + want +
-                   "'; fix the annotation or take the declared lock");
-        }
+    std::set<std::string> mutex_classes;
+    for (const FileModel& fm : files_) {
+      for (const MemberDecl& d : fm.members) {
+        if (d.is_mutex) mutex_classes.insert(d.cls);
       }
     }
-  }
-
-  // ---- lambda-escape -------------------------------------------------------
-  // A by-reference capture is only safe while the defining frame lives.
-  // Deferred closures (executor submit, stored callback, returned
-  // closure) and never-joined threads outlive it.
-  for (const LambdaFacts& lf : race_.lambdas()) {
-    if (!lf.captures_ref) continue;
-    if (lf.escape == LambdaEscape::kDeferred) {
-      emit(lf.file->path, lf.fn->line, "lambda-escape",
-           "lambda escapes through '" + lf.sink +
-               "' but captures locals by reference; the closure can "
-               "outlive the defining frame -- capture by value or move "
-               "ownership into the closure");
-    } else if (lf.escape == LambdaEscape::kThread && !lf.joined) {
-      emit(lf.file->path, lf.fn->line, "lambda-escape",
-           "lambda runs on a thread with no join() visible in the "
-           "defining function but captures locals by reference; join "
-           "before returning or capture by value");
+    for (const FileModel& fm : files_) {
+      for (const MemberDecl& d : fm.members) {
+        if (!mutex_classes.contains(d.cls) || d.guarded || d.is_const ||
+            d.is_static || d.is_atomic || d.is_rcu || d.is_mutex) {
+          continue;
+        }
+        emit(fm.path, d.line, "guarded-member",
+             "member '" + d.name + "' of '" + d.cls +
+                 "', which owns a mutex, is not RDS_GUARDED_BY, const, "
+                 "static, atomic, an RcuCell or a sync primitive; annotate "
+                 "it so clang -Wthread-safety checks every access");
+      }
     }
   }
 
@@ -941,7 +778,7 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
     for (const FileModel& fm : files_) {
       for (const auto& [cline, rules] : fm.sup.declared) {
         for (const std::string& rule : rules) {
-          if (!ours.contains(rule)) continue;  // another tool's rule id
+          if (!ours.contains(rule)) continue;  // not a rule id (prose)
           if (used_sups.contains({fm.path, cline, rule})) continue;
           emit(fm.path, cline, "stale-suppression",
                "suppression 'allow(" + rule +

@@ -1,8 +1,8 @@
 #pragma once
 
-/// rds_analyze: flow-aware, whole-program static analysis for this
-/// repository (docs/static_analysis.md).  Eleven rule families on top of
-/// the lexer + CFG + call-graph + summary + lockset layers:
+/// rds_analyze: the project's static analyzer (docs/static_analysis.md).
+/// It checks what neither the compiler nor the sanitizers can: thirteen
+/// rule families on top of the lexer + CFG + call-graph + summary layers.
 ///
 ///   lock-order            cycles in the mutex acquisition graph
 ///                         (summary-propagated through calls), and
@@ -13,10 +13,6 @@
 ///                         mutation is reachable after an append, even
 ///                         when the append hides inside a callee
 ///                         (docs/persistence.md)
-///   metric-balance        every gauge add() is matched by a sub() on
-///                         all outgoing paths, exception edges included;
-///                         a callee that sub()s on all its paths credits
-///                         the caller
 ///   result-flow           a Result from a try_* call stored in a local
 ///                         is inspected on every path; passing it to a
 ///                         callee only counts when the callee consumes
@@ -32,32 +28,27 @@
 ///                         sleep, thread join) while a mutex is held --
 ///                         directly or through a call whose callee
 ///                         blocks without a lock of its own
-///   shared-state-race     Eraser-style lockset intersection over every
-///                         access to a data member of a mutex-owning
-///                         class: a member that is neither atomic,
-///                         RCU-published, nor confined to construction,
-///                         written with an empty lockset intersection,
-///                         is a candidate race (members.hpp)
-///   lambda-escape         a lambda handed to an executor / stored as a
-///                         callback / spawned as a never-joined thread
-///                         while capturing locals by reference -- the
-///                         closure outlives the defining frame
-///   annotation-drift      inferred locksets vs declared RDS_GUARDED_BY:
-///                         a consistently locked member with no
-///                         annotation (missing), or an annotation naming
-///                         a lock the access paths do not hold (wrong)
-///   stale-suppression     a `// rds_lint: allow(rule)` comment that no
-///                         longer matches any finding of this tool
+///   guarded-member        every data member of a class that owns a
+///                         mutex is RDS_GUARDED_BY, const, static,
+///                         atomic, an RcuCell or a sync primitive, so
+///                         clang -Wthread-safety sees every shared member
+///   atomic-memory-order, result-path-throw, placement-determinism,
+///   header-hygiene, metrics-naming
+///                         the project conventions (conventions.hpp),
+///                         for files under src/, tools/ and bench/
+///   stale-suppression     an allow() comment naming a rule that no
+///                         longer shields a finding
 ///
-/// `// rds_lint: allow(rule) -- reason` suppressions carry over from
-/// rds_lint unchanged.
+/// Findings are suppressed per line with
+///   // rds_analyze: allow(rule-id) -- reason
+/// on the offending line, or on a standalone comment line directly above
+/// it; the reason after `--` is mandatory.
 
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "tools/rds_analyze/callgraph.hpp"
-#include "tools/rds_analyze/members.hpp"
 #include "tools/rds_analyze/summary.hpp"
 
 namespace rds::analyze {
@@ -73,6 +64,9 @@ struct Options {
   /// When non-empty, only run these rule ids.  stale-suppression needs
   /// every rule's verdict and therefore only runs with an empty filter.
   std::vector<std::string> only_rules;
+  /// Directory the convention scope (src/, tools/, bench/) is judged
+  /// from; empty judges file paths as given.
+  std::string root;
 };
 
 /// Stable ids of every rule family.
@@ -97,12 +91,10 @@ class Analyzer {
     return io_errors_;
   }
 
-  /// The call graph / summaries / race model of the last run() (for
-  /// --emit-callgraph, --emit-accesses and the tests); empty before the
-  /// first run.
+  /// The call graph / summaries of the last run() (for --emit-callgraph
+  /// and the tests); empty before the first run.
   [[nodiscard]] const CallGraph& callgraph() const { return cg_; }
   [[nodiscard]] const Summaries& summaries() const { return sums_; }
-  [[nodiscard]] const RaceModel& race_model() const { return race_; }
 
  private:
   std::vector<std::string> paths_;
@@ -111,7 +103,6 @@ class Analyzer {
   std::vector<FileModel> files_;  ///< stable: cg_ points into it
   CallGraph cg_;
   Summaries sums_;
-  RaceModel race_;
 };
 
 /// One-shot single-file convenience used by the fixture tests.

@@ -8,14 +8,6 @@ namespace rds::analyze {
 
 // ---- shared token-pattern helpers ------------------------------------------
 
-bool is_ident(const Tok& t, std::string_view s) {
-  return t.kind == Kind::kIdent && t.text == s;
-}
-
-bool is_punct(const Tok& t, std::string_view s) {
-  return t.kind == Kind::kPunct && t.text == s;
-}
-
 std::string lower(std::string s) {
   for (char& c : s) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -33,30 +25,14 @@ std::size_t fwd_match(const std::vector<Tok>& t, std::size_t i,
   return t.size();
 }
 
-namespace {
-
-/// Container calls that mutate the receiver, shared by the mutation
-/// scanner and the member-access write classifier.
-const std::set<std::string>& mutator_calls() {
+std::size_t find_member_mutation(const std::vector<Tok>& t, std::size_t b,
+                                 std::size_t e) {
   static const std::set<std::string> kMutators = {
       "insert", "erase",   "emplace", "emplace_back", "push_back",
       "pop_back", "clear", "reset",   "assign",       "push",
       "pop",    "resize",  "try_emplace"};
-  return kMutators;
-}
-
-const std::set<std::string>& assign_ops() {
   static const std::set<std::string> kAssign = {
       "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--"};
-  return kAssign;
-}
-
-}  // namespace
-
-std::size_t find_member_mutation(const std::vector<Tok>& t, std::size_t b,
-                                 std::size_t e) {
-  const std::set<std::string>& kMutators = mutator_calls();
-  const std::set<std::string>& kAssign = assign_ops();
   for (std::size_t i = b; i < e && i < t.size(); ++i) {
     const Tok& tok = t[i];
     if (tok.kind != Kind::kIdent || tok.text.size() < 2 ||
@@ -87,39 +63,6 @@ std::size_t find_member_mutation(const std::vector<Tok>& t, std::size_t b,
   }
   return static_cast<std::size_t>(-1);
 }
-
-namespace {
-
-/// True when the member ident at `i` is written: assigned (possibly
-/// through a subscript), pre/post incremented, or mutated through a
-/// container call (`x_.push_back(...)`, `x_.field = ...`).
-bool is_member_write(const std::vector<Tok>& b, std::size_t i) {
-  if (i > 0 && b[i - 1].kind == Kind::kPunct &&
-      (b[i - 1].text == "++" || b[i - 1].text == "--")) {
-    return true;
-  }
-  std::size_t j = i + 1;
-  if (j < b.size() && is_punct(b[j], "[")) {
-    j = fwd_match(b, j, "[", "]") + 1;  // x_[k] = ...
-  }
-  if (j >= b.size()) return false;
-  if (b[j].kind == Kind::kPunct && assign_ops().contains(b[j].text)) {
-    return true;
-  }
-  if ((is_punct(b[j], ".") || is_punct(b[j], "->")) && j + 2 < b.size() &&
-      b[j + 1].kind == Kind::kIdent) {
-    if (is_punct(b[j + 2], "(") && mutator_calls().contains(b[j + 1].text)) {
-      return true;
-    }
-    if (b[j + 2].kind == Kind::kPunct &&
-        assign_ops().contains(b[j + 2].text)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 std::size_t find_append_call(const std::vector<Tok>& t, std::size_t b,
                              std::size_t e, std::string* helper_name) {
@@ -402,33 +345,6 @@ FnFacts collect_fn_facts(const Function& fn, const std::string& cls_prefix,
         i += 4;
         continue;
       }
-    }
-    // Lambda definition sites: a '[' that can be neither a subscript
-    // (those follow a value token) nor an attribute.  The body lives in
-    // its own Function (cfg.hpp); record where it was defined and which
-    // locks were held there, for the thread-escape analysis.
-    if (is_punct(t, "[")) {
-      const bool attr = (i + 1 < b.size() && is_punct(b[i + 1], "[")) ||
-                        (i > 0 && is_punct(b[i - 1], "["));
-      const bool after_value =
-          i > 0 &&
-          (b[i - 1].kind == Kind::kIdent || b[i - 1].kind == Kind::kNumber ||
-           is_punct(b[i - 1], ")") || is_punct(b[i - 1], "]"));
-      if (!attr && !after_value) {
-        facts.lambda_sites.push_back({i, t.line, held()});
-      }
-      ++i;
-      continue;
-    }
-    // Member accesses: trailing-underscore idents not behind ./->/:: are
-    // members of *this* by the naming convention.  Falls through so a
-    // stored-callback invocation `cb_(...)` is also seen as a call site.
-    if (t.kind == Kind::kIdent && t.text.size() >= 2 &&
-        t.text.ends_with("_") && !t.text.ends_with("__") &&
-        (i == 0 || !(is_punct(b[i - 1], ".") || is_punct(b[i - 1], "->") ||
-                     is_punct(b[i - 1], "::")))) {
-      facts.accesses.push_back(
-          {t.text, t.line, i, is_member_write(b, i), held()});
     }
     // Directly blocking operations, recorded with the held set.
     if (t.kind == Kind::kIdent && i + 1 < b.size() && is_punct(b[i + 1], "(")) {

@@ -54,32 +54,10 @@ struct BlockingOp {
   std::vector<std::string> held;
 };
 
-/// One read or write of a trailing-underscore data member of the
-/// enclosing class, with the lockset held at that point (the raw access
-/// stream the shared-state race rules intersect).
-struct MemberAccess {
-  std::string member;
-  int line = 0;
-  std::size_t tok = 0;   ///< index of the member token in Function::body
-  bool is_write = false;
-  std::vector<std::string> held;  ///< lock nodes held at the access
-};
-
-/// A lambda definition site inside a function body: the '[' of a capture
-/// list, with the locks held there.  Matched to the extracted lambda
-/// Function via Function::parent_tok.
-struct LambdaSite {
-  std::size_t tok = 0;
-  int line = 0;
-  std::vector<std::string> held;
-};
-
 struct FnFacts {
   std::vector<LockAcq> acqs;
   std::vector<CallSite> calls;
   std::vector<BlockingOp> blocking;
-  std::vector<MemberAccess> accesses;
-  std::vector<LambdaSite> lambda_sites;
 };
 
 enum class EdgeKind { kDirect, kFactory, kVirtual };
@@ -184,8 +162,6 @@ class CallGraph {
 
 // ---- shared token-pattern helpers (used by the summary and rule layers) ----
 
-[[nodiscard]] bool is_ident(const Tok& t, std::string_view s);
-[[nodiscard]] bool is_punct(const Tok& t, std::string_view s);
 [[nodiscard]] std::string lower(std::string s);
 [[nodiscard]] std::size_t fwd_match(const std::vector<Tok>& t, std::size_t i,
                                     const char* open, const char* close);

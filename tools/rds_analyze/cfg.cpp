@@ -288,28 +288,30 @@ MemberDecl parse_member_decl(const std::vector<const Tok*>& decl,
   if (name_at >= decl.size() || paren_before) return m;
   m.name = decl[name_at]->text;
   m.line = decl[name_at]->line;
+  angle = 0;
+  bool constexpr_seen = false;
   for (std::size_t i = 0; i < name_at; ++i) {
     const std::string& s = decl[i]->text;
+    if (s == "<") ++angle;
+    if (s == ">") --angle;
+    if (s == ">>") angle -= 2;
     if (s == "atomic") m.is_atomic = true;
     if (s == "Mutex" || s == "CondVar" || s == "mutex" ||
         s == "condition_variable" || s == "condition_variable_any") {
       m.is_mutex = true;
     }
     if (s == "RcuCell") m.is_rcu = true;
-    if (s == "const" || s == "constexpr") m.is_const = true;
     if (s == "static") m.is_static = true;
-    if (s == "function") m.is_callback = true;
-    if (decl[i]->kind == Kind::kPunct && s == "*") m.is_pointer = true;
+    // `const T* p_` is a mutable pointer to const data: only a const after
+    // the last top-level '*' (or with no '*' at all) binds the member
+    // itself.  A reference member is never reseated.
+    if (angle <= 0 && (s == "const" || s == "&")) m.is_const = true;
+    if (angle <= 0 && s == "*") m.is_const = false;
+    constexpr_seen = constexpr_seen || s == "constexpr";
   }
-  // RDS_GUARDED_BY(mu_) / RDS_PT_GUARDED_BY(mu_): first argument ident.
-  for (std::size_t i = name_at + 1; i + 2 < decl.size(); ++i) {
-    if (decl[i]->kind == Kind::kIdent &&
-        (decl[i]->text == "RDS_GUARDED_BY" ||
-         decl[i]->text == "RDS_PT_GUARDED_BY") &&
-        decl[i + 1]->text == "(" && decl[i + 2]->kind == Kind::kIdent) {
-      m.guarded_by = decl[i + 2]->text;
-      break;
-    }
+  m.is_const = m.is_const || constexpr_seen;
+  for (std::size_t i = name_at + 1; i < decl.size(); ++i) {
+    if (is_ident(*decl[i], "RDS_GUARDED_BY")) m.guarded = true;
   }
   return m;
 }
@@ -392,7 +394,8 @@ std::vector<Tok> extract_body(const std::vector<Tok>& toks, std::size_t begin,
       // number, ')' or ']'); a capture list cannot.
       const bool after_value =
           !body.empty() &&
-          (body.back().kind == Kind::kIdent ||
+          ((body.back().kind == Kind::kIdent && body.back().text != "return" &&
+            body.back().text != "co_return") ||
            body.back().kind == Kind::kNumber || body.back().text == ")" ||
            body.back().text == "]");
       if (!after_value) {
@@ -412,10 +415,10 @@ std::vector<Tok> extract_body(const std::vector<Tok>& toks, std::size_t begin,
         if (k < end && toks[k].text == "{") {
           const std::size_t body_close = match(toks, k, "{", "}");
           Function lam = make_lambda(toks, i, k, body_close, parent, out);
-          // Link the lambda to its definition site: the '[' lands at
-          // body.size() in the parent's final token stream (appends only).
-          lam.parent_display = parent.display;
-          lam.parent_tok = body.size();
+          if (body.size() >= 2 && body.back().text == "=" &&
+              body[body.size() - 2].kind == Kind::kIdent) {
+            lam.bound_to = body[body.size() - 2].text;
+          }
           out.push_back(std::move(lam));
           for (std::size_t c = i; c < k; ++c) {
             if (is_code(toks[c])) body.push_back(toks[c]);

@@ -9,16 +9,14 @@
 /// `if`/loop/`switch`/`try`-`catch` edges plus exception edges from every
 /// node that can throw (a call or an explicit `throw`) to the innermost
 /// enclosing catch handler, or to EXIT when there is none.  Lambdas become
-/// full `Function`s with their own CFGs, linked back to the definition
-/// site (`parent_display`/`parent_tok`): the enclosing function keeps the
-/// capture intro in its token stream, so a rule can model the lambda body
-/// as inline (std::sort comparator) or as escaping to another thread
-/// (std::thread, BatchPlacer, stored callback) -- the thread-escape
-/// classification lives in members.hpp.
+/// full `Function`s with their own CFGs; the enclosing function keeps the
+/// capture intro in its token stream, so a statement that runs later (a
+/// callback body) is never mistaken for an inline one, and a `throw` in a
+/// lambda belongs to the lambda.
 ///
 /// Class scopes additionally yield a `MemberDecl` per data member (the
-/// trailing-underscore convention), including any declared
-/// `RDS_GUARDED_BY` lock -- the raw material for the lockset race rules.
+/// trailing-underscore convention): how the member is shared, for the
+/// guarded-member rule.
 
 #include <cstddef>
 #include <functional>
@@ -37,9 +35,7 @@ struct Function {
   std::string display;  ///< "Cls::name" or just "name"
   int line = 0;         ///< line of the declaration
   bool is_lambda = false;
-  std::string parent_display;  ///< lambdas: `display` of the enclosing function
-  std::size_t parent_tok = 0;  ///< lambdas: index of the capture '[' in the
-                               ///< enclosing function's body tokens
+  std::string bound_to;   ///< lambdas: the variable `auto v = [...]` sets
   std::vector<Tok> decl;  ///< signature tokens (return type .. before '{');
                           ///< for lambdas: capture list + parameters
   std::vector<Tok> body;  ///< code tokens inside '{ }'; nested lambda bodies
@@ -68,14 +64,12 @@ struct MemberDecl {
   std::string cls;
   std::string name;
   int line = 0;
-  bool is_atomic = false;    ///< std::atomic<...> -- lock-free by design
-  bool is_mutex = false;     ///< Mutex / CondVar (a sync primitive itself)
-  bool is_rcu = false;       ///< RcuCell<...> -- epoch-published
-  bool is_const = false;     ///< const / constexpr
+  bool is_atomic = false;  ///< std::atomic<...> -- lock-free by design
+  bool is_mutex = false;   ///< Mutex / CondVar (a sync primitive itself)
+  bool is_rcu = false;     ///< RcuCell<...> -- epoch-published
+  bool is_const = false;   ///< the member itself is const / constexpr
   bool is_static = false;
-  bool is_pointer = false;   ///< raw pointer declarator at top level
-  bool is_callback = false;  ///< std::function<...> (storable closure)
-  std::string guarded_by;    ///< RDS_GUARDED_BY(x) argument, or ""
+  bool guarded = false;    ///< declared RDS_GUARDED_BY(...)
 };
 
 /// Everything rds_analyze keeps per translation unit.

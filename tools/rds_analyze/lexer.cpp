@@ -21,6 +21,14 @@ bool is_digit(char c) {
 
 }  // namespace
 
+bool is_ident(const Tok& t, std::string_view s) {
+  return t.kind == Kind::kIdent && t.text == s;
+}
+
+bool is_punct(const Tok& t, std::string_view s) {
+  return t.kind == Kind::kPunct && t.text == s;
+}
+
 std::vector<Tok> tokenize(std::string_view s) {
   std::vector<Tok> toks;
   const std::size_t n = s.size();
@@ -181,7 +189,7 @@ Suppressions collect_suppressions(const std::vector<Tok>& toks) {
   Suppressions sup;
   for (const Tok& t : toks) {
     if (t.kind != Kind::kComment) continue;
-    if (t.text.find("rds_lint:") == std::string::npos) continue;
+    if (t.text.find("rds_analyze:") == std::string::npos) continue;
     // The reason is mandatory: a bare allow() keeps the finding alive.
     const std::size_t dashes = t.text.find("--");
     const bool has_reason =

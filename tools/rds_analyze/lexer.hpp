@@ -2,11 +2,11 @@
 
 /// Token layer for rds_analyze (docs/static_analysis.md).
 ///
-/// Same loose C++ lexer philosophy as tools/rds_lint: tell identifiers,
-/// literals, comments and preprocessor lines apart, fold continuations,
-/// survive raw strings -- and nothing more.  The flow rules are built from
-/// token streams plus a per-function CFG (cfg.hpp), never a real parse, so
-/// the analyzer stays independent of compiler internals.
+/// A loose C++ lexer: tell identifiers, literals, comments and
+/// preprocessor lines apart, fold continuations, survive raw strings --
+/// and nothing more.  The rules are built from token streams plus a
+/// per-function CFG (cfg.hpp), never a real parse, so the analyzer stays
+/// independent of compiler internals.
 
 #include <map>
 #include <set>
@@ -29,8 +29,10 @@ struct Tok {
 /// tokens, which at worst costs a rule some precision, never a crash.
 [[nodiscard]] std::vector<Tok> tokenize(std::string_view s);
 
-/// `// rds_lint: allow(rule) -- reason` comments, exactly the rds_lint
-/// syntax so one suppression grammar covers both tools.  The reason is
+[[nodiscard]] bool is_ident(const Tok& t, std::string_view s);
+[[nodiscard]] bool is_punct(const Tok& t, std::string_view s);
+
+/// `// rds_analyze: allow(rule) -- reason` comments.  The reason is
 /// mandatory; a standalone comment also covers the next code line.
 struct Suppressions {
   std::map<int, std::set<std::string>> by_line;

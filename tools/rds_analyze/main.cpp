@@ -1,7 +1,8 @@
 // rds_analyze CLI (docs/static_analysis.md).
 //
 //   rds_analyze [options] [path...]
-//     --rule <id>            run only this rule (repeatable)
+//     --rule <id>            run only this rule (repeatable; an unknown
+//                            id is a usage error)
 //     --list-rules           print rule ids and exit
 //     --root <dir>           root for relative paths (default: cwd)
 //     -p <compile_commands>  analyze the files of a compilation database
@@ -11,17 +12,16 @@
 //     --emit-callgraph <f>   dump the resolved call graph to <f>
 //                            (Graphviz DOT when <f> ends in .dot,
 //                            JSON otherwise)
-//     --emit-accesses <f>    dump the per-class member -> lockset map and
-//                            the lambda escape table to <f> as JSON
 //
 // Paths may be files or directories (recursed, skipping build/ and
-// hidden directories).  Exit codes: 0 clean (or fully baselined),
-// 1 non-baselined findings, 2 usage or I/O error.
+// hidden directories); the project headers they include join the run.
+// Exit codes: 0 clean (or fully baselined), 1 non-baselined findings,
+// 2 usage or I/O error.
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,7 +36,7 @@ int usage() {
       << "usage: rds_analyze [--rule id]... [--root dir] [-p compile_db]\n"
          "                   [--baseline file] [--emit-baseline file]\n"
          "                   [--sarif file] [--emit-callgraph file]\n"
-         "                   [--emit-accesses file] [--list-rules] [path...]\n";
+         "                   [--list-rules] [path...]\n";
   return 2;
 }
 
@@ -71,7 +71,6 @@ int main(int argc, char** argv) {
   std::string emit_baseline_path;
   std::string sarif_path;
   std::string callgraph_path;
-  std::string accesses_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -87,6 +86,12 @@ int main(int argc, char** argv) {
     if (arg == "--rule") {
       const char* v = value();
       if (v == nullptr) return usage();
+      const auto& ids = rds::analyze::rule_ids();
+      if (std::find(ids.begin(), ids.end(), v) == ids.end()) {
+        std::cerr << "rds_analyze: unknown rule '" << v
+                  << "' (see --list-rules)\n";
+        return 2;
+      }
       opts.only_rules.emplace_back(v);
       continue;
     }
@@ -126,12 +131,6 @@ int main(int argc, char** argv) {
       callgraph_path = v;
       continue;
     }
-    if (arg == "--emit-accesses") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      accesses_path = v;
-      continue;
-    }
     if (!arg.empty() && arg.front() == '-') return usage();
     paths.push_back(arg);
   }
@@ -149,6 +148,7 @@ int main(int argc, char** argv) {
       rds::analyze::collect_sources(paths);
   sources.insert(sources.end(), walked.begin(), walked.end());
   if (sources.empty()) return usage();
+  sources = rds::analyze::with_project_headers(sources, root);
 
   Analyzer analyzer;
   for (const std::string& s : sources) analyzer.add_file(s);
@@ -159,6 +159,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  opts.root = root;
   const std::vector<Finding> findings = analyzer.run(opts);
 
   if (!callgraph_path.empty()) {
@@ -180,23 +181,6 @@ int main(int argc, char** argv) {
               << analyzer.callgraph().methods().size() << " method(s), "
               << edge_count << " edge(s) written to " << callgraph_path
               << "\n";
-  }
-
-  if (!accesses_path.empty()) {
-    const rds::analyze::RaceModel& model = analyzer.race_model();
-    if (!write_file(accesses_path,
-                    rds::analyze::accesses_to_json(model, root))) {
-      std::cerr << "rds_analyze: cannot write " << accesses_path << "\n";
-      return 2;
-    }
-    std::set<std::string> classes;
-    for (const rds::analyze::MemberReport& r : model.members()) {
-      classes.insert(r.decl.cls);
-    }
-    std::cout << "rds_analyze: accesses for " << classes.size()
-              << " class(es), " << model.members().size() << " member(s), "
-              << model.lambdas().size() << " lambda(s) written to "
-              << accesses_path << "\n";
   }
 
   if (!emit_baseline_path.empty()) {

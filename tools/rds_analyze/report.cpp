@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <utility>
 
 namespace rds::analyze {
 namespace {
@@ -256,6 +258,47 @@ std::vector<std::string> collect_sources(
     }
   }
   return {out.begin(), out.end()};
+}
+
+std::vector<std::string> with_project_headers(
+    const std::vector<std::string>& sources, const std::string& root) {
+  namespace fs = std::filesystem;
+  const auto canonical = [](const fs::path& p) {
+    std::error_code ec;
+    const fs::path c = fs::weakly_canonical(p, ec);
+    return (ec ? p : c).generic_string();
+  };
+  std::set<std::string> seen;
+  std::vector<std::string> todo;
+  for (const std::string& s : sources) todo.push_back(canonical(s));
+  while (!todo.empty()) {
+    std::string file = std::move(todo.back());
+    todo.pop_back();
+    if (!seen.insert(file).second) continue;
+    std::ifstream in(file);
+    std::string line;
+    while (std::getline(in, line)) {
+      // `#include "path"` names a project header; <path> a system one.
+      const std::size_t hash = line.find_first_not_of(" \t");
+      const std::size_t open = line.find('"');
+      const std::size_t close = line.find('"', open + 1);
+      if (hash == std::string::npos || line[hash] != '#' ||
+          line.find("include", hash) == std::string::npos ||
+          close == std::string::npos) {
+        continue;
+      }
+      const std::string name = line.substr(open + 1, close - open - 1);
+      for (const fs::path& base :
+           {fs::path(root), fs::path(file).parent_path()}) {
+        std::error_code ec;
+        if (fs::is_regular_file(base / name, ec)) {
+          todo.push_back(canonical(base / name));
+          break;
+        }
+      }
+    }
+  }
+  return {seen.begin(), seen.end()};
 }
 
 std::vector<std::string> compile_commands_files(const std::string& json_text) {

@@ -1,7 +1,5 @@
 #include "tools/rds_analyze/summary.hpp"
 
-#include <algorithm>
-
 namespace rds::analyze {
 namespace {
 
@@ -171,22 +169,11 @@ Summaries Summaries::compute(const CallGraph& cg) {
     for (const CallSite& c : m.calls) {
       resolved.emplace(&c, cg.resolve_keys(c, key.first));
     }
-    for (const Function* fn : m.defs) {
-      for (const CallSite& c : cg.facts_of(fn).calls) {
-        resolved.emplace(&c, cg.resolve_keys(c, key.first));
-      }
-    }
   }
   // Methods sharing a name, for the Result-param pass-through check.
   std::map<std::string, std::vector<MethodKey>> by_name;
   for (const auto& [key, m] : methods) by_name[key.second].push_back(key);
 
-  std::map<const Function*, Cfg> cfgs;
-  const auto cfg_of = [&](const Function* fn) -> const Cfg& {
-    auto it = cfgs.find(fn);
-    if (it == cfgs.end()) it = cfgs.emplace(fn, build_cfg(*fn)).first;
-    return it->second;
-  };
   std::set<std::string> epoch_fns = {"placement_snapshot"};
 
   const auto param_consumed = [&](const std::vector<Tok>& b,
@@ -294,70 +281,6 @@ Summaries Summaries::compute(const CallGraph& cg) {
       next.consumes_result_params = all;
     }
 
-    // Member gauges sub()'d on every path to exit (exception edges too).
-    std::set<std::string> all_subs;
-    bool first_def = true;
-    for (const Function* fn : m.defs) {
-      const std::vector<Tok>& b = fn->body;
-      const FnFacts& facts = cg.facts_of(fn);
-      std::set<std::string> candidates;
-      const auto sub_of_g_at = [&](std::size_t k, const std::string& g) {
-        return is_ident(b[k], g) &&
-               (k == 0 || !(is_punct(b[k - 1], ".") ||
-                            is_punct(b[k - 1], "->") ||
-                            is_punct(b[k - 1], "::"))) &&
-               k + 3 < b.size() &&
-               (is_punct(b[k + 1], ".") || is_punct(b[k + 1], "->")) &&
-               is_ident(b[k + 2], "sub") && is_punct(b[k + 3], "(");
-      };
-      for (std::size_t k = 0; k + 3 < b.size(); ++k) {
-        if (b[k].kind == Kind::kIdent && b[k].text.ends_with("_") &&
-            !b[k].text.ends_with("__") && sub_of_g_at(k, b[k].text)) {
-          candidates.insert(b[k].text);
-        }
-      }
-      for (const CallSite& c : facts.calls) {
-        for (const MethodKey& t : resolved.at(&c)) {
-          const FnSummary& ts = out.sums_.at(t);
-          candidates.insert(ts.subs_on_all_paths.begin(),
-                            ts.subs_on_all_paths.end());
-        }
-      }
-      std::set<std::string> def_subs;
-      for (const std::string& g : candidates) {
-        const Cfg& cfg = cfg_of(fn);
-        const auto barrier = [&](int n) {
-          const CfgNode& node = cfg.nodes[static_cast<std::size_t>(n)];
-          for (std::size_t k = node.begin;
-               k < node.end && k + 3 < b.size(); ++k) {
-            if (sub_of_g_at(k, g)) return true;
-          }
-          for (const CallSite& c : facts.calls) {
-            if (c.tok < node.begin || c.tok >= node.end) continue;
-            for (const MethodKey& t : resolved.at(&c)) {
-              if (out.sums_.at(t).subs_on_all_paths.contains(g)) return true;
-            }
-          }
-          return false;
-        };
-        if (!reaches_exit(cfg, Cfg::kEntry, /*use_esucc=*/true,
-                          /*start_esucc=*/false, barrier)) {
-          def_subs.insert(g);
-        }
-      }
-      if (first_def) {
-        all_subs = std::move(def_subs);
-        first_def = false;
-      } else {
-        std::set<std::string> inter;
-        std::set_intersection(all_subs.begin(), all_subs.end(),
-                              def_subs.begin(), def_subs.end(),
-                              std::inserter(inter, inter.begin()));
-        all_subs = std::move(inter);
-      }
-    }
-    next.subs_on_all_paths = std::move(all_subs);
-
     FnSummary& cur = out.sums_.at(key);
     const bool changed =
         next.locks != cur.locks ||
@@ -365,8 +288,7 @@ Summaries Summaries::compute(const CallGraph& cg) {
         next.blocking_unguarded != cur.blocking_unguarded ||
         next.blocking_desc != cur.blocking_desc ||
         next.returns_epoch != cur.returns_epoch ||
-        next.consumes_result_params != cur.consumes_result_params ||
-        next.subs_on_all_paths != cur.subs_on_all_paths;
+        next.consumes_result_params != cur.consumes_result_params;
     if (next.returns_epoch) epoch_fns.insert(key.second);
     cur = std::move(next);
     return changed;

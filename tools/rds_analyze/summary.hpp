@@ -8,9 +8,8 @@
 /// on entry, whether it reaches a blocking operation with no lock of its
 /// own (so a caller holding one creates the lock-held-across-call
 /// pairing), whether it appends to the journal, whether it hands back an
-/// RCU epoch/snapshot pointer, whether it consumes its Result parameters,
-/// and which member gauges it sub()'s on every path (exception edges
-/// included).  SCCs are processed callee-first with a fixpoint iteration
+/// RCU epoch/snapshot pointer, and whether it consumes its Result
+/// parameters.  SCCs are processed callee-first with a fixpoint iteration
 /// inside each component, so mutual recursion converges.
 
 #include <map>
@@ -35,9 +34,6 @@ struct FnSummary {
   bool returns_epoch = false;  ///< returns an RCU epoch/snapshot handle
   bool has_result_params = false;
   bool consumes_result_params = false;  ///< every Result param inspected
-  /// Member gauge names this function sub()'s on every path to exit,
-  /// exception edges included (credited to callers by metric-balance).
-  std::set<std::string> subs_on_all_paths;
 };
 
 class Summaries {
