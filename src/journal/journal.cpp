@@ -51,6 +51,40 @@ std::size_t read_raw(std::istream& in, std::span<std::uint8_t> out) {
 
 }  // namespace
 
+// ---- sealed header ---------------------------------------------------------
+
+void write_sealed_header(std::ostream& out, const char* magic,
+                         std::uint64_t value) {
+  out.write(magic, 8);
+  const auto value_bytes = le64(value);
+  write_raw(out, value_bytes);
+  write_raw(out, le32(crc32(value_bytes)));
+}
+
+Result<std::uint64_t> read_sealed_header(std::istream& in, const char* magic,
+                                         std::string_view stream,
+                                         std::string_view field) {
+  const auto corrupt = [&](std::string_view what) {
+    return Error{ErrorCode::kCorruption,
+                 std::string(stream) + " header: " + std::string(what)};
+  };
+  std::array<std::uint8_t, 8> magic_bytes{};
+  if (read_raw(in, magic_bytes) != magic_bytes.size() ||
+      !std::equal(magic_bytes.begin(), magic_bytes.end(), magic)) {
+    return corrupt("bad magic/version");
+  }
+  std::array<std::uint8_t, 8> value_bytes{};
+  std::array<std::uint8_t, 4> crc_bytes{};
+  if (read_raw(in, value_bytes) != value_bytes.size() ||
+      read_raw(in, crc_bytes) != crc_bytes.size()) {
+    return corrupt("truncated");
+  }
+  if (from_le32(crc_bytes) != crc32(value_bytes)) {
+    return corrupt(std::string(field) + " checksum mismatch");
+  }
+  return from_le64(value_bytes);
+}
+
 // ---- JournalWriter ---------------------------------------------------------
 
 JournalWriter::JournalWriter(std::ostream& out, Options options)
@@ -62,10 +96,7 @@ JournalWriter::JournalWriter(std::ostream& out, Options options)
 }
 
 void JournalWriter::write_header_locked() {
-  out_->write(kJournalMagic, 8);
-  const auto lsn_bytes = le64(next_lsn_);
-  write_raw(*out_, lsn_bytes);
-  write_raw(*out_, le32(crc32(lsn_bytes)));
+  write_sealed_header(*out_, kJournalMagic, next_lsn_);
   out_->flush();
   if (!*out_) {
     healthy_ = false;
@@ -133,21 +164,10 @@ Result<std::optional<Record>> JournalReader::next() {
   if (done_) return std::optional<Record>{};
 
   if (!header_read_) {
-    std::array<std::uint8_t, 8> magic{};
-    if (read_raw(*in_, magic) != magic.size() ||
-        !std::equal(magic.begin(), magic.end(), kJournalMagic)) {
-      return fail("journal header: bad magic/version");
-    }
-    std::array<std::uint8_t, 8> lsn_bytes{};
-    std::array<std::uint8_t, 4> crc_bytes{};
-    if (read_raw(*in_, lsn_bytes) != lsn_bytes.size() ||
-        read_raw(*in_, crc_bytes) != crc_bytes.size()) {
-      return fail("journal header: truncated");
-    }
-    if (from_le32(crc_bytes) != crc32(lsn_bytes)) {
-      return fail("journal header: start-LSN checksum mismatch");
-    }
-    start_lsn_ = from_le64(lsn_bytes);
+    const Result<std::uint64_t> start =
+        read_sealed_header(*in_, kJournalMagic, "journal", "start-LSN");
+    if (!start.ok()) return fail(start.error().message);
+    start_lsn_ = start.value();
     expect_ = start_lsn_;
     header_read_ = true;
   }

@@ -26,6 +26,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/core/result.hpp"
 #include "src/journal/record.hpp"
@@ -37,6 +38,20 @@ namespace rds::journal {
 
 /// Magic + version of the journal stream format.
 inline constexpr char kJournalMagic[] = "RDSWAL01";
+
+/// The sealed header that opens a journal stream and a checkpoint alike:
+/// an 8-byte magic, a u64 (the journal's start LSN, the checkpoint's
+/// watermark) and the CRC-32 of its 8 little-endian bytes.  The caller
+/// checks the stream's state afterwards.
+void write_sealed_header(std::ostream& out, const char* magic,
+                         std::uint64_t value);
+
+/// Reads a sealed header that must carry `magic`.  kCorruption on a bad
+/// magic, a truncation or a checksum mismatch, with a message that starts
+/// "<stream> header: " and names `field` on a mismatch.
+[[nodiscard]] Result<std::uint64_t> read_sealed_header(
+    std::istream& in, const char* magic, std::string_view stream,
+    std::string_view field);
 
 /// Upper bound on one record's payload (guards the reader against parsing
 /// a corrupt length prefix into a multi-gigabyte allocation).

@@ -7,31 +7,41 @@
 namespace rds::journal {
 namespace {
 
-// ---- little-endian payload primitives -------------------------------------
+// ---- the payload layout ----------------------------------------------------
 
-void put_u8(Bytes& out, std::uint8_t v) { out.push_back(v); }
+/// Appends little-endian fields to a record payload: strings carry a u32
+/// length prefix, byte payloads a u64 one.
+class Writer {
+ public:
+  explicit Writer(Bytes& out) : out_(out) {}
 
-void put_u32(Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
+  void u8(std::uint8_t v) { out_.push_back(v); }
+  void field(std::uint64_t v) { le(v); }
 
-void put_u64(Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) put_u8(out, static_cast<std::uint8_t>(v >> (8 * i)));
-}
+  void field(const std::string& s) {
+    le(static_cast<std::uint32_t>(s.size()));
+    out_.insert(out_.end(), s.begin(), s.end());
+  }
 
-void put_string(Bytes& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
+  void field(const Bytes& b) {
+    le(static_cast<std::uint64_t>(b.size()));
+    out_.insert(out_.end(), b.begin(), b.end());
+  }
 
-void put_bytes(Bytes& out, const Bytes& b) {
-  put_u64(out, b.size());
-  out.insert(out.end(), b.begin(), b.end());
-}
+ private:
+  template <typename T>
+  void le(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      u8(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
 
-/// Bounds-checked reader over a record payload.  Underflow latches
-/// `failed()` instead of throwing so decode_record can return a typed
-/// Result.
+  Bytes& out_;
+};
+
+/// Bounds-checked reader over a record payload, the Writer's mirror image.
+/// Underflow latches `failed()` instead of throwing so decode_record can
+/// return a typed Result.
 class Cursor {
  public:
   explicit Cursor(std::span<const std::uint8_t> data) : data_(data) {}
@@ -47,46 +57,90 @@ class Cursor {
     return data_[pos_++];
   }
 
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
+  void field(std::uint64_t& v) { v = le<std::uint64_t>(); }
+
+  void field(std::string& s) {
+    const std::span<const std::uint8_t> b = take(le<std::uint32_t>());
+    s.assign(reinterpret_cast<const char*>(b.data()), b.size());
   }
 
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
-
-  std::string string() {
-    const std::uint32_t size = u32();
-    if (failed_ || data_.size() - pos_ < size) {
-      failed_ = true;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), size);
-    pos_ += size;
-    return s;
-  }
-
-  Bytes bytes() {
-    const std::uint64_t size = u64();
-    if (failed_ || data_.size() - pos_ < size) {
-      failed_ = true;
-      return {};
-    }
-    Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + size));
-    pos_ += static_cast<std::size_t>(size);
-    return b;
+  void field(Bytes& b) {
+    const std::span<const std::uint8_t> bytes = take(le<std::uint64_t>());
+    b.assign(bytes.begin(), bytes.end());
   }
 
  private:
+  template <typename T>
+  T le() {
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(u8()) << (8 * i);
+    }
+    return v;
+  }
+
+  /// The next `size` bytes; empty, with failed() latched, past the end.
+  std::span<const std::uint8_t> take(std::uint64_t size) {
+    if (failed_ || data_.size() - pos_ < size) {
+      failed_ = true;
+      return {};
+    }
+    const std::span<const std::uint8_t> out =
+        data_.subspan(pos_, static_cast<std::size_t>(size));
+    pos_ += out.size();
+    return out;
+  }
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   bool failed_ = false;
 };
+
+/// Each record type's fields after the shared lsn and type tag, in payload
+/// order.  encode_record walks this list with a Writer (R = const Record)
+/// and decode_record with a Cursor (R = Record), so the two directions
+/// cannot disagree on a layout.
+template <typename R, typename Io>
+void walk_fields(R& r, Io& io) {
+  switch (r.type) {
+    case RecordType::kAddDevice:
+      io.field(r.device);
+      io.field(r.capacity);
+      io.field(r.device_name);
+      break;
+    case RecordType::kRemoveDevice:
+    case RecordType::kFailDevice:
+      io.field(r.device);
+      break;
+    case RecordType::kResizeDevice:
+      io.field(r.device);
+      io.field(r.capacity);
+      break;
+    case RecordType::kRebuild:
+      break;
+    case RecordType::kSetStrategy:
+    case RecordType::kSetScheme:
+      io.field(r.volume);
+      io.field(r.detail);
+      break;
+    case RecordType::kCreateVolume:
+      io.field(r.volume);
+      io.field(r.detail);
+      io.field(r.device_name);  // placement kind name
+      break;
+    case RecordType::kDropVolume:
+      io.field(r.volume);
+      break;
+    case RecordType::kFilePut:
+      io.field(r.file);
+      io.field(r.content_hash);
+      io.field(r.content);
+      break;
+    case RecordType::kFileRemove:
+      io.field(r.file);
+      break;
+  }
+}
 
 }  // namespace
 
@@ -195,53 +249,17 @@ Record make_file_remove(std::string file) {
 
 Bytes encode_record(const Record& record) {
   Bytes out;
-  put_u64(out, record.lsn);
-  put_u8(out, static_cast<std::uint8_t>(record.type));
-  switch (record.type) {
-    case RecordType::kAddDevice:
-      put_u64(out, record.device);
-      put_u64(out, record.capacity);
-      put_string(out, record.device_name);
-      break;
-    case RecordType::kRemoveDevice:
-    case RecordType::kFailDevice:
-      put_u64(out, record.device);
-      break;
-    case RecordType::kResizeDevice:
-      put_u64(out, record.device);
-      put_u64(out, record.capacity);
-      break;
-    case RecordType::kRebuild:
-      break;
-    case RecordType::kSetStrategy:
-    case RecordType::kSetScheme:
-      put_string(out, record.volume);
-      put_string(out, record.detail);
-      break;
-    case RecordType::kCreateVolume:
-      put_string(out, record.volume);
-      put_string(out, record.detail);
-      put_string(out, record.device_name);  // placement kind name
-      break;
-    case RecordType::kDropVolume:
-      put_string(out, record.volume);
-      break;
-    case RecordType::kFilePut:
-      put_string(out, record.file);
-      put_u64(out, record.content_hash);
-      put_bytes(out, record.content);
-      break;
-    case RecordType::kFileRemove:
-      put_string(out, record.file);
-      break;
-  }
+  Writer writer(out);
+  writer.field(record.lsn);
+  writer.u8(static_cast<std::uint8_t>(record.type));
+  walk_fields(record, writer);
   return out;
 }
 
 Result<Record> decode_record(std::span<const std::uint8_t> payload) {
   Cursor in(payload);
   Record r;
-  r.lsn = in.u64();
+  in.field(r.lsn);
   const std::uint8_t tag = in.u8();
   if (in.failed()) {
     return Error{ErrorCode::kCorruption, "record payload truncated"};
@@ -252,44 +270,7 @@ Result<Record> decode_record(std::span<const std::uint8_t> payload) {
                  "unknown record type tag " + std::to_string(tag)};
   }
   r.type = static_cast<RecordType>(tag);
-  switch (r.type) {
-    case RecordType::kAddDevice:
-      r.device = in.u64();
-      r.capacity = in.u64();
-      r.device_name = in.string();
-      break;
-    case RecordType::kRemoveDevice:
-    case RecordType::kFailDevice:
-      r.device = in.u64();
-      break;
-    case RecordType::kResizeDevice:
-      r.device = in.u64();
-      r.capacity = in.u64();
-      break;
-    case RecordType::kRebuild:
-      break;
-    case RecordType::kSetStrategy:
-    case RecordType::kSetScheme:
-      r.volume = in.string();
-      r.detail = in.string();
-      break;
-    case RecordType::kCreateVolume:
-      r.volume = in.string();
-      r.detail = in.string();
-      r.device_name = in.string();
-      break;
-    case RecordType::kDropVolume:
-      r.volume = in.string();
-      break;
-    case RecordType::kFilePut:
-      r.file = in.string();
-      r.content_hash = in.u64();
-      r.content = in.bytes();
-      break;
-    case RecordType::kFileRemove:
-      r.file = in.string();
-      break;
-  }
+  walk_fields(r, in);
   if (in.failed()) {
     return Error{ErrorCode::kCorruption,
                  "record payload truncated (" + std::string(to_string(r.type)) +

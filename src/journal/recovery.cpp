@@ -1,38 +1,21 @@
 #include "src/journal/recovery.hpp"
 
-#include <array>
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "src/metrics/registry.hpp"
 #include "src/metrics/scoped_timer.hpp"
 #include "src/placement/strategy_factory.hpp"
-#include "src/util/crc32.hpp"
 #include "src/util/hash.hpp"
 
 namespace rds::journal {
 namespace {
 
-void put_le64(std::ostream& out, std::uint64_t v,
-              std::array<std::uint8_t, 8>& bytes) {
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
-  out.write(reinterpret_cast<const char*>(bytes.data()), 8);
-}
-
 void write_checkpoint_header(std::ostream& out, Lsn watermark) {
-  out.write(kCheckpointMagic, 8);
-  std::array<std::uint8_t, 8> bytes{};
-  put_le64(out, watermark, bytes);
-  const std::uint32_t crc = crc32(bytes);
-  std::array<std::uint8_t, 4> crc_bytes{};
-  for (int i = 0; i < 4; ++i) {
-    crc_bytes[i] = static_cast<std::uint8_t>(crc >> (8 * i));
-  }
-  out.write(reinterpret_cast<const char*>(crc_bytes.data()), 4);
+  write_sealed_header(out, kCheckpointMagic, watermark);
   if (!out) throw std::runtime_error("checkpoint: header write failed");
 }
 
@@ -329,35 +312,7 @@ Lsn checkpoint(const FileStore& store, JournalWriter& writer,
 }
 
 Result<Lsn> read_checkpoint_header(std::istream& in) {
-  std::array<char, 8> magic{};
-  in.read(magic.data(), 8);
-  if (in.gcount() != 8 ||
-      std::string_view(magic.data(), 8) != std::string_view(kCheckpointMagic, 8)) {
-    return Error{ErrorCode::kCorruption, "checkpoint header: bad magic/version"};
-  }
-  std::array<std::uint8_t, 8> lsn_bytes{};
-  std::array<std::uint8_t, 4> crc_bytes{};
-  in.read(reinterpret_cast<char*>(lsn_bytes.data()), 8);
-  if (in.gcount() != 8) {
-    return Error{ErrorCode::kCorruption, "checkpoint header: truncated"};
-  }
-  in.read(reinterpret_cast<char*>(crc_bytes.data()), 4);
-  if (in.gcount() != 4) {
-    return Error{ErrorCode::kCorruption, "checkpoint header: truncated"};
-  }
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    crc |= static_cast<std::uint32_t>(crc_bytes[i]) << (8 * i);
-  }
-  if (crc != crc32(lsn_bytes)) {
-    return Error{ErrorCode::kCorruption,
-                 "checkpoint header: watermark checksum mismatch"};
-  }
-  Lsn watermark = 0;
-  for (int i = 0; i < 8; ++i) {
-    watermark |= static_cast<Lsn>(lsn_bytes[i]) << (8 * i);
-  }
-  return watermark;
+  return read_sealed_header(in, kCheckpointMagic, "checkpoint", "watermark");
 }
 
 Result<DiskRecovery> Recovery::recover_disk(std::istream& checkpoint_in,

@@ -4,20 +4,6 @@
 
 namespace rds {
 
-ModuloPlacement::ModuloPlacement(const ClusterConfig& config) {
-  if (config.empty()) {
-    throw std::invalid_argument("ModuloPlacement: empty cluster");
-  }
-  uids_.reserve(config.size());
-  for (const Device& d : config.devices()) uids_.push_back(d.uid);
-}
-
-DeviceId ModuloPlacement::place(std::uint64_t address) const {
-  return uids_[address % uids_.size()];
-}
-
-std::string ModuloPlacement::name() const { return "modulo"; }
-
 RoundRobinStriping::RoundRobinStriping(const ClusterConfig& config, unsigned k)
     : k_(k) {
   if (k == 0) throw std::invalid_argument("RoundRobinStriping: k == 0");

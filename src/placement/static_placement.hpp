@@ -1,10 +1,10 @@
-// Static (table/pattern) placement baselines.
+// Static (pattern) placement baseline.
 //
-// These are the strategies the paper's introduction argues *against*:
-// perfectly fine for a fixed homogeneous array, but either unfair on
-// heterogeneous capacities or catastrophically non-adaptive (a device change
-// reshuffles nearly all data).  They exist to quantify exactly that in the
-// adaptivity benchmarks.
+// This is the kind of strategy the paper's introduction argues *against*:
+// perfectly fine for a fixed homogeneous array, but unfair on heterogeneous
+// capacities and catastrophically non-adaptive (a device change reshuffles
+// nearly all data).  It exists to quantify exactly that in the adaptivity
+// benchmarks and the churn simulator.
 #pragma once
 
 #include <cstdint>
@@ -13,22 +13,6 @@
 #include "src/placement/strategy.hpp"
 
 namespace rds {
-
-/// address mod n.  Uniform over devices regardless of capacity; the classic
-/// "hashing does not adapt" strawman.
-class ModuloPlacement final : public SingleStrategy {
- public:
-  explicit ModuloPlacement(const ClusterConfig& config);
-
-  [[nodiscard]] DeviceId place(std::uint64_t address) const override;
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::size_t device_count() const override {
-    return uids_.size();
-  }
-
- private:
-  std::vector<DeviceId> uids_;
-};
 
 /// RAID-style striping with replication: copy j of ball a sits on device
 /// (a*k + j) mod n.  Fair only for homogeneous devices; adapting to a new

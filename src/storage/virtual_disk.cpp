@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/journal/journal.hpp"
@@ -10,6 +12,19 @@
 #include "src/placement/batch_placer.hpp"
 
 namespace rds {
+namespace {
+
+/// No journal record expresses an arbitrary config, so a journaled disk
+/// refuses the calls that install one before anything changes.
+Error unjournaled_config(std::string_view call) {
+  return Error{ErrorCode::kInvalidArgument,
+               "VirtualDisk: " + std::string(call) +
+                   " installs a config no journal record expresses; edit a "
+                   "journaled disk with try_add_device, try_remove_device "
+                   "or try_resize_device"};
+}
+
+}  // namespace
 
 VirtualDisk::VirtualDisk(ClusterConfig config,
                          std::shared_ptr<RedundancyScheme> scheme,
@@ -477,6 +492,7 @@ std::uint64_t VirtualDisk::rebuild() {
 
 Result<std::size_t> VirtualDisk::try_begin_reshape(ClusterConfig next) {
   const MutexLock lock(mu_);
+  if (journal_) return unjournaled_config("try_begin_reshape");
   return begin_reshape_locked(std::move(next));
 }
 
@@ -660,6 +676,7 @@ std::size_t VirtualDisk::step_reshape_locked(std::size_t max_blocks) {
 
 Result<std::size_t> VirtualDisk::apply_config(ClusterConfig next) {
   const MutexLock lock(mu_);
+  if (journal_) return unjournaled_config("apply_config");
   return apply_config_locked(std::move(next));
 }
 

@@ -168,7 +168,10 @@ class VirtualDisk {
   /// number of blocks that needed re-placement: those with a fragment
   /// whose home changed.  kReshapeInProgress if a reshape is in flight,
   /// kDeviceFailed if a failed device would remain in `next`,
-  /// kInvalidArgument for configs the strategy rejects.
+  /// kInvalidArgument for configs the strategy rejects, and before
+  /// anything changes when a journal is attached: no journal record
+  /// expresses an arbitrary config, so a journaled disk is edited through
+  /// try_add_device / try_remove_device / try_resize_device.
   [[nodiscard]] Result<std::size_t> apply_config(ClusterConfig next)
       RDS_EXCLUDES(mu_);
 
@@ -228,7 +231,7 @@ class VirtualDisk {
   /// work normally (each block is served from wherever it currently lives);
   /// further topology operations are rejected until the reshape drains
   /// (kReshapeInProgress).  kDeviceFailed and kInvalidArgument as for
-  /// apply_config.
+  /// apply_config, including the refusal on a journaled disk.
   [[nodiscard]] Result<std::size_t> try_begin_reshape(ClusterConfig next)
       RDS_EXCLUDES(mu_);
 

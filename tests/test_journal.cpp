@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/journal/record.hpp"
@@ -211,6 +214,35 @@ TEST(JournalReader, DetectsLsnDiscontinuity) {
   ASSERT_FALSE(replayed.ok());
   EXPECT_NE(replayed.error().message.find("LSN discontinuity"),
             std::string::npos);
+}
+
+// The writer's half of the committed golden journal (the reader's half is
+// Recovery.CommittedJournalReplaysIntoFreshFileStore): the records decoded
+// from tests/data/parent_journal.wal, re-appended from the file's start
+// LSN, write the file again byte for byte.
+TEST(JournalWriter, ReappendsCommittedJournalByteForByte) {
+  std::ifstream file(RDS_TEST_DATA_DIR "/parent_journal.wal",
+                     std::ios::binary);
+  ASSERT_TRUE(file) << "missing " RDS_TEST_DATA_DIR "/parent_journal.wal";
+  const std::string committed((std::istreambuf_iterator<char>(file)),
+                              std::istreambuf_iterator<char>());
+  std::istringstream in(committed);
+  JournalReader reader(in);
+  std::vector<Record> records;
+  for (;;) {
+    auto next = reader.next();
+    ASSERT_TRUE(next.ok()) << next.error().message;
+    if (!next.value()) break;
+    records.push_back(*std::move(next).take());
+  }
+  ASSERT_EQ(records.size(), 5u);
+
+  std::ostringstream out;
+  JournalWriter writer(out, {.start_lsn = reader.start_lsn()});
+  for (const Record& record : records) {
+    ASSERT_TRUE(writer.append(record).ok());
+  }
+  EXPECT_EQ(out.str(), committed);
 }
 
 }  // namespace

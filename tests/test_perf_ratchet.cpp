@@ -1,5 +1,5 @@
 // Unit tests for the perf-ratchet core: JSON round trip, benchmark-run
-// extraction, tolerance comparison, speedup rules, and the build-type
+// extraction, tolerance comparison, same-run rules, and the build-type
 // stamp.  The CLI-level pass/fail contracts run as ctest commands on the
 // committed fixtures (tools/CMakeLists.txt, label `ratchet`).
 #include "tools/perf_ratchet/ratchet.hpp"
@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace rds::ratchet {
 namespace {
@@ -87,6 +88,10 @@ TEST(PerfRatchetExtract, RejectsNonBenchmarkJson) {
   EXPECT_THROW(extract_run(parse_json("{}")), std::runtime_error);
   EXPECT_THROW(extract_run(parse_json(R"({"benchmarks": [{"x": 1}]})")),
                std::runtime_error);
+  // A row must carry a positive rate, so no rule divides by a zero one.
+  EXPECT_THROW(extract_run(parse_json(
+                   R"({"benchmarks": [{"name": "z", "items_per_second": 0}]})")),
+               std::runtime_error);
 }
 
 BenchRun run_with(std::initializer_list<BenchRow> rows,
@@ -100,7 +105,7 @@ BenchRun run_with(std::initializer_list<BenchRow> rows,
 TEST(PerfRatchetCompare, PassesWithinTolerance) {
   Report report;
   compare_runs(run_with({{"a", 100.0, {}}, {"b", 1000.0, {}}}),
-               run_with({{"a", 70.0, {}}, {"b", 1300.0, {}}}), {.tolerance = 0.40},
+               run_with({{"a", 70.0, {}}, {"b", 1300.0, {}}}),
                report);
   EXPECT_TRUE(report.ok()) << report.failures.front();
 }
@@ -108,7 +113,7 @@ TEST(PerfRatchetCompare, PassesWithinTolerance) {
 TEST(PerfRatchetCompare, FailsBeyondTolerance) {
   Report report;
   compare_runs(run_with({{"a", 100.0, {}}}), run_with({{"a", 59.0, {}}}),
-               {.tolerance = 0.40}, report);
+               report);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_NE(report.failures[0].find("regression"), std::string::npos);
   EXPECT_NE(report.failures[0].find("`a`"), std::string::npos);
@@ -117,7 +122,7 @@ TEST(PerfRatchetCompare, FailsBeyondTolerance) {
 TEST(PerfRatchetCompare, FailsOnMissingBaselineRow) {
   Report report;
   compare_runs(run_with({{"a", 100.0, {}}, {"gone", 5.0, {}}}),
-               run_with({{"a", 100.0, {}}, {"fresh", 1.0, {}}}), {}, report);
+               run_with({{"a", 100.0, {}}, {"fresh", 1.0, {}}}), report);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_NE(report.failures[0].find("`gone`"), std::string::npos);
   // The row the baseline lacks is a note (candidate for ratcheting in).
@@ -127,7 +132,7 @@ TEST(PerfRatchetCompare, FailsOnMissingBaselineRow) {
 TEST(PerfRatchetCompare, NotesLargeImprovements) {
   Report report;
   compare_runs(run_with({{"a", 100.0, {}}}), run_with({{"a", 250.0, {}}}),
-               {.tolerance = 0.40}, report);
+               report);
   EXPECT_TRUE(report.ok());
   ASSERT_EQ(report.notes.size(), 1u);
   EXPECT_NE(report.notes[0].find("improved"), std::string::npos);
@@ -156,37 +161,97 @@ TEST(PerfRatchetBuildType, FailsDebugAndUnstampedRuns) {
   }
 }
 
+// A row named `name` whose `value` is `v`: its rate, or a custom counter.
+BenchRow row(std::string name, std::string_view value, double v) {
+  BenchRow r{std::move(name), 100.0, {}};
+  if (value == "rate") {
+    r.rate = v;
+  } else {
+    r.counters = {{std::string(value), v}};
+  }
+  return r;
+}
+
+// Rows `low` and `high` whose `value` is `low_value` and `high_value`.
+BenchRun two_rows(std::string_view value, double low_value,
+                  double high_value) {
+  return run_with(
+      {row("low", value, low_value), row("high", value, high_value)});
+}
+
+Report checked(const BenchRun& run, const Rule& rule) {
+  Report report;
+  check_rule(run, rule, report);
+  return report;
+}
+
+void expect_parses(std::string_view spec, const Rule& want) {
+  const auto rule = parse_rule(spec);
+  ASSERT_TRUE(rule.has_value()) << spec;
+  EXPECT_EQ(rule->value, want.value);
+  EXPECT_EQ(rule->low, want.low);
+  EXPECT_EQ(rule->high, want.high);
+  EXPECT_DOUBLE_EQ(rule->ratio, want.ratio);
+}
+
+// A rule over `value` fails, and names what it lacks, when a row is absent
+// or carries no `value`.
+void expect_fails_on_missing(const std::string& value) {
+  const BenchRun run = two_rows(value, 300.0, 1000.0);
+  const Report no_row = checked(run, {value, "low", "absent", 1.0});
+  ASSERT_EQ(no_row.failures.size(), 1u);
+  EXPECT_NE(no_row.failures[0].find("`absent`"), std::string::npos);
+  BenchRun partial = run;
+  partial.rows.push_back({"plain", 5.0, {}});
+  const Report no_value = checked(partial, {value, "low", "plain", 1.0});
+  ASSERT_EQ(no_value.failures.size(), 1u);
+  EXPECT_NE(no_value.failures[0].find("`plain` carries no `" + value + "`"),
+            std::string::npos);
+}
+
+TEST(PerfRatchetRule, RejectsMalformedSpecs) {
+  for (const char* bad :
+       {"no-colons", "rate:a:b", "rate:a:b:", ":a:b:1", "rate::b:1",
+        "rate:a::1", "rate:a:b:1:2", "rate:a:b:zero", "rate:a:b:1x",
+        "rate:a:b: 1", "rate:a:b:0", "rate:a:b:-2", "rate:a:b:inf",
+        "rate:a:b:nan", "rate:a:b:1e999"}) {
+    EXPECT_FALSE(parse_rule(bad).has_value()) << bad;
+  }
+}
+
+TEST(PerfRatchetRule, TieAtRatioOnePasses) {
+  // The committed rules read three kinds of value: the rate, the seeded SLO
+  // counter p99_us, and seeded durability counters.
+  for (const char* value : {"rate", "p99_us", "exp_loss_ppm"}) {
+    SCOPED_TRACE(value);
+    const BenchRun tied = two_rows(value, 500.0, 500.0);
+    const Report at_one = checked(tied, {value, "low", "high", 1.0});
+    EXPECT_TRUE(at_one.ok()) << at_one.failures.front();
+    // A ratio just under 1 makes the tie fail: how the p99 rule asks for a
+    // strict win over a deterministic counter.
+    EXPECT_FALSE(checked(tied, {value, "low", "high", 0.99}).ok());
+  }
+}
+
+// "FAST is at least RATIO x SLOW" is the one rule over `rate` with the rows
+// swapped and the ratio inverted.
 TEST(PerfRatchetSpeedup, ParsesRuleSpecs) {
-  const auto rule = parse_speedup_rule("fast/1000/4:slow/1000/4:10");
-  ASSERT_TRUE(rule.has_value());
-  EXPECT_EQ(rule->fast, "fast/1000/4");
-  EXPECT_EQ(rule->slow, "slow/1000/4");
-  EXPECT_DOUBLE_EQ(rule->min_ratio, 10.0);
-  EXPECT_FALSE(parse_speedup_rule("no-colons").has_value());
-  EXPECT_FALSE(parse_speedup_rule("a:b:").has_value());
-  EXPECT_FALSE(parse_speedup_rule("a:b:zero").has_value());
-  EXPECT_FALSE(parse_speedup_rule("a:b:-2").has_value());
+  expect_parses("rate:slow/1000/4:fast/1000/4:0.1",
+                {"rate", "slow/1000/4", "fast/1000/4", 0.1});
+  // The retired FAST:SLOW:RATIO form is refused, not misread.
+  EXPECT_FALSE(parse_rule("fast/1000/4:slow/1000/4:10").has_value());
 }
 
 TEST(PerfRatchetSpeedup, EnforcesMinimumRatio) {
   const BenchRun run = run_with({{"fast", 500.0, {}}, {"slow", 100.0, {}}});
-  {
-    Report report;
-    check_speedup(run, {"fast", "slow", 4.0}, report);
-    EXPECT_TRUE(report.ok());
-    ASSERT_EQ(report.notes.size(), 1u);
-  }
-  {
-    Report report;
-    check_speedup(run, {"fast", "slow", 10.0}, report);
-    ASSERT_EQ(report.failures.size(), 1u);
-    EXPECT_NE(report.failures[0].find("speedup"), std::string::npos);
-  }
-  {
-    Report report;
-    check_speedup(run, {"fast", "absent", 2.0}, report);
-    EXPECT_FALSE(report.ok());
-  }
+  const Report four_x = checked(run, {"rate", "slow", "fast", 0.25});
+  EXPECT_TRUE(four_x.ok()) << four_x.failures.front();
+  ASSERT_EQ(four_x.notes.size(), 1u);
+  EXPECT_NE(four_x.notes[0].find("rule ok"), std::string::npos);
+  const Report ten_x = checked(run, {"rate", "slow", "fast", 0.1});
+  ASSERT_EQ(ten_x.failures.size(), 1u);
+  EXPECT_NE(ten_x.failures[0].find("rule: `slow`"), std::string::npos);
+  EXPECT_FALSE(checked(run, {"rate", "slow", "absent", 0.5}).ok());
 }
 
 TEST(PerfRatchetLatency, ExtractsP99Counter) {
@@ -199,79 +264,39 @@ TEST(PerfRatchetLatency, ExtractsP99Counter) {
     ]
   })"));
   ASSERT_NE(run.find("slo"), nullptr);
-  ASSERT_TRUE(run.find("slo")->p99_us.has_value());
-  EXPECT_DOUBLE_EQ(*run.find("slo")->p99_us, 340.5);
-  EXPECT_FALSE(run.find("plain")->p99_us.has_value());
+  EXPECT_EQ(run.find("slo")->value("p99_us"), 340.5);
+  ASSERT_NE(run.find("plain"), nullptr);
+  EXPECT_FALSE(run.find("plain")->value("p99_us").has_value());
 }
 
 TEST(PerfRatchetLatency, ParsesRuleSpecs) {
-  const auto rule = parse_latency_rule("bm/zipf09/p2c:bm/zipf09/random:1.0");
-  ASSERT_TRUE(rule.has_value());
-  EXPECT_EQ(rule->fast, "bm/zipf09/p2c");
-  EXPECT_EQ(rule->slow, "bm/zipf09/random");
-  EXPECT_DOUBLE_EQ(rule->max_ratio, 1.0);
-  EXPECT_FALSE(parse_latency_rule("no-colons").has_value());
-  EXPECT_FALSE(parse_latency_rule("a:b:-1").has_value());
-}
-
-BenchRow slo_row(std::string name, double p99) {
-  BenchRow row;
-  row.name = std::move(name);
-  row.rate = 100.0;
-  row.p99_us = p99;
-  return row;
+  expect_parses("p99_us:bm/zipf09/p2c:bm/zipf09/random:0.99",
+                {"p99_us", "bm/zipf09/p2c", "bm/zipf09/random", 0.99});
+  // The retired FAST:SLOW:RATIO form is refused, not misread.
+  EXPECT_FALSE(parse_rule("bm/zipf09/p2c:bm/zipf09/random:1.0").has_value());
 }
 
 TEST(PerfRatchetLatency, EnforcesStrictOrdering) {
-  const BenchRun run =
-      run_with({slo_row("p2c", 340.0), slo_row("random", 980.0)});
-  {
-    Report report;
-    check_latency(run, {"p2c", "random", 1.0}, report);
-    EXPECT_TRUE(report.ok()) << report.failures.front();
-    ASSERT_EQ(report.notes.size(), 1u);
-    EXPECT_NE(report.notes[0].find("latency ok"), std::string::npos);
-  }
-  {
-    // Inverted direction: random is NOT below p2c.
-    Report report;
-    check_latency(run, {"random", "p2c", 1.0}, report);
-    ASSERT_EQ(report.failures.size(), 1u);
-    EXPECT_NE(report.failures[0].find("latency"), std::string::npos);
-  }
-  {
-    // A tie fails too -- the SLO counters are deterministic, so the
-    // comparison is strict.
-    Report report;
-    const BenchRun tied =
-        run_with({slo_row("p2c", 500.0), slo_row("random", 500.0)});
-    check_latency(tied, {"p2c", "random", 1.0}, report);
-    EXPECT_FALSE(report.ok());
-  }
-  {
-    // A looser ratio relaxes the bound: 340 < 980 * 0.5.
-    Report report;
-    check_latency(run, {"p2c", "random", 0.5}, report);
-    EXPECT_TRUE(report.ok());
-  }
+  const BenchRun run = run_with(
+      {row("p2c", "p99_us", 340.0), row("random", "p99_us", 980.0)});
+  const Report ok = checked(run, {"p99_us", "p2c", "random", 0.99});
+  EXPECT_TRUE(ok.ok()) << ok.failures.front();
+  ASSERT_EQ(ok.notes.size(), 1u);
+  EXPECT_NE(ok.notes[0].find("rule ok"), std::string::npos);
+  // Inverted direction: random is NOT below p2c.
+  EXPECT_FALSE(checked(run, {"p99_us", "random", "p2c", 0.99}).ok());
+  // A tie fails too: the SLO counters are deterministic, so the committed
+  // rule asks for a strict win through its ratio under 1.
+  const BenchRun tied = run_with(
+      {row("p2c", "p99_us", 500.0), row("random", "p99_us", 500.0)});
+  EXPECT_FALSE(checked(tied, {"p99_us", "p2c", "random", 0.99}).ok());
+  // A lower ratio asks for more: 340 <= 980 x 0.5 passes, x 0.3 fails.
+  EXPECT_TRUE(checked(run, {"p99_us", "p2c", "random", 0.5}).ok());
+  EXPECT_FALSE(checked(run, {"p99_us", "p2c", "random", 0.3}).ok());
 }
 
 TEST(PerfRatchetLatency, FailsOnMissingRowsOrCounters) {
-  {
-    Report report;
-    check_latency(run_with({slo_row("p2c", 340.0)}),
-                  {"p2c", "absent", 1.0}, report);
-    ASSERT_EQ(report.failures.size(), 1u);
-    EXPECT_NE(report.failures[0].find("`absent`"), std::string::npos);
-  }
-  {
-    // Row exists but carries no p99_us counter (not an SLO benchmark).
-    Report report;
-    check_latency(run_with({slo_row("p2c", 340.0), {"plain", 5.0, {}}}),
-                  {"p2c", "plain", 1.0}, report);
-    ASSERT_EQ(report.failures.size(), 1u);
-    EXPECT_NE(report.failures[0].find("p99_us"), std::string::npos);
-  }
+  expect_fails_on_missing("p99_us");
 }
 
 TEST(PerfRatchetCounter, ExtractsCustomCountersAndStripsConfigSuffix) {
@@ -286,94 +311,48 @@ TEST(PerfRatchetCounter, ExtractsCustomCountersAndStripsConfigSuffix) {
     ]
   })"));
   // The run-config suffix is stripped; plain argument segments are not.
-  const BenchRow* row = run.find("bm_churnsim/k3");
-  ASSERT_NE(row, nullptr);
+  const BenchRow* k3 = run.find("bm_churnsim/k3");
+  ASSERT_NE(k3, nullptr);
   EXPECT_EQ(run.find("bm_churnsim/k3/iterations:1"), nullptr);
   ASSERT_NE(run.find("bm/args/8/16"), nullptr);
-  // Stock fields are not counters; custom numeric fields are.
-  EXPECT_FALSE(row->counter("iterations").has_value());
-  EXPECT_FALSE(row->counter("real_time").has_value());
-  ASSERT_TRUE(row->counter("loss_ppm").has_value());
-  EXPECT_DOUBLE_EQ(*row->counter("loss_ppm"), 2740.0);
-  EXPECT_DOUBLE_EQ(*row->counter("exp_loss_ppm"), 6997.0);
-  EXPECT_FALSE(row->counter("absent").has_value());
+  // Stock fields are not values; `rate` and custom numeric fields are.
+  EXPECT_FALSE(k3->value("iterations").has_value());
+  EXPECT_FALSE(k3->value("real_time").has_value());
+  EXPECT_EQ(k3->value("rate"), 5.0);
+  EXPECT_EQ(k3->value("loss_ppm"), 2740.0);
+  EXPECT_EQ(k3->value("exp_loss_ppm"), 6997.0);
+  EXPECT_FALSE(k3->value("absent").has_value());
 }
 
 TEST(PerfRatchetCounter, ParsesRuleSpecs) {
-  const auto rule =
-      parse_counter_rule("exp_loss_ppm:bm/k3:bm/k2:1.0");
-  ASSERT_TRUE(rule.has_value());
-  EXPECT_EQ(rule->counter, "exp_loss_ppm");
-  EXPECT_EQ(rule->low, "bm/k3");
-  EXPECT_EQ(rule->high, "bm/k2");
-  EXPECT_DOUBLE_EQ(rule->max_ratio, 1.0);
-  EXPECT_FALSE(parse_counter_rule("no-colons").has_value());
-  EXPECT_FALSE(parse_counter_rule("c:a:b:").has_value());
-  EXPECT_FALSE(parse_counter_rule("c:a:b:-1").has_value());
-  EXPECT_FALSE(parse_counter_rule(":a:b:1").has_value());
-}
-
-BenchRow counter_row(std::string name,
-                     std::initializer_list<std::pair<std::string, double>>
-                         counters) {
-  BenchRow row;
-  row.name = std::move(name);
-  row.rate = 100.0;
-  row.counters = counters;
-  return row;
+  // The durability rules kept their text when the other kinds joined them.
+  expect_parses("exp_loss_ppm:bm/k3:bm/k2:1.0",
+                {"exp_loss_ppm", "bm/k3", "bm/k2", 1.0});
+  expect_parses("loss_ppm:bm/k3:bm/k2:2", {"loss_ppm", "bm/k3", "bm/k2", 2.0});
 }
 
 TEST(PerfRatchetCounter, EnforcesNonStrictOrdering) {
-  const BenchRun run = run_with({counter_row("k3", {{"exp_loss_ppm", 7e3}}),
-                                 counter_row("k2", {{"exp_loss_ppm", 2e4}})});
-  {
-    Report report;
-    check_counter(run, {"exp_loss_ppm", "k3", "k2", 1.0}, report);
-    EXPECT_TRUE(report.ok()) << report.failures.front();
-    ASSERT_EQ(report.notes.size(), 1u);
-    EXPECT_NE(report.notes[0].find("counter ok"), std::string::npos);
-  }
-  {
-    // Inverted direction: k2 loses more than k3 allows.
-    Report report;
-    check_counter(run, {"exp_loss_ppm", "k2", "k3", 1.0}, report);
-    ASSERT_EQ(report.failures.size(), 1u);
-    EXPECT_NE(report.failures[0].find("counter"), std::string::npos);
-  }
-  {
-    // A tie passes: unlike the latency rule the comparison is non-strict
-    // (both sides legitimately lose zero at benign parameters).
-    Report report;
-    const BenchRun tied = run_with({counter_row("k3", {{"loss_ppm", 0.0}}),
-                                    counter_row("k2", {{"loss_ppm", 0.0}})});
-    check_counter(tied, {"loss_ppm", "k3", "k2", 1.0}, report);
-    EXPECT_TRUE(report.ok()) << report.failures.front();
-  }
-  {
-    // A looser ratio relaxes the bound: 2e4 <= 7e3 * 3.
-    Report report;
-    check_counter(run, {"exp_loss_ppm", "k2", "k3", 3.0}, report);
-    EXPECT_TRUE(report.ok());
-  }
+  const BenchRun run = run_with(
+      {row("k3", "exp_loss_ppm", 7e3), row("k2", "exp_loss_ppm", 2e4)});
+  const Report ok = checked(run, {"exp_loss_ppm", "k3", "k2", 1.0});
+  EXPECT_TRUE(ok.ok()) << ok.failures.front();
+  ASSERT_EQ(ok.notes.size(), 1u);
+  EXPECT_NE(ok.notes[0].find("rule ok"), std::string::npos);
+  // Inverted direction: k2 loses more than k3 allows.
+  const Report inverted = checked(run, {"exp_loss_ppm", "k2", "k3", 1.0});
+  ASSERT_EQ(inverted.failures.size(), 1u);
+  EXPECT_NE(inverted.failures[0].find("rule: `k2`"), std::string::npos);
+  // A tie passes: both sides legitimately lose zero at benign parameters.
+  const BenchRun tied =
+      run_with({row("k3", "loss_ppm", 0.0), row("k2", "loss_ppm", 0.0)});
+  const Report zero = checked(tied, {"loss_ppm", "k3", "k2", 1.0});
+  EXPECT_TRUE(zero.ok()) << zero.failures.front();
+  // A looser ratio relaxes the bound: 2e4 <= 7e3 x 3.
+  EXPECT_TRUE(checked(run, {"exp_loss_ppm", "k2", "k3", 3.0}).ok());
 }
 
 TEST(PerfRatchetCounter, FailsOnMissingRowsOrCounters) {
-  {
-    Report report;
-    check_counter(run_with({counter_row("k3", {{"loss_ppm", 1.0}})}),
-                  {"loss_ppm", "k3", "absent", 1.0}, report);
-    ASSERT_EQ(report.failures.size(), 1u);
-    EXPECT_NE(report.failures[0].find("`absent`"), std::string::npos);
-  }
-  {
-    // Row exists but carries no such counter.
-    Report report;
-    check_counter(run_with({counter_row("k3", {{"loss_ppm", 1.0}}),
-                            {"plain", 5.0, {}}}),
-                  {"loss_ppm", "k3", "plain", 1.0}, report);
-    ASSERT_EQ(report.failures.size(), 1u);
-    EXPECT_NE(report.failures[0].find("loss_ppm"), std::string::npos);
-  }
+  expect_fails_on_missing("exp_loss_ppm");
 }
 
 TEST(PerfRatchetStamp, RewritesLibraryBuildType) {

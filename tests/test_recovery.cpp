@@ -170,6 +170,47 @@ TEST(Recovery, CheckpointRotatesAndFreshJournalContinues) {
   EXPECT_TRUE(recovered.value().disk.scrub().clean());
 }
 
+// No record type expresses an arbitrary config, so a journaled disk
+// refuses apply_config and try_begin_reshape before anything changes;
+// otherwise the live disk would run ahead of what recovery rebuilds.
+TEST(Recovery, JournaledDiskRefusesConfigsNoRecordExpresses) {
+  VirtualDisk disk(ClusterConfig({{1, 1000, "a"}, {2, 1000, "b"},
+                                  {3, 1000, "c"}}),
+                   std::make_shared<MirroringScheme>(2));
+  for (std::uint64_t b = 0; b < 20; ++b) {
+    disk.try_write(b, payload(b, 4)).value_or_throw();
+  }
+  std::stringstream ckpt;
+  write_checkpoint(disk, 0, ckpt);
+  std::stringstream wal;
+  auto writer = std::make_shared<JournalWriter>(wal);
+  disk.set_journal(writer);
+  const ClusterConfig before = disk.config();
+  const std::string header = wal.str();
+
+  ClusterConfig grown = before;
+  grown.add_device({4, 1000, "d"});
+  const Result<std::size_t> applied = disk.apply_config(grown);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_EQ(applied.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_NE(applied.error().message.find("try_add_device"),
+            std::string::npos);
+
+  ClusterConfig reshaped = before;
+  reshaped.add_device({5, 1000, "e"});
+  const Result<std::size_t> begun = disk.try_begin_reshape(reshaped);
+  ASSERT_FALSE(begun.ok());
+  EXPECT_EQ(begun.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(disk.reshaping());
+
+  EXPECT_TRUE(disk.config() == before);
+  EXPECT_EQ(writer->last_lsn(), 0u);
+  EXPECT_EQ(wal.str(), header);
+  auto recovered = Recovery::recover_disk(ckpt, &wal);
+  ASSERT_TRUE(recovered.ok()) << recovered.error().message;
+  EXPECT_TRUE(recovered.value().disk.config() == disk.config());
+}
+
 TEST(Recovery, NullJournalRestoresBareSnapshot) {
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
   disk.try_write(1, payload(1, 4)).value_or_throw();

@@ -12,24 +12,6 @@ ClusterConfig make_cluster() {
   return ClusterConfig({{1, 100, ""}, {2, 100, ""}, {3, 100, ""}, {4, 100, ""}});
 }
 
-TEST(ModuloPlacement, CyclesThroughDevices) {
-  const ModuloPlacement s(make_cluster());
-  EXPECT_EQ(s.place(0), s.place(4));
-  EXPECT_EQ(s.place(1), s.place(5));
-  EXPECT_NE(s.place(0), s.place(1));
-}
-
-TEST(ModuloPlacement, UniformOverHomogeneousDevices) {
-  const ModuloPlacement s(make_cluster());
-  std::vector<int> counts(5, 0);
-  for (std::uint64_t a = 0; a < 4000; ++a) ++counts[s.place(a)];
-  for (int uid = 1; uid <= 4; ++uid) EXPECT_EQ(counts[uid], 1000);
-}
-
-TEST(ModuloPlacement, RejectsEmpty) {
-  EXPECT_THROW(ModuloPlacement(ClusterConfig{}), std::invalid_argument);
-}
-
 TEST(RoundRobinStriping, CopiesAreDistinct) {
   const RoundRobinStriping s(make_cluster(), 3);
   std::vector<DeviceId> out(3);

@@ -79,6 +79,8 @@ TEST(AnnotatedLocks, TryLockReportsContention) {
     EXPECT_FALSE(acquired);
     if (acquired) mu.unlock();
   });
+  // rds_analyze: allow(lock-held-across-call) -- joining under `mu` is the
+  // test: the outsider's try_lock must run while the lock is held.
   outsider.join();
 }
 

@@ -1,5 +1,5 @@
 // perf_ratchet CLI: `check` compares a benchmark run against the committed
-// baseline (exit 1 on regression / debug build / broken speedup invariant),
+// baseline (exit 1 on regression / debug build / broken same-run rule),
 // `stamp` rewrites a run's build-type context so the committed artifact
 // describes the code under test.  See docs/benchmarks.md for the workflow.
 #include <fstream>
@@ -19,17 +19,12 @@ int usage(const std::string& error = "") {
   std::cerr
       << "usage:\n"
          "  perf_ratchet check --baseline FILE --current FILE\n"
-         "               [--tolerance FRACTION]  (default 0.40)\n"
-         "               [--min-speedup FAST:SLOW:RATIO] ...\n"
-         "               [--max-p99-ratio FAST:SLOW:RATIO] ...\n"
-         "               [--max-counter-ratio COUNTER:LOW:HIGH:RATIO] ...\n"
+         "               [--rule VALUE:LOW:HIGH:RATIO] ...\n"
          "      Fails (exit 1) when the current run was not an NDEBUG\n"
-         "      build, a baseline row is missing or slower than\n"
-         "      (1 - tolerance) x baseline, a speedup rule is violated,\n"
-         "      FAST's p99_us counter is not strictly below SLOW's\n"
-         "      p99_us x RATIO (SLO rows from bench/perf_latency.cpp),\n"
-         "      or LOW's COUNTER exceeds HIGH's COUNTER x RATIO\n"
-         "      (non-strict; durability rows from bench/perf_durability).\n"
+         "      build, a baseline row is missing or slower than 60% of\n"
+         "      baseline, or a rule's LOW row has a VALUE above HIGH's\n"
+         "      VALUE x RATIO (VALUE is `rate` or a custom counter;\n"
+         "      bench/ratchet_rules.txt lists the committed rules).\n"
          "  perf_ratchet stamp --in FILE --out FILE\n"
          "      Rewrites library_build_type from rds_build_type so the\n"
          "      committed JSON reports the build type of the code under\n"
@@ -60,48 +55,19 @@ bool next_value(const std::vector<std::string>& args, std::size_t& i,
 int run_check(const std::vector<std::string>& args) {
   std::string baseline_path;
   std::string current_path;
-  RatchetOptions options;
-  std::vector<SpeedupRule> rules;
-  std::vector<LatencyRule> latency_rules;
-  std::vector<CounterRule> counter_rules;
+  std::vector<Rule> rules;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    std::string value;
     if (arg == "--baseline") {
       if (!next_value(args, i, baseline_path)) return usage("--baseline needs a file");
     } else if (arg == "--current") {
       if (!next_value(args, i, current_path)) return usage("--current needs a file");
-    } else if (arg == "--tolerance") {
-      if (!next_value(args, i, value)) return usage("--tolerance needs a fraction");
-      try {
-        std::size_t end = 0;
-        options.tolerance = std::stod(value, &end);
-        if (end != value.size()) throw std::invalid_argument(value);
-      } catch (const std::exception&) {
-        return usage("bad --tolerance: " + value);
-      }
-      if (options.tolerance < 0.0 || options.tolerance >= 1.0) {
-        return usage("--tolerance must be in [0, 1): " + value);
-      }
-    } else if (arg == "--min-speedup") {
-      if (!next_value(args, i, value)) return usage("--min-speedup needs FAST:SLOW:RATIO");
-      const auto rule = parse_speedup_rule(value);
-      if (!rule) return usage("bad --min-speedup spec: " + value);
+    } else if (arg == "--rule") {
+      std::string spec;
+      if (!next_value(args, i, spec)) return usage("--rule needs VALUE:LOW:HIGH:RATIO");
+      const auto rule = parse_rule(spec);
+      if (!rule) return usage("bad --rule spec: " + spec);
       rules.push_back(*rule);
-    } else if (arg == "--max-p99-ratio") {
-      if (!next_value(args, i, value)) {
-        return usage("--max-p99-ratio needs FAST:SLOW:RATIO");
-      }
-      const auto rule = parse_latency_rule(value);
-      if (!rule) return usage("bad --max-p99-ratio spec: " + value);
-      latency_rules.push_back(*rule);
-    } else if (arg == "--max-counter-ratio") {
-      if (!next_value(args, i, value)) {
-        return usage("--max-counter-ratio needs COUNTER:LOW:HIGH:RATIO");
-      }
-      const auto rule = parse_counter_rule(value);
-      if (!rule) return usage("bad --max-counter-ratio spec: " + value);
-      counter_rules.push_back(*rule);
     } else {
       return usage("unknown check option: " + arg);
     }
@@ -124,16 +90,8 @@ int run_check(const std::vector<std::string>& args) {
     const BenchRun baseline = extract_run(parse_json(baseline_text));
     const BenchRun current = extract_run(parse_json(current_text));
     check_build_type(current, report);
-    compare_runs(baseline, current, options, report);
-    for (const SpeedupRule& rule : rules) {
-      check_speedup(current, rule, report);
-    }
-    for (const LatencyRule& rule : latency_rules) {
-      check_latency(current, rule, report);
-    }
-    for (const CounterRule& rule : counter_rules) {
-      check_counter(current, rule, report);
-    }
+    compare_runs(baseline, current, report);
+    for (const Rule& rule : rules) check_rule(current, rule, report);
   } catch (const std::exception& e) {
     std::cerr << "perf_ratchet: " << e.what() << "\n";
     return 2;
@@ -147,13 +105,11 @@ int run_check(const std::vector<std::string>& args) {
   }
   if (!report.ok()) {
     std::cout << "perf_ratchet: FAIL (" << report.failures.size()
-              << " finding(s), tolerance " << options.tolerance << ")\n";
+              << " finding(s), tolerance " << kTolerance << ")\n";
     return 1;
   }
-  std::cout << "perf_ratchet: OK (tolerance " << options.tolerance << ", "
-            << rules.size() << " speedup rule(s), " << latency_rules.size()
-            << " latency rule(s), " << counter_rules.size()
-            << " counter rule(s))\n";
+  std::cout << "perf_ratchet: OK (tolerance " << kTolerance << ", "
+            << rules.size() << " rule(s))\n";
   return 0;
 }
 

@@ -387,7 +387,8 @@ std::string to_json(const Json& value) {
   return out;
 }
 
-std::optional<double> BenchRow::counter(std::string_view name) const noexcept {
+std::optional<double> BenchRow::value(std::string_view name) const noexcept {
+  if (name == "rate") return rate;
   for (const auto& [key, value] : counters) {
     if (key == name) return value;
   }
@@ -456,18 +457,14 @@ BenchRun extract_run(const Json& doc) {
         else if (unit->string == "s") per_second = 1.0;
       }
       row.rate = per_second / real_time->number;
-    } else {
-      throw std::runtime_error("extract_run: benchmark `" + row.name +
-                               "` has neither items_per_second nor a "
-                               "positive real_time");
     }
-    // Custom counters surface as top-level row fields; p99_us is the SLO
-    // counter the latency rules key on (bench/perf_latency.cpp).
-    if (const Json* p99 = entry.find("p99_us")) {
-      row.p99_us = p99->number;
+    if (!(row.rate > 0.0)) {
+      throw std::runtime_error("extract_run: benchmark `" + row.name +
+                               "` has neither a positive items_per_second "
+                               "nor a positive real_time");
     }
     // Everything numeric that is not a stock google-benchmark field is a
-    // custom counter -- the names counter rules key on.
+    // custom counter -- the names rules key on besides `rate`.
     static constexpr std::string_view kStockFields[] = {
         "real_time",        "cpu_time",
         "iterations",       "repetitions",
@@ -491,51 +488,24 @@ BenchRun extract_run(const Json& doc) {
   return run;
 }
 
-std::optional<SpeedupRule> parse_speedup_rule(std::string_view spec) {
-  // Benchmark names never contain ':' (they use '/', '<', '>'), so a plain
-  // two-colon split is unambiguous.
-  const std::size_t last = spec.rfind(':');
-  if (last == std::string_view::npos || last == 0) return std::nullopt;
-  const std::size_t mid = spec.rfind(':', last - 1);
-  if (mid == std::string_view::npos || mid == 0) return std::nullopt;
-  SpeedupRule rule;
-  rule.fast = std::string(spec.substr(0, mid));
-  rule.slow = std::string(spec.substr(mid + 1, last - mid - 1));
-  const std::string ratio(spec.substr(last + 1));
-  if (rule.slow.empty() || ratio.empty()) return std::nullopt;
-  char* end = nullptr;
-  rule.min_ratio = std::strtod(ratio.c_str(), &end);
-  if (end != ratio.c_str() + ratio.size() || !(rule.min_ratio > 0.0)) {
+std::optional<Rule> parse_rule(std::string_view spec) {
+  // Value and row names never contain ':', so the first three colons bound
+  // the names, and a fourth one leaves the ratio unparsable.
+  std::string_view names[3];
+  for (std::string_view& name : names) {
+    const std::size_t colon = spec.find(':');
+    if (colon == 0 || colon == std::string_view::npos) return std::nullopt;
+    name = spec.substr(0, colon);
+    spec.remove_prefix(colon + 1);
+  }
+  Rule rule{std::string(names[0]), std::string(names[1]),
+            std::string(names[2]), 0.0};
+  const char* const end = spec.data() + spec.size();
+  const auto [stop, error] = std::from_chars(spec.data(), end, rule.ratio);
+  if (error != std::errc{} || stop != end || !std::isfinite(rule.ratio) ||
+      !(rule.ratio > 0.0)) {
     return std::nullopt;
   }
-  return rule;
-}
-
-std::optional<LatencyRule> parse_latency_rule(std::string_view spec) {
-  // Same FAST:SLOW:RATIO grammar as speedup rules.
-  const std::optional<SpeedupRule> parsed = parse_speedup_rule(spec);
-  if (!parsed) return std::nullopt;
-  LatencyRule rule;
-  rule.fast = parsed->fast;
-  rule.slow = parsed->slow;
-  rule.max_ratio = parsed->min_ratio;
-  return rule;
-}
-
-std::optional<CounterRule> parse_counter_rule(std::string_view spec) {
-  // COUNTER:LOW:HIGH:RATIO -- the first colon bounds the counter name, the
-  // rest is the same grammar as a speedup rule (row names never contain
-  // ':').
-  const std::size_t first = spec.find(':');
-  if (first == std::string_view::npos || first == 0) return std::nullopt;
-  const std::optional<SpeedupRule> rows =
-      parse_speedup_rule(spec.substr(first + 1));
-  if (!rows) return std::nullopt;
-  CounterRule rule;
-  rule.counter = std::string(spec.substr(0, first));
-  rule.low = rows->fast;
-  rule.high = rows->slow;
-  rule.max_ratio = rows->min_ratio;
   return rule;
 }
 
@@ -555,20 +525,15 @@ void check_build_type(const BenchRun& current, Report& report) {
 }
 
 void compare_runs(const BenchRun& baseline, const BenchRun& current,
-                  const RatchetOptions& options, Report& report) {
-  const double floor = 1.0 - options.tolerance;
-  const double ceiling = 1.0 + options.tolerance;
+                  Report& report) {
+  const double floor = 1.0 - kTolerance;
+  const double ceiling = 1.0 + kTolerance;
   for (const BenchRow& base : baseline.rows) {
     const BenchRow* cur = current.find(base.name);
     if (cur == nullptr) {
       report.failures.push_back("missing: `" + base.name +
                                 "` is in the baseline but not in the "
                                 "current run");
-      continue;
-    }
-    if (base.rate <= 0.0) {
-      report.notes.push_back("skipped: `" + base.name +
-                             "` has a non-positive baseline rate");
       continue;
     }
     const double ratio = cur->rate / base.rate;
@@ -594,99 +559,32 @@ void compare_runs(const BenchRun& baseline, const BenchRun& current,
   }
 }
 
-void check_speedup(const BenchRun& current, const SpeedupRule& rule,
-                   Report& report) {
-  const BenchRow* fast = current.find(rule.fast);
-  const BenchRow* slow = current.find(rule.slow);
-  if (fast == nullptr || slow == nullptr) {
-    report.failures.push_back(
-        "speedup: rule needs `" + rule.fast + "` and `" + rule.slow +
-        "` but the current run lacks " +
-        (fast == nullptr ? "`" + rule.fast + "`" : "`" + rule.slow + "`"));
-    return;
-  }
-  if (slow->rate <= 0.0) {
-    report.failures.push_back("speedup: `" + rule.slow +
-                              "` has a non-positive rate");
-    return;
-  }
-  const double ratio = fast->rate / slow->rate;
-  if (ratio < rule.min_ratio) {
-    report.failures.push_back(
-        "speedup: `" + rule.fast + "` is only " + format_rate(ratio) +
-        "x `" + rule.slow + "` (need >= " + format_rate(rule.min_ratio) +
-        "x)");
-  } else {
-    report.notes.push_back("speedup ok: `" + rule.fast + "` is " +
-                           format_rate(ratio) + "x `" + rule.slow + "`");
-  }
-}
-
-void check_latency(const BenchRun& current, const LatencyRule& rule,
-                   Report& report) {
-  const BenchRow* fast = current.find(rule.fast);
-  const BenchRow* slow = current.find(rule.slow);
-  if (fast == nullptr || slow == nullptr) {
-    report.failures.push_back(
-        "latency: rule needs `" + rule.fast + "` and `" + rule.slow +
-        "` but the current run lacks " +
-        (fast == nullptr ? "`" + rule.fast + "`" : "`" + rule.slow + "`"));
-    return;
-  }
-  if (!fast->p99_us || !slow->p99_us) {
-    report.failures.push_back(
-        "latency: `" +
-        (fast->p99_us ? rule.slow : rule.fast) +
-        "` carries no p99_us counter -- not an SLO benchmark row?");
-    return;
-  }
-  const double bound = *slow->p99_us * rule.max_ratio;
-  if (!(*fast->p99_us < bound)) {
-    report.failures.push_back(
-        "latency: `" + rule.fast + "` p99 " + format_rate(*fast->p99_us) +
-        "us is not strictly below " + format_rate(bound) + "us (`" +
-        rule.slow + "` p99 " + format_rate(*slow->p99_us) + "us x " +
-        format_rate(rule.max_ratio) + ")");
-  } else {
-    report.notes.push_back("latency ok: `" + rule.fast + "` p99 " +
-                           format_rate(*fast->p99_us) + "us < `" + rule.slow +
-                           "` p99 " + format_rate(*slow->p99_us) + "us x " +
-                           format_rate(rule.max_ratio));
-  }
-}
-
-void check_counter(const BenchRun& current, const CounterRule& rule,
-                   Report& report) {
+void check_rule(const BenchRun& current, const Rule& rule, Report& report) {
   const BenchRow* low = current.find(rule.low);
   const BenchRow* high = current.find(rule.high);
   if (low == nullptr || high == nullptr) {
-    report.failures.push_back(
-        "counter: rule needs `" + rule.low + "` and `" + rule.high +
-        "` but the current run lacks " +
-        (low == nullptr ? "`" + rule.low + "`" : "`" + rule.high + "`"));
+    report.failures.push_back("rule: the current run lacks `" +
+                              (low == nullptr ? rule.low : rule.high) + "`");
     return;
   }
-  const std::optional<double> low_value = low->counter(rule.counter);
-  const std::optional<double> high_value = high->counter(rule.counter);
+  const std::optional<double> low_value = low->value(rule.value);
+  const std::optional<double> high_value = high->value(rule.value);
   if (!low_value || !high_value) {
-    report.failures.push_back(
-        "counter: `" + (low_value ? rule.high : rule.low) +
-        "` carries no `" + rule.counter + "` counter");
+    report.failures.push_back("rule: `" + (low_value ? rule.high : rule.low) +
+                              "` carries no `" + rule.value + "`");
     return;
   }
-  const double bound = *high_value * rule.max_ratio;
-  // Non-strict: equal values (often both zero) satisfy the ordering.
-  if (*low_value > bound) {
-    report.failures.push_back(
-        "counter: `" + rule.low + "` " + rule.counter + " " +
-        format_rate(*low_value) + " exceeds " + format_rate(bound) + " (`" +
-        rule.high + "` " + rule.counter + " " + format_rate(*high_value) +
-        " x " + format_rate(rule.max_ratio) + ")");
+  const double bound = *high_value * rule.ratio;
+  const bool holds = *low_value <= bound;  // false for NaN too
+  const std::string verdict =
+      "`" + rule.low + "` " + rule.value + " " + format_rate(*low_value) +
+      (holds ? " <= " : " > ") + format_rate(bound) + " (`" + rule.high +
+      "` " + rule.value + " " + format_rate(*high_value) + " x " +
+      format_rate(rule.ratio) + ")";
+  if (holds) {
+    report.notes.push_back("rule ok: " + verdict);
   } else {
-    report.notes.push_back("counter ok: `" + rule.low + "` " + rule.counter +
-                           " " + format_rate(*low_value) + " <= `" +
-                           rule.high + "` " + format_rate(*high_value) +
-                           " x " + format_rate(rule.max_ratio));
+    report.failures.push_back("rule: " + verdict);
   }
 }
 

@@ -1,13 +1,14 @@
 // perf_ratchet -- compares a google-benchmark JSON run against a committed
 // baseline and fails on regression (docs/benchmarks.md).
 //
-// The committed BENCH_placement.json doubles as the baseline: CI reruns the
+// Each committed BENCH_*.json doubles as the baseline: CI reruns the
 // harness, compares row by row with a documented noise tolerance, enforces
-// relative speedup invariants (which are machine-independent, unlike
-// absolute rates), and refuses any run whose context says the code under
-// test was built without NDEBUG.  Like the rds_analyze baseline, the file
-// only ratchets upward: improvements beyond tolerance are reported so the
-// baseline can be regenerated, never silently absorbed.
+// same-run rules (which are machine-independent, unlike absolute rates;
+// bench/ratchet_rules.txt lists them), and refuses any run whose context
+// says the code under test was built without NDEBUG.  Like the rds_analyze
+// baseline, the file only ratchets upward: improvements beyond tolerance
+// are reported so the baseline can be regenerated, never silently
+// absorbed.
 //
 // The core is a library (this header) so tests can drive parsing,
 // comparison and stamping on in-memory fixtures; main.cpp is a thin CLI.
@@ -60,18 +61,15 @@ struct Json {
 struct BenchRow {
   std::string name;
   double rate = 0.0;  ///< items/s when reported, else iterations/s
-  /// p99 response latency in us, from the row's `p99_us` custom counter
-  /// (bench/perf_latency.cpp).  Unlike `rate` this is an output of the
-  /// seeded queueing model, so rules over it are machine-independent.
-  std::optional<double> p99_us;
   /// Every custom numeric counter on the row (google-benchmark surfaces
-  /// them as extra top-level fields), e.g. the seeded durability counters
-  /// loss_ppm / exp_loss_ppm / max_move_ratio from bench/perf_durability.
-  /// Counter rules key on these by name.
+  /// them as extra top-level fields), e.g. the SLO counter p99_us from
+  /// bench/perf_latency.cpp or the seeded durability counters loss_ppm /
+  /// exp_loss_ppm / max_move_ratio from bench/perf_durability.cpp.
   std::vector<std::pair<std::string, double>> counters{};
 
-  /// Value of counter `name`, nullopt when the row does not carry it.
-  [[nodiscard]] std::optional<double> counter(
+  /// `rate` for "rate", otherwise the custom counter `name`; nullopt when
+  /// the row does not carry it.  Rules key on these names.
+  [[nodiscard]] std::optional<double> value(
       std::string_view name) const noexcept;
 };
 
@@ -86,57 +84,36 @@ struct BenchRun {
 /// Extracts the comparable view of a benchmark JSON document: context build
 /// types plus one row per per-iteration benchmark entry (aggregates are
 /// skipped).  Throws std::runtime_error when `benchmarks` is missing or a
-/// row has no name or no usable rate.
+/// row has no name or no positive rate.
 [[nodiscard]] BenchRun extract_run(const Json& doc);
 
 // ---------- Comparison ----------
 
-struct RatchetOptions {
-  /// Relative throughput loss tolerated before a row fails, e.g. 0.40
-  /// allows a drop to 60% of baseline.  Rationale: docs/benchmarks.md --
-  /// shared CI runners routinely jitter tens of percent; the ratchet is a
-  /// tripwire for order-of-magnitude truths, not a microscope.
-  double tolerance = 0.40;
-};
+/// Relative throughput loss tolerated before a row fails: a row may drop to
+/// 60% of its baseline rate.  Rationale: docs/benchmarks.md -- shared CI
+/// runners routinely jitter tens of percent; the absolute comparison is a
+/// tripwire for order-of-magnitude accidents, not a microscope.
+inline constexpr double kTolerance = 0.40;
 
-/// A machine-independent invariant: `fast` must beat `slow` by at least
-/// `min_ratio` within one run.  Spec form "FAST:SLOW:RATIO".
-struct SpeedupRule {
-  std::string fast;
-  std::string slow;
-  double min_ratio = 1.0;
-};
-
-[[nodiscard]] std::optional<SpeedupRule> parse_speedup_rule(
-    std::string_view spec);
-
-/// A machine-independent SLO invariant over the seeded queueing model:
-/// `fast`'s p99_us must be STRICTLY below `slow`'s p99_us * max_ratio.
-/// Spec form "FAST:SLOW:RATIO"; ratio 1.0 says "strictly better".
-struct LatencyRule {
-  std::string fast;
-  std::string slow;
-  double max_ratio = 1.0;
-};
-
-[[nodiscard]] std::optional<LatencyRule> parse_latency_rule(
-    std::string_view spec);
-
-/// A machine-independent ordering invariant over a seeded simulation
-/// counter: LOW's COUNTER must be <= HIGH's COUNTER * max_ratio.  Spec form
-/// "COUNTER:LOW:HIGH:RATIO".  Unlike the latency rule the comparison is
-/// NON-strict -- durability orderings legitimately tie (both sides lose
-/// zero objects at benign parameters), while "k=3 must lose strictly less
-/// than k=2" would fail exactly when the system is at its best.
-struct CounterRule {
-  std::string counter;
+/// A machine-independent same-run invariant: LOW's VALUE must be at most
+/// HIGH's VALUE x ratio, both rows from one run.  Spec form
+/// "VALUE:LOW:HIGH:RATIO", where VALUE is `rate` or a custom counter.
+///
+/// The comparison is non-strict, because seeded orderings legitimately tie
+/// (both sides of a durability rule lose zero objects at benign
+/// parameters).  The other shapes follow from the ratio: "FAST is at least
+/// 10x SLOW" is `rate:SLOW:FAST:0.1`, and "A is strictly below B" over a
+/// deterministic counter is a ratio just under 1, so a tie fails.
+struct Rule {
+  std::string value;
   std::string low;
   std::string high;
-  double max_ratio = 1.0;
+  double ratio = 1.0;
 };
 
-[[nodiscard]] std::optional<CounterRule> parse_counter_rule(
-    std::string_view spec);
+/// nullopt unless `spec` has four non-empty ':'-separated fields (value and
+/// row names never contain ':') and the ratio is a finite positive number.
+[[nodiscard]] std::optional<Rule> parse_rule(std::string_view spec);
 
 struct Report {
   std::vector<std::string> failures;
@@ -151,27 +128,14 @@ struct Report {
 void check_build_type(const BenchRun& current, Report& report);
 
 /// Row-by-row rate comparison: every baseline row must exist in `current`
-/// at >= (1 - tolerance) of its baseline rate.  Improvements beyond
+/// at >= (1 - kTolerance) of its baseline rate.  Improvements beyond the
 /// tolerance and rows missing from the baseline become notes.
 void compare_runs(const BenchRun& baseline, const BenchRun& current,
-                  const RatchetOptions& options, Report& report);
+                  Report& report);
 
-/// Enforces one relative speedup invariant within `current`.
-void check_speedup(const BenchRun& current, const SpeedupRule& rule,
-                   Report& report);
-
-/// Enforces one p99 latency-ordering invariant within `current`: fails
-/// when either row or its p99_us counter is missing, or when
-/// fast.p99_us >= slow.p99_us * max_ratio (the comparison is strict --
-/// the SLO counters are deterministic, so a tie is a real finding).
-void check_latency(const BenchRun& current, const LatencyRule& rule,
-                   Report& report);
-
-/// Enforces one counter-ordering invariant within `current`: fails when
-/// either row or its named counter is missing, or when
-/// low.counter > high.counter * max_ratio (non-strict, see CounterRule).
-void check_counter(const BenchRun& current, const CounterRule& rule,
-                   Report& report);
+/// Enforces one rule within `current`: fails when either row or its VALUE
+/// is missing, or when low.VALUE > high.VALUE x ratio.
+void check_rule(const BenchRun& current, const Rule& rule, Report& report);
 
 // ---------- Stamping ----------
 
