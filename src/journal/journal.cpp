@@ -92,7 +92,7 @@ JournalWriter::JournalWriter(std::ostream& out, Options options)
       next_lsn_(options.start_lsn == 0 ? 1 : options.start_lsn),
       sync_hook_(std::move(options.sync_hook)) {
   const MutexLock lock(mu_);
-  if (options.write_header) write_header_locked();
+  write_header_locked();
 }
 
 void JournalWriter::write_header_locked() {
@@ -114,9 +114,7 @@ Result<Lsn> JournalWriter::append(const Record& record) {
                  "JournalWriter: journal stream failed earlier; appends "
                  "are disabled until rotate()"};
   }
-  Record framed = record;
-  framed.lsn = next_lsn_;
-  const Bytes payload = encode_record(framed);
+  const Bytes payload = encode_record(record, next_lsn_);
   write_raw(*out_, le32(static_cast<std::uint32_t>(payload.size())));
   write_raw(*out_, le32(crc32(payload)));
   write_raw(*out_, payload);

@@ -77,7 +77,6 @@ class JournalSink {
 /// default arguments.
 struct JournalWriterOptions {
   Lsn start_lsn = 1;  ///< LSN of the first record (0 is promoted to 1)
-  bool write_header = true;
   /// Called after each record is flushed -- the fsync hook point for
   /// file-backed streams (and the crash trigger for fault injection).
   std::function<void()> sync_hook{};
@@ -87,8 +86,8 @@ class JournalWriter final : public JournalSink {
  public:
   using Options = JournalWriterOptions;
 
-  /// Writes the file header (unless options say otherwise).  Throws
-  /// std::runtime_error if the stream rejects it.
+  /// Writes the file header.  Throws std::runtime_error if the stream
+  /// rejects it.
   explicit JournalWriter(std::ostream& out, Options options = {});
 
   [[nodiscard]] Result<Lsn> append(const Record& record) override

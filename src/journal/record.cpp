@@ -247,10 +247,10 @@ Record make_file_remove(std::string file) {
   return r;
 }
 
-Bytes encode_record(const Record& record) {
+Bytes encode_record(const Record& record, Lsn lsn) {
   Bytes out;
   Writer writer(out);
-  writer.field(record.lsn);
+  writer.field(lsn);
   writer.u8(static_cast<std::uint8_t>(record.type));
   walk_fields(record, writer);
   return out;

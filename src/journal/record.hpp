@@ -49,7 +49,7 @@ enum class RecordType : std::uint8_t {
 /// consumed.
 struct Record {
   RecordType type = RecordType::kRebuild;
-  Lsn lsn = 0;  ///< filled in by the writer at append time
+  Lsn lsn = 0;  ///< set by decode_record; the writer assigns its own
 
   DeviceId device = 0;             ///< device ops
   std::uint64_t capacity = 0;      ///< kAddDevice / kResizeDevice
@@ -81,9 +81,11 @@ struct Record {
                                    std::span<const std::uint8_t> content);
 [[nodiscard]] Record make_file_remove(std::string file);
 
-/// Serializes a record (lsn, type, then the type-specific fields) into the
-/// journal's little-endian payload form.
-[[nodiscard]] Bytes encode_record(const Record& record);
+/// Serializes a record as sequence number `lsn` (lsn, type, then the
+/// type-specific fields) into the journal's little-endian payload form;
+/// `record.lsn` itself is not read, so the writer stamps a caller's record
+/// without copying it.
+[[nodiscard]] Bytes encode_record(const Record& record, Lsn lsn);
 
 /// Parses a payload produced by encode_record.  kCorruption when the
 /// payload is truncated, carries an unknown type tag, or has trailing

@@ -1,5 +1,6 @@
 #include "src/storage/erasure/gf256.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 
@@ -69,7 +70,14 @@ void mul_add(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src,
 
 void scale(std::span<std::uint8_t> dst, std::uint8_t c) noexcept {
   if (c == 1) return;
-  for (std::uint8_t& v : dst) v = mul(v, c);
+  if (c == 0) {
+    std::fill(dst.begin(), dst.end(), 0);
+    return;
+  }
+  const unsigned lc = kT.log[c];
+  for (std::uint8_t& v : dst) {
+    if (v != 0) v = kT.exp[lc + kT.log[v]];
+  }
 }
 
 }  // namespace rds::gf256

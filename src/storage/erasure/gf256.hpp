@@ -1,5 +1,6 @@
 // Arithmetic in GF(2^8) with the AES-adjacent polynomial x^8+x^4+x^3+x^2+1
-// (0x11d), via log/exp tables.  Substrate for the Reed-Solomon codec.
+// (0x11d), via log/exp tables.  Substrate of the one erasure-code engine,
+// LinearCodeScheme (src/storage/redundancy_scheme.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,10 @@
 #include "src/storage/snapshot.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 #include <string_view>
-
-#include "src/storage/erasure/evenodd.hpp"
-#include "src/storage/erasure/rdp.hpp"
 
 namespace rds {
 namespace {
@@ -215,53 +211,6 @@ VirtualDisk Snapshot::get_volume_meta(
     }
   }
   return disk;
-}
-
-std::shared_ptr<RedundancyScheme> make_scheme_from_name(
-    const std::string& name) {
-  const auto bad = [&](const std::string& why) {
-    return std::invalid_argument("make_scheme_from_name: " + why + ": '" +
-                                 name + "'");
-  };
-  // Strict unsigned parse: the whole token must be digits and fit.
-  const auto number = [&](std::string_view token) -> unsigned {
-    unsigned value = 0;
-    const auto [end, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec == std::errc::result_out_of_range) {
-      throw bad("number out of range");
-    }
-    if (ec != std::errc{} || end != token.data() + token.size() ||
-        token.empty()) {
-      throw bad("malformed number '" + std::string(token) + "'");
-    }
-    return value;
-  };
-  // The parameter list between `prefix` and a ')' that must end the string.
-  const auto inner = [&](std::string_view prefix) -> std::string_view {
-    std::string_view rest = std::string_view(name).substr(prefix.size());
-    const std::size_t close = rest.find(')');
-    if (close == std::string_view::npos) throw bad("missing ')'");
-    if (close + 1 != rest.size()) throw bad("trailing characters after ')'");
-    return rest.substr(0, close);
-  };
-  if (name.starts_with("mirror(k=")) {
-    return std::make_shared<MirroringScheme>(number(inner("mirror(k=")));
-  }
-  if (name.starts_with("reed-solomon(")) {
-    const std::string_view body = inner("reed-solomon(");
-    const std::size_t plus = body.find('+');
-    if (plus == std::string_view::npos) throw bad("expected 'D+P'");
-    return std::make_shared<ReedSolomonScheme>(number(body.substr(0, plus)),
-                                               number(body.substr(plus + 1)));
-  }
-  if (name.starts_with("evenodd(p=")) {
-    return std::make_shared<EvenOddScheme>(number(inner("evenodd(p=")));
-  }
-  if (name.starts_with("rdp(p=")) {
-    return std::make_shared<RdpScheme>(number(inner("rdp(p=")));
-  }
-  throw bad("unknown scheme kind");
 }
 
 void Snapshot::save_disk(const VirtualDisk& disk, std::ostream& out) {

@@ -20,15 +20,6 @@
 
 namespace rds {
 
-/// Reconstructs a redundancy scheme from its name() string
-/// ("mirror(k=2)", "reed-solomon(4+2)", "evenodd(p=5)", "rdp(p=7)").
-/// Parsing is strict: the whole string must be consumed (no trailing
-/// garbage), numbers must fit an unsigned, and the scheme constructors'
-/// own validation (zero shards, non-prime p, ...) applies.  Throws
-/// std::invalid_argument with a message naming what was wrong.
-[[nodiscard]] std::shared_ptr<RedundancyScheme> make_scheme_from_name(
-    const std::string& name);
-
 class Snapshot {
  public:
   /// Serializes a standalone disk (configuration, placement kind, scheme,

@@ -75,8 +75,8 @@ TEST(EvenOdd, ToleratesEverySingleErasure) {
 
 TEST(EvenOdd, ToleratesEveryDoubleErasure) {
   // The headline property: any TWO column losses are recoverable, for
-  // several primes -- this sweeps all the decoder's case splits (two data,
-  // data + row parity, data + diagonal parity, both parities).
+  // several primes -- this sweeps every kind of pair (two data, data + row
+  // parity, data + diagonal parity, both parities).
   for (const unsigned p : {3u, 5u, 7u, 11u}) {
     const EvenOddScheme e(p);
     const Bytes block = make_block(33 * p, p * 7);

@@ -1,11 +1,11 @@
 // Negative-path contract of make_scheme_from_name: strict parsing with
-// messages that name what was wrong (src/storage/snapshot.hpp).
+// messages that name what was wrong (src/storage/redundancy_scheme.hpp).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <string>
 
-#include "src/storage/snapshot.hpp"
+#include "src/storage/redundancy_scheme.hpp"
 
 namespace rds {
 namespace {
@@ -87,6 +87,21 @@ TEST(SchemeNameParsing, AcceptsEveryCanonicalNameItEmits) {
     SCOPED_TRACE(name);
     EXPECT_EQ(make_scheme_from_name(name)->name(), name);
   }
+}
+
+TEST(SchemeNameParsing, AcceptsCommandLineSpellingsStrictly) {
+  // rds_cli --scheme's spellings are aliases of the canonical names.
+  EXPECT_EQ(make_scheme_from_name("mirror:3")->name(), "mirror(k=3)");
+  EXPECT_EQ(make_scheme_from_name("rs:4+2")->name(), "reed-solomon(4+2)");
+  EXPECT_EQ(make_scheme_from_name("evenodd:5")->name(), "evenodd(p=5)");
+  EXPECT_EQ(make_scheme_from_name("rdp:7")->name(), "rdp(p=7)");
+  expect_rejected("mirror:", "malformed number");
+  expect_rejected("mirror:2x", "malformed number");
+  expect_rejected("rs:4+2 ", "malformed number");
+  expect_rejected("rs:42", "expected 'D+P'");
+  expect_rejected("evenodd:99999999999999999999", "number out of range");
+  expect_rejected("raid0:2", "unknown scheme kind");
+  EXPECT_THROW((void)make_scheme_from_name("rdp:4"), std::invalid_argument);
 }
 
 }  // namespace

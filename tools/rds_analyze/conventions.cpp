@@ -27,9 +27,13 @@ bool in_set(const std::array<std::string_view, N>& set,
 }
 
 /// True when `rel` has a directory component named `dir`.
-bool has_dir(const std::string& rel, std::string_view dir) {
-  const std::string needle = "/" + std::string(dir) + "/";
-  return ("/" + rel).find(needle) != std::string::npos;
+bool has_dir(std::string_view rel, std::string_view dir) {
+  for (std::size_t slash = rel.find('/'); slash != std::string_view::npos;
+       slash = rel.find('/')) {
+    if (rel.substr(0, slash) == dir) return true;
+    rel.remove_prefix(slash + 1);
+  }
+  return false;
 }
 
 /// `noexcept` in a signature, unless it is `noexcept(false)`.

@@ -83,6 +83,7 @@
 #include <memory>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -99,8 +100,6 @@
 #include "src/placement/batch_placer.hpp"
 #include "src/placement/strategy_factory.hpp"
 #include "src/sim/op_trace.hpp"
-#include "src/storage/erasure/evenodd.hpp"
-#include "src/storage/erasure/rdp.hpp"
 #include "src/sim/block_map.hpp"
 #include "src/sim/churn_sim.hpp"
 #include "src/sim/fairness_report.hpp"
@@ -108,6 +107,7 @@
 #include "src/sim/movement.hpp"
 #include "src/sim/replica_selector.hpp"
 #include "src/sim/workload.hpp"
+#include "src/storage/redundancy_scheme.hpp"
 
 namespace {
 
@@ -145,8 +145,9 @@ std::string command_names() {
       << "  --failed a,b      device uids assumed failed, for `loss`\n"
       << "  --need N          fragments needed to reconstruct (default 1)\n"
       << "  --script FILE     operation trace for `simulate`\n"
-      << "  --scheme S        redundancy for `simulate`: mirror:K, rs:D+P,\n"
-      << "                    evenodd:P, rdp:P (default mirror:2)\n"
+      << "  --scheme S        redundancy for `simulate` and `snapshot`:\n"
+      << "                    mirror:K, rs:D+P, evenodd:P, rdp:P, or a name\n"
+      << "                    like reed-solomon(4+2) (default mirror:2)\n"
       << "  --strategy S      placement strategy: " << placement_kind_names()
       << ";\n"
       << "                    default redundant-share\n"
@@ -265,7 +266,7 @@ struct Args {
   std::vector<std::uint64_t> to_caps;
   std::vector<std::uint64_t> failed;
   std::string script;
-  std::string scheme = "mirror:2";
+  std::shared_ptr<RedundancyScheme> scheme;  // --scheme, default mirror:2
   std::string metrics_out;
   std::string workload = "zipf:0.9";  // `loadsim` trace shape
   std::string policy = "all";         // `loadsim` replica selector
@@ -307,33 +308,6 @@ unsigned effective_threads(const Args& args) {
   return hw == 0 ? 1 : hw;
 }
 
-std::shared_ptr<RedundancyScheme> parse_scheme(const std::string& spec) {
-  const std::size_t colon = spec.find(':');
-  if (colon == std::string::npos) usage("bad --scheme: " + spec);
-  const std::string kind = spec.substr(0, colon);
-  const std::string param = spec.substr(colon + 1);
-  if (kind == "mirror") {
-    return std::make_shared<MirroringScheme>(
-        parse_u32("--scheme mirror parameter", param));
-  }
-  if (kind == "rs") {
-    const std::size_t plus = param.find('+');
-    if (plus == std::string::npos) usage("rs scheme needs D+P");
-    return std::make_shared<ReedSolomonScheme>(
-        parse_u32("--scheme rs data count", param.substr(0, plus)),
-        parse_u32("--scheme rs parity count", param.substr(plus + 1)));
-  }
-  if (kind == "evenodd") {
-    return std::make_shared<EvenOddScheme>(
-        parse_u32("--scheme evenodd parameter", param));
-  }
-  if (kind == "rdp") {
-    return std::make_shared<RdpScheme>(
-        parse_u32("--scheme rdp parameter", param));
-  }
-  usage("unknown scheme kind: " + kind);
-}
-
 Args parse(int argc, char** argv) {
   if (argc < 2) usage();
   Args args;
@@ -373,7 +347,12 @@ Args parse(int argc, char** argv) {
     args.failed = parse_caps(v);
   }
   if (const std::string v = get("--script"); !v.empty()) args.script = v;
-  if (const std::string v = get("--scheme"); !v.empty()) args.scheme = v;
+  try {
+    const std::string v = get("--scheme");
+    args.scheme = make_scheme_from_name(v.empty() ? "mirror:2" : v);
+  } catch (const std::invalid_argument& e) {
+    usage(std::string("--scheme: ") + e.what());
+  }
   if (const std::string v = get("--metrics-out"); !v.empty()) {
     args.metrics_out = v;
   }
@@ -573,7 +552,7 @@ int cmd_simulate(const Args& args) {
     return 1;
   }
   TraceRunner runner(
-      VirtualDisk(config_from(args.caps), parse_scheme(args.scheme)));
+      VirtualDisk(config_from(args.caps), args.scheme));
   const TraceStats stats = runner.run(script);
   const VirtualDisk::Stats& disk = runner.disk().stats();
   runner.disk().publish_device_gauges();
@@ -787,7 +766,7 @@ int cmd_churnsim(const Args& args) {
 
 int cmd_snapshot(const Args& args) {
   if (args.out.empty()) usage("snapshot requires --out");
-  VirtualDisk disk(config_from(args.caps), parse_scheme(args.scheme),
+  VirtualDisk disk(config_from(args.caps), args.scheme,
                    args.strategy);
   {
     std::ofstream snap(args.out, std::ios::binary | std::ios::trunc);
