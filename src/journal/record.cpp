@@ -2,104 +2,15 @@
 
 #include <utility>
 
+#include "src/util/byte_codec.hpp"
 #include "src/util/hash.hpp"
 
 namespace rds::journal {
 namespace {
 
-// ---- the payload layout ----------------------------------------------------
-
-/// Appends little-endian fields to a record payload: strings carry a u32
-/// length prefix, byte payloads a u64 one.
-class Writer {
- public:
-  explicit Writer(Bytes& out) : out_(out) {}
-
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void field(std::uint64_t v) { le(v); }
-
-  void field(const std::string& s) {
-    le(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-
-  void field(const Bytes& b) {
-    le(static_cast<std::uint64_t>(b.size()));
-    out_.insert(out_.end(), b.begin(), b.end());
-  }
-
- private:
-  template <typename T>
-  void le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      u8(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-
-  Bytes& out_;
-};
-
-/// Bounds-checked reader over a record payload, the Writer's mirror image.
-/// Underflow latches `failed()` instead of throwing so decode_record can
-/// return a typed Result.
-class Cursor {
- public:
-  explicit Cursor(std::span<const std::uint8_t> data) : data_(data) {}
-
-  [[nodiscard]] bool failed() const noexcept { return failed_; }
-  [[nodiscard]] bool exhausted() const noexcept { return pos_ == data_.size(); }
-
-  std::uint8_t u8() {
-    if (pos_ >= data_.size()) {
-      failed_ = true;
-      return 0;
-    }
-    return data_[pos_++];
-  }
-
-  void field(std::uint64_t& v) { v = le<std::uint64_t>(); }
-
-  void field(std::string& s) {
-    const std::span<const std::uint8_t> b = take(le<std::uint32_t>());
-    s.assign(reinterpret_cast<const char*>(b.data()), b.size());
-  }
-
-  void field(Bytes& b) {
-    const std::span<const std::uint8_t> bytes = take(le<std::uint64_t>());
-    b.assign(bytes.begin(), bytes.end());
-  }
-
- private:
-  template <typename T>
-  T le() {
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(u8()) << (8 * i);
-    }
-    return v;
-  }
-
-  /// The next `size` bytes; empty, with failed() latched, past the end.
-  std::span<const std::uint8_t> take(std::uint64_t size) {
-    if (failed_ || data_.size() - pos_ < size) {
-      failed_ = true;
-      return {};
-    }
-    const std::span<const std::uint8_t> out =
-        data_.subspan(pos_, static_cast<std::size_t>(size));
-    pos_ += out.size();
-    return out;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-};
-
 /// Each record type's fields after the shared lsn and type tag, in payload
-/// order.  encode_record walks this list with a Writer (R = const Record)
-/// and decode_record with a Cursor (R = Record), so the two directions
-/// cannot disagree on a layout.
+/// order.  encode_record walks this list with a ByteWriter (R = const
+/// Record) and decode_record with a ByteReader (R = Record).
 template <typename R, typename Io>
 void walk_fields(R& r, Io& io) {
   switch (r.type) {
@@ -249,38 +160,35 @@ Record make_file_remove(std::string file) {
 
 Bytes encode_record(const Record& record, Lsn lsn) {
   Bytes out;
-  Writer writer(out);
+  ByteWriter writer(out);
   writer.field(lsn);
-  writer.u8(static_cast<std::uint8_t>(record.type));
+  writer.field(static_cast<std::uint8_t>(record.type));
   walk_fields(record, writer);
   return out;
 }
 
 Result<Record> decode_record(std::span<const std::uint8_t> payload) {
-  Cursor in(payload);
+  ByteReader in(payload);
   Record r;
-  in.field(r.lsn);
-  const std::uint8_t tag = in.u8();
-  if (in.failed()) {
-    return Error{ErrorCode::kCorruption, "record payload truncated"};
+  bool typed = false;
+  const auto corrupt = [&](std::string what) {
+    if (typed) what += " (" + std::string(to_string(r.type)) + ")";
+    return Error{ErrorCode::kCorruption, std::move(what)};
+  };
+  try {
+    in.field(r.lsn);
+    const auto tag = in.read<std::uint8_t>();
+    if (tag < static_cast<std::uint8_t>(RecordType::kAddDevice) ||
+        tag > static_cast<std::uint8_t>(RecordType::kFileRemove)) {
+      return corrupt("unknown record type tag " + std::to_string(tag));
+    }
+    r.type = static_cast<RecordType>(tag);
+    typed = true;
+    walk_fields(r, in);
+  } catch (const TruncatedInput&) {
+    return corrupt("record payload truncated");
   }
-  if (tag < static_cast<std::uint8_t>(RecordType::kAddDevice) ||
-      tag > static_cast<std::uint8_t>(RecordType::kFileRemove)) {
-    return Error{ErrorCode::kCorruption,
-                 "unknown record type tag " + std::to_string(tag)};
-  }
-  r.type = static_cast<RecordType>(tag);
-  walk_fields(r, in);
-  if (in.failed()) {
-    return Error{ErrorCode::kCorruption,
-                 "record payload truncated (" + std::string(to_string(r.type)) +
-                     ")"};
-  }
-  if (!in.exhausted()) {
-    return Error{ErrorCode::kCorruption,
-                 "record payload has trailing bytes (" +
-                     std::string(to_string(r.type)) + ")"};
-  }
+  if (!in.at_end()) return corrupt("record payload has trailing bytes");
   return r;
 }
 

@@ -5,9 +5,9 @@
 // fail / rebuild), per-volume policy changes (strategy swap, scheme swap,
 // volume create/drop) and file-store content mutations (put / remove, with
 // a content fingerprint so replay can verify the payload it re-applies).
-// Records are flat values; encode_record / decode_record define the
-// canonical little-endian payload that JournalWriter frames with a length
-// prefix and CRC-32 (src/journal/journal.hpp).
+// Records are flat values; encode_record / decode_record lay out the
+// payload in the fields of src/util/byte_codec.hpp, and JournalWriter
+// frames it with a length prefix and CRC-32 (src/journal/journal.hpp).
 #pragma once
 
 #include <cstdint>
@@ -84,7 +84,8 @@ struct Record {
 /// Serializes a record as sequence number `lsn` (lsn, type, then the
 /// type-specific fields) into the journal's little-endian payload form;
 /// `record.lsn` itself is not read, so the writer stamps a caller's record
-/// without copying it.
+/// without copying it.  Throws std::length_error for a string longer than
+/// its u32 prefix holds.
 [[nodiscard]] Bytes encode_record(const Record& record, Lsn lsn);
 
 /// Parses a payload produced by encode_record.  kCorruption when the

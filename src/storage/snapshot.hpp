@@ -4,10 +4,11 @@
 // stack: a loaded snapshot behaves identically to the original, including
 // degraded state.
 //
-// Format: little-endian, length-prefixed, versioned magic header.  Not a
-// wire protocol -- a local persistence format with a strict version check.
-// Length fields are read in bounded chunks, so a corrupt length fails as a
-// truncated stream instead of allocating what it claims.
+// Format: the fields of src/util/byte_codec.hpp (little-endian,
+// length-prefixed) behind a versioned magic.  Not a wire protocol -- a local
+// persistence format with a strict version check.  Length fields are claims
+// read in bounded chunks, so a corrupt length fails as truncated input
+// instead of allocating what it claims.
 #pragma once
 
 #include <iosfwd>
@@ -20,6 +21,9 @@
 
 namespace rds {
 
+class ByteReader;
+class ByteWriter;
+
 class Snapshot {
  public:
   /// Serializes a standalone disk (configuration, placement kind, scheme,
@@ -29,7 +33,7 @@ class Snapshot {
   static void save_disk(const VirtualDisk& disk, std::ostream& out);
 
   /// Restores a disk saved by save_disk.  Throws std::runtime_error on a
-  /// bad magic/version or truncated stream; an older format version is
+  /// bad magic/version or truncated input; an older format version is
   /// rejected with a message that names it.
   static VirtualDisk load_disk(std::istream& in);
 
@@ -45,9 +49,9 @@ class Snapshot {
  private:
   // Volume metadata section (needs VirtualDisk friendship; stores are
   // serialized separately so pool snapshots write shared payloads once).
-  static void put_volume_meta(std::ostream& out, const VirtualDisk& disk);
-  static VirtualDisk get_volume_meta(
-      std::istream& in,
+  static void save_volume(ByteWriter& out, const VirtualDisk& disk);
+  static VirtualDisk load_volume(
+      ByteReader& in,
       std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores);
 };
 
