@@ -43,6 +43,15 @@ Result<PlacementKind> parse_kind(const std::string& name) {
   return *kind;
 }
 
+Result<std::shared_ptr<RedundancyScheme>> parse_scheme(
+    const std::string& name) {
+  try {
+    return make_scheme_from_name(name);
+  } catch (const std::invalid_argument& e) {
+    return Error{ErrorCode::kCorruption, e.what()};
+  }
+}
+
 // ---- per-target record application ----------------------------------------
 
 Result<void> apply(VirtualDisk& disk, const Record& rec) {
@@ -74,13 +83,10 @@ Result<void> apply(VirtualDisk& disk, const Record& rec) {
                      "volume-scoped record replayed against a standalone "
                      "disk"};
       }
-      std::shared_ptr<RedundancyScheme> scheme;
-      try {
-        scheme = make_scheme_from_name(rec.detail);
-      } catch (const std::invalid_argument& e) {
-        return Error{ErrorCode::kCorruption, e.what()};
-      }
-      return disk.try_set_scheme(std::move(scheme));
+      Result<std::shared_ptr<RedundancyScheme>> scheme =
+          parse_scheme(rec.detail);
+      if (!scheme.ok()) return scheme.error();
+      return disk.try_set_scheme(std::move(scheme).take());
     }
     case RecordType::kCreateVolume:
     case RecordType::kDropVolume:
@@ -123,26 +129,22 @@ Result<void> apply(StoragePool& pool, const Record& rec) {
         return Error{ErrorCode::kInvalidArgument,
                      "disk-scoped record replayed against a pool"};
       }
-      std::shared_ptr<RedundancyScheme> scheme;
-      try {
-        scheme = make_scheme_from_name(rec.detail);
-      } catch (const std::invalid_argument& e) {
-        return Error{ErrorCode::kCorruption, e.what()};
-      }
-      return guarded(
-          [&] { pool.set_volume_scheme(rec.volume, std::move(scheme)); });
+      Result<std::shared_ptr<RedundancyScheme>> scheme =
+          parse_scheme(rec.detail);
+      if (!scheme.ok()) return scheme.error();
+      return guarded([&] {
+        pool.set_volume_scheme(rec.volume, std::move(scheme).take());
+      });
     }
     case RecordType::kCreateVolume: {
       Result<PlacementKind> kind = parse_kind(rec.device_name);
       if (!kind.ok()) return kind.error();
-      std::shared_ptr<RedundancyScheme> scheme;
-      try {
-        scheme = make_scheme_from_name(rec.detail);
-      } catch (const std::invalid_argument& e) {
-        return Error{ErrorCode::kCorruption, e.what()};
-      }
+      Result<std::shared_ptr<RedundancyScheme>> scheme =
+          parse_scheme(rec.detail);
+      if (!scheme.ok()) return scheme.error();
       return guarded([&] {
-        pool.create_volume(rec.volume, std::move(scheme), kind.value());
+        pool.create_volume(rec.volume, std::move(scheme).take(),
+                           kind.value());
       });
     }
     case RecordType::kDropVolume:
@@ -171,28 +173,14 @@ Result<void> apply(FileStore& store, const Record& rec) {
   }
 }
 
-bool target_reshaping(VirtualDisk& disk) { return disk.reshaping(); }
-
-bool target_reshaping(StoragePool& pool) {
-  for (const std::string& name : pool.volume_names()) {
-    if (pool.volume(name).reshaping()) return true;
-  }
-  return false;
-}
-
-bool target_reshaping(FileStore& store) { return store.disk().reshaping(); }
-
 // ---- the replay loop -------------------------------------------------------
 
+/// Replays `journal_in` over a target just loaded from a checkpoint, so
+/// with no reshape in flight: snapshots refuse to save one.
 template <typename Target>
-Result<ReplayReport> replay_impl(Target& target, Lsn watermark,
-                                 std::istream& journal_in,
-                                 const RecoveryOptions& options) {
-  if (target_reshaping(target)) {
-    return Error{ErrorCode::kReshapeInProgress,
-                 "journal replay: drain the target's reshape before "
-                 "replaying"};
-  }
+Result<ReplayReport> replay(Target& target, Lsn watermark,
+                            std::istream& journal_in,
+                            const RecoveryOptions& options) {
   metrics::Registry& reg = metrics::Registry::global();
   metrics::Counter& replayed = reg.counter("rds_journal_replayed_records_total");
   metrics::Counter& corrupt = reg.counter("rds_journal_replay_corrupt_total");
@@ -251,7 +239,7 @@ auto recover_impl(std::istream& checkpoint_in, std::istream* journal_in,
   report.last_applied = watermark.value();
   if (journal_in) {
     Result<ReplayReport> replayed =
-        replay_impl(*target, watermark.value(), *journal_in, options);
+        replay(*target, watermark.value(), *journal_in, options);
     if (!replayed.ok()) return replayed.error();
     report = std::move(replayed).take();
   }
@@ -346,24 +334,6 @@ Result<FileStoreRecovery> Recovery::recover_file_store(
   if (!recovered.ok()) return recovered.error();
   auto [store, report] = std::move(recovered).take();
   return FileStoreRecovery{std::move(store), std::move(report)};
-}
-
-Result<ReplayReport> Recovery::replay(VirtualDisk& disk, Lsn watermark,
-                                      std::istream& journal_in,
-                                      const RecoveryOptions& options) {
-  return replay_impl(disk, watermark, journal_in, options);
-}
-
-Result<ReplayReport> Recovery::replay(StoragePool& pool, Lsn watermark,
-                                      std::istream& journal_in,
-                                      const RecoveryOptions& options) {
-  return replay_impl(pool, watermark, journal_in, options);
-}
-
-Result<ReplayReport> Recovery::replay(FileStore& store, Lsn watermark,
-                                      std::istream& journal_in,
-                                      const RecoveryOptions& options) {
-  return replay_impl(store, watermark, journal_in, options);
 }
 
 }  // namespace rds::journal

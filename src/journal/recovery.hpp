@@ -95,9 +95,12 @@ struct FileStoreRecovery {
 class Recovery {
  public:
   /// Loads a checkpoint written by write_checkpoint(disk, ...) and replays
-  /// `journal_in` over it (pass nullptr to restore the bare snapshot).
-  /// kCorruption when the checkpoint itself is damaged; apply errors carry
-  /// the offending record's LSN and type.
+  /// `journal_in` over it (pass nullptr to restore the bare snapshot),
+  /// skipping records at or below the checkpoint's watermark.  kCorruption
+  /// when the checkpoint itself is damaged.  A record that cannot be
+  /// applied (a file-store record against a bare disk, a content
+  /// fingerprint mismatch) is a typed error naming its LSN and type; a
+  /// corrupt journal tail is reported per RecoveryOptions.
   [[nodiscard]] static Result<DiskRecovery> recover_disk(
       std::istream& checkpoint_in, std::istream* journal_in,
       const RecoveryOptions& options = {});
@@ -106,22 +109,6 @@ class Recovery {
       const RecoveryOptions& options = {});
   [[nodiscard]] static Result<FileStoreRecovery> recover_file_store(
       std::istream& checkpoint_in, std::istream* journal_in,
-      const RecoveryOptions& options = {});
-
-  /// Replays `journal_in` over an existing target, skipping records at or
-  /// below `watermark`.  The target must not have a reshape in flight
-  /// (kReshapeInProgress).  A record that cannot be applied (e.g. a
-  /// file-store record replayed against a bare disk, or a content
-  /// fingerprint mismatch) is a typed error naming the record; a corrupt
-  /// journal tail is reported per RecoveryOptions.
-  [[nodiscard]] static Result<ReplayReport> replay(
-      VirtualDisk& disk, Lsn watermark, std::istream& journal_in,
-      const RecoveryOptions& options = {});
-  [[nodiscard]] static Result<ReplayReport> replay(
-      StoragePool& pool, Lsn watermark, std::istream& journal_in,
-      const RecoveryOptions& options = {});
-  [[nodiscard]] static Result<ReplayReport> replay(
-      FileStore& store, Lsn watermark, std::istream& journal_in,
       const RecoveryOptions& options = {});
 };
 
