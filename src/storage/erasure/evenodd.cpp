@@ -26,7 +26,7 @@ std::vector<std::vector<LinearCodeScheme::Term>> evenodd_checks(unsigned p) {
 
 EvenOddScheme::EvenOddScheme(unsigned p)
     : LinearCodeScheme(p, 2, p - 1,
-                       evenodd_checks(odd_prime(p, "EvenOddScheme"))),
+                       evenodd_checks(odd_prime(p, 2, "EvenOddScheme"))),
       p_(p) {}
 
 std::string EvenOddScheme::name() const {

@@ -21,7 +21,8 @@ namespace rds {
 
 class EvenOddScheme final : public LinearCodeScheme {
  public:
-  /// `p` must be an odd prime (3, 5, 7, ...).  Fragments: p data + 2 parity.
+  /// `p` must be an odd prime (3, 5, 7, ..., 251).  Fragments: p data + 2
+  /// parity, at most kMaxFragments.
   explicit EvenOddScheme(unsigned p);
 
   [[nodiscard]] std::string name() const override;

@@ -52,9 +52,17 @@ LinearCodeScheme::LinearCodeScheme(unsigned data, unsigned parity,
   assert(checks_.size() == static_cast<std::size_t>(parity) * rows);
 }
 
-unsigned LinearCodeScheme::odd_prime(unsigned p, const char* codec) {
+unsigned LinearCodeScheme::odd_prime(unsigned p, unsigned extra,
+                                     const char* codec) {
+  // Bounded first: a stored scheme name is outside input, and trial
+  // division of a p near 2^32 takes seconds.
+  if (p > kMaxFragments - extra) {
+    throw std::invalid_argument(
+        std::string(codec) + ": more than " + std::to_string(kMaxFragments) +
+        " fragments (p + " + std::to_string(extra) + ")");
+  }
   bool prime = p >= 3 && p % 2 == 1;
-  for (unsigned d = 3; prime && d * d <= p; d += 2) prime = p % d != 0;
+  for (unsigned d = 3; prime && d <= p / d; d += 2) prime = p % d != 0;
   if (!prime) {
     throw std::invalid_argument(std::string(codec) +
                                 ": p must be an odd prime");

@@ -26,7 +26,8 @@ std::vector<std::vector<LinearCodeScheme::Term>> rdp_checks(unsigned p) {
 }  // namespace
 
 RdpScheme::RdpScheme(unsigned p)
-    : LinearCodeScheme(p - 1, 2, p - 1, rdp_checks(odd_prime(p, "RdpScheme"))),
+    : LinearCodeScheme(p - 1, 2, p - 1,
+                       rdp_checks(odd_prime(p, 1, "RdpScheme"))),
       p_(p) {}
 
 std::string RdpScheme::name() const {

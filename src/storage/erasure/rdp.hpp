@@ -20,7 +20,8 @@ namespace rds {
 
 class RdpScheme final : public LinearCodeScheme {
  public:
-  /// `p` must be an odd prime; the code has p-1 data + 2 parity fragments.
+  /// `p` must be an odd prime up to 251; the code has p-1 data + 2 parity
+  /// fragments, at most kMaxFragments.
   explicit RdpScheme(unsigned p);
 
   [[nodiscard]] std::string name() const override;

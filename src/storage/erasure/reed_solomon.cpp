@@ -13,7 +13,8 @@ namespace {
 std::vector<std::vector<LinearCodeScheme::Term>> cauchy_checks(unsigned d,
                                                                unsigned p) {
   if (d == 0) throw std::invalid_argument("ReedSolomonScheme: zero data");
-  if (d > 256 || p > 256 - d) {  // d + p could wrap
+  constexpr unsigned kMax = LinearCodeScheme::kMaxFragments;
+  if (d > kMax || p > kMax - d) {  // d + p could wrap
     throw std::invalid_argument("ReedSolomonScheme: more than 256 shards");
   }
   std::vector<std::vector<LinearCodeScheme::Term>> checks(p);

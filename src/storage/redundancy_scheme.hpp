@@ -90,6 +90,11 @@ class LinearCodeScheme : public RedundancyScheme {
     std::uint8_t coef;
   };
 
+  /// The most fragments a code may have: Reed-Solomon's Cauchy points must
+  /// be distinct in GF(2^8), and the array codes' parity terms grow with
+  /// the square of their prime.
+  static constexpr unsigned kMaxFragments = 256;
+
   [[nodiscard]] unsigned fragment_count() const override {
     return data_ + parity_;
   }
@@ -109,8 +114,9 @@ class LinearCodeScheme : public RedundancyScheme {
                    std::vector<std::vector<Term>> checks);
 
   /// `p`, or std::invalid_argument naming `codec` unless p is an odd prime
-  /// (what the row-and-diagonal array codes need).
-  static unsigned odd_prime(unsigned p, const char* codec);
+  /// (what the row-and-diagonal array codes need) and the code's
+  /// p + `extra` fragments are at most kMaxFragments.
+  static unsigned odd_prime(unsigned p, unsigned extra, const char* codec);
 
  private:
   /// The size every present fragment shares; throws std::invalid_argument

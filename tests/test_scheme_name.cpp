@@ -104,5 +104,18 @@ TEST(SchemeNameParsing, AcceptsCommandLineSpellingsStrictly) {
   EXPECT_THROW((void)make_scheme_from_name("rdp:4"), std::invalid_argument);
 }
 
+// A stored scheme name is outside input: an array code's parity terms grow
+// with p^2, so p is bounded by the code's fragment count (p + 2 for
+// EVENODD, p + 1 for RDP) before any trial division, which for a p near
+// 2^32 would take seconds.
+TEST(SchemeNameParsing, BoundsArrayCodesAt256Fragments) {
+  expect_rejected("evenodd(p=257)", "more than 256 fragments");
+  expect_rejected("rdp(p=257)", "more than 256 fragments");
+  expect_rejected("evenodd(p=65521)", "more than 256 fragments");
+  expect_rejected("evenodd(p=4294967291)", "more than 256 fragments");
+  EXPECT_EQ(make_scheme_from_name("evenodd(p=251)")->fragment_count(), 253u);
+  EXPECT_EQ(make_scheme_from_name("rdp(p=251)")->fragment_count(), 252u);
+}
+
 }  // namespace
 }  // namespace rds
