@@ -24,7 +24,6 @@ enum class ErrorCode {
   kInvalidArgument,   ///< caller passed something structurally wrong
   kUnrecoverable,     ///< too few fragments survive to decode the block
   kDeviceFailed,      ///< operation needs a device that is crashed
-  kReshapeInProgress, ///< topology change rejected while one is in flight
   kIoError,           ///< a device store rejected a read/write (full, ...)
   kCorruption,        ///< persisted data failed an integrity check (CRC,
                       ///< magic, content fingerprint) -- see
@@ -38,7 +37,6 @@ enum class ErrorCode {
     case ErrorCode::kInvalidArgument: return "invalid-argument";
     case ErrorCode::kUnrecoverable: return "unrecoverable";
     case ErrorCode::kDeviceFailed: return "device-failed";
-    case ErrorCode::kReshapeInProgress: return "reshape-in-progress";
     case ErrorCode::kIoError: return "io-error";
     case ErrorCode::kCorruption: return "corruption";
   }

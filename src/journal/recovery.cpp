@@ -175,8 +175,7 @@ Result<void> apply(FileStore& store, const Record& rec) {
 
 // ---- the replay loop -------------------------------------------------------
 
-/// Replays `journal_in` over a target just loaded from a checkpoint, so
-/// with no reshape in flight: snapshots refuse to save one.
+/// Replays `journal_in` over a target just loaded from a checkpoint.
 template <typename Target>
 Result<ReplayReport> replay(Target& target, Lsn watermark,
                             std::istream& journal_in,

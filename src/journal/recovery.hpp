@@ -52,7 +52,7 @@ struct RecoveryOptions {
 /// Writes a checkpoint: header (magic, watermark, CRC) + snapshot.
 /// `watermark` is the highest LSN whose effects the target already
 /// contains -- normally JournalWriter::last_lsn() at a quiesced moment.
-/// Throws std::runtime_error on stream failure or an in-flight reshape.
+/// Throws std::runtime_error on stream failure.
 void write_checkpoint(const VirtualDisk& disk, Lsn watermark,
                       std::ostream& out);
 void write_checkpoint(const StoragePool& pool, Lsn watermark,

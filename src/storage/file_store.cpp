@@ -63,7 +63,9 @@ void FileStore::put(const std::string& name,
   } else {
     files_.emplace(name, std::move(entry));
   }
-  journal_append(journal::make_file_put(name, content));
+  // The record copies and hashes the whole content: build it only for a
+  // journal that takes it (replay puts run unjournaled).
+  if (journal_) journal_append(journal::make_file_put(name, content));
 }
 
 Result<std::optional<Bytes>> FileStore::try_get(const std::string& name) {

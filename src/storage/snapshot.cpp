@@ -162,9 +162,6 @@ VirtualDisk Snapshot::load_volume(ByteReader& in, Stores stores) {
 }
 
 void Snapshot::save_disk(const VirtualDisk& disk, std::ostream& stream) {
-  if (disk.reshaping()) {
-    throw std::runtime_error("Snapshot: drain the reshape before saving");
-  }
   ByteWriter out(stream);
   out.magic(kDiskMagic);
   {
@@ -187,11 +184,6 @@ void Snapshot::save_pool(const StoragePool& pool, std::ostream& stream) {
   // Lock order pool -> volume: the per-disk sections below take each
   // volume's own lock while the pool lock is held.
   const MutexLock lock(pool.mu_);
-  for (const auto& [name, disk] : pool.volumes_) {
-    if (disk->reshaping()) {
-      throw std::runtime_error("Snapshot: drain reshapes before saving");
-    }
-  }
   ByteWriter out(stream);
   out.magic(kPoolMagic);
   out.field(pool.next_volume_id_);

@@ -29,7 +29,6 @@ class Snapshot {
   /// Serializes a standalone disk (configuration, placement kind, scheme,
   /// block table, device stores with their fragment records and failure
   /// flags).
-  /// Throws std::runtime_error if a reshape is in flight.
   static void save_disk(const VirtualDisk& disk, std::ostream& out);
 
   /// Restores a disk saved by save_disk.  Throws std::runtime_error on a

@@ -78,25 +78,11 @@ bool StoragePool::drop_volume(const std::string& name) {
   return true;
 }
 
-void StoragePool::ensure_no_reshape() const {
-  for (const auto& [name, disk] : volumes_) {
-    if (disk->reshaping()) {
-      throw std::runtime_error("StoragePool: volume '" + name +
-                               "' has a reshape in flight; drain it before "
-                               "changing the pool topology");
-    }
-  }
-}
-
 void StoragePool::add_device(const Device& device) {
   const MutexLock lock(mu_);
   if (config_.contains(device.uid)) {
     throw std::invalid_argument("StoragePool: duplicate device uid");
   }
-  // Check every volume up front: attach_device throws on a reshaping
-  // volume, and discovering that mid-loop would leave the volumes before
-  // it migrated onto the device and the rest not.
-  ensure_no_reshape();
   auto store = std::make_shared<DeviceStore>(device);
   for (const auto& [name, disk] : volumes_) {
     disk->attach_device(device, store);
@@ -111,7 +97,6 @@ void StoragePool::remove_device(DeviceId uid) {
   if (!config_.contains(uid)) {
     throw std::out_of_range("StoragePool: unknown device");
   }
-  ensure_no_reshape();
   for (const auto& [name, disk] : volumes_) {
     disk->try_remove_device(uid).value_or_throw();
   }
@@ -130,7 +115,6 @@ void StoragePool::resize_device(DeviceId uid, std::uint64_t new_capacity) {
     throw std::invalid_argument(
         "StoragePool: rebuild() before resizing a failed device");
   }
-  ensure_no_reshape();
   ClusterConfig next = config_;
   next.resize_device(uid, new_capacity);  // validates zero capacity
   const std::uint64_t old_capacity = it->second->capacity();

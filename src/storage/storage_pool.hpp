@@ -10,6 +10,9 @@
 // Pool-level operations are serialized by an internal mutex.  Lock order is
 // pool -> volume: pool methods may take a volume's internal lock (via the
 // VirtualDisk public API) while holding the pool lock, never the reverse.
+// Neither lock guards the device stores the volumes share, so block I/O
+// and topology calls on a pool and its volumes must come from one thread
+// at a time; placement lookups stay safe from any thread (docs/api.md).
 #pragma once
 
 #include <map>
@@ -51,20 +54,24 @@ class StoragePool {
   /// devices.  Returns whether it existed.
   bool drop_volume(const std::string& name) RDS_EXCLUDES(mu_);
 
-  /// Adds a device to the pool and migrates every volume onto it.  Fails
-  /// up front (nothing mutated) if any volume has a reshape in flight.
+  /// Adds a device to the pool and migrates every volume onto it, one
+  /// volume after another.  A volume that refuses its edit (a new home
+  /// without room: VirtualDisk::apply_config) throws and is left as it
+  /// was, but the volumes before it stay migrated and the pool's own
+  /// configuration is unchanged.
   void add_device(const Device& device) RDS_EXCLUDES(mu_);
 
   /// Gracefully removes a device: every volume drains its fragments first.
-  /// Fails up front (nothing mutated) if any volume has a reshape in
-  /// flight.
+  /// A refusal by a later volume throws as for add_device, with the
+  /// earlier volumes already drained.
   void remove_device(DeviceId uid) RDS_EXCLUDES(mu_);
 
   /// Changes a pool device's capacity: growing extends the store then
   /// migrates every volume onto the new room; shrinking drains every
   /// volume off first, then clamps the store.  Throws std::out_of_range
   /// for unknown devices, std::invalid_argument for failed devices or
-  /// capacities below the device's occupancy.
+  /// capacities below the device's occupancy, and a later volume's
+  /// refusal as for add_device.
   void resize_device(DeviceId uid, std::uint64_t new_capacity)
       RDS_EXCLUDES(mu_);
 
@@ -115,10 +122,6 @@ class StoragePool {
 
  private:
   friend class Snapshot;
-
-  /// Throws if any volume has a reshape in flight; topology fan-out must
-  /// fail before mutating the first volume, not midway through.
-  void ensure_no_reshape() const RDS_REQUIRES(mu_);
 
   /// Appends a record to the attached journal (no-op without one).  Runs
   /// after the in-memory mutation committed, inside the same critical

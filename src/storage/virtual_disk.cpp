@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "src/journal/journal.hpp"
@@ -12,19 +11,6 @@
 #include "src/placement/batch_placer.hpp"
 
 namespace rds {
-namespace {
-
-/// No journal record expresses an arbitrary config, so a journaled disk
-/// refuses the calls that install one before anything changes.
-Error unjournaled_config(std::string_view call) {
-  return Error{ErrorCode::kInvalidArgument,
-               "VirtualDisk: " + std::string(call) +
-                   " installs a config no journal record expresses; edit a "
-                   "journaled disk with try_add_device, try_remove_device "
-                   "or try_resize_device"};
-}
-
-}  // namespace
 
 VirtualDisk::VirtualDisk(ClusterConfig config,
                          std::shared_ptr<RedundancyScheme> scheme,
@@ -115,12 +101,6 @@ void VirtualDisk::store_fragment(DeviceId target, std::uint64_t block,
   sync_device_gauge(target);
 }
 
-const ReplicationStrategy& VirtualDisk::strategy_for(
-    std::uint64_t block) const {
-  if (next_strategy_ && !pending_.contains(block)) return *next_strategy_;
-  return *strategy_;
-}
-
 Result<void> VirtualDisk::try_write(std::uint64_t block,
                                     std::span<const std::uint8_t> data) {
   const MutexLock lock(mu_);
@@ -136,7 +116,7 @@ Result<void> VirtualDisk::write_locked(std::uint64_t block,
     return Error{ErrorCode::kInvalidArgument, e.what()};
   }
   metrics::ScopedTimer placement_span(*placement_latency_ns_);
-  const std::vector<DeviceId> targets = strategy_for(block).place(block);
+  const std::vector<DeviceId> targets = strategy_->place(block);
   placement_span.stop();
   writes_total_->inc();
   written_bytes_total_->inc(data.size());
@@ -219,7 +199,7 @@ Result<std::vector<std::uint8_t>> VirtualDisk::read_locked(
     return Error{ErrorCode::kNotFound, "VirtualDisk: block never written"};
   }
   metrics::ScopedTimer placement_span(*placement_latency_ns_);
-  const std::vector<DeviceId> targets = strategy_for(block).place(block);
+  const std::vector<DeviceId> targets = strategy_->place(block);
   placement_span.stop();
   const Gathered gathered =
       gather_fragments(block, targets, scheme_->min_fragments());
@@ -245,7 +225,7 @@ Result<void> VirtualDisk::trim_locked(std::uint64_t block) {
   if (it == blocks_.end()) {
     return Error{ErrorCode::kNotFound, "VirtualDisk: block never written"};
   }
-  const std::vector<DeviceId> targets = strategy_for(block).place(block);
+  const std::vector<DeviceId> targets = strategy_->place(block);
   for (unsigned j = 0; j < scheme_->fragment_count(); ++j) {
     const auto store = stores_.find(targets[j]);
     if (store != stores_.end()) {
@@ -254,7 +234,6 @@ Result<void> VirtualDisk::trim_locked(std::uint64_t block) {
     }
   }
   blocks_.erase(it);
-  pending_.erase(block);
   return {};
 }
 
@@ -291,13 +270,12 @@ void VirtualDisk::attach_device(const Device& device,
                                 std::shared_ptr<DeviceStore> store) {
   if (!store) throw std::invalid_argument("attach_device: null store");
   const MutexLock lock(mu_);
-  if (reshaping_locked()) {
-    throw std::runtime_error("VirtualDisk: reshape already in progress");
-  }
   ClusterConfig next = config_;
   next.add_device(device);                 // validates (duplicate uid, ...)
-  stores_.emplace(device.uid, std::move(store));
-  (void)apply_config_locked(std::move(next)).value_or_throw();
+  const bool added = stores_.emplace(device.uid, std::move(store)).second;
+  Result<std::size_t> migrated = apply_config_locked(std::move(next));
+  if (!migrated.ok() && added) stores_.erase(device.uid);
+  (void)std::move(migrated).value_or_throw();
 }
 
 Result<void> VirtualDisk::try_remove_device(DeviceId uid) {
@@ -368,10 +346,6 @@ Result<void> VirtualDisk::try_resize_device(DeviceId uid,
 Result<void> VirtualDisk::try_set_strategy(PlacementKind kind) {
   const MutexLock lock(mu_);
   if (kind == kind_) return {};
-  if (reshaping_locked()) {
-    return Error{ErrorCode::kReshapeInProgress,
-                 "VirtualDisk: reshape already in progress"};
-  }
   const PlacementKind previous = kind_;
   kind_ = kind;  // make_strategy() reads it inside apply_config_locked
   Result<std::size_t> migrated = apply_config_locked(config_);
@@ -389,10 +363,6 @@ Result<void> VirtualDisk::try_set_scheme(
     return Error{ErrorCode::kInvalidArgument, "VirtualDisk: null scheme"};
   }
   if (next->name() == scheme_->name()) return {};
-  if (reshaping_locked()) {
-    return Error{ErrorCode::kReshapeInProgress,
-                 "VirtualDisk: reshape already in progress"};
-  }
   for (const auto& [uid, store] : stores_) {
     if (store->failed()) {
       return Error{ErrorCode::kDeviceFailed,
@@ -467,7 +437,7 @@ bool VirtualDisk::corrupt_fragment(std::uint64_t block, unsigned fragment) {
   if (!blocks_.contains(block) || fragment >= scheme_->fragment_count()) {
     return false;
   }
-  const std::vector<DeviceId> targets = strategy_for(block).place(block);
+  const std::vector<DeviceId> targets = strategy_->place(block);
   const auto store = stores_.find(targets[fragment]);
   if (store == stores_.end()) return false;
   return store->second->corrupt({block, fragment, volume_id_});
@@ -488,46 +458,6 @@ std::uint64_t VirtualDisk::rebuild() {
   for (const DeviceId uid : dead) stores_.erase(uid);
   journal_locked(journal::make_rebuild()).value_or_throw();
   return stats_.fragments_rebuilt - rebuilt_before;
-}
-
-Result<std::size_t> VirtualDisk::try_begin_reshape(ClusterConfig next) {
-  const MutexLock lock(mu_);
-  if (journal_) return unjournaled_config("try_begin_reshape");
-  return begin_reshape_locked(std::move(next));
-}
-
-Result<std::size_t> VirtualDisk::begin_reshape_locked(ClusterConfig next) {
-  if (reshaping_locked()) {
-    return Error{ErrorCode::kReshapeInProgress,
-                 "VirtualDisk: reshape already in progress"};
-  }
-  // A failed device must not be a migration target: callers rebuild() before
-  // reshaping a degraded pool.
-  for (const Device& d : next.devices()) {
-    const auto it = stores_.find(d.uid);
-    if (it != stores_.end() && it->second->failed()) {
-      return Error{
-          ErrorCode::kDeviceFailed,
-          "VirtualDisk: rebuild() required before migrating a degraded pool"};
-    }
-  }
-  std::unique_ptr<ReplicationStrategy> next_strategy;
-  try {
-    next_strategy = make_strategy(next);
-  } catch (const std::invalid_argument& e) {
-    return Error{ErrorCode::kInvalidArgument, e.what()};
-  }
-  MovingHomes moving = moving_blocks(*next_strategy);
-  topology_events_total_->inc();
-  next_strategy_ = std::move(next_strategy);
-  for (const Device& d : next.devices()) {
-    if (!stores_.contains(d.uid)) {
-      stores_.emplace(d.uid, std::make_shared<DeviceStore>(d));
-    }
-  }
-  next_config_ = std::move(next);
-  pending_ = std::move(moving);
-  return pending_.size();
 }
 
 VirtualDisk::MovingHomes VirtualDisk::moving_blocks(
@@ -556,34 +486,47 @@ VirtualDisk::MovingHomes VirtualDisk::moving_blocks(
   return moving;
 }
 
+Result<void> VirtualDisk::check_plan(const MovingHomes& moving) const {
+  const unsigned k = scheme_->fragment_count();
+  // Occupancy of each device the plan has touched, as the moves before
+  // leave it.
+  std::unordered_map<DeviceId, std::uint64_t> used;
+  const auto occupancy = [&](DeviceId uid,
+                             const DeviceStore& store) -> std::uint64_t& {
+    return used.try_emplace(uid, store.used()).first->second;
+  };
+  for (const auto& [block, homes] : moving) {
+    const std::span<const DeviceId> from = std::span(homes).first(k);
+    const std::span<const DeviceId> to = std::span(homes).subspan(k, k);
+    for (unsigned j = 0; j < k; ++j) {
+      if (from[j] == to[j]) continue;
+      const auto source = stores_.find(from[j]);
+      if (source != stores_.end() &&
+          source->second->contains({block, j, volume_id_})) {
+        --occupancy(from[j], *source->second);
+      }
+    }
+    for (unsigned j = 0; j < k; ++j) {
+      if (from[j] == to[j]) continue;
+      const DeviceStore& target = *stores_.at(to[j]);
+      std::uint64_t& count = occupancy(to[j], target);
+      if (!target.contains({block, j, volume_id_})) ++count;
+      if (count > target.capacity()) {
+        return Error{ErrorCode::kIoError,
+                     "VirtualDisk: reshape cannot move block " +
+                         std::to_string(block) + ": device " +
+                         std::to_string(to[j]) + " has no room for it"};
+      }
+    }
+  }
+  return {};
+}
+
 void VirtualDisk::reshape_block(std::uint64_t block,
                                 std::span<const DeviceId> homes) {
   const unsigned k = scheme_->fragment_count();
   const std::span<const DeviceId> from = homes.first(k);
   const std::span<const DeviceId> to = homes.subspan(k, k);
-
-  // Every new home must take its arrivals once this block's own departures
-  // have left it.  Checked before anything is read or erased, so a step
-  // that throws here leaves the block where it was.
-  for (unsigned j = 0; j < k; ++j) {
-    if (from[j] == to[j]) continue;
-    const auto target = stores_.find(to[j]);
-    const bool failed =
-        target == stores_.end() || target->second->failed();
-    std::uint64_t used = failed ? 0 : target->second->used();
-    for (unsigned i = 0; i < k && !failed; ++i) {
-      if (from[i] == to[i]) continue;
-      const FragmentKey key{block, i, volume_id_};
-      if (from[i] == to[j] && target->second->contains(key)) --used;
-      if (to[i] == to[j] && !target->second->contains(key)) ++used;
-    }
-    if (failed || used > target->second->capacity()) {
-      throw std::runtime_error(
-          "VirtualDisk: reshape cannot move block " + std::to_string(block) +
-          ": device " + std::to_string(to[j]) +
-          (failed ? " has failed" : " has no room for it"));
-    }
-  }
 
   // Verify each moving fragment in its old home.  A fragment that stays is
   // not read: rot there is scrub()'s to find, as it is for reads.
@@ -611,10 +554,13 @@ void VirtualDisk::reshape_block(std::uint64_t block,
     for (unsigned j = 0; j < k && present < scheme_->min_fragments(); ++j) {
       if (from[j] == to[j]) (void)take(j);  // moving ones: taken above
     }
+    // With too few peers the block was unrecoverable before this reshape
+    // and stays so: its lost fragments stay missing.
+    if (present < scheme_->min_fragments()) lost.clear();
     for (const unsigned j : lost) {
-      // A rebuild throws without verified peers, so `peer` is set after it.
-      // A rebuilt mirror copy equals the peer and takes its CRC; any other
-      // rebuilt fragment is sealed fresh.
+      // `peer` is set: min_fragments() fragments verified.  A rebuilt
+      // mirror copy equals the peer and takes its CRC; any other rebuilt
+      // fragment is sealed fresh.
       Bytes bytes = scheme_->reconstruct_fragment(fragments, j);
       Fragment rebuilt = Fragment::seal_like(std::move(bytes), *peer);
       fragments[j] = std::move(rebuilt.bytes);
@@ -626,7 +572,7 @@ void VirtualDisk::reshape_block(std::uint64_t block,
 
   // Erase every moving source before writing any, so a device swapping
   // fragments with another never transiently exceeds its capacity, and the
-  // writes checked above cannot fail partway.
+  // writes check_plan() made room for cannot fail partway.
   for (unsigned j = 0; j < k; ++j) {
     if (from[j] == to[j]) continue;
     const auto src = stores_.find(from[j]);
@@ -636,7 +582,7 @@ void VirtualDisk::reshape_block(std::uint64_t block,
     }
   }
   for (unsigned j = 0; j < k; ++j) {
-    if (from[j] == to[j]) continue;
+    if (from[j] == to[j] || !fragments[j]) continue;
     Fragment moving{std::move(*fragments[j]), crcs[j]};
     stats_.bytes_moved += moving.bytes.size();
     ++stats_.fragments_moved;
@@ -646,48 +592,65 @@ void VirtualDisk::reshape_block(std::uint64_t block,
   }
 }
 
-std::size_t VirtualDisk::step_reshape(std::size_t max_blocks) {
-  const MutexLock lock(mu_);
-  return step_reshape_locked(max_blocks);
-}
-
-std::size_t VirtualDisk::step_reshape_locked(std::size_t max_blocks) {
-  if (!reshaping_locked()) return 0;
-  metrics::ScopedTimer step_span(*migration_step_latency_ns_);
-  std::size_t processed = 0;
-  while (processed < max_blocks && !pending_.empty()) {
-    const auto next = pending_.begin();
-    reshape_block(next->first, next->second);
-    pending_.erase(next);
-    ++processed;
-  }
-  if (pending_.empty()) {
-    // Commit the new topology and atomically publish the new epoch:
-    // concurrent place() calls flip from the old (strategy, config) pair to
-    // the new one in a single step.
-    config_ = std::move(next_config_);
-    strategy_ = std::move(next_strategy_);
-    next_strategy_.reset();
-    next_config_ = ClusterConfig{};
-    publish_epoch();
-  }
-  return processed;
-}
-
 Result<std::size_t> VirtualDisk::apply_config(ClusterConfig next) {
   const MutexLock lock(mu_);
-  if (journal_) return unjournaled_config("apply_config");
+  if (journal_) {
+    // No journal record expresses an arbitrary config: refuse it before
+    // anything changes, or the disk would run ahead of its recovery.
+    return Error{ErrorCode::kInvalidArgument,
+                 "VirtualDisk: apply_config installs a config no journal "
+                 "record expresses; edit a journaled disk with "
+                 "try_add_device, try_remove_device or try_resize_device"};
+  }
   return apply_config_locked(std::move(next));
 }
 
 Result<std::size_t> VirtualDisk::apply_config_locked(ClusterConfig next) {
-  Result<std::size_t> begun = begin_reshape_locked(std::move(next));
-  if (!begun.ok()) return begun;
-  while (!pending_.empty()) {
-    step_reshape_locked(1024);
+  // A failed device must not be a migration target: callers rebuild() before
+  // reshaping a degraded pool.
+  for (const Device& d : next.devices()) {
+    const auto it = stores_.find(d.uid);
+    if (it != stores_.end() && it->second->failed()) {
+      return Error{
+          ErrorCode::kDeviceFailed,
+          "VirtualDisk: rebuild() required before migrating a degraded pool"};
+    }
   }
-  step_reshape_locked(1);  // commit when the pool held no blocks at all
-  return begun;
+  std::shared_ptr<const ReplicationStrategy> next_strategy;
+  try {
+    next_strategy = make_strategy(next);
+  } catch (const std::invalid_argument& e) {
+    return Error{ErrorCode::kInvalidArgument, e.what()};
+  }
+  const MovingHomes moving = moving_blocks(*next_strategy);
+  std::vector<DeviceId> added;  // stores this edit brings, dropped if refused
+  for (const Device& d : next.devices()) {
+    if (!stores_.contains(d.uid)) {
+      stores_.emplace(d.uid, std::make_shared<DeviceStore>(d));
+      added.push_back(d.uid);
+    }
+  }
+  Result<void> fits = check_plan(moving);
+  if (!fits.ok()) {
+    for (const DeviceId uid : added) stores_.erase(uid);
+    return fits.error();
+  }
+
+  topology_events_total_->inc();
+  constexpr std::size_t kBatch = 1024;  // blocks per latency sample
+  for (auto it = moving.begin(); it != moving.end();) {
+    metrics::ScopedTimer batch_span(*migration_step_latency_ns_);
+    for (std::size_t n = 0; n < kBatch && it != moving.end(); ++n, ++it) {
+      reshape_block(it->first, it->second);
+    }
+  }
+  // Commit the new topology and atomically publish the new epoch:
+  // concurrent place() calls flip from the old (strategy, config) pair to
+  // the new one in a single step.
+  config_ = std::move(next);
+  strategy_ = std::move(next_strategy);
+  publish_epoch();
+  return moving.size();
 }
 
 std::uint64_t VirtualDisk::repair() {
@@ -696,7 +659,7 @@ std::uint64_t VirtualDisk::repair() {
   const std::uint64_t repaired_before = stats_.fragments_repaired;
   std::vector<DeviceId> loc(k);
   for (const auto& [block, size] : blocks_) {
-    strategy_for(block).place(block, loc);
+    strategy_->place(block, loc);
     const Gathered gathered = gather_fragments(block, loc, k);
     if (gathered.present == k) continue;                       // healthy
     if (gathered.present < scheme_->min_fragments()) continue;  // lost
@@ -723,7 +686,7 @@ VirtualDisk::ScrubReport VirtualDisk::scrub() {
   std::vector<DeviceId> loc(k);
   for (const auto& [block, size] : blocks_) {
     ++report.blocks_checked;
-    strategy_for(block).place(block, loc);
+    strategy_->place(block, loc);
     // Every fragment, not just the ones a read needs: presence AND
     // checksum validity, so rot in fragments reads skip is found here.
     const unsigned present = gather_fragments(block, loc, k).present;

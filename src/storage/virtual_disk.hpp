@@ -4,17 +4,21 @@
 // Every logical block is encoded by a RedundancyScheme into k fragments,
 // which a placement strategy (Redundant Share by default) maps to k distinct
 // devices.  Growing, shrinking, or losing devices triggers a reshape -- the
-// one code path that moves stored fragments.  A reshape places every block
-// under the old and the new strategy in one parallel pass
-// (BatchPlacer::shared()) and queues only the blocks whose copy-index homes
-// differ, each with the homes the pass computed, so no block is placed
-// again.  It then moves exactly the fragments whose home changed,
-// verifying each first; a lost or corrupt source is rebuilt from verified
-// peers through the scheme.
+// one code path that moves stored fragments, finished inside the call that
+// starts it.  A reshape places every block under the old and the new
+// strategy in one parallel pass (BatchPlacer::shared()) and keeps only the
+// blocks whose copy-index homes differ, each with the homes the pass
+// computed, so no block is placed again.  It checks that every new home
+// has room for the whole plan before anything moves, then moves exactly the
+// fragments whose home changed, verifying each first; a lost or corrupt
+// source is rebuilt from verified peers through the scheme.
 //
 // Concurrency model (docs/api.md, "Concurrency guarantees"): block I/O and
-// topology mutations are serialized by an internal mutex (`mu_`), so any
-// number of threads may call them -- one at a time gets in.  Placement
+// topology mutations on one standalone disk are serialized by an internal
+// mutex (`mu_`), so any number of threads may call them -- one at a time
+// gets in.  A StoragePool's volumes share their device stores, which no
+// volume's `mu_` guards, so calls on a pool and its volumes must come from
+// one thread at a time.  Placement
 // lookups (try_copy_locations(), placement_snapshot()) never take `mu_` and
 // may run from any number of threads concurrently with that writer: they
 // read an immutable PlacementEpoch published by shared_ptr-RCU (RcuCell,
@@ -146,7 +150,7 @@ class VirtualDisk {
 
   /// The committed placement epoch: one shared_ptr copy from the RcuCell,
   /// never blocked by `mu_`.  Safe from any thread at any time, including
-  /// while apply_config / a reshape commit installs a successor.
+  /// while apply_config installs a successor.
   [[nodiscard]] std::shared_ptr<const PlacementEpoch> placement_snapshot()
       const noexcept;
 
@@ -162,16 +166,19 @@ class VirtualDisk {
   [[nodiscard]] Result<std::uint64_t> try_copy_locations(
       std::uint64_t block, std::span<DeviceId> out) const;
 
-  /// Migrates data to `next` (validate, reshape, drain) and atomically
-  /// installs the new (strategy, config) epoch; concurrent placement
-  /// lookups see either the old pair or the new pair, never a mix.  Returns the
-  /// number of blocks that needed re-placement: those with a fragment
-  /// whose home changed.  kReshapeInProgress if a reshape is in flight,
-  /// kDeviceFailed if a failed device would remain in `next`,
-  /// kInvalidArgument for configs the strategy rejects, and before
-  /// anything changes when a journal is attached: no journal record
-  /// expresses an arbitrary config, so a journaled disk is edited through
-  /// try_add_device / try_remove_device / try_resize_device.
+  /// Migrates data to `next` and atomically installs the new (strategy,
+  /// config) epoch before it returns; concurrent placement lookups see
+  /// either the old pair or the new pair, never a mix.  Returns the number
+  /// of blocks that needed re-placement: those with a fragment whose home
+  /// changed.  kDeviceFailed if a failed device would remain in `next`;
+  /// kInvalidArgument for configs the strategy rejects, and when a journal
+  /// is attached: no journal record expresses an arbitrary config, so a
+  /// journaled disk is edited through try_add_device / try_remove_device /
+  /// try_resize_device; kIoError, naming the block and the device, when a
+  /// new home lacks room for the fragments the plan moves there.  The whole
+  /// plan is checked before anything moves, so every refusal leaves the
+  /// disk exactly as it was.  A block with fewer than min_fragments()
+  /// intact fragments moves those it has and stays unrecoverable.
   [[nodiscard]] Result<std::size_t> apply_config(ClusterConfig next)
       RDS_EXCLUDES(mu_);
 
@@ -183,7 +190,9 @@ class VirtualDisk {
 
   /// Pool mode: adds a device backed by an existing (shared) store and
   /// migrates.  Used by StoragePool so every co-hosted volume sees the same
-  /// physical device.
+  /// physical device.  Throws apply_config's refusals through
+  /// value_or_throw(); a refused attach keeps neither the device nor the
+  /// store.
   void attach_device(const Device& device, std::shared_ptr<DeviceStore> store)
       RDS_EXCLUDES(mu_);
 
@@ -203,8 +212,8 @@ class VirtualDisk {
 
   /// Swaps the placement strategy live: every block is re-placed under the
   /// new kind (same configuration), moving only the fragments whose homes
-  /// differ.  No-op when `kind` is already active.  kReshapeInProgress if a
-  /// reshape is in flight.
+  /// differ.  No-op when `kind` is already active.  kIoError as for
+  /// apply_config.
   [[nodiscard]] Result<void> try_set_strategy(PlacementKind kind)
       RDS_EXCLUDES(mu_);
 
@@ -223,36 +232,6 @@ class VirtualDisk {
   void set_journal(std::shared_ptr<journal::JournalSink> sink)
       RDS_EXCLUDES(mu_);
 
-  /// Incremental reshaping: starts migrating toward `next` without blocking.
-  /// Returns the number of blocks that still need re-placement: one
-  /// parallel pass places every block under both strategies, and only the
-  /// blocks whose homes differ are queued (every other block already sits
-  /// where `next` puts it).  While a reshape is in flight, reads and writes
-  /// work normally (each block is served from wherever it currently lives);
-  /// further topology operations are rejected until the reshape drains
-  /// (kReshapeInProgress).  kDeviceFailed and kInvalidArgument as for
-  /// apply_config, including the refusal on a journaled disk.
-  [[nodiscard]] Result<std::size_t> try_begin_reshape(ClusterConfig next)
-      RDS_EXCLUDES(mu_);
-
-  /// Migrates up to `max_blocks` pending blocks; returns how many were
-  /// processed.  A return of 0 means the reshape is complete (the new
-  /// configuration is committed).  Only the fragments that move are read,
-  /// and each is checksum-verified in its old home first.  Throws
-  /// std::runtime_error, naming the block and the device, when a block's
-  /// new home has failed or has no room for it; that block is left
-  /// untouched and pending (blocks moved before it stay moved).
-  std::size_t step_reshape(std::size_t max_blocks) RDS_EXCLUDES(mu_);
-
-  [[nodiscard]] bool reshaping() const RDS_EXCLUDES(mu_) {
-    const MutexLock lock(mu_);
-    return next_strategy_ != nullptr;
-  }
-  [[nodiscard]] std::size_t reshape_pending() const RDS_EXCLUDES(mu_) {
-    const MutexLock lock(mu_);
-    return pending_.size();
-  }
-
   /// Simulates a crash: the device's contents become unreadable.
   void fail_device(DeviceId uid) RDS_EXCLUDES(mu_);
 
@@ -263,8 +242,11 @@ class VirtualDisk {
       RDS_EXCLUDES(mu_);
 
   /// Drops all failed devices from the configuration and restores full
-  /// redundancy (re-places fragments; lost ones are rebuilt from peers).
-  /// Returns the number of fragments rebuilt.
+  /// redundancy (re-places fragments; lost ones are rebuilt from peers).  A
+  /// block with fewer than min_fragments() intact fragments left cannot be
+  /// rebuilt: the ones it has move, and it stays unrecoverable.  Returns
+  /// the number of fragments rebuilt; throws apply_config's refusals
+  /// through value_or_throw(), changing nothing.
   std::uint64_t rebuild() RDS_EXCLUDES(mu_);
 
   /// Verifies every block: decodable, fully redundant, fragments exactly
@@ -337,8 +319,8 @@ class VirtualDisk {
 
   // Locked bodies of the public operations above.  Public entry points take
   // `mu_` once and delegate here; internal call chains (try_add_device ->
-  // apply_config -> begin_reshape -> step_reshape) stay on the *_locked
-  // layer so the mutex is never taken recursively.
+  // apply_config_locked) stay on the *_locked layer so the mutex is never
+  // taken recursively.
   [[nodiscard]] Result<void> write_locked(std::uint64_t block,
                                           std::span<const std::uint8_t> data)
       RDS_REQUIRES(mu_);
@@ -346,23 +328,13 @@ class VirtualDisk {
       std::uint64_t block) RDS_REQUIRES(mu_);
   [[nodiscard]] Result<void> trim_locked(std::uint64_t block)
       RDS_REQUIRES(mu_);
-  [[nodiscard]] Result<std::size_t> begin_reshape_locked(ClusterConfig next)
-      RDS_REQUIRES(mu_);
-  std::size_t step_reshape_locked(std::size_t max_blocks) RDS_REQUIRES(mu_);
+  /// The one reshape: plans, checks the plan, moves and commits.
   [[nodiscard]] Result<std::size_t> apply_config_locked(ClusterConfig next)
       RDS_REQUIRES(mu_);
-  [[nodiscard]] bool reshaping_locked() const RDS_REQUIRES(mu_) {
-    return next_strategy_ != nullptr;
-  }
 
   /// Copies the committed (config_, strategy_) pair into a fresh epoch and
   /// installs it with one RcuCell::store.
   void publish_epoch() RDS_REQUIRES(mu_);
-
-  /// The strategy that currently governs `block` (old placement while the
-  /// block awaits reshaping, the target placement otherwise).
-  [[nodiscard]] const ReplicationStrategy& strategy_for(
-      std::uint64_t block) const RDS_REQUIRES(mu_);
 
   /// A moving block's k homes under `strategy_`, then its k homes under
   /// the next strategy.
@@ -374,15 +346,24 @@ class VirtualDisk {
   [[nodiscard]] MovingHomes moving_blocks(const ReplicationStrategy& next)
       const RDS_REQUIRES(mu_);
 
+  /// kIoError, naming the block and the device, unless every new home in
+  /// `moving` has room for its arrivals (a failed device never gets here:
+  /// apply_config_locked refuses it first).  Walks the blocks in the order they move,
+  /// carrying each device's occupancy from the moves before, and counts a
+  /// block's own departures before its arrivals (reshape_block erases every
+  /// moving fragment before it writes any).  Reads no fragment.
+  [[nodiscard]] Result<void> check_plan(const MovingHomes& moving) const
+      RDS_REQUIRES(mu_);
+
   /// Moves one block's fragments from its old `homes` to its new ones (as
-  /// moving_blocks() gives them; nothing is placed).  Checks every new home
-  /// first and throws, touching nothing, when one has failed or lacks room
-  /// once this block's own departures have left it.  Then verifies each
-  /// moving fragment in its old home and moves it with its recorded CRC; a
-  /// missing or corrupt source is rebuilt from verified peers gathered
-  /// before anything moves (Fragment::seal_like against the first verified
-  /// one).  All moving fragments are erased before any is written.
-  /// Fragments that stay are not read.
+  /// moving_blocks() gives them, after check_plan() accepted the room;
+  /// nothing is placed).  Verifies each moving fragment in its old home and moves
+  /// it with its recorded CRC; a missing or corrupt source is rebuilt from
+  /// verified peers gathered before anything moves (Fragment::seal_like
+  /// against the first verified one).  With fewer than min_fragments()
+  /// verified, nothing can be rebuilt: the verified fragments move and the
+  /// lost ones stay missing.  All moving fragments are erased before any
+  /// is written.  Fragments that stay are not read.
   void reshape_block(std::uint64_t block, std::span<const DeviceId> homes)
       RDS_REQUIRES(mu_);
 
@@ -474,12 +455,6 @@ class VirtualDisk {
   // paths).
   mutable std::unordered_map<DeviceId, metrics::Gauge*> device_gauges_
       RDS_GUARDED_BY(mu_);
-
-  // In-flight reshape state (empty/null when idle).
-  ClusterConfig next_config_ RDS_GUARDED_BY(mu_);
-  std::unique_ptr<ReplicationStrategy> next_strategy_ RDS_GUARDED_BY(mu_);
-  MovingHomes pending_ RDS_GUARDED_BY(mu_);  // moving blocks still on
-                                            // `strategy_`, with their homes
 };
 
 }  // namespace rds

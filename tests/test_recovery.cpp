@@ -181,8 +181,8 @@ TEST(Recovery, CheckpointRotatesAndFreshJournalContinues) {
 }
 
 // No record type expresses an arbitrary config, so a journaled disk
-// refuses apply_config and try_begin_reshape before anything changes;
-// otherwise the live disk would run ahead of what recovery rebuilds.
+// refuses apply_config before anything changes; otherwise the live disk
+// would run ahead of what recovery rebuilds.
 TEST(Recovery, JournaledDiskRefusesConfigsNoRecordExpresses) {
   VirtualDisk disk(ClusterConfig({{1, 1000, "a"}, {2, 1000, "b"},
                                   {3, 1000, "c"}}),
@@ -205,13 +205,6 @@ TEST(Recovery, JournaledDiskRefusesConfigsNoRecordExpresses) {
   EXPECT_EQ(applied.error().code, ErrorCode::kInvalidArgument);
   EXPECT_NE(applied.error().message.find("try_add_device"),
             std::string::npos);
-
-  ClusterConfig reshaped = before;
-  reshaped.add_device({5, 1000, "e"});
-  const Result<std::size_t> begun = disk.try_begin_reshape(reshaped);
-  ASSERT_FALSE(begun.ok());
-  EXPECT_EQ(begun.error().code, ErrorCode::kInvalidArgument);
-  EXPECT_FALSE(disk.reshaping());
 
   EXPECT_TRUE(disk.config() == before);
   EXPECT_EQ(writer->last_lsn(), 0u);

@@ -1,13 +1,17 @@
-// Incremental reshaping: the pool migrates toward a new topology in small
-// steps while staying fully readable and writable.
+// Reshaping: every edit migrates toward its new topology and finishes
+// inside the call that starts it, or is refused before anything moves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <unordered_map>
 #include <utility>
 
 #include "src/metrics/registry.hpp"
+#include "src/storage/snapshot.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/random.hpp"
 
@@ -61,6 +65,8 @@ std::uint64_t placements() {
   return s == nullptr ? 0 : s->counter_value;
 }
 
+// An edit drains its moving blocks in batches before it returns: it counts
+// them, places each block once per strategy and commits the new topology.
 TEST(Reshape, StepwiseDrainCommitsNewTopology) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 500; ++b) {
@@ -76,24 +82,13 @@ TEST(Reshape, StepwiseDrainCommitsNewTopology) {
     if (oracle.homes(b).any_moves()) ++moving;
   }
   const std::uint64_t placed_before = placements();
-  const std::size_t planned = disk.try_begin_reshape(next).value_or_throw();
+  const std::size_t planned = disk.apply_config(next).value_or_throw();
   EXPECT_EQ(planned, moving);
   EXPECT_GT(planned, 0u);
   EXPECT_LT(planned, 500u);
-  EXPECT_EQ(disk.reshape_pending(), planned);
-  EXPECT_TRUE(disk.reshaping());
-
-  std::size_t total = 0;
-  while (disk.reshaping()) {
-    const std::size_t done = disk.step_reshape(64);
-    total += done;
-    if (done == 0) break;
-  }
-  EXPECT_EQ(total, planned);
-  // One pass placed each block once per strategy; the steps reuse the homes
+  // One pass placed each block once per strategy; the moves reuse the homes
   // it computed and place nothing.
   EXPECT_EQ(placements() - placed_before, 2u * 500u);
-  EXPECT_FALSE(disk.reshaping());
   EXPECT_TRUE(disk.config().contains(9));
   EXPECT_GT(disk.used_on(9), 0u);
   for (std::uint64_t b = 0; b < 500; ++b) {
@@ -102,95 +97,14 @@ TEST(Reshape, StepwiseDrainCommitsNewTopology) {
   EXPECT_TRUE(disk.scrub().clean());
 }
 
-TEST(Reshape, ReadableAndWritableMidFlight) {
-  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 400; ++b) {
-    disk.try_write(b, payload(b)).value_or_throw();
-  }
-
-  ClusterConfig next = disk.config();
-  next.add_device({9, 5000, "new"});
-  next.remove_device(5);
-  disk.try_begin_reshape(next).value_or_throw();
-  disk.step_reshape(100);  // partially drained
-
-  // Every block readable, whether migrated or not.
-  for (std::uint64_t b = 0; b < 400; ++b) {
-    ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b))
-        << "mid-reshape read of " << b;
-  }
-  // New writes land on the new topology; overwrites of pending blocks work.
-  disk.try_write(1000, payload(1000)).value_or_throw();
-  disk.try_write(3, payload(9999)).value_or_throw();
-  EXPECT_EQ(disk.try_read(1000).value_or_throw(), payload(1000));
-  EXPECT_EQ(disk.try_read(3).value_or_throw(), payload(9999));
-
-  while (disk.step_reshape(100) > 0) {
-  }
-  EXPECT_FALSE(disk.reshaping());
-  EXPECT_EQ(disk.try_read(3).value_or_throw(), payload(9999));
-  EXPECT_EQ(disk.try_read(1000).value_or_throw(), payload(1000));
-  EXPECT_TRUE(disk.scrub().clean());
-}
-
-TEST(Reshape, ScrubStaysCleanMidFlight) {
-  VirtualDisk disk(pool(), std::make_shared<ReedSolomonScheme>(3, 2));
-  for (std::uint64_t b = 0; b < 200; ++b) {
-    disk.try_write(b, payload(b)).value_or_throw();
-  }
-  ClusterConfig next = disk.config();
-  next.add_device({9, 2500, ""});
-  disk.try_begin_reshape(next).value_or_throw();
-  disk.step_reshape(50);
-  EXPECT_TRUE(disk.scrub().clean());
-  while (disk.step_reshape(50) > 0) {
-  }
-  EXPECT_TRUE(disk.scrub().clean());
-}
-
-TEST(Reshape, TrimMidFlight) {
-  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 100; ++b) {
-    disk.try_write(b, payload(b)).value_or_throw();
-  }
-  ClusterConfig next = disk.config();
-  next.add_device({9, 2500, ""});
-  disk.try_begin_reshape(next).value_or_throw();
-  disk.step_reshape(10);
-  EXPECT_TRUE(disk.try_trim(50).ok());  // likely still pending
-  EXPECT_TRUE(disk.try_trim(0).ok());
-  while (disk.step_reshape(50) > 0) {
-  }
-  EXPECT_FALSE(disk.contains(50));
-  EXPECT_TRUE(disk.scrub().clean());
-}
-
-TEST(Reshape, ConcurrentTopologyChangesRejected) {
-  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  disk.try_write(1, payload(1)).value_or_throw();
-  ClusterConfig next = disk.config();
-  next.add_device({9, 2500, ""});
-  disk.try_begin_reshape(next).value_or_throw();
-  EXPECT_EQ(disk.try_begin_reshape(next).code(),
-            ErrorCode::kReshapeInProgress);
-  EXPECT_EQ(disk.try_add_device({10, 100, ""}).code(),
-            ErrorCode::kReshapeInProgress);
-  EXPECT_EQ(disk.try_remove_device(5).code(), ErrorCode::kReshapeInProgress);
-  while (disk.step_reshape(50) > 0) {
-  }
-  // After draining, topology operations work again.
-  disk.try_add_device({10, 100, ""}).value_or_throw();
-  EXPECT_TRUE(disk.config().contains(10));
-}
-
 TEST(Reshape, EmptyPoolCommitsImmediately) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
   ClusterConfig next = disk.config();
   next.add_device({9, 2500, ""});
-  EXPECT_EQ(disk.try_begin_reshape(next).value_or_throw(), 0u);
-  EXPECT_EQ(disk.step_reshape(1), 0u);
-  EXPECT_FALSE(disk.reshaping());
+  const std::uint64_t epoch = disk.placement_snapshot()->epoch;
+  EXPECT_EQ(disk.apply_config(next).value_or_throw(), 0u);
   EXPECT_TRUE(disk.config().contains(9));
+  EXPECT_EQ(disk.placement_snapshot()->epoch, epoch + 1);
 }
 
 // An edit reads only the fragments that move.  Block A's moving copy is
@@ -295,44 +209,15 @@ TEST(Reshape, RebuildGathersPeersBeforeMoving) {
   EXPECT_TRUE(disk.scrub().clean());
 }
 
-// A step whose target has failed throws before it touches the block: the
-// moving fragment's source is neither erased nor half-written, so nothing
-// degrades and every block still reads back.
-TEST(Reshape, StepToFailedTargetTouchesNothing) {
-  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 500; ++b) {
-    disk.try_write(b, payload(b)).value_or_throw();
-  }
-  ClusterConfig next = disk.config();
-  next.add_device({9, 4000, "new"});
-  ASSERT_GT(disk.try_begin_reshape(next).value_or_throw(), 0u);
-  disk.fail_device(9);
-
-  EXPECT_THROW(
-      {
-        while (disk.step_reshape(64) > 0) {
-        }
-      },
-      std::runtime_error);
-  EXPECT_TRUE(disk.reshaping());
-  EXPECT_GT(disk.reshape_pending(), 0u);
-  // A retry fails the same way, still touching nothing.
-  EXPECT_THROW((void)disk.step_reshape(64), std::runtime_error);
-  const VirtualDisk::ScrubReport report = disk.scrub();
-  EXPECT_EQ(report.degraded_blocks, 0u);
-  EXPECT_EQ(report.unreadable_blocks, 0u);
-  for (std::uint64_t b = 0; b < 500; ++b) {
-    ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
-  }
-}
-
-// The same for a target with no room: a shared store another volume has
-// filled.  The edit throws at the first block that needs that store.
+// An attach whose new store has no room -- a shared store another volume
+// has filled -- is refused before any block moves: the disk keeps neither
+// the device nor the store, and takes the next edit.
 TEST(Reshape, StepToFullTargetTouchesNothing) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 500; ++b) {
     disk.try_write(b, payload(b)).value_or_throw();
   }
+  const ClusterConfig before = disk.config();
   const Device added{9, 4000, "shared"};
   auto store = std::make_shared<DeviceStore>(added);
   for (std::uint64_t b = 0; b < added.capacity; ++b) {
@@ -340,18 +225,114 @@ TEST(Reshape, StepToFullTargetTouchesNothing) {
   }
   EXPECT_THROW(disk.attach_device(added, store), std::runtime_error);
   EXPECT_EQ(store->used(), added.capacity);
+  EXPECT_TRUE(disk.config() == before);
   const VirtualDisk::ScrubReport report = disk.scrub();
   EXPECT_EQ(report.degraded_blocks, 0u);
   EXPECT_EQ(report.unreadable_blocks, 0u);
   for (std::uint64_t b = 0; b < 500; ++b) {
     ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
   }
+  // The same uid again, now with a store of its own.
+  disk.try_add_device({9, 4000, "new"}).value_or_throw();
+  EXPECT_GT(disk.used_on(9), 0u);
+  EXPECT_TRUE(disk.scrub().clean());
+}
+
+// An edit whose new homes cannot take the plan -- the biggest device of a
+// pool 80 % full removed -- is refused before any fragment moves.
+TEST(Reshape, EditWithoutRoomTouchesNothing) {
+  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
+  for (std::uint64_t b = 0; b < 4000; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+  }
+  const ClusterConfig before = disk.config();
+  const std::uint64_t epoch = disk.placement_snapshot()->epoch;
+  std::unordered_map<DeviceId, std::uint64_t> used;
+  for (const Device& d : before.devices()) used[d.uid] = disk.used_on(d.uid);
+
+  const Result<void> removed = disk.try_remove_device(1);
+  ASSERT_EQ(removed.code(), ErrorCode::kIoError);
+  EXPECT_NE(removed.error().message.find("has no room"), std::string::npos);
+  ClusterConfig smaller = before;
+  smaller.remove_device(1);
+  EXPECT_EQ(disk.apply_config(smaller).code(), ErrorCode::kIoError);
+
+  EXPECT_TRUE(disk.config() == before);
+  EXPECT_EQ(disk.placement_snapshot()->epoch, epoch);
+  EXPECT_EQ(disk.stats().fragments_moved, 0u);
+  for (const Device& d : before.devices()) {
+    EXPECT_EQ(disk.used_on(d.uid), used[d.uid]) << d.uid;
+  }
+  for (std::uint64_t b = 0; b < 4000; ++b) {
+    ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
+  }
+  EXPECT_TRUE(disk.scrub().clean());
+}
+
+// Fails `failed` under `scheme`, with some blocks left below
+// min_fragments(), and rebuilds.  The rebuild finishes: the lost blocks
+// stay unrecoverable, every other block is restored, and the disk takes
+// edits and snapshots again.
+void rebuild_past_lost_blocks(ClusterConfig config,
+                              const std::shared_ptr<RedundancyScheme>& scheme,
+                              const std::vector<DeviceId>& failed) {
+  VirtualDisk disk(std::move(config), scheme);
+  const unsigned k = scheme->fragment_count();
+  const std::shared_ptr<const PlacementEpoch> epoch = disk.placement_snapshot();
+  std::set<std::uint64_t> lost;
+  for (std::uint64_t b = 0; b < 500; ++b) {
+    disk.try_write(b, payload(b)).value_or_throw();
+    unsigned left = k;
+    for (const DeviceId home : epoch->strategy->place(b)) {
+      if (std::ranges::find(failed, home) != failed.end()) --left;
+    }
+    if (left < scheme->min_fragments()) lost.insert(b);
+  }
+  ASSERT_FALSE(lost.empty());
+  ASSERT_LT(lost.size(), 500u);
+
+  for (const DeviceId uid : failed) disk.fail_device(uid);
+  EXPECT_GT(disk.rebuild(), 0u);
+  for (const DeviceId uid : failed) EXPECT_FALSE(disk.config().contains(uid));
+  for (std::uint64_t b = 0; b < 500; ++b) {
+    if (lost.contains(b)) {
+      EXPECT_EQ(disk.try_read(b).code(), ErrorCode::kUnrecoverable) << b;
+    } else {
+      ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
+    }
+  }
+  const VirtualDisk::ScrubReport report = disk.scrub();
+  EXPECT_EQ(report.unreadable_blocks, lost.size());
+  EXPECT_EQ(report.degraded_blocks, 0u);
+
+  EXPECT_TRUE(disk.try_add_device({99, 3000, "new"}).ok());
+  std::stringstream saved;
+  EXPECT_NO_THROW(Snapshot::save_disk(disk, saved));
+}
+
+TEST(Reshape, RebuildFinishesPastAnUnrecoverableBlock) {
+  {
+    SCOPED_TRACE("mirror(2)");
+    rebuild_past_lost_blocks(pool(), std::make_shared<MirroringScheme>(2),
+                             {1, 2});
+  }
+  {
+    SCOPED_TRACE("reed-solomon(3+2)");
+    std::vector<Device> devices;
+    for (DeviceId uid = 1; uid <= 9; ++uid) {
+      devices.push_back({uid, 1000 + 250 * uid, ""});
+    }
+    rebuild_past_lost_blocks(ClusterConfig(std::move(devices)),
+                             std::make_shared<ReedSolomonScheme>(3, 2),
+                             {7, 8, 9});
+  }
 }
 
 // A full device that a block's fragment i leaves while its fragment j
-// arrives takes the arrival: a step counts the block's own departures and
-// erases every moving fragment before it writes any.  j < i, so a step that
-// moved fragments in order would find the device full.
+// arrives takes the arrival: the plan counts the block's own departures,
+// and the reshape erases every moving fragment before it writes any.
+// j < i, so a reshape that moved fragments in order would find the device
+// full.
 TEST(Reshape, StepFreesRoomBeforeWriting) {
   ClusterConfig next = pool();
   next.add_device({9, 4000, "new"});
@@ -385,12 +366,6 @@ TEST(Reshape, StepFreesRoomBeforeWriting) {
   EXPECT_EQ(full.used(), full.capacity());
   EXPECT_EQ(disk.try_read(block).value_or_throw(), payload(block));
   EXPECT_TRUE(disk.scrub().clean());
-}
-
-TEST(Reshape, StepOnIdleDiskIsNoop) {
-  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  EXPECT_EQ(disk.step_reshape(100), 0u);
-  EXPECT_FALSE(disk.reshaping());
 }
 
 }  // namespace

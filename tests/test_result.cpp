@@ -67,8 +67,6 @@ TEST(Result, CanonicalExceptionMapping) {
                std::runtime_error);
   EXPECT_THROW(thrown_by(ErrorCode::kDeviceFailed).value_or_throw(),
                std::runtime_error);
-  EXPECT_THROW(thrown_by(ErrorCode::kReshapeInProgress).value_or_throw(),
-               std::runtime_error);
   EXPECT_THROW(thrown_by(ErrorCode::kIoError).value_or_throw(),
                std::runtime_error);
 }
@@ -89,7 +87,6 @@ TEST(Result, ErrorCodeNames) {
   EXPECT_EQ(to_string(ErrorCode::kInvalidArgument), "invalid-argument");
   EXPECT_EQ(to_string(ErrorCode::kUnrecoverable), "unrecoverable");
   EXPECT_EQ(to_string(ErrorCode::kDeviceFailed), "device-failed");
-  EXPECT_EQ(to_string(ErrorCode::kReshapeInProgress), "reshape-in-progress");
   EXPECT_EQ(to_string(ErrorCode::kIoError), "io-error");
   EXPECT_EQ(to_string(ErrorCode::kCorruption), "corruption");
 }

@@ -286,17 +286,5 @@ TEST(Snapshot, CorruptLengthsFailAsTruncatedStreams) {
   });
 }
 
-TEST(Snapshot, SaveDuringReshapeRejected) {
-  VirtualDisk disk(pool_config(), std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 50; ++b) {
-    disk.try_write(b, payload(b, 1)).value_or_throw();
-  }
-  ClusterConfig next = disk.config();
-  next.add_device({9, 2500, ""});
-  disk.try_begin_reshape(next).value_or_throw();
-  std::stringstream stream;
-  EXPECT_THROW(Snapshot::save_disk(disk, stream), std::runtime_error);
-}
-
 }  // namespace
 }  // namespace rds
