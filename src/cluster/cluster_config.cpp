@@ -8,20 +8,19 @@
 
 namespace rds {
 
-ClusterConfig::ClusterConfig(std::vector<Device> devices)
-    : devices_(std::move(devices)) {
-  canonicalize();
+ClusterConfig::ClusterConfig(std::vector<Device> devices) {
+  install(std::move(devices));
 }
 
-void ClusterConfig::canonicalize() {
-  std::ranges::sort(devices_, [](const Device& a, const Device& b) {
+void ClusterConfig::install(std::vector<Device> devices) {
+  std::ranges::sort(devices, [](const Device& a, const Device& b) {
     if (a.capacity != b.capacity) return a.capacity > b.capacity;
     return a.uid < b.uid;
   });
 
   std::unordered_set<DeviceId> seen;
-  seen.reserve(devices_.size());
-  for (const Device& d : devices_) {
+  seen.reserve(devices.size());
+  for (const Device& d : devices) {
     if (d.capacity == 0) {
       throw std::invalid_argument("ClusterConfig: device with zero capacity");
     }
@@ -33,12 +32,14 @@ void ClusterConfig::canonicalize() {
     }
   }
 
-  suffix_.assign(devices_.size() + 1, 0);
-  for (std::size_t i = devices_.size(); i-- > 0;) {
-    suffix_[i] =
-        checked_add(suffix_[i + 1], devices_[i].capacity).value_or_throw();
+  std::vector<std::uint64_t> suffix(devices.size() + 1, 0);
+  for (std::size_t i = devices.size(); i-- > 0;) {
+    suffix[i] =
+        checked_add(suffix[i + 1], devices[i].capacity).value_or_throw();
   }
-  total_capacity_ = suffix_.empty() ? 0 : suffix_[0];
+  devices_ = std::move(devices);
+  suffix_ = std::move(suffix);
+  total_capacity_ = suffix_[0];
   ++version_;
 }
 
@@ -71,22 +72,25 @@ void ClusterConfig::add_device(const Device& d) {
   if (contains(d.uid)) {
     throw std::invalid_argument("add_device: duplicate uid");
   }
-  devices_.push_back(d);
-  canonicalize();
+  std::vector<Device> devices = devices_;
+  devices.push_back(d);
+  install(std::move(devices));
 }
 
 void ClusterConfig::remove_device(DeviceId uid) {
   const auto idx = index_of(uid);
   if (!idx) throw std::out_of_range("remove_device: unknown uid");
-  devices_.erase(devices_.begin() + static_cast<std::ptrdiff_t>(*idx));
-  canonicalize();
+  std::vector<Device> devices = devices_;
+  devices.erase(devices.begin() + static_cast<std::ptrdiff_t>(*idx));
+  install(std::move(devices));
 }
 
 void ClusterConfig::resize_device(DeviceId uid, std::uint64_t new_capacity) {
   const auto idx = index_of(uid);
   if (!idx) throw std::out_of_range("resize_device: unknown uid");
-  devices_[*idx].capacity = new_capacity;
-  canonicalize();
+  std::vector<Device> devices = devices_;
+  devices[*idx].capacity = new_capacity;
+  install(std::move(devices));
 }
 
 std::vector<double> ClusterConfig::capacities() const {

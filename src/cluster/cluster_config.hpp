@@ -64,6 +64,8 @@ class ClusterConfig {
   /// detect staleness.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
+  // The three edits leave the configuration unchanged when they throw.
+
   /// Adds a device.  Throws on duplicate uid or zero capacity.
   void add_device(const Device& d);
 
@@ -81,7 +83,9 @@ class ClusterConfig {
   }
 
  private:
-  void canonicalize();  // sort, validate, rebuild sums
+  /// Sorts and validates `devices`, then installs them with their sums;
+  /// throws before changing anything.
+  void install(std::vector<Device> devices);
 
   std::vector<Device> devices_;
   std::vector<std::uint64_t> suffix_;  // size()+1 entries

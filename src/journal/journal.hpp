@@ -16,7 +16,7 @@
 // frames.  The journal is a COMMIT log: storage layers append a record
 // *after* the in-memory mutation commits, under the same lock that
 // serialized the mutation, so the journal order is exactly the commit order
-// (the sink's own mutex is a leaf below the pool -> volume lock order).
+// (the sink's own mutex is a leaf below the device set's one lock).
 //
 // Durability is delegated to the caller: JournalWriter flushes the stream
 // after every record and then invokes the optional sync hook -- the fsync

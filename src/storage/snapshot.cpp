@@ -128,7 +128,6 @@ std::vector<std::uint64_t> load_ids(ByteReader& in) {
 }  // namespace
 
 void Snapshot::save_volume(ByteWriter& out, const VirtualDisk& disk) {
-  const MutexLock lock(disk.mu_);
   out.field(static_cast<std::uint8_t>(disk.kind_));
   out.field(disk.volume_id_);
   out.field(disk.scheme_->name());
@@ -141,13 +140,25 @@ void Snapshot::save_volume(ByteWriter& out, const VirtualDisk& disk) {
   // Stats are observability, not state: deliberately not persisted.
 }
 
-VirtualDisk Snapshot::load_volume(ByteReader& in, Stores stores) {
+VirtualDisk Snapshot::load_volume(ByteReader& in, Stores stores,
+                                  const StoragePool* pool) {
   const auto kind = static_cast<PlacementKind>(in.read<std::uint8_t>());
   const auto volume_id = in.read<std::uint32_t>();
   const auto scheme_name = in.read<std::string>();
   ClusterConfig config = load_config(in);
-  VirtualDisk disk(std::move(config), make_scheme_from_name(scheme_name), kind,
-                   volume_id, std::move(stores));
+  std::shared_ptr<DeviceSet> set;
+  if (pool == nullptr) {
+    set = std::make_shared<DeviceSet>(std::move(config), std::move(stores));
+  } else {
+    const MutexLock lock(pool->mu_);
+    if (!(config == pool->config_)) {
+      throw std::runtime_error(
+          "snapshot: a volume's configuration differs from its pool's");
+    }
+    set = pool->set_;
+  }
+  VirtualDisk disk(std::move(set), make_scheme_from_name(scheme_name), kind,
+                   volume_id, /*pooled=*/pool != nullptr);
   {
     // The disk is private to this function, but its block table is a
     // lock-guarded member; take the lock so the access is provably
@@ -165,11 +176,10 @@ void Snapshot::save_disk(const VirtualDisk& disk, std::ostream& stream) {
   ByteWriter out(stream);
   out.magic(kDiskMagic);
   {
-    // Scoped: save_volume takes the same (non-reentrant) lock.
     const MutexLock lock(disk.mu_);
     save_stores(out, disk.stores_);
+    save_volume(out, disk);
   }
-  save_volume(out, disk);
   if (!stream) throw std::runtime_error("Snapshot: write failed");
 }
 
@@ -177,12 +187,10 @@ VirtualDisk Snapshot::load_disk(std::istream& stream) {
   ByteReader in(stream);
   expect_magic(in, kDiskMagic);
   Stores stores = load_stores(in);
-  return load_volume(in, std::move(stores));
+  return load_volume(in, std::move(stores), nullptr);
 }
 
 void Snapshot::save_pool(const StoragePool& pool, std::ostream& stream) {
-  // Lock order pool -> volume: the per-disk sections below take each
-  // volume's own lock while the pool lock is held.
   const MutexLock lock(pool.mu_);
   ByteWriter out(stream);
   out.magic(kPoolMagic);
@@ -190,9 +198,11 @@ void Snapshot::save_pool(const StoragePool& pool, std::ostream& stream) {
   save_config(out, pool.config_);
   save_stores(out, pool.stores_);
   out.length32(pool.volumes_.size());
-  for (const auto& [name, disk] : pool.volumes_) {
+  for (const auto& [name, volume] : pool.volumes_) {
+    const VirtualDisk& disk = *volume;
+    disk.mu_.assert_held();  // the pool's lock: every volume shares it
     out.field(name);
-    save_volume(out, *disk);
+    save_volume(out, disk);
   }
   if (!stream) throw std::runtime_error("Snapshot: write failed");
 }
@@ -204,20 +214,20 @@ StoragePool Snapshot::load_pool(std::istream& stream) {
   ClusterConfig config = load_config(in);
   Stores stores = load_stores(in);
 
-  StoragePool pool{ClusterConfig{}};
-  {
-    // Same reasoning as load_volume: the pool is local, its tables are
-    // guarded.
+  // The pool is local to this function; its lock only makes the guarded
+  // members' access provable.  A loading volume takes the same lock, so
+  // the pool's is taken per access.
+  StoragePool pool(
+      std::make_shared<DeviceSet>(std::move(config), std::move(stores)));
+  for (auto n = in.read<std::uint32_t>(); n > 0; --n) {
+    auto name = in.read<std::string>();
+    auto volume = std::make_unique<VirtualDisk>(load_volume(in, {}, &pool));
     const MutexLock lock(pool.mu_);
-    pool.config_ = std::move(config);
-    pool.stores_ = std::move(stores);
+    pool.volumes_.emplace(std::move(name), std::move(volume));
+  }
+  {
+    const MutexLock lock(pool.mu_);
     pool.next_volume_id_ = next_volume_id;
-    for (auto n = in.read<std::uint32_t>(); n > 0; --n) {
-      auto name = in.read<std::string>();
-      pool.volumes_.emplace(
-          std::move(name),
-          std::make_unique<VirtualDisk>(load_volume(in, pool.stores_)));
-    }
   }
   return pool;
 }

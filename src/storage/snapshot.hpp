@@ -48,10 +48,12 @@ class Snapshot {
  private:
   // Volume metadata section (needs VirtualDisk friendship; stores are
   // serialized separately so pool snapshots write shared payloads once).
-  static void save_volume(ByteWriter& out, const VirtualDisk& disk);
-  static VirtualDisk load_volume(
-      ByteReader& in,
-      std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores);
+  // The caller of save_volume holds the set's lock.
+  static void save_volume(ByteWriter& out, const VirtualDisk& disk)
+      RDS_REQUIRES(disk.mu_);
+  /// A volume of `pool`, or, with none, a standalone disk on `stores`.
+  static VirtualDisk load_volume(ByteReader& in, DeviceSet::Stores stores,
+                                 const StoragePool* pool);
 };
 
 }  // namespace rds

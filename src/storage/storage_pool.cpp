@@ -9,11 +9,14 @@
 
 namespace rds {
 
-StoragePool::StoragePool(ClusterConfig config) : config_(std::move(config)) {
-  for (const Device& d : config_.devices()) {
-    stores_.emplace(d.uid, std::make_shared<DeviceStore>(d));
-  }
-}
+StoragePool::StoragePool(ClusterConfig config)
+    : StoragePool(std::make_shared<DeviceSet>(std::move(config))) {}
+
+StoragePool::StoragePool(std::shared_ptr<DeviceSet> set)
+    : set_(std::move(set)),
+      mu_(set_->mu_),
+      config_(set_->config_),
+      stores_(set_->stores_) {}
 
 VirtualDisk& StoragePool::create_volume(
     const std::string& name, std::shared_ptr<RedundancyScheme> scheme,
@@ -23,8 +26,9 @@ VirtualDisk& StoragePool::create_volume(
     throw std::invalid_argument("StoragePool: duplicate volume " + name);
   }
   const std::string scheme_name = scheme ? scheme->name() : std::string{};
-  auto disk = std::make_unique<VirtualDisk>(config_, std::move(scheme), kind,
-                                            next_volume_id_++, stores_);
+  // The new volume's constructor reads the set under the lock held here.
+  auto disk = std::unique_ptr<VirtualDisk>(new VirtualDisk(
+      set_, std::move(scheme), kind, next_volume_id_++, /*pooled=*/true));
   VirtualDisk& ref = *disk;
   volumes_.emplace(name, std::move(disk));
   metrics::Registry::global().counter("rds_pool_volumes_created_total").inc();
@@ -50,6 +54,10 @@ void StoragePool::journal_locked(const journal::Record& record) {
 
 VirtualDisk& StoragePool::volume(const std::string& name) {
   const MutexLock lock(mu_);
+  return volume_locked(name);
+}
+
+VirtualDisk& StoragePool::volume_locked(const std::string& name) const {
   const auto it = volumes_.find(name);
   if (it == volumes_.end()) {
     throw std::out_of_range("StoragePool: unknown volume " + name);
@@ -70,94 +78,57 @@ bool StoragePool::drop_volume(const std::string& name) {
   const auto it = volumes_.find(name);
   if (it == volumes_.end()) return false;
   // Release the volume's fragments so the shared capacity is reusable.
-  for (const std::uint64_t block : it->second->block_ids()) {
-    (void)it->second->try_trim(block);  // listed, so it exists
+  VirtualDisk& disk = *it->second;
+  disk.mu_.assert_held();  // the pool's lock: every volume shares it
+  while (!disk.blocks_.empty()) {
+    (void)disk.trim_locked(disk.blocks_.begin()->first);  // it exists
   }
   volumes_.erase(it);
   journal_locked(journal::make_drop_volume(name));
   return true;
 }
 
+void StoragePool::edit_locked(const journal::Record& edit) {
+  ClusterConfig next =
+      VirtualDisk::next_config(config_, stores_, edit).value_or_throw();
+  if (next == config_) return;
+  std::vector<VirtualDisk*> volumes;
+  for (const auto& [name, disk] : volumes_) volumes.push_back(disk.get());
+  (void)VirtualDisk::reshape(*set_, volumes, std::move(next)).value_or_throw();
+  journal_locked(edit);
+}
+
 void StoragePool::add_device(const Device& device) {
   const MutexLock lock(mu_);
-  if (config_.contains(device.uid)) {
-    throw std::invalid_argument("StoragePool: duplicate device uid");
-  }
-  auto store = std::make_shared<DeviceStore>(device);
-  for (const auto& [name, disk] : volumes_) {
-    disk->attach_device(device, store);
-  }
-  stores_.emplace(device.uid, std::move(store));
-  config_.add_device(device);
-  journal_locked(journal::make_add_device(device));
+  edit_locked(journal::make_add_device(device));
 }
 
 void StoragePool::remove_device(DeviceId uid) {
   const MutexLock lock(mu_);
-  if (!config_.contains(uid)) {
-    throw std::out_of_range("StoragePool: unknown device");
-  }
-  for (const auto& [name, disk] : volumes_) {
-    disk->try_remove_device(uid).value_or_throw();
-  }
-  stores_.erase(uid);
-  config_.remove_device(uid);
-  journal_locked(journal::make_remove_device(uid));
+  edit_locked(journal::make_remove_device(uid));
 }
 
 void StoragePool::resize_device(DeviceId uid, std::uint64_t new_capacity) {
   const MutexLock lock(mu_);
-  const auto it = stores_.find(uid);
-  if (it == stores_.end() || !config_.contains(uid)) {
-    throw std::out_of_range("StoragePool: unknown device");
-  }
-  if (it->second->failed()) {
-    throw std::invalid_argument(
-        "StoragePool: rebuild() before resizing a failed device");
-  }
-  ClusterConfig next = config_;
-  next.resize_device(uid, new_capacity);  // validates zero capacity
-  const std::uint64_t old_capacity = it->second->capacity();
-  if (new_capacity == old_capacity) return;
-  if (new_capacity > old_capacity) {
-    it->second->resize(new_capacity);  // grow the store first
-    for (const auto& [name, disk] : volumes_) {
-      disk->apply_config(next).value_or_throw();
-    }
-  } else {
-    // Shrink: drain every volume off the lost capacity first; resize()
-    // then validates the store really is under the new cap.
-    for (const auto& [name, disk] : volumes_) {
-      disk->apply_config(next).value_or_throw();
-    }
-    it->second->resize(new_capacity);
-  }
-  config_ = std::move(next);
-  journal_locked(journal::make_resize_device(uid, new_capacity));
+  edit_locked(journal::make_resize_device(uid, new_capacity));
 }
 
 void StoragePool::set_volume_strategy(const std::string& name,
                                       PlacementKind kind) {
   const MutexLock lock(mu_);
-  const auto it = volumes_.find(name);
-  if (it == volumes_.end()) {
-    throw std::out_of_range("StoragePool: unknown volume " + name);
-  }
-  it->second->try_set_strategy(kind).value_or_throw();
+  VirtualDisk& disk = volume_locked(name);
+  disk.mu_.assert_held();  // the pool's lock: every volume shares it
+  disk.set_strategy_locked(kind).value_or_throw();
   journal_locked(journal::make_set_strategy(name, kind));
 }
 
 void StoragePool::set_volume_scheme(const std::string& name,
                                     std::shared_ptr<RedundancyScheme> scheme) {
   const MutexLock lock(mu_);
-  if (!scheme) throw std::invalid_argument("StoragePool: null scheme");
-  const auto it = volumes_.find(name);
-  if (it == volumes_.end()) {
-    throw std::out_of_range("StoragePool: unknown volume " + name);
-  }
-  const std::string scheme_name = scheme->name();
-  it->second->try_set_scheme(std::move(scheme)).value_or_throw();
-  journal_locked(journal::make_set_scheme(name, scheme_name));
+  VirtualDisk& disk = volume_locked(name);
+  disk.mu_.assert_held();  // the pool's lock: every volume shares it
+  disk.set_scheme_locked(std::move(scheme)).value_or_throw();
+  journal_locked(journal::make_set_scheme(name, disk.scheme_->name()));
 }
 
 void StoragePool::fail_device(DeviceId uid) {
@@ -172,21 +143,20 @@ void StoragePool::fail_device(DeviceId uid) {
 
 std::uint64_t StoragePool::rebuild() {
   const MutexLock lock(mu_);
-  std::uint64_t rebuilt = 0;
-  for (const auto& [name, disk] : volumes_) {
-    rebuilt += disk->rebuild();
+  std::uint64_t before = 0;
+  for (const auto& entry : volumes_) {
+    const VirtualDisk& disk = *entry.second;
+    disk.mu_.assert_held();  // the pool's lock: every volume shares it
+    before += disk.stats_.fragments_rebuilt;
   }
-  // Drop the pool's references to dead stores and devices.
-  std::vector<DeviceId> dead;
-  for (const auto& [uid, store] : stores_) {
-    if (store->failed()) dead.push_back(uid);
+  edit_locked(journal::make_rebuild());
+  std::uint64_t after = 0;
+  for (const auto& entry : volumes_) {
+    const VirtualDisk& disk = *entry.second;
+    disk.mu_.assert_held();
+    after += disk.stats_.fragments_rebuilt;
   }
-  for (const DeviceId uid : dead) {
-    stores_.erase(uid);
-    config_.remove_device(uid);
-  }
-  if (!dead.empty()) journal_locked(journal::make_rebuild());
-  return rebuilt;
+  return after - before;
 }
 
 void StoragePool::publish_metrics() const {
@@ -196,7 +166,10 @@ void StoragePool::publish_metrics() const {
       .set(static_cast<std::int64_t>(volumes_.size()));
   reg.gauge("rds_pool_devices")
       .set(static_cast<std::int64_t>(config_.size()));
-  for (const auto& [name, disk] : volumes_) disk->publish_device_gauges();
+  for (const auto& [uid, store] : stores_) {
+    reg.gauge("rds_device_fragments", {{"device", std::to_string(uid)}})
+        .set(static_cast<std::int64_t>(store->used()));
+  }
 }
 
 std::vector<StoragePool::DeviceUsage> StoragePool::usage() const {

@@ -3,16 +3,14 @@
 //
 // Real deployments rarely dedicate a pool to one volume: different datasets
 // want different redundancy (a scratch volume mirrored twice, an archive on
-// RS(8+2)) on the same spindles.  The pool owns the device stores (capacity
-// is contended across volumes) and fans every topology event out to every
-// volume, each of which migrates only its own minimal fragment set.
-//
-// Pool-level operations are serialized by an internal mutex.  Lock order is
-// pool -> volume: pool methods may take a volume's internal lock (via the
-// VirtualDisk public API) while holding the pool lock, never the reverse.
-// Neither lock guards the device stores the volumes share, so block I/O
-// and topology calls on a pool and its volumes must come from one thread
-// at a time; placement lookups stay safe from any thread (docs/api.md).
+// RS(8+2)) on the same spindles.  The pool and its volumes share one
+// DeviceSet (src/storage/virtual_disk.hpp) -- the configuration, the
+// device stores, whose capacity the volumes contend for, and the one mutex
+// guarding both -- so block I/O on any volume and every pool call
+// serialize on that lock, from any thread.  Each topology edit is one
+// reshape that moves every volume or none, each volume only its own
+// minimal fragment set; a volume's own topology and policy calls are
+// refused.  Placement lookups stay lock-free (docs/api.md).
 #pragma once
 
 #include <map>
@@ -51,27 +49,20 @@ class StoragePool {
   }
 
   /// Deletes a volume and releases all its fragments from the shared
-  /// devices.  Returns whether it existed.
+  /// devices.  Returns whether it existed.  The volume's reference dies
+  /// with it: no other thread may still be using it.
   bool drop_volume(const std::string& name) RDS_EXCLUDES(mu_);
 
-  /// Adds a device to the pool and migrates every volume onto it, one
-  /// volume after another.  A volume that refuses its edit (a new home
-  /// without room: VirtualDisk::apply_config) throws and is left as it
-  /// was, but the volumes before it stay migrated and the pool's own
-  /// configuration is unchanged.
+  // The topology edits move every volume or none: a refusal -- the
+  // VirtualDisk edit's, through value_or_throw() -- changes nothing.
+
+  /// Adds a device and migrates every volume onto it.
   void add_device(const Device& device) RDS_EXCLUDES(mu_);
 
-  /// Gracefully removes a device: every volume drains its fragments first.
-  /// A refusal by a later volume throws as for add_device, with the
-  /// earlier volumes already drained.
+  /// Gracefully removes a healthy device: every volume drains off it.
   void remove_device(DeviceId uid) RDS_EXCLUDES(mu_);
 
-  /// Changes a pool device's capacity: growing extends the store then
-  /// migrates every volume onto the new room; shrinking drains every
-  /// volume off first, then clamps the store.  Throws std::out_of_range
-  /// for unknown devices, std::invalid_argument for failed devices or
-  /// capacities below the device's occupancy, and a later volume's
-  /// refusal as for add_device.
+  /// Changes a device's capacity; every volume migrates.
   void resize_device(DeviceId uid, std::uint64_t new_capacity)
       RDS_EXCLUDES(mu_);
 
@@ -89,7 +80,7 @@ class StoragePool {
 
   /// Attaches a journal sink: every committed pool mutation is appended in
   /// commit order (docs/persistence.md).  The sink's mutex is a leaf below
-  /// the pool -> volume lock order.  Pass nullptr to detach.
+  /// the pool's lock.  Pass nullptr to detach.
   void set_journal(std::shared_ptr<journal::JournalSink> sink)
       RDS_EXCLUDES(mu_);
 
@@ -100,7 +91,7 @@ class StoragePool {
   /// Returns total fragments rebuilt across volumes.
   std::uint64_t rebuild() RDS_EXCLUDES(mu_);
 
-  /// Pool-owner view of the configuration.  The reference stays valid for
+  /// The configuration every volume shares.  The reference stays valid for
   /// the pool's lifetime; read it while no topology mutation runs
   /// concurrently.
   [[nodiscard]] const ClusterConfig& config() const RDS_EXCLUDES(mu_) {
@@ -116,12 +107,23 @@ class StoragePool {
   [[nodiscard]] std::vector<DeviceUsage> usage() const RDS_EXCLUDES(mu_);
 
   /// Refreshes the pool-level gauges (`rds_pool_volumes`,
-  /// `rds_pool_devices`) and every volume's per-device load gauges.  Call
-  /// before exporting a metrics snapshot.
+  /// `rds_pool_devices`) and the per-device load gauges.  Call before
+  /// exporting a metrics snapshot.
   void publish_metrics() const RDS_EXCLUDES(mu_);
 
  private:
   friend class Snapshot;
+
+  /// A pool on `set` (Snapshot::load_pool).
+  explicit StoragePool(std::shared_ptr<DeviceSet> set);
+
+  /// The volume named `name`; std::out_of_range if there is none.
+  [[nodiscard]] VirtualDisk& volume_locked(const std::string& name) const
+      RDS_REQUIRES(mu_);
+
+  /// A topology edit (VirtualDisk::next_config): the one reshape of every
+  /// volume, unless the edit changes nothing, then it is journaled.
+  void edit_locked(const journal::Record& edit) RDS_REQUIRES(mu_);
 
   /// Appends a record to the attached journal (no-op without one).  Runs
   /// after the in-memory mutation committed, inside the same critical
@@ -129,13 +131,14 @@ class StoragePool {
   /// if the append fails (the journal is now behind the pool).
   void journal_locked(const journal::Record& record) RDS_REQUIRES(mu_);
 
-  /// Serializes pool topology and the volume table; mutable so const
-  /// observers (usage(), config(), ...) can take it.
-  mutable Mutex mu_;
+  // The device set every volume shares, and the pool's references into it.
+  const std::shared_ptr<DeviceSet> set_;
+  /// The set's mutex: serializes pool calls, the volume table and every
+  /// volume's block I/O.
+  Mutex& mu_;
+  ClusterConfig& config_ RDS_GUARDED_BY(mu_);
+  DeviceSet::Stores& stores_ RDS_GUARDED_BY(mu_);
 
-  ClusterConfig config_ RDS_GUARDED_BY(mu_);
-  std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores_
-      RDS_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<VirtualDisk>> volumes_
       RDS_GUARDED_BY(mu_);
   std::uint32_t next_volume_id_ RDS_GUARDED_BY(mu_) = 1;

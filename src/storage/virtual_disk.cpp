@@ -1,6 +1,7 @@
 #include "src/storage/virtual_disk.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,34 +13,52 @@
 
 namespace rds {
 
-VirtualDisk::VirtualDisk(ClusterConfig config,
-                         std::shared_ptr<RedundancyScheme> scheme,
-                         PlacementKind kind)
-    : config_(std::move(config)), scheme_(std::move(scheme)), kind_(kind) {
-  if (!scheme_) throw std::invalid_argument("VirtualDisk: null scheme");
-  strategy_ = make_strategy(config_);
+DeviceSet::DeviceSet(ClusterConfig config) : config_(std::move(config)) {
   for (const Device& d : config_.devices()) {
     stores_.emplace(d.uid, std::make_shared<DeviceStore>(d));
   }
-  publish_epoch();
 }
 
-VirtualDisk::VirtualDisk(
-    ClusterConfig config, std::shared_ptr<RedundancyScheme> scheme,
-    PlacementKind kind, std::uint32_t volume_id,
-    std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores)
-    : config_(std::move(config)), scheme_(std::move(scheme)), kind_(kind),
-      volume_id_(volume_id), stores_(std::move(stores)) {
-  if (!scheme_) throw std::invalid_argument("VirtualDisk: null scheme");
+DeviceSet::DeviceSet(ClusterConfig config, Stores stores)
+    : config_(std::move(config)), stores_(std::move(stores)) {
   for (const Device& d : config_.devices()) {
     const auto it = stores_.find(d.uid);
     if (it == stores_.end() || !it->second) {
-      throw std::invalid_argument(
-          "VirtualDisk: shared store missing for device " + d.name);
+      throw std::invalid_argument("DeviceSet: store missing for device " +
+                                  d.name);
     }
   }
+}
+
+VirtualDisk::VirtualDisk(ClusterConfig config,
+                         std::shared_ptr<RedundancyScheme> scheme,
+                         PlacementKind kind)
+    : VirtualDisk(std::make_shared<DeviceSet>(std::move(config)),
+                  std::move(scheme), kind, /*volume_id=*/0,
+                  /*pooled=*/false) {}
+
+VirtualDisk::VirtualDisk(std::shared_ptr<DeviceSet> set,
+                         std::shared_ptr<RedundancyScheme> scheme,
+                         PlacementKind kind, std::uint32_t volume_id,
+                         bool pooled)
+    : set_(std::move(set)),
+      mu_(set_->mu_),
+      config_(set_->config_),
+      stores_(set_->stores_),
+      pooled_(pooled),
+      scheme_(std::move(scheme)),
+      kind_(kind),
+      volume_id_(volume_id) {
+  if (!scheme_) throw std::invalid_argument("VirtualDisk: null scheme");
   strategy_ = make_strategy(config_);
   publish_epoch();
+}
+
+Error VirtualDisk::pool_only(const std::string& pool_call) {
+  return {ErrorCode::kInvalidArgument,
+          "VirtualDisk: a pool volume's topology and policy are edited for "
+          "every volume at once; call " +
+              pool_call};
 }
 
 void VirtualDisk::sync_device_gauge(DeviceId uid) const {
@@ -238,16 +257,9 @@ Result<void> VirtualDisk::trim_locked(std::uint64_t block) {
 }
 
 Result<void> VirtualDisk::try_add_device(const Device& device) {
+  if (pooled_) return pool_only("StoragePool::add_device");
   const MutexLock lock(mu_);
-  ClusterConfig next = config_;
-  try {
-    next.add_device(device);  // validates (duplicate uid, zero capacity, ...)
-  } catch (const std::invalid_argument& e) {
-    return Error{ErrorCode::kInvalidArgument, e.what()};
-  }
-  Result<std::size_t> migrated = apply_config_locked(std::move(next));
-  if (!migrated.ok()) return migrated.error();
-  return journal_locked(journal::make_add_device(device));
+  return edit_locked(journal::make_add_device(device));
 }
 
 void VirtualDisk::set_journal(std::shared_ptr<journal::JournalSink> sink) {
@@ -266,99 +278,99 @@ Result<void> VirtualDisk::journal_locked(const journal::Record& record) {
                    appended.error().message};
 }
 
-void VirtualDisk::attach_device(const Device& device,
-                                std::shared_ptr<DeviceStore> store) {
-  if (!store) throw std::invalid_argument("attach_device: null store");
-  const MutexLock lock(mu_);
-  ClusterConfig next = config_;
-  next.add_device(device);                 // validates (duplicate uid, ...)
-  const bool added = stores_.emplace(device.uid, std::move(store)).second;
-  Result<std::size_t> migrated = apply_config_locked(std::move(next));
-  if (!migrated.ok() && added) stores_.erase(device.uid);
-  (void)std::move(migrated).value_or_throw();
-}
-
 Result<void> VirtualDisk::try_remove_device(DeviceId uid) {
+  if (pooled_) return pool_only("StoragePool::remove_device");
   const MutexLock lock(mu_);
-  const auto it = stores_.find(uid);
-  if (it == stores_.end()) {
-    return Error{ErrorCode::kNotFound, "VirtualDisk: unknown device"};
-  }
-  if (it->second->failed()) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "VirtualDisk: use rebuild() for failed devices"};
-  }
-  ClusterConfig next = config_;
-  next.remove_device(uid);
-  Result<std::size_t> migrated = apply_config_locked(std::move(next));
-  if (!migrated.ok()) return migrated.error();
-  stores_.erase(uid);
-  return journal_locked(journal::make_remove_device(uid));
+  return edit_locked(journal::make_remove_device(uid));
 }
 
 Result<void> VirtualDisk::try_resize_device(DeviceId uid,
                                             std::uint64_t new_capacity) {
+  if (pooled_) return pool_only("StoragePool::resize_device");
   const MutexLock lock(mu_);
-  const auto it = stores_.find(uid);
-  if (it == stores_.end()) {
-    return Error{ErrorCode::kNotFound, "VirtualDisk: unknown device"};
-  }
-  if (it->second->failed()) {
-    return Error{ErrorCode::kDeviceFailed,
-                 "VirtualDisk: rebuild() required before resizing a failed "
-                 "device"};
-  }
-  ClusterConfig next = config_;
+  return edit_locked(journal::make_resize_device(uid, new_capacity));
+}
+
+Result<ClusterConfig> VirtualDisk::next_config(const ClusterConfig& config,
+                                               const Stores& stores,
+                                               const journal::Record& edit) {
+  const auto failed = [&](DeviceId uid) {
+    const auto store = stores.find(uid);
+    return store != stores.end() && store->second->failed();
+  };
+  ClusterConfig next = config;
   try {
-    next.resize_device(uid, new_capacity);
+    switch (edit.type) {
+      case journal::RecordType::kAddDevice:
+        next.add_device({edit.device, edit.capacity, edit.device_name});
+        break;
+      case journal::RecordType::kRemoveDevice:
+        if (failed(edit.device)) {
+          return Error{ErrorCode::kInvalidArgument,
+                       "VirtualDisk: use rebuild() for failed devices"};
+        }
+        next.remove_device(edit.device);
+        break;
+      case journal::RecordType::kResizeDevice:
+        // A failed device stays in `next`; reshape() refuses it.
+        next.resize_device(edit.device, edit.capacity);
+        break;
+      default:  // kRebuild
+        for (const Device& d : config.devices()) {
+          if (failed(d.uid)) next.remove_device(d.uid);
+        }
+    }
   } catch (const std::invalid_argument& e) {
     return Error{ErrorCode::kInvalidArgument, e.what()};
   } catch (const std::out_of_range& e) {
     return Error{ErrorCode::kNotFound, e.what()};
   }
-  const std::uint64_t old_capacity = it->second->capacity();
-  if (new_capacity == old_capacity) return {};
-  if (new_capacity > old_capacity) {
-    // Grow: extend the store first so the migration can land fragments on
-    // the new room.
-    it->second->resize(new_capacity);
-    Result<std::size_t> migrated = apply_config_locked(std::move(next));
-    if (!migrated.ok()) {
-      it->second->resize(old_capacity);
-      return migrated.error();
-    }
-  } else {
-    // Shrink: drain fragments off under the smaller placement first, then
-    // clamp the store.
-    Result<std::size_t> migrated = apply_config_locked(std::move(next));
-    if (!migrated.ok()) return migrated.error();
-    try {
-      it->second->resize(new_capacity);
-    } catch (const std::invalid_argument& e) {
-      // Other volumes sharing this store still occupy it beyond the new
-      // capacity; the configuration shrank but the store kept its size.
-      return Error{ErrorCode::kIoError, e.what()};
-    }
-  }
-  return journal_locked(journal::make_resize_device(uid, new_capacity));
+  return next;
+}
+
+Result<void> VirtualDisk::edit_locked(const journal::Record& edit) {
+  Result<ClusterConfig> next = next_config(config_, stores_, edit);
+  if (!next.ok()) return next.error();
+  if (next.value() == config_) return {};
+  Result<std::size_t> moved =
+      reshape(*set_, std::array{this}, std::move(next).take());
+  if (!moved.ok()) return moved.error();
+  return journal_locked(edit);
 }
 
 Result<void> VirtualDisk::try_set_strategy(PlacementKind kind) {
+  if (pooled_) return pool_only("StoragePool::set_volume_strategy");
   const MutexLock lock(mu_);
+  const PlacementKind before = kind_;
+  Result<void> set = set_strategy_locked(kind);
+  if (!set.ok() || kind_ == before) return set;
+  return journal_locked(journal::make_set_strategy("", kind));
+}
+
+Result<void> VirtualDisk::set_strategy_locked(PlacementKind kind) {
   if (kind == kind_) return {};
   const PlacementKind previous = kind_;
-  kind_ = kind;  // make_strategy() reads it inside apply_config_locked
-  Result<std::size_t> migrated = apply_config_locked(config_);
+  kind_ = kind;  // make_strategy() reads it while reshape() plans
+  Result<std::size_t> migrated = reshape(*set_, std::array{this}, config_);
   if (!migrated.ok()) {
     kind_ = previous;
     return migrated.error();
   }
-  return journal_locked(journal::make_set_strategy("", kind));
+  return {};
 }
 
 Result<void> VirtualDisk::try_set_scheme(
     std::shared_ptr<RedundancyScheme> next) {
+  if (pooled_) return pool_only("StoragePool::set_volume_scheme");
   const MutexLock lock(mu_);
+  const std::shared_ptr<RedundancyScheme> before = scheme_;
+  Result<void> set = set_scheme_locked(std::move(next));
+  if (!set.ok() || scheme_ == before) return set;
+  return journal_locked(journal::make_set_scheme("", scheme_->name()));
+}
+
+Result<void> VirtualDisk::set_scheme_locked(
+    std::shared_ptr<RedundancyScheme> next) {
   if (!next) {
     return Error{ErrorCode::kInvalidArgument, "VirtualDisk: null scheme"};
   }
@@ -370,19 +382,35 @@ Result<void> VirtualDisk::try_set_scheme(
                    "degraded pool"};
     }
   }
-  if (next->fragment_count() > config_.size()) {
-    return Error{ErrorCode::kInvalidArgument,
-                 "VirtualDisk: scheme needs " +
-                     std::to_string(next->fragment_count()) +
-                     " fragments but the pool has " +
-                     std::to_string(config_.size()) + " devices"};
-  }
   std::shared_ptr<const ReplicationStrategy> next_strategy;
   try {
     next_strategy =
         make_replication_strategy(kind_, config_, next->fragment_count());
   } catch (const std::invalid_argument& e) {
     return Error{ErrorCode::kInvalidArgument, e.what()};
+  }
+
+  // Room: each device keeps what other volumes hold there and takes the
+  // new encoding's fragments this volume places there.
+  std::unordered_map<DeviceId, std::uint64_t> used;
+  for (const auto& [uid, store] : stores_) {
+    used[uid] = store->used() - store->used_by_volume(volume_id_);
+  }
+  std::vector<DeviceId> homes(next->fragment_count());
+  for (const auto& [block, size] : blocks_) {
+    next_strategy->place(block, homes);
+    for (const DeviceId uid : homes) ++used[uid];
+  }
+  for (const auto& [uid, count] : used) {
+    const std::uint64_t capacity = stores_.at(uid)->capacity();
+    if (count > capacity) {
+      return Error{ErrorCode::kIoError,
+                   "VirtualDisk: set_scheme refused (nothing mutated): "
+                   "device " +
+                       std::to_string(uid) + " would hold " +
+                       std::to_string(count) + " fragments but has room for " +
+                       std::to_string(capacity)};
+    }
   }
 
   // Decode every block up front: if any is unreadable, nothing is mutated.
@@ -423,10 +451,11 @@ Result<void> VirtualDisk::try_set_scheme(
     }
   }
   for (const auto& [uid, store] : stores_) sync_device_gauge(uid);
-  return journal_locked(journal::make_set_scheme("", scheme_->name()));
+  return {};
 }
 
 void VirtualDisk::fail_device(DeviceId uid) {
+  if (pooled_) throw_error(pool_only("StoragePool::fail_device"));
   const MutexLock lock(mu_);
   stores_.at(uid)->fail();
   journal_locked(journal::make_fail_device(uid)).value_or_throw();
@@ -444,19 +473,10 @@ bool VirtualDisk::corrupt_fragment(std::uint64_t block, unsigned fragment) {
 }
 
 std::uint64_t VirtualDisk::rebuild() {
+  if (pooled_) throw_error(pool_only("StoragePool::rebuild"));
   const MutexLock lock(mu_);
-  ClusterConfig next = config_;
-  std::vector<DeviceId> dead;
-  for (const auto& [uid, store] : stores_) {
-    if (store->failed()) dead.push_back(uid);
-  }
-  if (dead.empty()) return 0;
-  for (const DeviceId uid : dead) next.remove_device(uid);
-
   const std::uint64_t rebuilt_before = stats_.fragments_rebuilt;
-  (void)apply_config_locked(std::move(next)).value_or_throw();
-  for (const DeviceId uid : dead) stores_.erase(uid);
-  journal_locked(journal::make_rebuild()).value_or_throw();
+  edit_locked(journal::make_rebuild()).value_or_throw();
   return stats_.fragments_rebuilt - rebuilt_before;
 }
 
@@ -486,37 +506,58 @@ VirtualDisk::MovingHomes VirtualDisk::moving_blocks(
   return moving;
 }
 
-Result<void> VirtualDisk::check_plan(const MovingHomes& moving) const {
-  const unsigned k = scheme_->fragment_count();
-  // Occupancy of each device the plan has touched, as the moves before
-  // leave it.
-  std::unordered_map<DeviceId, std::uint64_t> used;
-  const auto occupancy = [&](DeviceId uid,
-                             const DeviceStore& store) -> std::uint64_t& {
-    return used.try_emplace(uid, store.used()).first->second;
+Result<void> VirtualDisk::check_plans(const Stores& stores,
+                                      std::span<const Plan> plans,
+                                      const ClusterConfig& next) {
+  // Each device's occupancy as the moves before leave it, and its capacity
+  // while they run.
+  struct Room {
+    std::uint64_t used = 0;
+    std::uint64_t capacity = 0;
   };
-  for (const auto& [block, homes] : moving) {
-    const std::span<const DeviceId> from = std::span(homes).first(k);
-    const std::span<const DeviceId> to = std::span(homes).subspan(k, k);
-    for (unsigned j = 0; j < k; ++j) {
-      if (from[j] == to[j]) continue;
-      const auto source = stores_.find(from[j]);
-      if (source != stores_.end() &&
-          source->second->contains({block, j, volume_id_})) {
-        --occupancy(from[j], *source->second);
+  std::unordered_map<DeviceId, Room> rooms;
+  for (const auto& [uid, store] : stores) {
+    rooms[uid] = {store->used(), store->capacity()};
+  }
+  for (const Device& d : next.devices()) {
+    Room& room = rooms[d.uid];
+    room.capacity = std::max(room.capacity, d.capacity);
+  }
+  const auto holds = [&](DeviceId uid, const FragmentKey& key) {
+    const auto store = stores.find(uid);
+    return store != stores.end() && store->second->contains(key);
+  };
+  for (const Plan& plan : plans) {
+    const VirtualDisk& volume = *plan.volume;
+    volume.mu_.assert_held();  // the set's lock, held by the caller
+    const unsigned k = volume.scheme_->fragment_count();
+    for (const auto& [block, homes] : plan.moving) {
+      const std::span<const DeviceId> from = std::span(homes).first(k);
+      const std::span<const DeviceId> to = std::span(homes).subspan(k, k);
+      for (unsigned j = 0; j < k; ++j) {
+        if (from[j] != to[j] && holds(from[j], {block, j, volume.volume_id_})) {
+          --rooms[from[j]].used;
+        }
+      }
+      for (unsigned j = 0; j < k; ++j) {
+        if (from[j] == to[j]) continue;
+        Room& target = rooms[to[j]];
+        if (!holds(to[j], {block, j, volume.volume_id_})) ++target.used;
+        if (target.used > target.capacity) {
+          return Error{ErrorCode::kIoError,
+                       "VirtualDisk: reshape cannot move block " +
+                           std::to_string(block) + ": device " +
+                           std::to_string(to[j]) + " has no room for it"};
+        }
       }
     }
-    for (unsigned j = 0; j < k; ++j) {
-      if (from[j] == to[j]) continue;
-      const DeviceStore& target = *stores_.at(to[j]);
-      std::uint64_t& count = occupancy(to[j], target);
-      if (!target.contains({block, j, volume_id_})) ++count;
-      if (count > target.capacity()) {
-        return Error{ErrorCode::kIoError,
-                     "VirtualDisk: reshape cannot move block " +
-                         std::to_string(block) + ": device " +
-                         std::to_string(to[j]) + " has no room for it"};
-      }
+  }
+  for (const Device& d : next.devices()) {
+    if (rooms[d.uid].used > d.capacity) {
+      return Error{ErrorCode::kIoError,
+                   "VirtualDisk: reshape leaves device " +
+                       std::to_string(d.uid) + " over its capacity " +
+                       std::to_string(d.capacity)};
     }
   }
   return {};
@@ -572,7 +613,7 @@ void VirtualDisk::reshape_block(std::uint64_t block,
 
   // Erase every moving source before writing any, so a device swapping
   // fragments with another never transiently exceeds its capacity, and the
-  // writes check_plan() made room for cannot fail partway.
+  // writes check_plans() made room for cannot fail partway.
   for (unsigned j = 0; j < k; ++j) {
     if (from[j] == to[j]) continue;
     const auto src = stores_.find(from[j]);
@@ -593,6 +634,9 @@ void VirtualDisk::reshape_block(std::uint64_t block,
 }
 
 Result<std::size_t> VirtualDisk::apply_config(ClusterConfig next) {
+  if (pooled_) {
+    return pool_only("StoragePool::add_device, remove_device or resize_device");
+  }
   const MutexLock lock(mu_);
   if (journal_) {
     // No journal record expresses an arbitrary config: refuse it before
@@ -602,55 +646,77 @@ Result<std::size_t> VirtualDisk::apply_config(ClusterConfig next) {
                  "record expresses; edit a journaled disk with "
                  "try_add_device, try_remove_device or try_resize_device"};
   }
-  return apply_config_locked(std::move(next));
+  return reshape(*set_, std::array{this}, std::move(next));
 }
 
-Result<std::size_t> VirtualDisk::apply_config_locked(ClusterConfig next) {
+Result<std::size_t> VirtualDisk::reshape(DeviceSet& set,
+                                         std::span<VirtualDisk* const> volumes,
+                                         ClusterConfig next) {
+  set.mu_.assert_held();  // the caller holds it under its own name
   // A failed device must not be a migration target: callers rebuild() before
   // reshaping a degraded pool.
   for (const Device& d : next.devices()) {
-    const auto it = stores_.find(d.uid);
-    if (it != stores_.end() && it->second->failed()) {
+    const auto it = set.stores_.find(d.uid);
+    if (it != set.stores_.end() && it->second->failed()) {
       return Error{
           ErrorCode::kDeviceFailed,
           "VirtualDisk: rebuild() required before migrating a degraded pool"};
     }
   }
-  std::shared_ptr<const ReplicationStrategy> next_strategy;
-  try {
-    next_strategy = make_strategy(next);
-  } catch (const std::invalid_argument& e) {
-    return Error{ErrorCode::kInvalidArgument, e.what()};
-  }
-  const MovingHomes moving = moving_blocks(*next_strategy);
-  std::vector<DeviceId> added;  // stores this edit brings, dropped if refused
-  for (const Device& d : next.devices()) {
-    if (!stores_.contains(d.uid)) {
-      stores_.emplace(d.uid, std::make_shared<DeviceStore>(d));
-      added.push_back(d.uid);
+  std::vector<Plan> plans;
+  for (VirtualDisk* volume : volumes) {
+    volume->mu_.assert_held();
+    try {
+      plans.push_back({volume, volume->make_strategy(next), {}});
+    } catch (const std::invalid_argument& e) {
+      return Error{ErrorCode::kInvalidArgument, e.what()};
     }
+    plans.back().moving = volume->moving_blocks(*plans.back().strategy);
   }
-  Result<void> fits = check_plan(moving);
-  if (!fits.ok()) {
-    for (const DeviceId uid : added) stores_.erase(uid);
-    return fits.error();
-  }
+  Result<void> fits = check_plans(set.stores_, plans, next);
+  if (!fits.ok()) return fits.error();
 
-  topology_events_total_->inc();
-  constexpr std::size_t kBatch = 1024;  // blocks per latency sample
-  for (auto it = moving.begin(); it != moving.end();) {
-    metrics::ScopedTimer batch_span(*migration_step_latency_ns_);
-    for (std::size_t n = 0; n < kBatch && it != moving.end(); ++n, ++it) {
-      reshape_block(it->first, it->second);
+  // Commit: new stores and raised capacities first, so the moves find the
+  // room check_plans() counted on.
+  for (const Device& d : next.devices()) {
+    const auto it = set.stores_.find(d.uid);
+    if (it == set.stores_.end()) {
+      set.stores_.emplace(d.uid, std::make_shared<DeviceStore>(d));
+    } else if (d.capacity > it->second->capacity()) {
+      it->second->resize(d.capacity);
     }
   }
-  // Commit the new topology and atomically publish the new epoch:
-  // concurrent place() calls flip from the old (strategy, config) pair to
-  // the new one in a single step.
-  config_ = std::move(next);
-  strategy_ = std::move(next_strategy);
-  publish_epoch();
-  return moving.size();
+  set.config_ = std::move(next);
+  constexpr std::size_t kBatch = 1024;  // blocks per latency sample
+  std::size_t moved = 0;
+  for (Plan& plan : plans) {
+    VirtualDisk& volume = *plan.volume;
+    volume.mu_.assert_held();
+    volume.topology_events_total_->inc();
+    for (auto it = plan.moving.begin(); it != plan.moving.end();) {
+      metrics::ScopedTimer batch_span(*volume.migration_step_latency_ns_);
+      for (std::size_t n = 0; n < kBatch && it != plan.moving.end();
+           ++n, ++it) {
+        volume.reshape_block(it->first, it->second);
+      }
+    }
+    // Install the new strategy and atomically publish the new epoch:
+    // concurrent place() calls flip from the old (strategy, config) pair
+    // to the new one in a single step.
+    volume.strategy_ = std::move(plan.strategy);
+    volume.publish_epoch();
+    moved += plan.moving.size();
+  }
+  // Lowered capacities and dropped stores last, once the moves drained them.
+  const ClusterConfig& config = set.config_;
+  std::erase_if(set.stores_, [&](const auto& entry) {
+    return !config.contains(entry.first);
+  });
+  for (const Device& d : config.devices()) {
+    DeviceStore& store = *set.stores_.at(d.uid);
+    if (d.capacity < store.capacity()) store.resize(d.capacity);
+  }
+  return moved;
 }
 
 std::uint64_t VirtualDisk::repair() {
@@ -710,14 +776,6 @@ VirtualDisk::ScrubReport VirtualDisk::scrub() {
     report.misplaced_fragments = stored_total - expected_total;
   }
   return report;
-}
-
-std::vector<std::uint64_t> VirtualDisk::block_ids() const {
-  const MutexLock lock(mu_);
-  std::vector<std::uint64_t> ids;
-  ids.reserve(blocks_.size());
-  for (const auto& [block, size] : blocks_) ids.push_back(block);
-  return ids;
 }
 
 std::uint64_t VirtualDisk::used_on(DeviceId uid) const {

@@ -13,12 +13,15 @@
 // fragments whose home changed, verifying each first; a lost or corrupt
 // source is rebuilt from verified peers through the scheme.
 //
+// The devices live in a DeviceSet (config, stores, one mutex) that a
+// standalone disk owns alone and a StoragePool shares with every volume.
+// Every topology edit builds the next config, then runs the one reshape,
+// which moves every volume of the set or none.
+//
 // Concurrency model (docs/api.md, "Concurrency guarantees"): block I/O and
-// topology mutations on one standalone disk are serialized by an internal
-// mutex (`mu_`), so any number of threads may call them -- one at a time
-// gets in.  A StoragePool's volumes share their device stores, which no
-// volume's `mu_` guards, so calls on a pool and its volumes must come from
-// one thread at a time.  Placement
+// topology mutations on every volume of one set, and every call on its
+// pool, are serialized by the set's mutex (`mu_`), so any number of threads
+// may call them -- one at a time gets in.  Placement
 // lookups (try_copy_locations(), placement_snapshot()) never take `mu_` and
 // may run from any number of threads concurrently with that writer: they
 // read an immutable PlacementEpoch published by shared_ptr-RCU (RcuCell,
@@ -56,6 +59,29 @@ namespace journal {
 class JournalSink;
 struct Record;
 }  // namespace journal
+
+/// One set of devices: the configuration, the store of each device and the
+/// mutex that guards both.  Each holder (a VirtualDisk, a StoragePool)
+/// reaches the three through references of its own, which the
+/// thread-safety analysis checks against the holder's `mu_`.
+class DeviceSet {
+ public:
+  using Stores = std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>>;
+
+  /// A fresh store for every device of `config`.
+  explicit DeviceSet(ClusterConfig config);
+  /// Restored `stores` (Snapshot), which must cover every device of
+  /// `config` (std::invalid_argument).
+  DeviceSet(ClusterConfig config, Stores stores);
+
+ private:
+  friend class VirtualDisk;
+  friend class StoragePool;
+
+  Mutex mu_;
+  ClusterConfig config_ RDS_GUARDED_BY(mu_);
+  Stores stores_ RDS_GUARDED_BY(mu_);
+};
 
 /// Immutable (strategy, config) pair concurrent readers place against.
 /// Published atomically by VirtualDisk on every committed topology change;
@@ -95,25 +121,19 @@ class VirtualDisk {
     }
   };
 
+  /// A standalone disk, on a device set of its own.  (A pool volume comes
+  /// from StoragePool::create_volume.)
   VirtualDisk(ClusterConfig config, std::shared_ptr<RedundancyScheme> scheme,
               PlacementKind kind = PlacementKind::kRedundantShare);
-
-  /// Pool mode: the disk is one volume among several sharing the SAME
-  /// device stores (capacity is contended across volumes).  `volume_id`
-  /// namespaces this volume's fragments; `stores` must cover every device
-  /// of `config`.  Normally constructed via StoragePool::create_volume.
-  VirtualDisk(ClusterConfig config, std::shared_ptr<RedundancyScheme> scheme,
-              PlacementKind kind, std::uint32_t volume_id,
-              std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>>
-                  stores);
 
   // --- Fallible operations (error taxonomy: docs/api.md) ---
   //
   // Block I/O and the topology edits return a Result -- an (ErrorCode,
   // message) pair on failure -- and the try_ prefix marks them.  A caller
   // that wants an exception writes `.value_or_throw()`, the one ErrorCode ->
-  // exception mapping.  attach_device, fail_device and rebuild exist in one
-  // form only and throw.
+  // exception mapping.  fail_device and rebuild exist in one form only and
+  // throw.  On a pool volume, the topology and policy calls below are
+  // refused with kInvalidArgument naming the StoragePool call to use.
 
   /// Stores a logical block (any length that fits the fragment budget).
   /// kInvalidArgument when the payload does not fit, kIoError when one of
@@ -168,17 +188,19 @@ class VirtualDisk {
 
   /// Migrates data to `next` and atomically installs the new (strategy,
   /// config) epoch before it returns; concurrent placement lookups see
-  /// either the old pair or the new pair, never a mix.  Returns the number
-  /// of blocks that needed re-placement: those with a fragment whose home
-  /// changed.  kDeviceFailed if a failed device would remain in `next`;
+  /// either the old pair or the new pair, never a mix; the stores follow
+  /// `next` (grown before the moves, shrunk or dropped after).  Returns the
+  /// number of blocks that needed re-placement: those with a fragment whose
+  /// home changed.  kDeviceFailed if a failed device would remain in `next`;
   /// kInvalidArgument for configs the strategy rejects, and when a journal
   /// is attached: no journal record expresses an arbitrary config, so a
   /// journaled disk is edited through try_add_device / try_remove_device /
-  /// try_resize_device; kIoError, naming the block and the device, when a
-  /// new home lacks room for the fragments the plan moves there.  The whole
-  /// plan is checked before anything moves, so every refusal leaves the
-  /// disk exactly as it was.  A block with fewer than min_fragments()
-  /// intact fragments moves those it has and stays unrecoverable.
+  /// try_resize_device; kIoError, naming the device, when a new home lacks
+  /// room for the fragments the plan moves there or a shrunk device would
+  /// keep more than its new capacity.  The whole plan is checked before
+  /// anything moves, so every refusal leaves the disk exactly as it was.
+  /// A block with fewer than min_fragments() intact fragments moves those
+  /// it has and stays unrecoverable.
   [[nodiscard]] Result<std::size_t> apply_config(ClusterConfig next)
       RDS_EXCLUDES(mu_);
 
@@ -186,14 +208,6 @@ class VirtualDisk {
   /// it.  kInvalidArgument for devices the configuration rejects (duplicate
   /// uid, zero capacity).
   [[nodiscard]] Result<void> try_add_device(const Device& device)
-      RDS_EXCLUDES(mu_);
-
-  /// Pool mode: adds a device backed by an existing (shared) store and
-  /// migrates.  Used by StoragePool so every co-hosted volume sees the same
-  /// physical device.  Throws apply_config's refusals through
-  /// value_or_throw(); a refused attach keeps neither the device nor the
-  /// store.
-  void attach_device(const Device& device, std::shared_ptr<DeviceStore> store)
       RDS_EXCLUDES(mu_);
 
   /// Gracefully removes a healthy device, migrating its data away first.
@@ -205,7 +219,7 @@ class VirtualDisk {
   /// migrates fragments onto the new room; shrinking drains fragments off
   /// first, then clamps the store.  kNotFound for unknown uids,
   /// kDeviceFailed for failed devices, kInvalidArgument for capacities the
-  /// configuration rejects.
+  /// configuration rejects, kIoError as for apply_config.
   [[nodiscard]] Result<void> try_resize_device(DeviceId uid,
                                                std::uint64_t new_capacity)
       RDS_EXCLUDES(mu_);
@@ -218,17 +232,19 @@ class VirtualDisk {
       RDS_EXCLUDES(mu_);
 
   /// Re-encodes every block under a new redundancy scheme (e.g. mirror ->
-  /// RS).  All blocks are decoded up front -- if any is unreadable, nothing
-  /// is mutated; a failure while re-writing reports how far it got.  No-op
-  /// when `next` names the active scheme.  kDeviceFailed on degraded pools
-  /// (rebuild() first), kInvalidArgument when the scheme needs more
-  /// fragments than there are devices.
+  /// RS).  Every device must have room for the new encoding once this
+  /// volume's old fragments are gone, and every block must decode, before
+  /// anything is erased; a failure while re-writing reports how far it got.
+  /// No-op when `next` names the active scheme.  kDeviceFailed on degraded
+  /// pools (rebuild() first), kInvalidArgument when the scheme needs more
+  /// fragments than there are devices, kIoError naming a device without
+  /// room.
   [[nodiscard]] Result<void> try_set_scheme(
       std::shared_ptr<RedundancyScheme> next) RDS_EXCLUDES(mu_);
 
   /// Attaches a journal sink: every committed topology mutation is appended
   /// in commit order (docs/persistence.md).  The sink's own mutex is a leaf
-  /// below this disk's lock.  Pass nullptr to detach.
+  /// below the set's lock.  Pass nullptr to detach.
   void set_journal(std::shared_ptr<journal::JournalSink> sink)
       RDS_EXCLUDES(mu_);
 
@@ -299,15 +315,35 @@ class VirtualDisk {
   /// snapshot export to also reflect erase-only activity (trims, drains).
   void publish_device_gauges() const RDS_EXCLUDES(mu_);
 
-  /// Ids of all blocks currently stored (for pool bookkeeping and volume
-  /// teardown).
-  [[nodiscard]] std::vector<std::uint64_t> block_ids() const RDS_EXCLUDES(mu_);
-
  private:
   friend class Snapshot;
+  friend class StoragePool;
+
+  using Stores = DeviceSet::Stores;
+
+  /// A volume on `set`: a pool's (`pooled`) or a standalone disk's.
+  VirtualDisk(std::shared_ptr<DeviceSet> set,
+              std::shared_ptr<RedundancyScheme> scheme, PlacementKind kind,
+              std::uint32_t volume_id, bool pooled);
+
+  /// A pool volume's refusal of a call the pool makes, naming `pool_call`.
+  [[nodiscard]] static Error pool_only(const std::string& pool_call);
 
   [[nodiscard]] std::unique_ptr<ReplicationStrategy> make_strategy(
       const ClusterConfig& config) const RDS_REQUIRES(mu_);
+
+  /// The config a topology edit -- an add, remove, resize or rebuild
+  /// record -- makes of `config`, or the edit's refusal: kNotFound for
+  /// unknown devices, kInvalidArgument for devices the config rejects and
+  /// for removing a failed one.  Shared by a disk and a pool.
+  [[nodiscard]] static Result<ClusterConfig> next_config(
+      const ClusterConfig& config, const Stores& stores,
+      const journal::Record& edit);
+
+  /// A standalone disk's topology edit: the one reshape to next_config()
+  /// unless that is refused or changes nothing, then `edit` is journaled.
+  [[nodiscard]] Result<void> edit_locked(const journal::Record& edit)
+      RDS_REQUIRES(mu_);
 
   /// Appends a record to the attached journal (no-op without one).  Runs
   /// after the in-memory mutation committed, under the same critical
@@ -319,7 +355,7 @@ class VirtualDisk {
 
   // Locked bodies of the public operations above.  Public entry points take
   // `mu_` once and delegate here; internal call chains (try_add_device ->
-  // apply_config_locked) stay on the *_locked layer so the mutex is never
+  // edit_locked) stay on the *_locked layer so the mutex is never
   // taken recursively.
   [[nodiscard]] Result<void> write_locked(std::uint64_t block,
                                           std::span<const std::uint8_t> data)
@@ -328,9 +364,11 @@ class VirtualDisk {
       std::uint64_t block) RDS_REQUIRES(mu_);
   [[nodiscard]] Result<void> trim_locked(std::uint64_t block)
       RDS_REQUIRES(mu_);
-  /// The one reshape: plans, checks the plan, moves and commits.
-  [[nodiscard]] Result<std::size_t> apply_config_locked(ClusterConfig next)
+  // A pool volume's policy edits go through these, without the journal.
+  [[nodiscard]] Result<void> set_strategy_locked(PlacementKind kind)
       RDS_REQUIRES(mu_);
+  [[nodiscard]] Result<void> set_scheme_locked(
+      std::shared_ptr<RedundancyScheme> next) RDS_REQUIRES(mu_);
 
   /// Copies the committed (config_, strategy_) pair into a fresh epoch and
   /// installs it with one RcuCell::store.
@@ -340,23 +378,44 @@ class VirtualDisk {
   /// the next strategy.
   using MovingHomes = std::unordered_map<std::uint64_t, std::vector<DeviceId>>;
 
+  /// One volume's part of a reshape: its next strategy and moving blocks.
+  struct Plan {
+    VirtualDisk* volume = nullptr;
+    std::shared_ptr<const ReplicationStrategy> strategy;
+    MovingHomes moving;
+  };
+
+  /// The one reshape of a device set, under its lock: installs `next` and
+  /// moves every one of `volumes` onto it (every volume of the set, unless
+  /// the config stays), or refuses and changes nothing.  Plans each
+  /// volume's strategy and moving_blocks(), check_plans() them, then
+  /// commits: new stores and raised capacities, each volume's moves and
+  /// epoch, lowered capacities and dropped stores.  Returns the blocks
+  /// moved.
+  [[nodiscard]] static Result<std::size_t> reshape(
+      DeviceSet& set, std::span<VirtualDisk* const> volumes,
+      ClusterConfig next);
+
   /// The blocks with a fragment whose home differs between `strategy_`
   /// and `next`, with both sets of homes: one BatchPlacer::shared() pass
   /// per strategy.
   [[nodiscard]] MovingHomes moving_blocks(const ReplicationStrategy& next)
       const RDS_REQUIRES(mu_);
 
-  /// kIoError, naming the block and the device, unless every new home in
-  /// `moving` has room for its arrivals (a failed device never gets here:
-  /// apply_config_locked refuses it first).  Walks the blocks in the order they move,
-  /// carrying each device's occupancy from the moves before, and counts a
-  /// block's own departures before its arrivals (reshape_block erases every
-  /// moving fragment before it writes any).  Reads no fragment.
-  [[nodiscard]] Result<void> check_plan(const MovingHomes& moving) const
-      RDS_REQUIRES(mu_);
+  /// kIoError, naming the device, unless every new home in `plans` has
+  /// room for its arrivals (a failed device never gets here: reshape()
+  /// refuses it first) and every device ends within its capacity in
+  /// `next`.  Walks the volumes and their blocks in the order they move,
+  /// carrying one occupancy per device across all of them, and counts a
+  /// block's own departures before its arrivals (reshape_block erases
+  /// every moving fragment before it writes any); while the moves run a
+  /// device has the larger of its two capacities.  Reads no fragment.
+  [[nodiscard]] static Result<void> check_plans(const Stores& stores,
+                                                std::span<const Plan> plans,
+                                                const ClusterConfig& next);
 
   /// Moves one block's fragments from its old `homes` to its new ones (as
-  /// moving_blocks() gives them, after check_plan() accepted the room;
+  /// moving_blocks() gives them, after check_plans() accepted the room;
   /// nothing is placed).  Verifies each moving fragment in its old home and moves
   /// it with its recorded CRC; a missing or corrupt source is rebuilt from
   /// verified peers gathered before anything moves (Fragment::seal_like
@@ -396,12 +455,17 @@ class VirtualDisk {
   /// Updates `uid`'s load gauge from its store (no-op for unknown uids).
   void sync_device_gauge(DeviceId uid) const RDS_REQUIRES(mu_);
 
-  /// Serializes block I/O and topology mutations; mutable so const
-  /// observers (stats(), used_on(), ...) can take it.  try_copy_locations()
-  /// and placement_snapshot() never touch it -- they read `published_`.
-  mutable Mutex mu_;
+  // The device set, and this volume's references into it.
+  const std::shared_ptr<DeviceSet> set_;
+  /// The set's mutex: serializes block I/O and topology mutations of every
+  /// volume of the set.  try_copy_locations() and placement_snapshot()
+  /// never touch it -- they read `published_`.
+  Mutex& mu_;
+  ClusterConfig& config_ RDS_GUARDED_BY(mu_);
+  Stores& stores_ RDS_GUARDED_BY(mu_);
+  /// A pool volume: its topology and policy calls are refused.
+  const bool pooled_;
 
-  ClusterConfig config_ RDS_GUARDED_BY(mu_);
   std::shared_ptr<RedundancyScheme> scheme_ RDS_GUARDED_BY(mu_);
   PlacementKind kind_ RDS_GUARDED_BY(mu_);
   const std::uint32_t volume_id_ = 0;
@@ -412,8 +476,6 @@ class VirtualDisk {
   std::shared_ptr<const ReplicationStrategy> strategy_ RDS_GUARDED_BY(mu_);
   RcuCell<PlacementEpoch> published_;
   std::uint64_t epoch_counter_ RDS_GUARDED_BY(mu_) = 0;
-  std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores_
-      RDS_GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, std::size_t> blocks_
       RDS_GUARDED_BY(mu_);  // block -> size
   Stats stats_ RDS_GUARDED_BY(mu_);

@@ -1,7 +1,7 @@
 // Overflow-checked unsigned arithmetic for capacity sums.
 //
 // Capacity math in the placement layer works on raw uint64 byte counts:
-// B = sum of b_i (ClusterConfig::canonicalize, FailureDomain), and the
+// B = sum of b_i (ClusterConfig::install, FailureDomain), and the
 // Lemma 2.1 feasibility test k * b_max <= B.  A cluster description with
 // adversarial capacities can overflow both silently; every such sum or
 // product goes through these helpers, which return kInvalidArgument

@@ -2,8 +2,8 @@
 // analysis reasons about (see src/util/thread_annotations.hpp).
 //
 // rds::Mutex wraps a heap-backed std::mutex so classes that own one stay
-// movable (VirtualDisk and StoragePool are returned by value from
-// Snapshot::load_*).  Moving a Mutex while any thread holds or waits on it
+// movable (a VirtualDisk's RcuCell moves with the disk Snapshot::load_disk
+// returns by value).  Moving a Mutex while any thread holds or waits on it
 // is undefined -- like RcuCell, move only while no other thread touches
 // either side; a moved-from Mutex may only be destroyed or assigned to.
 //
@@ -39,6 +39,12 @@ class RDS_CAPABILITY("mutex") Mutex {
   [[nodiscard]] bool try_lock() RDS_TRY_ACQUIRE(true) {
     return raw_->try_lock();
   }
+
+  /// Tells the thread-safety analysis that the caller holds this mutex.
+  /// Objects sharing one mutex reach it through references of their own,
+  /// and the analysis cannot see that those name the same lock; the caller
+  /// holds it under another object's name.  Checks nothing at run time.
+  void assert_held() const RDS_ASSERT_CAPABILITY() {}
 
  private:
   friend class MutexLock;

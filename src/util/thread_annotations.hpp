@@ -67,6 +67,12 @@
 #define RDS_EXCLUDES(...) \
   RDS_THREAD_ANNOTATION_ATTRIBUTE_(locks_excluded(__VA_ARGS__))
 
+/// Function asserts that the capability is held: the analysis treats it as
+/// held from the call on.  For a capability held under another name (one
+/// mutex that several objects share, each through a reference of its own).
+#define RDS_ASSERT_CAPABILITY(...) \
+  RDS_THREAD_ANNOTATION_ATTRIBUTE_(assert_capability(__VA_ARGS__))
+
 /// Function returns a reference to the given capability.
 #define RDS_RETURN_CAPABILITY(x) \
   RDS_THREAD_ANNOTATION_ATTRIBUTE_(lock_returned(x))

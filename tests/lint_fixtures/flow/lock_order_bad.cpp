@@ -1,10 +1,6 @@
-// rds_analyze fixture: trips lock-order twice.
-//
-//  * A::ping holds A::mu_ and calls B::pong, which holds B::mu_ and calls
-//    A::poke (A::mu_ again) -- an A::mu_ <-> B::mu_ cycle in the
-//    acquisition graph.
-//  * VirtualDisk::flush acquires StoragePool::mu_ while holding its own
-//    mu_, inverting the documented pool-before-volume order.
+// rds_analyze fixture: trips lock-order once.  A::ping holds A::mu_ and
+// calls B::pong, which holds B::mu_ and calls A::poke (A::mu_ again) -- an
+// A::mu_ <-> B::mu_ cycle in the acquisition graph.
 
 namespace fix {
 
@@ -39,28 +35,5 @@ void A::ping(B& b) {
   const MutexLock lock(mu_);
   b.pong(*this);
 }
-
-class StoragePool {
- public:
-  void admit() {
-    const MutexLock lock(mu_);
-    ++admitted_;
-  }
-
- private:
-  Mutex mu_;
-  int admitted_ RDS_GUARDED_BY(mu_) = 0;
-};
-
-class VirtualDisk {
- public:
-  void flush(StoragePool& pool) {
-    const MutexLock lock(mu_);
-    pool.admit();
-  }
-
- private:
-  Mutex mu_;
-};
 
 }  // namespace fix

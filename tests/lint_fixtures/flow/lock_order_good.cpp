@@ -1,7 +1,6 @@
 // rds_analyze fixture: same classes as lock_order_bad.cpp with a
-// consistent acquisition order -- A::mu_ is always taken before B::mu_,
-// and the pool lock before the volume lock -- so the graph is acyclic and
-// correctly oriented.
+// consistent acquisition order -- A::mu_ is always taken before B::mu_ --
+// so the graph is acyclic.
 
 namespace fix {
 
@@ -22,30 +21,6 @@ class A {
   void ping(B& b) {
     const MutexLock lock(mu_);
     b.pong();
-  }
-
- private:
-  Mutex mu_;
-};
-
-class VirtualDisk {
- public:
-  void flush() {
-    const MutexLock lock(mu_);
-    ++flushed_;
-  }
-
- private:
-  friend class StoragePool;
-  Mutex mu_;
-  int flushed_ RDS_GUARDED_BY(mu_) = 0;
-};
-
-class StoragePool {
- public:
-  void admit(VirtualDisk& disk) {
-    const MutexLock lock(mu_);
-    disk.flush();
   }
 
  private:

@@ -53,12 +53,43 @@ TEST(ClusterConfig, RejectsDuplicateUid) {
                std::invalid_argument);
 }
 
+// A refused edit leaves the configuration exactly as it was: same devices,
+// same sums, same version.
+void expect_unchanged(const ClusterConfig& c, const ClusterConfig& before) {
+  EXPECT_TRUE(c == before);
+  EXPECT_EQ(c.size(), before.size());
+  EXPECT_EQ(c.total_capacity(), before.total_capacity());
+  for (std::size_t i = 0; i <= c.size(); ++i) {
+    EXPECT_EQ(c.suffix_capacity(i), before.suffix_capacity(i)) << i;
+  }
+  EXPECT_EQ(c.version(), before.version());
+}
+
 TEST(ClusterConfig, RejectsZeroCapacity) {
   EXPECT_THROW(ClusterConfig({{1, 0, ""}}), std::invalid_argument);
+
+  ClusterConfig c({{1, 1000, "a"}, {2, 1000, "b"}});
+  const ClusterConfig before = c;
+  EXPECT_THROW(c.add_device({4, 0, ""}), std::invalid_argument);
+  expect_unchanged(c, before);
+  EXPECT_FALSE(c.contains(4));
+  EXPECT_THROW(c.resize_device(1, 0), std::invalid_argument);
+  expect_unchanged(c, before);
+  EXPECT_EQ(c[*c.index_of(1)].capacity, 1000u);
+  // The refused uid is free for a valid device.
+  c.add_device({4, 1000, ""});
+  EXPECT_EQ(c.size(), 3u);
+  EXPECT_EQ(c.total_capacity(), 3000u);
 }
 
 TEST(ClusterConfig, RejectsReservedUid) {
   EXPECT_THROW(ClusterConfig({{kNoDevice, 10, ""}}), std::invalid_argument);
+
+  ClusterConfig c({{1, 1000, "a"}, {2, 1000, "b"}});
+  const ClusterConfig before = c;
+  EXPECT_THROW(c.add_device({kNoDevice, 10, ""}), std::invalid_argument);
+  expect_unchanged(c, before);
+  EXPECT_FALSE(c.contains(kNoDevice));
 }
 
 TEST(ClusterConfig, AddDevice) {

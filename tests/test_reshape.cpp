@@ -12,6 +12,7 @@
 
 #include "src/metrics/registry.hpp"
 #include "src/storage/snapshot.hpp"
+#include "src/storage/storage_pool.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/random.hpp"
 
@@ -209,33 +210,68 @@ TEST(Reshape, RebuildGathersPeersBeforeMoving) {
   EXPECT_TRUE(disk.scrub().clean());
 }
 
-// An attach whose new store has no room -- a shared store another volume
-// has filled -- is refused before any block moves: the disk keeps neither
-// the device nor the store, and takes the next edit.
+// A step toward a full target -- a device another volume of the pool has
+// filled -- is refused before any fragment moves: the volume keeps its
+// strategy, its epoch and every block, and no device's occupancy changes.
+// Once the other volume is dropped, the same edit goes through.
 TEST(Reshape, StepToFullTargetTouchesNothing) {
-  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
+  StoragePool shared(pool());
+  VirtualDisk& disk =
+      shared.create_volume("a", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 500; ++b) {
     disk.try_write(b, payload(b)).value_or_throw();
   }
-  const ClusterConfig before = disk.config();
-  const Device added{9, 4000, "shared"};
-  auto store = std::make_shared<DeviceStore>(added);
-  for (std::uint64_t b = 0; b < added.capacity; ++b) {
-    store->write({b, 0, /*volume=*/7}, Fragment::seal(payload(b)));
+  // One-copy blocks until the first whose home is full.
+  VirtualDisk& filler =
+      shared.create_volume("b", std::make_shared<MirroringScheme>(1));
+  std::optional<DeviceId> full;
+  std::uint64_t filled = 0;
+  for (; !full; ++filled) {
+    std::vector<DeviceId> home(1);
+    ASSERT_TRUE(filler.try_copy_locations(filled, home).ok());
+    const Result<void> written = filler.try_write(filled, payload(filled));
+    if (!written.ok()) {
+      ASSERT_EQ(written.code(), ErrorCode::kIoError);
+      full = home[0];
+    }
   }
-  EXPECT_THROW(disk.attach_device(added, store), std::runtime_error);
-  EXPECT_EQ(store->used(), added.capacity);
+  const ClusterConfig before = disk.config();
+  const std::uint64_t epoch = disk.placement_snapshot()->epoch;
+  std::unordered_map<DeviceId, std::uint64_t> used;
+  for (const Device& d : before.devices()) used[d.uid] = disk.used_on(d.uid);
+  EXPECT_EQ(used[*full], before[*before.index_of(*full)].capacity);
+
+  try {
+    shared.set_volume_strategy("a", PlacementKind::kFastRedundantShare);
+    ADD_FAILURE() << "a step to a full device was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("has no room"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(disk.placement_kind(), PlacementKind::kRedundantShare);
+  EXPECT_EQ(disk.placement_snapshot()->epoch, epoch);
+  EXPECT_EQ(disk.stats().fragments_moved, 0u);
   EXPECT_TRUE(disk.config() == before);
+  for (const Device& d : before.devices()) {
+    EXPECT_EQ(disk.used_on(d.uid), used[d.uid]) << d.uid;
+  }
   const VirtualDisk::ScrubReport report = disk.scrub();
   EXPECT_EQ(report.degraded_blocks, 0u);
   EXPECT_EQ(report.unreadable_blocks, 0u);
   for (std::uint64_t b = 0; b < 500; ++b) {
     ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
   }
-  // The same uid again, now with a store of its own.
-  disk.try_add_device({9, 4000, "new"}).value_or_throw();
-  EXPECT_GT(disk.used_on(9), 0u);
+
+  // The same step once the other volume's fragments are gone.
+  ASSERT_TRUE(shared.drop_volume("b"));
+  shared.set_volume_strategy("a", PlacementKind::kFastRedundantShare);
+  EXPECT_EQ(disk.placement_kind(), PlacementKind::kFastRedundantShare);
+  EXPECT_GT(disk.stats().fragments_moved, 0u);
+  EXPECT_GT(disk.used_on(*full), 0u);
   EXPECT_TRUE(disk.scrub().clean());
+  for (std::uint64_t b = 0; b < 500; ++b) {
+    ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
+  }
 }
 
 // An edit whose new homes cannot take the plan -- the biggest device of a
@@ -328,6 +364,55 @@ TEST(Reshape, RebuildFinishesPastAnUnrecoverableBlock) {
   }
 }
 
+// apply_config sizes the stores to the config it installs: a grown device
+// takes fragments past its old capacity, and a shrink that would leave a
+// device holding more than its new capacity is refused before anything
+// moves.
+TEST(Reshape, ApplyConfigResizesStores) {
+  {
+    ClusterConfig config({{1, 1000, ""}, {2, 1000, ""}, {3, 1000, ""},
+                          {4, 1000, ""}});
+    VirtualDisk disk(config, std::make_shared<MirroringScheme>(2));
+    for (std::uint64_t b = 0; b < 1500; ++b) {
+      disk.try_write(b, payload(b)).value_or_throw();
+    }
+    config.resize_device(3, 5000);
+    disk.apply_config(config).value_or_throw();
+    EXPECT_GT(disk.used_on(3), 1000u);
+    for (std::uint64_t b = 1500; b < 1700; ++b) {
+      disk.try_write(b, payload(b)).value_or_throw();
+    }
+    for (std::uint64_t b = 0; b < 1700; ++b) {
+      ASSERT_EQ(disk.try_read(b).value_or_throw(), payload(b)) << b;
+    }
+    EXPECT_TRUE(disk.scrub().clean());
+  }
+  {
+    // Three copies on three devices: every device keeps one copy of every
+    // block whatever its capacity, so device 3 cannot shrink below 500.
+    ClusterConfig config({{1, 1000, ""}, {2, 1000, ""}, {3, 1000, ""}});
+    VirtualDisk disk(config, std::make_shared<MirroringScheme>(3));
+    for (std::uint64_t b = 0; b < 500; ++b) {
+      disk.try_write(b, payload(b)).value_or_throw();
+    }
+    const std::uint64_t epoch = disk.placement_snapshot()->epoch;
+    ClusterConfig shrunk = config;
+    shrunk.resize_device(3, 400);
+    const Result<std::size_t> applied = disk.apply_config(shrunk);
+    ASSERT_EQ(applied.code(), ErrorCode::kIoError);
+    EXPECT_NE(applied.error().message.find("device 3"), std::string::npos)
+        << applied.error().message;
+    EXPECT_EQ(disk.try_resize_device(3, 400).code(), ErrorCode::kIoError);
+    EXPECT_TRUE(disk.config() == config);
+    EXPECT_EQ(disk.placement_snapshot()->epoch, epoch);
+    EXPECT_EQ(disk.stats().fragments_moved, 0u);
+    for (DeviceId uid = 1; uid <= 3; ++uid) {
+      EXPECT_EQ(disk.used_on(uid), 500u) << uid;
+    }
+    EXPECT_TRUE(disk.scrub().clean());
+  }
+}
+
 // A full device that a block's fragment i leaves while its fragment j
 // arrives takes the arrival: the plan counts the block's own departures,
 // and the reshape erases every moving fragment before it writes any.
@@ -336,20 +421,20 @@ TEST(Reshape, RebuildFinishesPastAnUnrecoverableBlock) {
 TEST(Reshape, StepFreesRoomBeforeWriting) {
   ClusterConfig next = pool();
   next.add_device({9, 4000, "new"});
-  std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>> stores;
-  for (const Device& d : next.devices()) {
-    stores.emplace(d.uid, std::make_shared<DeviceStore>(d));
-  }
-  VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(3),
-                   PlacementKind::kRedundantShare, /*volume_id=*/0, stores);
+  StoragePool shared(pool());
+  VirtualDisk& disk =
+      shared.create_volume("a", std::make_shared<MirroringScheme>(3));
   const HomeOracle oracle(disk, next);
   std::optional<std::pair<std::uint64_t, DeviceId>> pass;  // block, device
+  unsigned moving = 0;  // the block's fragments whose home changes
   for (std::uint64_t blk = 0; blk < 1000 && !pass; ++blk) {
     const Homes h = oracle.homes(blk);
     for (unsigned i = 0; i < 3; ++i) {
       for (unsigned j = 0; j < i; ++j) {
         if (h.moves(i) && h.moves(j) && h.before[i] == h.after[j]) {
           pass.emplace(blk, h.before[i]);
+          moving = 0;
+          for (unsigned m = 0; m < 3; ++m) moving += h.moves(m) ? 1 : 0;
         }
       }
     }
@@ -357,15 +442,22 @@ TEST(Reshape, StepFreesRoomBeforeWriting) {
   ASSERT_TRUE(pass.has_value());
   const auto [block, device] = *pass;
   disk.try_write(block, payload(block)).value_or_throw();
-  DeviceStore& full = *stores.at(device);
-  for (std::uint64_t b = 0; full.used() < full.capacity(); ++b) {
-    full.write({b, 0, /*volume=*/7}, Fragment::seal(payload(b)));
+  // Volume "b" -- reshaped after "a" -- fills the device with one-copy
+  // blocks placed there.
+  VirtualDisk& filler =
+      shared.create_volume("b", std::make_shared<MirroringScheme>(1));
+  const std::uint64_t capacity = pool()[*pool().index_of(device)].capacity;
+  std::vector<DeviceId> home(1);
+  for (std::uint64_t b = 0; disk.used_on(device) < capacity; ++b) {
+    ASSERT_TRUE(filler.try_copy_locations(b, home).ok());
+    if (home[0] == device) filler.try_write(b, payload(b)).value_or_throw();
   }
 
-  EXPECT_EQ(disk.apply_config(next).value_or_throw(), 1u);
-  EXPECT_EQ(full.used(), full.capacity());
+  shared.add_device({9, 4000, "new"});
+  EXPECT_EQ(disk.stats().fragments_moved, moving);
   EXPECT_EQ(disk.try_read(block).value_or_throw(), payload(block));
   EXPECT_TRUE(disk.scrub().clean());
+  EXPECT_TRUE(filler.scrub().clean());
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <sstream>
+#include <thread>
+#include <unordered_map>
+
+#include "src/storage/snapshot.hpp"
 #include "src/util/random.hpp"
 
 namespace rds {
@@ -21,6 +27,60 @@ Bytes payload(std::uint64_t block, std::uint64_t salt) {
   Xoshiro256 rng(block * 131 + salt);
   for (auto& x : b) x = static_cast<std::uint8_t>(rng());
   return b;
+}
+
+ClusterConfig equal_devices(DeviceId n, std::uint64_t capacity) {
+  std::vector<Device> devices;
+  for (DeviceId uid = 1; uid <= n; ++uid) devices.push_back({uid, capacity, ""});
+  return ClusterConfig(std::move(devices));
+}
+
+// Every volume sees the pool's one configuration.
+void expect_one_config(StoragePool& pool) {
+  for (const std::string& name : pool.volume_names()) {
+    EXPECT_TRUE(pool.volume(name).config() == pool.config()) << name;
+  }
+}
+
+// What a refused pool edit must leave alone: the configuration, each
+// volume's epoch and moved-fragment count, and every device's occupancy.
+struct PoolState {
+  ClusterConfig config;
+  std::unordered_map<std::string, std::uint64_t> epochs;
+  std::unordered_map<std::string, std::uint64_t> moved;
+  std::unordered_map<DeviceId, std::uint64_t> used;
+
+  explicit PoolState(StoragePool& pool) : config(pool.config()) {
+    for (const std::string& name : pool.volume_names()) {
+      VirtualDisk& volume = pool.volume(name);
+      epochs[name] = volume.placement_snapshot()->epoch;
+      moved[name] = volume.stats().fragments_moved;
+    }
+    for (const auto& u : pool.usage()) used[u.device.uid] = u.used;
+  }
+  void expect_same(StoragePool& pool) const {
+    EXPECT_TRUE(pool.config() == config);
+    expect_one_config(pool);
+    for (const auto& [name, epoch] : epochs) {
+      VirtualDisk& volume = pool.volume(name);
+      EXPECT_EQ(volume.placement_snapshot()->epoch, epoch) << name;
+      EXPECT_EQ(volume.stats().fragments_moved, moved.at(name)) << name;
+    }
+    for (const auto& u : pool.usage()) {
+      EXPECT_EQ(u.used, used.at(u.device.uid)) << u.device.uid;
+    }
+  }
+};
+
+// The message of the std::runtime_error `edit` throws ("" if none).
+template <typename Edit>
+std::string runtime_error_of(Edit&& edit) {
+  try {
+    edit();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(StoragePool, VolumesAreIsolatedNamespaces) {
@@ -153,6 +213,217 @@ TEST(StoragePool, Validation) {
   EXPECT_THROW(
       pool.create_volume("big", std::make_shared<ReedSolomonScheme>(8, 2)),
       std::invalid_argument);
+}
+
+// A remove that one volume has room for and the other has not moves
+// neither: the whole plan is checked before anything moves.
+TEST(StoragePool, RemoveWithoutRoomMovesNoVolume) {
+  StoragePool pool(equal_devices(4, 1000));
+  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  for (std::uint64_t block = 0; block < 100; ++block) {
+    a.try_write(block, payload(block, 1)).value_or_throw();
+  }
+  for (std::uint64_t block = 0; block < 1600; ++block) {
+    b.try_write(block, payload(block, 2)).value_or_throw();
+  }
+  const PoolState before(pool);
+
+  const std::string refused =
+      runtime_error_of([&] { pool.remove_device(4); });
+  EXPECT_NE(refused.find("has no room"), std::string::npos) << refused;
+  EXPECT_TRUE(pool.config().contains(4));
+  EXPECT_TRUE(a.config().contains(4));
+  EXPECT_TRUE(b.config().contains(4));
+  before.expect_same(pool);
+  for (std::uint64_t block = 0; block < 100; ++block) {
+    ASSERT_EQ(a.try_read(block).value_or_throw(), payload(block, 1)) << block;
+  }
+  for (std::uint64_t block = 0; block < 1600; ++block) {
+    ASSERT_EQ(b.try_read(block).value_or_throw(), payload(block, 2)) << block;
+  }
+  EXPECT_TRUE(a.scrub().clean());
+  EXPECT_TRUE(b.scrub().clean());
+
+  ASSERT_TRUE(pool.drop_volume("b"));
+  pool.remove_device(4);
+  EXPECT_FALSE(pool.config().contains(4));
+  expect_one_config(pool);
+  for (std::uint64_t block = 0; block < 100; ++block) {
+    ASSERT_EQ(a.try_read(block).value_or_throw(), payload(block, 1)) << block;
+  }
+  EXPECT_TRUE(a.scrub().clean());
+}
+
+// A shrink refused for lack of room leaves every configuration as it was.
+TEST(StoragePool, ShrinkWithoutRoomChangesNoConfig) {
+  StoragePool pool(equal_devices(5, 1000));
+  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  for (std::uint64_t block = 0; block < 1180; ++block) {
+    a.try_write(block, payload(block, 1)).value_or_throw();
+    b.try_write(block, payload(block, 2)).value_or_throw();
+  }
+  const PoolState before(pool);
+  EXPECT_NE(runtime_error_of([&] { pool.resize_device(1, 990); }), "");
+  before.expect_same(pool);
+  EXPECT_EQ(a.config()[*a.config().index_of(1)].capacity, 1000u);
+  for (std::uint64_t block = 0; block < 1180; ++block) {
+    ASSERT_EQ(a.try_read(block).value_or_throw(), payload(block, 1)) << block;
+    ASSERT_EQ(b.try_read(block).value_or_throw(), payload(block, 2)) << block;
+  }
+}
+
+// A volume's own topology and policy calls would edit stores its pool
+// shares with other volumes; they are refused and name the pool call.
+TEST(StoragePool, VolumeTopologyCallsAreRefused) {
+  StoragePool pool(pool_config());
+  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  pool.create_volume("b", std::make_shared<MirroringScheme>(3));
+  for (std::uint64_t block = 0; block < 50; ++block) {
+    a.try_write(block, payload(block, 1)).value_or_throw();
+  }
+  const PoolState before(pool);
+  const auto expect_refused = [](const Result<void>& r, const char* call) {
+    ASSERT_EQ(r.code(), ErrorCode::kInvalidArgument) << call;
+    EXPECT_NE(r.error().message.find(call), std::string::npos)
+        << r.error().message;
+  };
+  expect_refused(a.try_add_device({9, 1000, ""}), "StoragePool::add_device");
+  expect_refused(a.try_remove_device(6), "StoragePool::remove_device");
+  expect_refused(a.try_resize_device(6, 2000), "StoragePool::resize_device");
+  ClusterConfig grown = pool.config();
+  grown.add_device({9, 1000, ""});
+  EXPECT_EQ(a.apply_config(grown).code(), ErrorCode::kInvalidArgument);
+  expect_refused(a.try_set_strategy(PlacementKind::kFastRedundantShare),
+                 "StoragePool::set_volume_strategy");
+  expect_refused(a.try_set_scheme(std::make_shared<MirroringScheme>(3)),
+                 "StoragePool::set_volume_scheme");
+  EXPECT_THROW(a.fail_device(1), std::invalid_argument);
+  EXPECT_THROW((void)a.rebuild(), std::invalid_argument);
+  before.expect_same(pool);
+  EXPECT_EQ(a.placement_kind(), PlacementKind::kRedundantShare);
+  EXPECT_EQ(a.scheme().name(), "mirror(k=2)");
+  for (const auto& u : pool.usage()) EXPECT_FALSE(u.failed);
+
+  std::stringstream stream;
+  Snapshot::save_pool(pool, stream);
+  StoragePool restored = Snapshot::load_pool(stream);
+  EXPECT_TRUE(restored.config() == pool.config());
+  expect_one_config(restored);
+  for (std::uint64_t block = 0; block < 50; ++block) {
+    EXPECT_EQ(restored.volume("a").try_read(block).value_or_throw(),
+              payload(block, 1));
+  }
+}
+
+// A re-encode the shared devices have no room for -- the other volume's
+// fragments included -- is refused before anything is erased.
+TEST(StoragePool, SchemeSwapWithoutRoomChangesNothing) {
+  StoragePool pool(equal_devices(4, 1000));
+  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  for (std::uint64_t block = 0; block < 900; ++block) {
+    a.try_write(block, payload(block, 1)).value_or_throw();
+    b.try_write(block, payload(block, 2)).value_or_throw();
+  }
+  const PoolState before(pool);
+  const std::string refused = runtime_error_of([&] {
+    pool.set_volume_scheme("a", std::make_shared<MirroringScheme>(3));
+  });
+  EXPECT_NE(refused.find("device"), std::string::npos) << refused;
+  before.expect_same(pool);
+  EXPECT_EQ(a.scheme().name(), "mirror(k=2)");
+  for (std::uint64_t block = 0; block < 900; ++block) {
+    ASSERT_EQ(a.try_read(block).value_or_throw(), payload(block, 1)) << block;
+    ASSERT_EQ(b.try_read(block).value_or_throw(), payload(block, 2)) << block;
+  }
+}
+
+// Every pool edit, accepted or refused, leaves the pool and every volume
+// on one configuration, and an edit refused on an empty pool leaves the
+// device free.
+TEST(StoragePool, EveryVolumeSharesThePoolConfig) {
+  StoragePool empty{ClusterConfig{}};
+  EXPECT_THROW(empty.add_device({4, 0, ""}), std::invalid_argument);
+  EXPECT_TRUE(empty.config().empty());
+  empty.add_device({4, 1000, ""});
+  EXPECT_TRUE(empty.config().contains(4));
+
+  StoragePool pool(pool_config());
+  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b =
+      pool.create_volume("b", std::make_shared<ReedSolomonScheme>(3, 2));
+  for (std::uint64_t block = 0; block < 200; ++block) {
+    a.try_write(block, payload(block, 1)).value_or_throw();
+    b.try_write(block, payload(block, 2)).value_or_throw();
+  }
+  expect_one_config(pool);
+  pool.add_device({9, 4000, ""});
+  expect_one_config(pool);
+  EXPECT_THROW(pool.add_device({9, 100, ""}), std::invalid_argument);
+  expect_one_config(pool);
+  pool.resize_device(9, 5000);
+  expect_one_config(pool);
+  pool.resize_device(9, 2000);
+  expect_one_config(pool);
+  EXPECT_THROW(pool.resize_device(9, 0), std::invalid_argument);
+  expect_one_config(pool);
+  EXPECT_THROW(pool.resize_device(99, 10), std::out_of_range);
+  pool.remove_device(6);
+  expect_one_config(pool);
+  pool.fail_device(2);
+  EXPECT_THROW(pool.remove_device(2), std::invalid_argument);
+  EXPECT_THROW(pool.resize_device(2, 3000), std::runtime_error);
+  expect_one_config(pool);
+  EXPECT_GT(pool.rebuild(), 0u);
+  expect_one_config(pool);
+  EXPECT_FALSE(a.config().contains(2));
+  pool.set_volume_strategy("a", PlacementKind::kFastRedundantShare);
+  pool.set_volume_scheme("b", std::make_shared<MirroringScheme>(3));
+  expect_one_config(pool);
+  for (std::uint64_t block = 0; block < 200; ++block) {
+    ASSERT_EQ(a.try_read(block).value_or_throw(), payload(block, 1)) << block;
+    ASSERT_EQ(b.try_read(block).value_or_throw(), payload(block, 2)) << block;
+  }
+  EXPECT_TRUE(a.scrub().clean());
+  EXPECT_TRUE(b.scrub().clean());
+}
+
+// Block I/O on two volumes and a pool edit, from three threads at once:
+// the pool's one lock serializes them, so every read returns its write.
+TEST(StoragePool, VolumesAndEditsShareOneLockAcrossThreads) {
+  StoragePool pool(equal_devices(4, 100000));
+  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  std::atomic<int> wrong{0};
+  const auto io = [&wrong](VirtualDisk& volume, std::uint64_t salt) {
+    for (std::uint64_t block = 0; block < 2000; ++block) {
+      if (!volume.try_write(block, payload(block, salt)).ok()) ++wrong;
+      if (block % 2 == 1) {
+        const Result<Bytes> back = volume.try_read(block - 1);
+        if (!back.ok() || back.value() != payload(block - 1, salt)) ++wrong;
+      }
+    }
+  };
+  std::thread first(io, std::ref(a), 1);
+  std::thread second(io, std::ref(b), 2);
+  std::thread edits([&pool] {
+    pool.add_device({5, 100000, "e"});
+    pool.remove_device(5);
+  });
+  first.join();
+  second.join();
+  edits.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_FALSE(pool.config().contains(5));
+  expect_one_config(pool);
+  for (std::uint64_t block = 0; block < 2000; ++block) {
+    ASSERT_EQ(a.try_read(block).value_or_throw(), payload(block, 1)) << block;
+    ASSERT_EQ(b.try_read(block).value_or_throw(), payload(block, 2)) << block;
+  }
+  EXPECT_TRUE(a.scrub().clean());
+  EXPECT_TRUE(b.scrub().clean());
 }
 
 }  // namespace

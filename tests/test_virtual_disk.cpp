@@ -273,5 +273,36 @@ TEST(VirtualDisk, NullSchemeRejected) {
   EXPECT_THROW(VirtualDisk(small_cluster(), nullptr), std::invalid_argument);
 }
 
+// A re-encode the devices have no room for is refused before any fragment
+// is erased: 1800 mirror(2) blocks on four devices of 1000 cannot take a
+// third copy.
+TEST(VirtualDisk, SetSchemeWithoutRoomChangesNothing) {
+  VirtualDisk disk(ClusterConfig({{1, 1000, "a"},
+                                  {2, 1000, "b"},
+                                  {3, 1000, "c"},
+                                  {4, 1000, "d"}}),
+                   std::make_shared<MirroringScheme>(2));
+  for (std::uint64_t b = 0; b < 1800; ++b) {
+    disk.try_write(b, block_payload(b)).value_or_throw();
+  }
+  const std::uint64_t epoch = disk.placement_snapshot()->epoch;
+  std::vector<std::uint64_t> used;
+  for (DeviceId uid = 1; uid <= 4; ++uid) used.push_back(disk.used_on(uid));
+
+  const Result<void> swapped =
+      disk.try_set_scheme(std::make_shared<MirroringScheme>(3));
+  ASSERT_EQ(swapped.code(), ErrorCode::kIoError);
+  EXPECT_NE(swapped.error().message.find("device"), std::string::npos);
+  EXPECT_EQ(disk.scheme().name(), "mirror(k=2)");
+  EXPECT_EQ(disk.placement_snapshot()->epoch, epoch);
+  for (DeviceId uid = 1; uid <= 4; ++uid) {
+    EXPECT_EQ(disk.used_on(uid), used[uid - 1]) << uid;
+  }
+  for (std::uint64_t b = 0; b < 1800; ++b) {
+    ASSERT_EQ(disk.try_read(b).value_or_throw(), block_payload(b)) << b;
+  }
+  EXPECT_TRUE(disk.scrub().clean());
+}
+
 }  // namespace
 }  // namespace rds

@@ -233,19 +233,6 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
                  "}; establish one order and stick to it");
       }
     }
-    // Documented order: pool before volume (src/storage/storage_pool.hpp).
-    static const std::vector<std::pair<std::string, std::string>> kOrder = {
-        {"StoragePool::mu_", "VirtualDisk::mu_"}};
-    for (const auto& [first, second] : kOrder) {
-      const auto it = graph.find(second);
-      if (it == graph.end()) continue;
-      const auto e = it->second.find(first);
-      if (e == it->second.end()) continue;
-      emit(e->second.file, e->second.line, "lock-order",
-           "acquiring " + first + " while holding " + second + " (in " +
-               e->second.fn + ") inverts the documented pool -> volume "
-               "order (storage_pool.hpp)");
-    }
   }
 
   // ---- per-function CFG rules ---------------------------------------------

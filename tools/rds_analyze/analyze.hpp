@@ -5,9 +5,7 @@
 /// rule families on top of the lexer + CFG + call-graph + summary layers.
 ///
 ///   lock-order            cycles in the mutex acquisition graph
-///                         (summary-propagated through calls), and
-///                         volume->pool inversions of the documented
-///                         pool->volume order (storage_pool.hpp)
+///                         (summary-propagated through calls)
 ///   journal-protocol      the journal append is the commit point: its
 ///                         Result is checked on every path and no state
 ///                         mutation is reachable after an append, even
