@@ -1,8 +1,8 @@
 // Storage-layer microbenchmarks: VirtualDisk write, overwrite and read
 // throughput across redundancy schemes and placement strategies, the
-// topology edit, codec encode/decode speed, and the stage floors a 4 KiB
-// operation is measured against: one fragment checksum and one memcpy of
-// the same bytes.
+// topology edit, codec encode/decode speed (a 4 KiB encode among it), the
+// codec kernel, and the stage floors a 4 KiB operation is measured
+// against: one fragment checksum and one memcpy of the same bytes.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -10,6 +10,7 @@
 
 #include "bench/perf_main.hpp"
 #include "src/storage/erasure/evenodd.hpp"
+#include "src/storage/erasure/gf256.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/crc32.hpp"
 #include "src/util/random.hpp"
@@ -142,16 +143,22 @@ void bm_disk_edit(benchmark::State& state) {
   state.SetLabel(disk.scheme().name());
 }
 
-void bm_codec_encode(benchmark::State& state) {
+void codec_encode(benchmark::State& state, std::size_t size) {
   const auto scheme = scheme_for(static_cast<int>(state.range(0)));
-  const Bytes data = payload(65536, 4);
+  const Bytes data = payload(size, 4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(scheme->encode(data));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          65536);
+                          static_cast<std::int64_t>(size));
   state.SetLabel(scheme->name());
 }
+
+void bm_codec_encode(benchmark::State& state) { codec_encode(state, 65536); }
+
+// The encode stage of one 4 KiB block write, as VirtualDisk and perfbench's
+// `files-erasure` puts run it.
+void bm_codec_encode_4k(benchmark::State& state) { codec_encode(state, 4096); }
 
 void bm_codec_decode_two_losses(benchmark::State& state) {
   const auto scheme = scheme_for(static_cast<int>(state.range(0)));
@@ -184,6 +191,24 @@ void bm_fragment_checksum(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
   state.SetLabel("crc32");
+}
+
+// The one codec kernel (src/storage/erasure/gf256.hpp): dst ^= c * src
+// over one span, with a coefficient that takes the product tables rather
+// than the 0 and 1 shortcuts.  run_perf.sh --check holds it to at most 20
+// memcpys of the same bytes.
+void bm_gf_mul_add(benchmark::State& state) {
+  const Bytes src = payload(static_cast<std::size_t>(state.range(0)), 12);
+  Bytes dst = payload(src.size(), 13);
+  const auto c = static_cast<std::uint8_t>(src[0] | 2);
+  for (auto _ : state) {
+    gf256::mul_add(dst, src, c);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+  state.SetLabel("gf256::mul_add");
 }
 
 // The floor for moving the same bytes once.
@@ -221,8 +246,10 @@ BENCHMARK(bm_disk_overwrite)->Arg(0)->Arg(1);
 BENCHMARK(bm_disk_degraded_read)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(bm_disk_edit)->Unit(benchmark::kMillisecond);
 BENCHMARK(bm_codec_encode)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(bm_codec_encode_4k)->Arg(1);
 BENCHMARK(bm_codec_decode_two_losses)->Arg(1)->Arg(2);
 BENCHMARK(bm_fragment_checksum)->Arg(4096);
+BENCHMARK(bm_gf_mul_add)->Arg(4096);
 BENCHMARK(bm_memcpy)->Arg(4096);
 BENCHMARK_CAPTURE(bm_disk_write_strategy, redundant_share,
                   rds::PlacementKind::kRedundantShare);
