@@ -1,18 +1,24 @@
 // Storage-layer microbenchmarks: VirtualDisk write, overwrite and read
 // throughput across redundancy schemes and placement strategies, the
 // topology edit, codec encode/decode speed (a 4 KiB encode among it), the
-// codec kernel, and the stage floors a 4 KiB operation is measured
+// codec kernel, the journal-append stage of a file put and its content
+// fingerprint, and the stage floors a 4 KiB operation is measured
 // against: one fragment checksum and one memcpy of the same bytes.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <memory>
+#include <ostream>
+#include <streambuf>
 
 #include "bench/perf_main.hpp"
+#include "src/journal/journal.hpp"
+#include "src/journal/record.hpp"
 #include "src/storage/erasure/evenodd.hpp"
 #include "src/storage/erasure/gf256.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "src/util/crc32.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/random.hpp"
 
 namespace {
@@ -211,6 +217,42 @@ void bm_gf_mul_add(benchmark::State& state) {
   state.SetLabel("gf256::mul_add");
 }
 
+// The content fingerprint a journaled file put carries (XXH64).
+// run_perf.sh --check holds it to at most 40 memcpys of the same bytes.
+void bm_content_fingerprint(benchmark::State& state) {
+  const Bytes data = payload(static_cast<std::size_t>(state.range(0)), 10);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(content_fingerprint(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+  state.SetLabel("xxh64");
+}
+
+// An output stream buffer that accepts and drops every byte.
+class DiscardBuffer final : public std::streambuf {
+ protected:
+  int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+};
+
+// The journal-append stage of a file put: make_file_put (the copy and the
+// fingerprint) and JournalWriter::append (encode, frame CRC-32, write)
+// into a stream that discards its bytes.  run_perf.sh --check holds it to
+// at most 1.7 fragment-checksum passes over the same bytes.
+void bm_journal_file_put(benchmark::State& state) {
+  const Bytes data = payload(static_cast<std::size_t>(state.range(0)), 11);
+  DiscardBuffer discard;
+  std::ostream sink(&discard);
+  journal::JournalWriter writer(sink);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        writer.append(journal::make_file_put("file", data)).value_or_throw());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
 // The floor for moving the same bytes once.
 void bm_memcpy(benchmark::State& state) {
   const Bytes data = payload(static_cast<std::size_t>(state.range(0)), 9);
@@ -250,6 +292,8 @@ BENCHMARK(bm_codec_encode_4k)->Arg(1);
 BENCHMARK(bm_codec_decode_two_losses)->Arg(1)->Arg(2);
 BENCHMARK(bm_fragment_checksum)->Arg(4096);
 BENCHMARK(bm_gf_mul_add)->Arg(4096);
+BENCHMARK(bm_content_fingerprint)->Arg(4096);
+BENCHMARK(bm_journal_file_put)->Arg(4096);
 BENCHMARK(bm_memcpy)->Arg(4096);
 BENCHMARK_CAPTURE(bm_disk_write_strategy, redundant_share,
                   rds::PlacementKind::kRedundantShare);

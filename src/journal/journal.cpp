@@ -40,7 +40,8 @@ Result<std::uint64_t> read_sealed_header(std::istream& in, const char* magic,
   };
   ByteReader header(in);
   try {
-    if (header.magic() != magic) return corrupt("bad magic/version");
+    const std::string refused = magic_mismatch(header.magic(), magic);
+    if (!refused.empty()) return corrupt(refused);
     const auto value = header.read<std::uint64_t>();
     if (header.read<std::uint32_t>() != seal(value)) {
       return corrupt(std::string(field) + " checksum mismatch");

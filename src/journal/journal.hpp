@@ -38,8 +38,9 @@
 
 namespace rds::journal {
 
-/// Magic + version of the journal stream format.
-inline constexpr char kJournalMagic[] = "RDSWAL01";
+/// Magic + version of the journal stream format.  Version 2 fingerprints
+/// file-put content with XXH64; version 1 used FNV-1a and is refused.
+inline constexpr char kJournalMagic[] = "RDSWAL02";
 
 /// The sealed header that opens a journal stream and a checkpoint alike:
 /// an 8-byte magic, a u64 (the journal's start LSN, the checkpoint's
@@ -49,8 +50,9 @@ void write_sealed_header(std::ostream& out, const char* magic,
                          std::uint64_t value);
 
 /// Reads a sealed header that must carry `magic`.  kCorruption on a bad
-/// magic, a truncation or a checksum mismatch, with a message that starts
-/// "<stream> header: " and names `field` on a mismatch.
+/// magic (naming both versions when only the version byte differs), a
+/// truncation or a checksum mismatch, with a message that starts
+/// "<stream> header: " and names `field` on a checksum mismatch.
 [[nodiscard]] Result<std::uint64_t> read_sealed_header(
     std::istream& in, const char* magic, std::string_view stream,
     std::string_view field);

@@ -147,7 +147,7 @@ Record make_file_put(std::string file, std::span<const std::uint8_t> content) {
   r.type = RecordType::kFilePut;
   r.file = std::move(file);
   r.content.assign(content.begin(), content.end());
-  r.content_hash = hash_bytes(content);
+  r.content_hash = content_fingerprint(content);
   return r;
 }
 

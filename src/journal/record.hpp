@@ -57,7 +57,7 @@ struct Record {
   std::string volume;              ///< policy ops; "" = the standalone disk
   std::string detail;              ///< strategy kind or scheme name
   std::string file;                ///< file ops
-  std::uint64_t content_hash = 0;  ///< hash_bytes fingerprint of `content`
+  std::uint64_t content_hash = 0;  ///< content_fingerprint of `content`
   Bytes content;                   ///< kFilePut payload
 
   friend bool operator==(const Record&, const Record&) = default;

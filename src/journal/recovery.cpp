@@ -160,7 +160,7 @@ Result<void> apply(StoragePool& pool, const Record& rec) {
 Result<void> apply(FileStore& store, const Record& rec) {
   switch (rec.type) {
     case RecordType::kFilePut:
-      if (hash_bytes(rec.content) != rec.content_hash) {
+      if (content_fingerprint(rec.content) != rec.content_hash) {
         return Error{ErrorCode::kCorruption,
                      "content fingerprint mismatch for '" + rec.file + "'"};
       }
@@ -191,6 +191,18 @@ Result<ReplayReport> replay(Target& target, Lsn watermark,
   report.last_applied = watermark;
   for (;;) {
     Result<std::optional<Record>> next = reader.next();
+    // start_lsn() is 0 until a next() has read the header.  A journal that
+    // starts past watermark + 1 lacks records that the snapshot lacks too:
+    // replaying it would skip committed mutations.
+    if (const Lsn start = reader.start_lsn();
+        start > watermark && start - watermark > 1) {
+      return Error{ErrorCode::kCorruption,
+                   "journal starts at lsn " + std::to_string(start) +
+                       " but the checkpoint's watermark is " +
+                       std::to_string(watermark) + ": records lsn=" +
+                       std::to_string(watermark + 1) + ".." +
+                       std::to_string(start - 1) + " are missing"};
+    }
     if (!next.ok()) {
       corrupt.inc();
       if (options.strict) return next.error();

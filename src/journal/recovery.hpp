@@ -6,7 +6,8 @@
 // the watermark -- followed by a regular Snapshot section.  Recovery loads
 // the snapshot, then replays every journal record with lsn > watermark;
 // records at or below it are skipped (their effects are already in the
-// snapshot).
+// snapshot).  A journal that starts after watermark + 1 is refused: the
+// records between are in neither stream.
 //
 // Contract for torn journals: replay applies the valid prefix, stops at
 // the first corrupt frame, and *reports* it (ReplayReport::tail_corrupt /
@@ -97,10 +98,11 @@ class Recovery {
   /// Loads a checkpoint written by write_checkpoint(disk, ...) and replays
   /// `journal_in` over it (pass nullptr to restore the bare snapshot),
   /// skipping records at or below the checkpoint's watermark.  kCorruption
-  /// when the checkpoint itself is damaged.  A record that cannot be
-  /// applied (a file-store record against a bare disk, a content
-  /// fingerprint mismatch) is a typed error naming its LSN and type; a
-  /// corrupt journal tail is reported per RecoveryOptions.
+  /// when the checkpoint itself is damaged, or when the journal starts
+  /// after watermark + 1 (in lax mode too, and with no record in it).  A
+  /// record that cannot be applied (a file-store record against a bare
+  /// disk, a content fingerprint mismatch) is a typed error naming its LSN
+  /// and type; a corrupt journal tail is reported per RecoveryOptions.
   [[nodiscard]] static Result<DiskRecovery> recover_disk(
       std::istream& checkpoint_in, std::istream* journal_in,
       const RecoveryOptions& options = {});

@@ -18,16 +18,8 @@ constexpr char kPoolMagic[] = "RDSPOOL3";
 constexpr char kFileStoreMagic[] = "RDSFSTO3";
 
 void expect_magic(ByteReader& in, std::string_view want) {
-  const std::string got = in.magic();
-  if (got == want) return;
-  if (got.substr(0, 7) == want.substr(0, 7)) {
-    throw std::runtime_error(
-        "snapshot: " + got + " is format version " + got.substr(7) +
-        "; this build reads only version " + std::string(want.substr(7)) +
-        " (" + std::string(want) +
-        "), which stores each fragment's CRC-32 with its bytes");
-  }
-  throw std::runtime_error("snapshot: bad magic/version");
+  const std::string refused = magic_mismatch(in.magic(), want);
+  if (!refused.empty()) throw std::runtime_error("snapshot: " + refused);
 }
 
 // ---- sections --------------------------------------------------------------

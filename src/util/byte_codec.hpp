@@ -34,8 +34,28 @@
 
 namespace rds {
 
-/// Bytes of a magic: "RDSDISK3", "RDSWAL01", ...
+/// Bytes of a magic: "RDSDISK3", "RDSWAL02", ...
 inline constexpr std::size_t kMagicBytes = 8;
+
+/// The one check of a stream's magic, for journals, checkpoints and
+/// snapshots alike: "" when `got` is `want`, else why it is refused.  The
+/// last byte of a magic is its format version, so a magic that differs
+/// from `want` only there is named with both versions ("RDSWAL01 is
+/// format version 1; this build reads only version 2 (RDSWAL02)"); any
+/// other is a foreign stream, "bad magic".
+[[nodiscard]] inline std::string magic_mismatch(std::string_view got,
+                                                std::string_view want) {
+  if (got == want) return "";
+  const std::size_t version = kMagicBytes - 1;
+  if (got.size() == want.size() &&
+      got.substr(0, version) == want.substr(0, version)) {
+    return std::string(got) + " is format version " +
+           std::string(got.substr(version)) +
+           "; this build reads only version " +
+           std::string(want.substr(version)) + " (" + std::string(want) + ")";
+  }
+  return "bad magic";
+}
 
 /// The input ended before a field did, or a length claimed more bytes than
 /// the input holds.

@@ -1,4 +1,5 @@
-// Deterministic 64-bit hashing primitives.
+// Deterministic 64-bit hashing primitives, and the content fingerprint of
+// journaled file puts.
 //
 // Every randomized placement decision in this library is derived from a
 // *stable* hash of (ball address, device uid, copy level [, salt]) rather
@@ -9,7 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 
 namespace rds {
 
@@ -42,27 +42,12 @@ namespace rds {
   return hash_combine(hash2(address, uid), mix64(level + 0x1234567898765431ULL));
 }
 
-/// FNV-1a for strings (device names, salts).
-[[nodiscard]] constexpr std::uint64_t hash_str(std::string_view s) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return mix64(h);
-}
-
-/// FNV-1a over a byte buffer, length-mixed and finalized by mix64.  Content
-/// fingerprints (journal file-put records); collisions are 2^-64 events.
-[[nodiscard]] constexpr std::uint64_t hash_bytes(
-    std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const std::uint8_t b : data) {
-    h ^= b;
-    h *= 0x100000001b3ULL;
-  }
-  return mix64(h ^ data.size());
-}
+/// XXH64 with seed 0: the 64-bit content fingerprint a journal file-put
+/// record carries (docs/persistence.md).  A published algorithm, so any
+/// xxHash tool can check a stored value; the empty input gives
+/// 0xEF46DB3751D8E999.  Collisions are 2^-64 events.
+[[nodiscard]] std::uint64_t content_fingerprint(
+    std::span<const std::uint8_t> data) noexcept;
 
 /// Map a 64-bit hash to a double uniform in [0, 1).  Uses the top 53 bits so
 /// the result is an exact dyadic rational and never 1.0.

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace rds {
 namespace {
@@ -67,10 +69,107 @@ TEST(Hash, Hash3DependsOnLevel) {
   EXPECT_EQ(hash3(1, 2, 3), hash3(1, 2, 3));
 }
 
-TEST(Hash, HashStrBasics) {
-  EXPECT_EQ(hash_str("abc"), hash_str("abc"));
-  EXPECT_NE(hash_str("abc"), hash_str("abd"));
-  EXPECT_NE(hash_str(""), hash_str("a"));
+// Byte i of the pattern the fingerprint tests hash: i * 31 + 7.
+std::vector<std::uint8_t> fingerprint_pattern(std::size_t size) {
+  std::vector<std::uint8_t> b(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    b[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  return b;
+}
+
+// XXH64 with seed 0, as the reference implementation (xxHash 0.8.1's
+// XXH64) computes it for the pattern above.
+TEST(Hash, ContentFingerprintKnownAnswers) {
+  EXPECT_EQ(content_fingerprint({}), 0xEF46DB3751D8E999ULL);
+  const std::vector<std::uint8_t> data = fingerprint_pattern(4096);
+  const std::pair<std::size_t, std::uint64_t> known[] = {
+      {1, 0xA96C7F0CE858BBB7ULL},   {3, 0x56E6957632A487F9ULL},
+      {4, 0xC60D15B1E3FF8F04ULL},   {7, 0xAFBEFC3D6C6F9A8EULL},
+      {8, 0x3DA5C7AA269683E0ULL},   {31, 0x4A74F3A1A39AD4A1ULL},
+      {32, 0x8D57D6A4671CC43DULL},  {33, 0x62C9FD21ED857664ULL},
+      {100, 0xEFA0AD2D3E70C151ULL}, {4096, 0xE21174BE82DC78D9ULL},
+  };
+  for (const auto& [size, want] : known) {
+    EXPECT_EQ(content_fingerprint({data.data(), size}), want) << size;
+  }
+}
+
+// XXH64 (seed 0) written out plainly: every word assembled from its
+// little-endian bytes, no loads of unaligned words.
+std::uint64_t reference_xxh64(const std::uint8_t* p, std::size_t n) {
+  constexpr std::uint64_t k1 = 0x9E3779B185EBCA87ULL;
+  constexpr std::uint64_t k2 = 0xC2B2AE3D27D4EB4FULL;
+  constexpr std::uint64_t k3 = 0x165667B19E3779F9ULL;
+  constexpr std::uint64_t k4 = 0x85EBCA77C2B2AE63ULL;
+  constexpr std::uint64_t k5 = 0x27D4EB2F165667C5ULL;
+  const auto word = [](const std::uint8_t* q, int bytes) {
+    std::uint64_t w = 0;
+    for (int i = bytes - 1; i >= 0; --i) w = (w << 8) | q[i];
+    return w;
+  };
+  const auto round = [&](std::uint64_t acc, std::uint64_t input) {
+    acc += input * k2;
+    acc = (acc << 31) | (acc >> 33);
+    return acc * k1;
+  };
+  const auto rotl = [](std::uint64_t x, int r) {
+    return (x << r) | (x >> (64 - r));
+  };
+  const std::size_t len = n;
+  std::uint64_t h;
+  if (n >= 32) {
+    std::uint64_t v[4] = {k1 + k2, k2, 0, 0 - k1};
+    for (; n >= 32; p += 32, n -= 32) {
+      for (int lane = 0; lane < 4; ++lane) {
+        v[lane] = round(v[lane], word(p + 8 * lane, 8));
+      }
+    }
+    h = rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) + rotl(v[3], 18);
+    for (const std::uint64_t lane : v) {
+      h ^= round(0, lane);
+      h = h * k1 + k4;
+    }
+  } else {
+    h = k5;
+  }
+  h += len;
+  for (; n >= 8; p += 8, n -= 8) {
+    h ^= round(0, word(p, 8));
+    h = rotl(h, 27) * k1 + k4;
+  }
+  if (n >= 4) {
+    h ^= word(p, 4) * k1;
+    h = rotl(h, 23) * k2 + k3;
+    p += 4;
+    n -= 4;
+  }
+  for (; n > 0; ++p, --n) {
+    h ^= *p * k5;
+    h = rotl(h, 11) * k1;
+  }
+  h ^= h >> 33;
+  h *= k2;
+  h ^= h >> 29;
+  h *= k3;
+  h ^= h >> 32;
+  return h;
+}
+
+// Every tail shape (lengths 0-100) and the 4 KiB block, at every
+// alignment of the first word.
+TEST(Hash, ContentFingerprintMatchesReferenceAtEveryLengthAndOffset) {
+  const std::vector<std::uint8_t> data = fingerprint_pattern(4096 + 8);
+  std::vector<std::size_t> sizes(101);
+  for (std::size_t i = 0; i < sizes.size(); ++i) sizes[i] = i;
+  sizes.push_back(4096);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t size : sizes) {
+      const std::uint8_t* p = data.data() + offset;
+      EXPECT_EQ(content_fingerprint({p, size}), reference_xxh64(p, size))
+          << "size " << size << " offset " << offset;
+    }
+  }
 }
 
 TEST(Hash, UnitValueStableUnderUnrelatedChanges) {

@@ -49,7 +49,7 @@ TEST(JournalRecord, FilePutCarriesContentFingerprint) {
   const Bytes content = bytes_of({9, 8, 7});
   const Record rec = make_file_put("f", content);
   EXPECT_EQ(rec.content, content);
-  EXPECT_EQ(rec.content_hash, hash_bytes(content));
+  EXPECT_EQ(rec.content_hash, content_fingerprint(content));
 }
 
 TEST(JournalRecord, DecodeRejectsTruncatedPayload) {
@@ -239,12 +239,16 @@ struct Reappended {
   std::string rewritten;
 };
 
-Reappended reappend(const char* path) {
-  Reappended r;
+std::string read_file(const char* path) {
   std::ifstream file(path, std::ios::binary);
   EXPECT_TRUE(file) << "missing " << path;
-  r.committed.assign(std::istreambuf_iterator<char>(file),
-                     std::istreambuf_iterator<char>());
+  return {std::istreambuf_iterator<char>(file),
+          std::istreambuf_iterator<char>()};
+}
+
+Reappended reappend(const char* path) {
+  Reappended r;
+  r.committed = read_file(path);
   std::istringstream in(r.committed);
   JournalReader reader(in);
   for (;;) {
@@ -264,18 +268,39 @@ Reappended reappend(const char* path) {
 
 // The writer's half of the committed golden journal (the reader's half is
 // Recovery.CommittedJournalReplaysIntoFreshFileStore): the records decoded
-// from tests/data/parent_journal.wal, re-appended from the file's start
+// from tests/data/golden_journal.wal, re-appended from the file's start
 // LSN, write the file again byte for byte.
 TEST(JournalWriter, ReappendsCommittedJournalByteForByte) {
-  const Reappended r = reappend(RDS_TEST_DATA_DIR "/parent_journal.wal");
+  const Reappended r = reappend(RDS_TEST_DATA_DIR "/golden_journal.wal");
+  EXPECT_EQ(r.committed.substr(0, 8), "RDSWAL02");
   ASSERT_EQ(r.records.size(), 5u);
   EXPECT_EQ(r.rewritten, r.committed);
 }
 
-// tests/data/golden_records.wal pins the payload of every record type: it
-// holds one record of each of the 11 types, LSNs 40-50, with a device uid
-// and capacity above 2^32 and a 300-byte file put.  Each decodes to the
-// record that was written, and re-appending them writes the file again.
+// tests/data/parent_journal.wal is a version 1 journal (RDSWAL01, whose
+// file puts carry FNV-1a fingerprints): 5 records on a 3-device mirror(2)
+// FileStore, the records of golden_journal.wal.  This build refuses it by
+// its header, naming the version, so none of its fingerprints is checked
+// with the wrong function.
+TEST(JournalReader, RefusesVersionOneJournalNamingItsVersion) {
+  const std::string committed =
+      read_file(RDS_TEST_DATA_DIR "/parent_journal.wal");
+  ASSERT_EQ(committed.substr(0, 8), "RDSWAL01");
+  std::istringstream in(committed);
+  JournalReader reader(in);
+  auto next = reader.next();
+  ASSERT_FALSE(next.ok());
+  EXPECT_EQ(next.error().code, ErrorCode::kCorruption);
+  EXPECT_EQ(next.error().message,
+            "journal header: RDSWAL01 is format version 1; this build reads "
+            "only version 2 (RDSWAL02)");
+}
+
+// tests/data/golden_records.wal, a version 2 journal, pins the payload of
+// every record type: it holds one record of each of the 11 types, LSNs
+// 40-50, with a device uid and capacity above 2^32 and a 300-byte file put
+// whose fingerprint is XXH64.  Each decodes to the record that was
+// written, and re-appending them writes the file again.
 TEST(JournalWriter, ReappendsEveryRecordTypeByteForByte) {
   const auto content = [](std::size_t size, std::uint8_t salt) {
     Bytes b(size);
@@ -301,6 +326,7 @@ TEST(JournalWriter, ReappendsEveryRecordTypeByteForByte) {
   for (std::size_t i = 0; i < want.size(); ++i) want[i].lsn = 40 + i;
 
   const Reappended r = reappend(RDS_TEST_DATA_DIR "/golden_records.wal");
+  EXPECT_EQ(r.committed.substr(0, 8), "RDSWAL02");
   EXPECT_EQ(r.records, want);
   EXPECT_EQ(r.rewritten, r.committed);
 }

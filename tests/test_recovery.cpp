@@ -61,13 +61,22 @@ TEST(CheckpointHeader, RejectsBadMagicTruncationAndCrc) {
             ErrorCode::kCorruption);
 
   std::stringstream wrong("WRONGMAGxxxxxxxxxxxx");
-  EXPECT_EQ(read_checkpoint_header(wrong).error().code,
-            ErrorCode::kCorruption);
+  auto foreign = read_checkpoint_header(wrong);
+  EXPECT_EQ(foreign.error().code, ErrorCode::kCorruption);
+  EXPECT_EQ(foreign.error().message, "checkpoint header: bad magic");
 
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
   std::stringstream full;
   write_checkpoint(disk, 3, full);
   const std::string bytes = full.str();
+
+  // Another version of the same format is named, not just refused.
+  std::stringstream other_version("RDSCKPT2" + bytes.substr(8));
+  auto versioned = read_checkpoint_header(other_version);
+  EXPECT_EQ(versioned.error().code, ErrorCode::kCorruption);
+  EXPECT_EQ(versioned.error().message,
+            "checkpoint header: RDSCKPT2 is format version 2; this build "
+            "reads only version 1 (RDSCKPT1)");
 
   std::stringstream truncated(bytes.substr(0, 12));
   EXPECT_EQ(read_checkpoint_header(truncated).error().code,
@@ -361,16 +370,15 @@ TEST(Recovery, FileStoreMutationsReplayByteIdentical) {
   EXPECT_TRUE(twin.disk().scrub().clean());
 }
 
-// tests/data/parent_journal.wal was written by the byte-at-a-time CRC-32
-// this library used before its slicing-by-4 rewrite: on a 3-device
-// mirror(2) FileStore with 64-byte blocks, it holds add device 4 (400),
-// resize device 3 to 500, and puts of alpha, beta and gamma.  Its frame
-// CRCs must still verify, so RDSWAL01 journals written before the rewrite
-// stay readable.  It replays over a checkpoint of that store, fresh, at
+// tests/data/golden_journal.wal is the version 2 twin of the version 1
+// tests/data/parent_journal.wal: on a 3-device mirror(2) FileStore with
+// 64-byte blocks, it holds add device 4 (400), resize device 3 to 500, and
+// puts of alpha, beta and gamma, each with its XXH64 fingerprint, which
+// replay checks.  It replays over a checkpoint of that store, fresh, at
 // watermark 0.
 TEST(Recovery, CommittedJournalReplaysIntoFreshFileStore) {
-  std::ifstream wal(RDS_TEST_DATA_DIR "/parent_journal.wal", std::ios::binary);
-  ASSERT_TRUE(wal) << "missing " RDS_TEST_DATA_DIR "/parent_journal.wal";
+  std::ifstream wal(RDS_TEST_DATA_DIR "/golden_journal.wal", std::ios::binary);
+  ASSERT_TRUE(wal) << "missing " RDS_TEST_DATA_DIR "/golden_journal.wal";
   const FileStore fresh(VirtualDisk(ClusterConfig({{1, 300, "a"},
                                                    {2, 300, "b"},
                                                    {3, 200, "c"}}),
@@ -397,6 +405,72 @@ TEST(Recovery, CommittedJournalReplaysIntoFreshFileStore) {
   EXPECT_EQ(store.try_get("beta").value_or_throw(), pattern(64, 2));
   EXPECT_EQ(store.try_get("gamma").value_or_throw(), pattern(150, 3));
   EXPECT_TRUE(store.disk().scrub().clean());
+}
+
+// A checkpoint restores a committed state only with a journal that
+// continues it.  Checkpoint A (watermark 1) rotates onto journal J2 and
+// checkpoint B (watermark 3) onto J3.  A with J3 would hold a and d but
+// not b and c, a state that was never committed, so recovery refuses it,
+// in strict and lax mode alike, and before J3 holds any record too.  A
+// with J2, B with J3 and B with J2 (every record skipped) recover.
+TEST(Recovery, JournalStartingPastTheWatermarkIsRefused) {
+  FileStore store(
+      VirtualDisk(base_config(), std::make_shared<MirroringScheme>(2)), 64);
+  std::stringstream j1;
+  auto writer = std::make_shared<JournalWriter>(j1);
+  store.set_journal(writer);
+  store.put("a", pattern(100, 1));
+  std::stringstream ckpt_a;
+  std::stringstream j2;
+  ASSERT_EQ(checkpoint(store, *writer, ckpt_a, j2), 1u);
+  store.put("b", pattern(70, 2));
+  store.put("c", pattern(90, 3));
+  std::stringstream ckpt_b;
+  std::stringstream j3;
+  ASSERT_EQ(checkpoint(store, *writer, ckpt_b, j3), 3u);
+  const std::string j3_empty = j3.str();
+  store.put("d", pattern(50, 4));
+
+  const auto recover = [](const std::stringstream& ckpt,
+                          const std::string& wal_bytes, bool strict) {
+    std::istringstream ckpt_in(ckpt.str());
+    std::istringstream wal(wal_bytes);
+    return Recovery::recover_file_store(ckpt_in, &wal,
+                                        RecoveryOptions{.strict = strict});
+  };
+  for (const bool strict : {true, false}) {
+    for (const std::string& wal : {j3.str(), j3_empty}) {
+      auto refused = recover(ckpt_a, wal, strict);
+      ASSERT_FALSE(refused.ok()) << "strict=" << strict;
+      EXPECT_EQ(refused.error().code, ErrorCode::kCorruption);
+      EXPECT_EQ(refused.error().message,
+                "journal starts at lsn 4 but the checkpoint's watermark is 1: "
+                "records lsn=2..3 are missing");
+    }
+  }
+
+  const auto expect_files = [](const FileStore& twin,
+                               const std::vector<std::string>& names) {
+    EXPECT_EQ(twin.file_count(), names.size());
+    for (const std::string& name : names) EXPECT_TRUE(twin.contains(name));
+  };
+  auto a2 = recover(ckpt_a, j2.str(), true);
+  ASSERT_TRUE(a2.ok()) << a2.error().message;
+  EXPECT_EQ(a2.value().report.last_applied, 3u);
+  expect_files(a2.value().store, {"a", "b", "c"});
+
+  auto b3 = recover(ckpt_b, j3.str(), true);
+  ASSERT_TRUE(b3.ok()) << b3.error().message;
+  EXPECT_EQ(b3.value().report.last_applied, 4u);
+  expect_files(b3.value().store, {"a", "b", "c", "d"});
+  EXPECT_EQ(b3.value().store.try_get("d").value_or_throw(), pattern(50, 4));
+
+  auto b2 = recover(ckpt_b, j2.str(), true);
+  ASSERT_TRUE(b2.ok()) << b2.error().message;
+  EXPECT_EQ(b2.value().report.records_skipped, 2u);
+  EXPECT_EQ(b2.value().report.records_applied, 0u);
+  EXPECT_EQ(b2.value().report.last_applied, 3u);
+  expect_files(b2.value().store, {"a", "b", "c"});
 }
 
 // tests/data/golden_disk.ckpt, watermark 5: a reed-solomon(3+2) disk on
