@@ -7,7 +7,7 @@
 // substrates, plus strategy (re)construction cost -- the other side of the
 // trade (tables are rebuilt per committed topology change).  The
 // bm_factory_* rows construct through make_replication_strategy, i.e. the
-// exact path VirtualDisk::apply_config takes; the perf ratchet's headline
+// exact path a VirtualDisk reshape takes; the perf ratchet's headline
 // speedup check (fast-redundant-share vs redundant-share,
 // docs/benchmarks.md) reads those rows.
 #include <benchmark/benchmark.h>
@@ -71,7 +71,7 @@ void bm_single(benchmark::State& state) {
 }
 
 // Factory-path placement: the strategy is built by make_replication_strategy
-// exactly as VirtualDisk::apply_config / rds_cli do, so these rows measure
+// exactly as a VirtualDisk reshape and rds_cli do, so these rows measure
 // what a live system actually serves (virtual dispatch included).
 void bm_factory_replicated(benchmark::State& state, PlacementKind kind) {
   const auto n = static_cast<std::size_t>(state.range(0));

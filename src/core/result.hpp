@@ -117,6 +117,11 @@ class [[nodiscard]] Result<void> {
   }
   Result(ErrorCode code, std::string message)
       : Result(Error{code, std::move(message)}) {}
+  /// `other`'s outcome without its value.
+  template <typename T>
+  explicit Result(const Result<T>& other) {
+    if (!other.ok()) error_ = other.error();
+  }
 
   [[nodiscard]] bool ok() const noexcept {
     return error_.code == ErrorCode::kOk;

@@ -19,7 +19,8 @@ void write_checkpoint_header(std::ostream& out, Lsn watermark) {
   if (!out) throw std::runtime_error("checkpoint: header write failed");
 }
 
-/// Runs a throwing mutation, mapping its exception taxonomy onto Result.
+/// Runs a mutation that throws by contract (fail_device, rebuild, volume
+/// create/drop, file put/remove), mapping its exceptions onto Result.
 template <typename Fn>
 Result<void> guarded(Fn&& fn) {
   try {
@@ -54,19 +55,11 @@ Result<std::shared_ptr<RedundancyScheme>> parse_scheme(
 
 // ---- per-target record application ----------------------------------------
 
-Result<void> apply(VirtualDisk& disk, const Record& rec) {
+// A disk's and a pool's policy and volume records; apply() below takes
+// the topology records of both.
+
+Result<void> apply_policy(VirtualDisk& disk, const Record& rec) {
   switch (rec.type) {
-    case RecordType::kAddDevice:
-      return disk.try_add_device(
-          Device{rec.device, rec.capacity, rec.device_name});
-    case RecordType::kRemoveDevice:
-      return disk.try_remove_device(rec.device);
-    case RecordType::kResizeDevice:
-      return disk.try_resize_device(rec.device, rec.capacity);
-    case RecordType::kFailDevice:
-      return guarded([&] { disk.fail_device(rec.device); });
-    case RecordType::kRebuild:
-      return guarded([&] { disk.rebuild(); });
     case RecordType::kSetStrategy: {
       if (!rec.volume.empty()) {
         return Error{ErrorCode::kInvalidArgument,
@@ -96,24 +89,14 @@ Result<void> apply(VirtualDisk& disk, const Record& rec) {
     case RecordType::kFileRemove:
       return Error{ErrorCode::kInvalidArgument,
                    "file-store record replayed against a bare disk"};
+    default:
+      break;
   }
   return Error{ErrorCode::kCorruption, "unknown record type"};
 }
 
-Result<void> apply(StoragePool& pool, const Record& rec) {
+Result<void> apply_policy(StoragePool& pool, const Record& rec) {
   switch (rec.type) {
-    case RecordType::kAddDevice:
-      return guarded([&] {
-        pool.add_device(Device{rec.device, rec.capacity, rec.device_name});
-      });
-    case RecordType::kRemoveDevice:
-      return guarded([&] { pool.remove_device(rec.device); });
-    case RecordType::kResizeDevice:
-      return guarded([&] { pool.resize_device(rec.device, rec.capacity); });
-    case RecordType::kFailDevice:
-      return guarded([&] { pool.fail_device(rec.device); });
-    case RecordType::kRebuild:
-      return guarded([&] { pool.rebuild(); });
     case RecordType::kSetStrategy: {
       if (rec.volume.empty()) {
         return Error{ErrorCode::kInvalidArgument,
@@ -121,8 +104,7 @@ Result<void> apply(StoragePool& pool, const Record& rec) {
       }
       Result<PlacementKind> kind = parse_kind(rec.detail);
       if (!kind.ok()) return kind.error();
-      return guarded(
-          [&] { pool.set_volume_strategy(rec.volume, kind.value()); });
+      return pool.try_set_volume_strategy(rec.volume, kind.value());
     }
     case RecordType::kSetScheme: {
       if (rec.volume.empty()) {
@@ -132,9 +114,7 @@ Result<void> apply(StoragePool& pool, const Record& rec) {
       Result<std::shared_ptr<RedundancyScheme>> scheme =
           parse_scheme(rec.detail);
       if (!scheme.ok()) return scheme.error();
-      return guarded([&] {
-        pool.set_volume_scheme(rec.volume, std::move(scheme).take());
-      });
+      return pool.try_set_volume_scheme(rec.volume, std::move(scheme).take());
     }
     case RecordType::kCreateVolume: {
       Result<PlacementKind> kind = parse_kind(rec.device_name);
@@ -153,8 +133,32 @@ Result<void> apply(StoragePool& pool, const Record& rec) {
     case RecordType::kFileRemove:
       return Error{ErrorCode::kInvalidArgument,
                    "file-store record replayed against a pool"};
+    default:
+      break;
   }
   return Error{ErrorCode::kCorruption, "unknown record type"};
+}
+
+/// A disk's or a pool's record.  The topology records apply alike: the
+/// edits through their Result form, fail and rebuild through the calls
+/// that throw by contract.
+template <typename Target>
+Result<void> apply(Target& target, const Record& rec) {
+  switch (rec.type) {
+    case RecordType::kAddDevice:
+      return target.try_add_device(
+          Device{rec.device, rec.capacity, rec.device_name});
+    case RecordType::kRemoveDevice:
+      return target.try_remove_device(rec.device);
+    case RecordType::kResizeDevice:
+      return target.try_resize_device(rec.device, rec.capacity);
+    case RecordType::kFailDevice:
+      return guarded([&] { target.fail_device(rec.device); });
+    case RecordType::kRebuild:
+      return guarded([&] { target.rebuild(); });
+    default:
+      return apply_policy(target, rec);
+  }
 }
 
 Result<void> apply(FileStore& store, const Record& rec) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <stdexcept>
 #include <unordered_map>
@@ -472,7 +473,13 @@ void ChurnSim::on_churn(double now) {
   }
 
   if (mirror_ != nullptr) {
-    (void)mirror_->apply_config(topology_).value_or_throw();
+    // The same one-device edit, as the record the disk journals.
+    const std::optional<std::size_t> at = topology_.index_of(affected);
+    const Result<void> mirrored =
+        !at     ? mirror_->try_remove_device(affected)
+        : added ? mirror_->try_add_device(topology_[*at])
+                : mirror_->try_resize_device(affected, topology_[*at].capacity);
+    mirrored.value_or_throw();
     check_mirror(op_name);
   }
 

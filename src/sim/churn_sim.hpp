@@ -54,7 +54,8 @@
 //
 // Cross-checks against the storage layer
 //   run_churn(config, &mirror) drives a real VirtualDisk through the same
-//   churn edits via apply_config and verifies sampled placements agree.
+//   one-device churn edits (try_add_device, try_remove_device,
+//   try_resize_device) and verifies sampled placements agree.
 //   Blocks written into the mirror beforehand move with every edit, so the
 //   disk's reshape -- the one engine that moves stored fragments -- is
 //   exercised by the same edit sequence.
@@ -156,8 +157,8 @@ struct ChurnResult {
 [[nodiscard]] ChurnResult run_churn(const ChurnSimConfig& config);
 
 /// Mirror form: `mirror` must be a VirtualDisk over the same initial
-/// config / strategy kind / k.  Every churn edit is also applied through
-/// VirtualDisk::apply_config and sampled placements are cross-checked
+/// config / strategy kind / k.  Every churn edit is also applied to it as
+/// the same one-device edit, and sampled placements are cross-checked
 /// (std::logic_error on divergence).  Failures are NOT forwarded -- the
 /// mirror validates the placement/movement path, not the loss path.
 [[nodiscard]] ChurnResult run_churn(const ChurnSimConfig& config,

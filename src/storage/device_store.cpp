@@ -1,7 +1,9 @@
 #include "src/storage/device_store.hpp"
 
 #include <stdexcept>
+#include <string>
 
+#include "src/metrics/registry.hpp"
 #include "src/util/crc32.hpp"
 #include "src/util/hash.hpp"
 
@@ -25,7 +27,12 @@ Fragment Fragment::seal_like(std::vector<std::uint8_t> bytes,
 
 bool Fragment::intact() const noexcept { return crc32(bytes) == crc; }
 
-DeviceStore::DeviceStore(Device device) : device_(std::move(device)) {}
+DeviceStore::DeviceStore(Device device)
+    : device_(std::move(device)),
+      gauge_(&metrics::Registry::global().gauge(
+          "rds_device_fragments", {{"device", std::to_string(device_.uid)}})) {
+  gauge_->set(0);
+}
 
 bool DeviceStore::can_write(const FragmentKey& key) const {
   return !failed_ &&
@@ -40,6 +47,7 @@ void DeviceStore::write(const FragmentKey& key, Fragment fragment) {
         device_.name);
   }
   data_.insert_or_assign(key, std::move(fragment));
+  gauge_->set(static_cast<std::int64_t>(data_.size()));
 }
 
 const Fragment* DeviceStore::read(const FragmentKey& key) const {
@@ -52,7 +60,11 @@ bool DeviceStore::contains(const FragmentKey& key) const {
   return !failed_ && data_.contains(key);
 }
 
-bool DeviceStore::erase(const FragmentKey& key) { return data_.erase(key) > 0; }
+bool DeviceStore::erase(const FragmentKey& key) {
+  if (data_.erase(key) == 0) return false;
+  gauge_->set(static_cast<std::int64_t>(data_.size()));
+  return true;
+}
 
 std::uint64_t DeviceStore::used_by_volume(std::uint32_t volume) const {
   std::uint64_t count = 0;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/cluster/device.hpp"
+#include "src/metrics/gauge.hpp"
 
 namespace rds {
 
@@ -50,6 +51,9 @@ struct Fragment {
   [[nodiscard]] bool intact() const noexcept;
 };
 
+/// One device's fragments.  Its `rds_device_fragments{device}` gauge
+/// follows used() through every write and erase, a snapshot load's
+/// included.
 class DeviceStore {
  public:
   /// `capacity` is in fragments (the paper's "balls").
@@ -109,6 +113,8 @@ class DeviceStore {
   Device device_;
   std::unordered_map<FragmentKey, Fragment, FragmentKeyHash> data_;
   bool failed_ = false;
+  /// Registry-owned (process lifetime), resolved once at construction.
+  metrics::Gauge* gauge_;
 };
 
 }  // namespace rds

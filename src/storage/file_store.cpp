@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/journal/journal.hpp"
 #include "src/journal/record.hpp"
 
 namespace rds {
@@ -64,8 +63,12 @@ void FileStore::put(const std::string& name,
     files_.emplace(name, std::move(entry));
   }
   // The record copies and hashes the whole content: build it only for a
-  // journal that takes it (replay puts run unjournaled).
-  if (journal_) journal_append(journal::make_file_put(name, content));
+  // sink that takes it (replay puts run unjournaled).
+  DeviceSet& set = *disk_.set_;
+  const MutexLock lock(set.mu_);
+  if (set.journal_) {
+    set.journal_locked(journal::make_file_put(name, content)).value_or_throw();
+  }
 }
 
 Result<std::optional<Bytes>> FileStore::try_get(const std::string& name) {
@@ -91,24 +94,14 @@ bool FileStore::remove(const std::string& name) {
   if (it == files_.end()) return false;
   release_blocks(it->second);
   files_.erase(it);
-  journal_append(journal::make_file_remove(name));
+  DeviceSet& set = *disk_.set_;
+  const MutexLock lock(set.mu_);
+  set.journal_locked(journal::make_file_remove(name)).value_or_throw();
   return true;
 }
 
 void FileStore::set_journal(std::shared_ptr<journal::JournalSink> sink) {
-  journal_ = sink;
   disk_.set_journal(std::move(sink));
-}
-
-void FileStore::journal_append(const journal::Record& record) {
-  if (!journal_) return;
-  const Result<journal::Lsn> appended = journal_->append(record);
-  if (!appended.ok()) {
-    throw std::runtime_error(
-        "FileStore: operation committed in memory but journaling failed; "
-        "snapshot and rotate the journal before further mutations: " +
-        appended.error().message);
-  }
 }
 
 std::vector<FileInfo> FileStore::list() const {

@@ -58,10 +58,10 @@ class FileStore {
   [[nodiscard]] VirtualDisk& disk() noexcept { return disk_; }
   [[nodiscard]] const VirtualDisk& disk() const noexcept { return disk_; }
 
-  /// Attaches a journal sink to the store AND its disk: file mutations
-  /// (put/remove, with content fingerprints) and the disk's topology
-  /// mutations land in one commit-ordered journal (docs/persistence.md).
-  /// Pass nullptr to detach both.
+  /// Attaches a journal sink to the disk's device set: file mutations
+  /// (put/remove, with content fingerprints) are appended through it, so
+  /// they and the disk's topology mutations land in one commit-ordered
+  /// journal (docs/persistence.md).  Pass nullptr to detach.
   void set_journal(std::shared_ptr<journal::JournalSink> sink);
 
  private:
@@ -74,16 +74,11 @@ class FileStore {
   [[nodiscard]] std::uint64_t allocate_block();
   void release_blocks(const FileEntry& entry);
 
-  /// Appends a record to the attached journal (no-op without one); throws
-  /// std::runtime_error if the append fails after the mutation committed.
-  void journal_append(const journal::Record& record);
-
   VirtualDisk disk_;
   std::size_t block_size_;
   std::map<std::string, FileEntry> files_;
   std::vector<std::uint64_t> free_blocks_;
   std::uint64_t next_block_ = 0;
-  std::shared_ptr<journal::JournalSink> journal_;
 };
 
 }  // namespace rds

@@ -213,13 +213,14 @@ StoragePool Snapshot::load_pool(std::istream& stream) {
       std::make_shared<DeviceSet>(std::move(config), std::move(stores)));
   for (auto n = in.read<std::uint32_t>(); n > 0; --n) {
     auto name = in.read<std::string>();
-    auto volume = std::make_unique<VirtualDisk>(load_volume(in, {}, &pool));
+    auto volume = std::make_shared<VirtualDisk>(load_volume(in, {}, &pool));
     const MutexLock lock(pool.mu_);
     pool.volumes_.emplace(std::move(name), std::move(volume));
   }
   {
     const MutexLock lock(pool.mu_);
     pool.next_volume_id_ = next_volume_id;
+    pool.volumes_gauge_->set(static_cast<std::int64_t>(pool.volumes_.size()));
   }
   return pool;
 }

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/journal/journal.hpp"
 #include "src/journal/record.hpp"
 #include "src/metrics/registry.hpp"
 
@@ -16,9 +15,15 @@ StoragePool::StoragePool(std::shared_ptr<DeviceSet> set)
     : set_(std::move(set)),
       mu_(set_->mu_),
       config_(set_->config_),
-      stores_(set_->stores_) {}
+      stores_(set_->stores_),
+      volumes_gauge_(&metrics::Registry::global().gauge("rds_pool_volumes")),
+      devices_gauge_(&metrics::Registry::global().gauge("rds_pool_devices")) {
+  const MutexLock lock(mu_);
+  volumes_gauge_->set(0);
+  devices_gauge_->set(static_cast<std::int64_t>(config_.size()));
+}
 
-VirtualDisk& StoragePool::create_volume(
+std::shared_ptr<VirtualDisk> StoragePool::create_volume(
     const std::string& name, std::shared_ptr<RedundancyScheme> scheme,
     PlacementKind kind) {
   const MutexLock lock(mu_);
@@ -27,42 +32,34 @@ VirtualDisk& StoragePool::create_volume(
   }
   const std::string scheme_name = scheme ? scheme->name() : std::string{};
   // The new volume's constructor reads the set under the lock held here.
-  auto disk = std::unique_ptr<VirtualDisk>(new VirtualDisk(
+  auto disk = std::shared_ptr<VirtualDisk>(new VirtualDisk(
       set_, std::move(scheme), kind, next_volume_id_++, /*pooled=*/true));
-  VirtualDisk& ref = *disk;
-  volumes_.emplace(name, std::move(disk));
+  volumes_.emplace(name, disk);
+  volumes_gauge_->set(static_cast<std::int64_t>(volumes_.size()));
   metrics::Registry::global().counter("rds_pool_volumes_created_total").inc();
-  journal_locked(journal::make_create_volume(name, scheme_name, kind));
-  return ref;
+  set_->journal_locked(journal::make_create_volume(name, scheme_name, kind))
+      .value_or_throw();
+  return disk;
 }
 
 void StoragePool::set_journal(std::shared_ptr<journal::JournalSink> sink) {
   const MutexLock lock(mu_);
-  journal_ = std::move(sink);
+  set_->mu_.assert_held();  // mu_ is the set's mutex
+  set_->journal_ = std::move(sink);
 }
 
-void StoragePool::journal_locked(const journal::Record& record) {
-  if (!journal_) return;
-  const Result<journal::Lsn> appended = journal_->append(record);
-  if (!appended.ok()) {
-    throw std::runtime_error(
-        "StoragePool: operation committed in memory but journaling failed; "
-        "snapshot and rotate the journal before further mutations: " +
-        appended.error().message);
-  }
-}
-
-VirtualDisk& StoragePool::volume(const std::string& name) {
+std::shared_ptr<VirtualDisk> StoragePool::volume(const std::string& name) {
   const MutexLock lock(mu_);
-  return volume_locked(name);
+  return volume_locked(name).value_or_throw();
 }
 
-VirtualDisk& StoragePool::volume_locked(const std::string& name) const {
+Result<std::shared_ptr<VirtualDisk>> StoragePool::volume_locked(
+    const std::string& name) const {
   const auto it = volumes_.find(name);
   if (it == volumes_.end()) {
-    throw std::out_of_range("StoragePool: unknown volume " + name);
+    return Error{ErrorCode::kNotFound, "StoragePool: unknown volume " + name};
   }
-  return *it->second;
+  return it->second;
 }
 
 std::vector<std::string> StoragePool::volume_names() const {
@@ -83,93 +80,68 @@ bool StoragePool::drop_volume(const std::string& name) {
   while (!disk.blocks_.empty()) {
     (void)disk.trim_locked(disk.blocks_.begin()->first);  // it exists
   }
+  disk.dropped_ = true;
   volumes_.erase(it);
-  journal_locked(journal::make_drop_volume(name));
+  volumes_gauge_->set(static_cast<std::int64_t>(volumes_.size()));
+  set_->journal_locked(journal::make_drop_volume(name)).value_or_throw();
   return true;
 }
 
-void StoragePool::edit_locked(const journal::Record& edit) {
-  ClusterConfig next =
-      VirtualDisk::next_config(config_, stores_, edit).value_or_throw();
-  if (next == config_) return;
+Result<std::uint64_t> StoragePool::edit(const journal::Record& record) {
+  const MutexLock lock(mu_);
   std::vector<VirtualDisk*> volumes;
   for (const auto& [name, disk] : volumes_) volumes.push_back(disk.get());
-  (void)VirtualDisk::reshape(*set_, volumes, std::move(next)).value_or_throw();
-  journal_locked(edit);
+  Result<std::uint64_t> rebuilt =
+      VirtualDisk::edit_locked(*set_, volumes, record);
+  devices_gauge_->set(static_cast<std::int64_t>(config_.size()));
+  return rebuilt;
 }
 
-void StoragePool::add_device(const Device& device) {
-  const MutexLock lock(mu_);
-  edit_locked(journal::make_add_device(device));
+Result<void> StoragePool::try_add_device(const Device& device) {
+  return Result<void>(edit(journal::make_add_device(device)));
 }
 
-void StoragePool::remove_device(DeviceId uid) {
-  const MutexLock lock(mu_);
-  edit_locked(journal::make_remove_device(uid));
+Result<void> StoragePool::try_remove_device(DeviceId uid) {
+  return Result<void>(edit(journal::make_remove_device(uid)));
 }
 
-void StoragePool::resize_device(DeviceId uid, std::uint64_t new_capacity) {
-  const MutexLock lock(mu_);
-  edit_locked(journal::make_resize_device(uid, new_capacity));
+Result<void> StoragePool::try_resize_device(DeviceId uid,
+                                            std::uint64_t new_capacity) {
+  return Result<void>(edit(journal::make_resize_device(uid, new_capacity)));
 }
 
-void StoragePool::set_volume_strategy(const std::string& name,
-                                      PlacementKind kind) {
-  const MutexLock lock(mu_);
-  VirtualDisk& disk = volume_locked(name);
-  disk.mu_.assert_held();  // the pool's lock: every volume shares it
-  disk.set_strategy_locked(kind).value_or_throw();
-  journal_locked(journal::make_set_strategy(name, kind));
+std::uint64_t StoragePool::rebuild() {
+  return edit(journal::make_rebuild()).value_or_throw();
 }
 
-void StoragePool::set_volume_scheme(const std::string& name,
-                                    std::shared_ptr<RedundancyScheme> scheme) {
+Result<void> StoragePool::try_set_volume_strategy(const std::string& name,
+                                                  PlacementKind kind) {
   const MutexLock lock(mu_);
-  VirtualDisk& disk = volume_locked(name);
-  disk.mu_.assert_held();  // the pool's lock: every volume shares it
-  disk.set_scheme_locked(std::move(scheme)).value_or_throw();
-  journal_locked(journal::make_set_scheme(name, disk.scheme_->name()));
+  Result<std::shared_ptr<VirtualDisk>> disk = volume_locked(name);
+  if (!disk.ok()) return disk.error();
+  VirtualDisk& volume = *disk.value();
+  volume.mu_.assert_held();  // the pool's lock: every volume shares it
+  const Result<void> set = volume.set_strategy_locked(kind);
+  if (!set.ok()) return set;
+  return set_->journal_locked(journal::make_set_strategy(name, kind));
+}
+
+Result<void> StoragePool::try_set_volume_scheme(
+    const std::string& name, std::shared_ptr<RedundancyScheme> scheme) {
+  const MutexLock lock(mu_);
+  Result<std::shared_ptr<VirtualDisk>> disk = volume_locked(name);
+  if (!disk.ok()) return disk.error();
+  VirtualDisk& volume = *disk.value();
+  volume.mu_.assert_held();  // the pool's lock: every volume shares it
+  const Result<void> set = volume.set_scheme_locked(std::move(scheme));
+  if (!set.ok()) return set;
+  return set_->journal_locked(
+      journal::make_set_scheme(name, volume.scheme_->name()));
 }
 
 void StoragePool::fail_device(DeviceId uid) {
   const MutexLock lock(mu_);
-  const auto it = stores_.find(uid);
-  if (it == stores_.end()) {
-    throw std::out_of_range("StoragePool: unknown device");
-  }
-  it->second->fail();
-  journal_locked(journal::make_fail_device(uid));
-}
-
-std::uint64_t StoragePool::rebuild() {
-  const MutexLock lock(mu_);
-  std::uint64_t before = 0;
-  for (const auto& entry : volumes_) {
-    const VirtualDisk& disk = *entry.second;
-    disk.mu_.assert_held();  // the pool's lock: every volume shares it
-    before += disk.stats_.fragments_rebuilt;
-  }
-  edit_locked(journal::make_rebuild());
-  std::uint64_t after = 0;
-  for (const auto& entry : volumes_) {
-    const VirtualDisk& disk = *entry.second;
-    disk.mu_.assert_held();
-    after += disk.stats_.fragments_rebuilt;
-  }
-  return after - before;
-}
-
-void StoragePool::publish_metrics() const {
-  const MutexLock lock(mu_);
-  metrics::Registry& reg = metrics::Registry::global();
-  reg.gauge("rds_pool_volumes")
-      .set(static_cast<std::int64_t>(volumes_.size()));
-  reg.gauge("rds_pool_devices")
-      .set(static_cast<std::int64_t>(config_.size()));
-  for (const auto& [uid, store] : stores_) {
-    reg.gauge("rds_device_fragments", {{"device", std::to_string(uid)}})
-        .set(static_cast<std::int64_t>(store->used()));
-  }
+  VirtualDisk::fail_locked(*set_, uid).value_or_throw();
 }
 
 std::vector<StoragePool::DeviceUsage> StoragePool::usage() const {

@@ -30,6 +30,17 @@ DeviceSet::DeviceSet(ClusterConfig config, Stores stores)
   }
 }
 
+Result<void> DeviceSet::journal_locked(const journal::Record& record) {
+  mu_.assert_held();  // the caller holds it under its own name
+  if (!journal_) return {};
+  const Result<journal::Lsn> appended = journal_->append(record);
+  if (appended.ok()) return {};
+  return Error{appended.code(),
+               "operation committed in memory but journaling failed; "
+               "snapshot and rotate the journal before further mutations: " +
+                   appended.error().message};
+}
+
 VirtualDisk::VirtualDisk(ClusterConfig config,
                          std::shared_ptr<RedundancyScheme> scheme,
                          PlacementKind kind)
@@ -59,25 +70,6 @@ Error VirtualDisk::pool_only(const std::string& pool_call) {
           "VirtualDisk: a pool volume's topology and policy are edited for "
           "every volume at once; call " +
               pool_call};
-}
-
-void VirtualDisk::sync_device_gauge(DeviceId uid) const {
-  const auto store = stores_.find(uid);
-  if (store == stores_.end()) return;
-  auto gauge = device_gauges_.find(uid);
-  if (gauge == device_gauges_.end()) {
-    gauge = device_gauges_
-                .emplace(uid, &metrics::Registry::global().gauge(
-                                  "rds_device_fragments",
-                                  {{"device", std::to_string(uid)}}))
-                .first;
-  }
-  gauge->second->set(static_cast<std::int64_t>(store->second->used()));
-}
-
-void VirtualDisk::publish_device_gauges() const {
-  const MutexLock lock(mu_);
-  for (const auto& [uid, store] : stores_) sync_device_gauge(uid);
 }
 
 std::unique_ptr<ReplicationStrategy> VirtualDisk::make_strategy(
@@ -117,7 +109,6 @@ Result<std::uint64_t> VirtualDisk::try_copy_locations(
 void VirtualDisk::store_fragment(DeviceId target, std::uint64_t block,
                                  unsigned j, Fragment fragment) {
   stores_.at(target)->write({block, j, volume_id_}, std::move(fragment));
-  sync_device_gauge(target);
 }
 
 Result<void> VirtualDisk::try_write(std::uint64_t block,
@@ -128,6 +119,10 @@ Result<void> VirtualDisk::try_write(std::uint64_t block,
 
 Result<void> VirtualDisk::write_locked(std::uint64_t block,
                                        std::span<const std::uint8_t> data) {
+  if (dropped_) {
+    return Error{ErrorCode::kNotFound,
+                 "VirtualDisk: volume dropped from its pool"};
+  }
   std::vector<Bytes> fragments;
   try {
     fragments = scheme_->encode(data);
@@ -247,48 +242,40 @@ Result<void> VirtualDisk::trim_locked(std::uint64_t block) {
   const std::vector<DeviceId> targets = strategy_->place(block);
   for (unsigned j = 0; j < scheme_->fragment_count(); ++j) {
     const auto store = stores_.find(targets[j]);
-    if (store != stores_.end()) {
-      store->second->erase({block, j, volume_id_});
-      sync_device_gauge(targets[j]);
-    }
+    if (store != stores_.end()) store->second->erase({block, j, volume_id_});
   }
   blocks_.erase(it);
   return {};
 }
 
 Result<void> VirtualDisk::try_add_device(const Device& device) {
-  if (pooled_) return pool_only("StoragePool::add_device");
+  if (pooled_) return pool_only("StoragePool::try_add_device");
   const MutexLock lock(mu_);
-  return edit_locked(journal::make_add_device(device));
+  return Result<void>(edit_locked(*set_, std::array{this},
+                                  journal::make_add_device(device)));
 }
 
 void VirtualDisk::set_journal(std::shared_ptr<journal::JournalSink> sink) {
+  if (pooled_) throw_error(pool_only("StoragePool::set_journal"));
   const MutexLock lock(mu_);
-  journal_ = std::move(sink);
-}
-
-Result<void> VirtualDisk::journal_locked(const journal::Record& record) {
-  if (!journal_) return {};
-  const Result<journal::Lsn> appended = journal_->append(record);
-  if (appended.ok()) return {};
-  return Error{appended.code(),
-               "VirtualDisk: operation committed in memory but journaling "
-               "failed; snapshot and rotate the journal before further "
-               "mutations: " +
-                   appended.error().message};
+  set_->mu_.assert_held();  // mu_ is the set's mutex
+  set_->journal_ = std::move(sink);
 }
 
 Result<void> VirtualDisk::try_remove_device(DeviceId uid) {
-  if (pooled_) return pool_only("StoragePool::remove_device");
+  if (pooled_) return pool_only("StoragePool::try_remove_device");
   const MutexLock lock(mu_);
-  return edit_locked(journal::make_remove_device(uid));
+  return Result<void>(
+      edit_locked(*set_, std::array{this}, journal::make_remove_device(uid)));
 }
 
 Result<void> VirtualDisk::try_resize_device(DeviceId uid,
                                             std::uint64_t new_capacity) {
-  if (pooled_) return pool_only("StoragePool::resize_device");
+  if (pooled_) return pool_only("StoragePool::try_resize_device");
   const MutexLock lock(mu_);
-  return edit_locked(journal::make_resize_device(uid, new_capacity));
+  return Result<void>(
+      edit_locked(*set_, std::array{this},
+                  journal::make_resize_device(uid, new_capacity)));
 }
 
 Result<ClusterConfig> VirtualDisk::next_config(const ClusterConfig& config,
@@ -328,30 +315,46 @@ Result<ClusterConfig> VirtualDisk::next_config(const ClusterConfig& config,
   return next;
 }
 
-Result<void> VirtualDisk::edit_locked(const journal::Record& edit) {
-  Result<ClusterConfig> next = next_config(config_, stores_, edit);
+Result<std::uint64_t> VirtualDisk::edit_locked(
+    DeviceSet& set, std::span<VirtualDisk* const> volumes,
+    const journal::Record& edit) {
+  set.mu_.assert_held();  // the caller holds it under its own name
+  Result<ClusterConfig> next = next_config(set.config_, set.stores_, edit);
   if (!next.ok()) return next.error();
-  if (next.value() == config_) return {};
-  Result<std::size_t> moved =
-      reshape(*set_, std::array{this}, std::move(next).take());
-  if (!moved.ok()) return moved.error();
-  return journal_locked(edit);
+  if (next.value() == set.config_) return std::uint64_t{0};
+  Result<std::uint64_t> rebuilt =
+      reshape(set, volumes, std::move(next).take());
+  if (!rebuilt.ok()) return rebuilt;
+  const Result<void> journaled = set.journal_locked(edit);
+  if (!journaled.ok()) return journaled.error();
+  return rebuilt;
+}
+
+Result<void> VirtualDisk::fail_locked(DeviceSet& set, DeviceId uid) {
+  set.mu_.assert_held();  // the caller holds it under its own name
+  const auto store = set.stores_.find(uid);
+  if (store == set.stores_.end()) {
+    return Error{ErrorCode::kNotFound,
+                 "VirtualDisk: unknown device " + std::to_string(uid)};
+  }
+  store->second->fail();
+  return set.journal_locked(journal::make_fail_device(uid));
 }
 
 Result<void> VirtualDisk::try_set_strategy(PlacementKind kind) {
-  if (pooled_) return pool_only("StoragePool::set_volume_strategy");
+  if (pooled_) return pool_only("StoragePool::try_set_volume_strategy");
   const MutexLock lock(mu_);
   const PlacementKind before = kind_;
   Result<void> set = set_strategy_locked(kind);
   if (!set.ok() || kind_ == before) return set;
-  return journal_locked(journal::make_set_strategy("", kind));
+  return set_->journal_locked(journal::make_set_strategy("", kind));
 }
 
 Result<void> VirtualDisk::set_strategy_locked(PlacementKind kind) {
   if (kind == kind_) return {};
   const PlacementKind previous = kind_;
   kind_ = kind;  // make_strategy() reads it while reshape() plans
-  Result<std::size_t> migrated = reshape(*set_, std::array{this}, config_);
+  Result<std::uint64_t> migrated = reshape(*set_, std::array{this}, config_);
   if (!migrated.ok()) {
     kind_ = previous;
     return migrated.error();
@@ -361,12 +364,12 @@ Result<void> VirtualDisk::set_strategy_locked(PlacementKind kind) {
 
 Result<void> VirtualDisk::try_set_scheme(
     std::shared_ptr<RedundancyScheme> next) {
-  if (pooled_) return pool_only("StoragePool::set_volume_scheme");
+  if (pooled_) return pool_only("StoragePool::try_set_volume_scheme");
   const MutexLock lock(mu_);
   const std::shared_ptr<RedundancyScheme> before = scheme_;
   Result<void> set = set_scheme_locked(std::move(next));
   if (!set.ok() || scheme_ == before) return set;
-  return journal_locked(journal::make_set_scheme("", scheme_->name()));
+  return set_->journal_locked(journal::make_set_scheme("", scheme_->name()));
 }
 
 Result<void> VirtualDisk::set_scheme_locked(
@@ -450,15 +453,13 @@ Result<void> VirtualDisk::set_scheme_locked(
                        written.error().message};
     }
   }
-  for (const auto& [uid, store] : stores_) sync_device_gauge(uid);
   return {};
 }
 
 void VirtualDisk::fail_device(DeviceId uid) {
   if (pooled_) throw_error(pool_only("StoragePool::fail_device"));
   const MutexLock lock(mu_);
-  stores_.at(uid)->fail();
-  journal_locked(journal::make_fail_device(uid)).value_or_throw();
+  fail_locked(*set_, uid).value_or_throw();
 }
 
 bool VirtualDisk::corrupt_fragment(std::uint64_t block, unsigned fragment) {
@@ -475,9 +476,8 @@ bool VirtualDisk::corrupt_fragment(std::uint64_t block, unsigned fragment) {
 std::uint64_t VirtualDisk::rebuild() {
   if (pooled_) throw_error(pool_only("StoragePool::rebuild"));
   const MutexLock lock(mu_);
-  const std::uint64_t rebuilt_before = stats_.fragments_rebuilt;
-  edit_locked(journal::make_rebuild()).value_or_throw();
-  return stats_.fragments_rebuilt - rebuilt_before;
+  return edit_locked(*set_, std::array{this}, journal::make_rebuild())
+      .value_or_throw();
 }
 
 VirtualDisk::MovingHomes VirtualDisk::moving_blocks(
@@ -563,8 +563,8 @@ Result<void> VirtualDisk::check_plans(const Stores& stores,
   return {};
 }
 
-void VirtualDisk::reshape_block(std::uint64_t block,
-                                std::span<const DeviceId> homes) {
+unsigned VirtualDisk::reshape_block(std::uint64_t block,
+                                    std::span<const DeviceId> homes) {
   const unsigned k = scheme_->fragment_count();
   const std::span<const DeviceId> from = homes.first(k);
   const std::span<const DeviceId> to = homes.subspan(k, k);
@@ -617,10 +617,7 @@ void VirtualDisk::reshape_block(std::uint64_t block,
   for (unsigned j = 0; j < k; ++j) {
     if (from[j] == to[j]) continue;
     const auto src = stores_.find(from[j]);
-    if (src != stores_.end()) {
-      src->second->erase({block, j, volume_id_});
-      sync_device_gauge(from[j]);
-    }
+    if (src != stores_.end()) src->second->erase({block, j, volume_id_});
   }
   for (unsigned j = 0; j < k; ++j) {
     if (from[j] == to[j] || !fragments[j]) continue;
@@ -631,25 +628,10 @@ void VirtualDisk::reshape_block(std::uint64_t block,
     fragments_moved_total_->inc();
     store_fragment(to[j], block, j, std::move(moving));
   }
+  return static_cast<unsigned>(lost.size());
 }
 
-Result<std::size_t> VirtualDisk::apply_config(ClusterConfig next) {
-  if (pooled_) {
-    return pool_only("StoragePool::add_device, remove_device or resize_device");
-  }
-  const MutexLock lock(mu_);
-  if (journal_) {
-    // No journal record expresses an arbitrary config: refuse it before
-    // anything changes, or the disk would run ahead of its recovery.
-    return Error{ErrorCode::kInvalidArgument,
-                 "VirtualDisk: apply_config installs a config no journal "
-                 "record expresses; edit a journaled disk with "
-                 "try_add_device, try_remove_device or try_resize_device"};
-  }
-  return reshape(*set_, std::array{this}, std::move(next));
-}
-
-Result<std::size_t> VirtualDisk::reshape(DeviceSet& set,
+Result<std::uint64_t> VirtualDisk::reshape(DeviceSet& set,
                                          std::span<VirtualDisk* const> volumes,
                                          ClusterConfig next) {
   set.mu_.assert_held();  // the caller holds it under its own name
@@ -688,7 +670,7 @@ Result<std::size_t> VirtualDisk::reshape(DeviceSet& set,
   }
   set.config_ = std::move(next);
   constexpr std::size_t kBatch = 1024;  // blocks per latency sample
-  std::size_t moved = 0;
+  std::uint64_t rebuilt = 0;
   for (Plan& plan : plans) {
     VirtualDisk& volume = *plan.volume;
     volume.mu_.assert_held();
@@ -697,7 +679,7 @@ Result<std::size_t> VirtualDisk::reshape(DeviceSet& set,
       metrics::ScopedTimer batch_span(*volume.migration_step_latency_ns_);
       for (std::size_t n = 0; n < kBatch && it != plan.moving.end();
            ++n, ++it) {
-        volume.reshape_block(it->first, it->second);
+        rebuilt += volume.reshape_block(it->first, it->second);
       }
     }
     // Install the new strategy and atomically publish the new epoch:
@@ -705,7 +687,6 @@ Result<std::size_t> VirtualDisk::reshape(DeviceSet& set,
     // to the new one in a single step.
     volume.strategy_ = std::move(plan.strategy);
     volume.publish_epoch();
-    moved += plan.moving.size();
   }
   // Lowered capacities and dropped stores last, once the moves drained them.
   const ClusterConfig& config = set.config_;
@@ -716,7 +697,7 @@ Result<std::size_t> VirtualDisk::reshape(DeviceSet& set,
     DeviceStore& store = *set.stores_.at(d.uid);
     if (d.capacity < store.capacity()) store.resize(d.capacity);
   }
-  return moved;
+  return rebuilt;
 }
 
 std::uint64_t VirtualDisk::repair() {

@@ -13,10 +13,12 @@
 // fragments whose home changed, verifying each first; a lost or corrupt
 // source is rebuilt from verified peers through the scheme.
 //
-// The devices live in a DeviceSet (config, stores, one mutex) that a
-// standalone disk owns alone and a StoragePool shares with every volume.
-// Every topology edit builds the next config, then runs the one reshape,
-// which moves every volume of the set or none.
+// The devices live in a DeviceSet (config, stores, journal sink, one
+// mutex) that a standalone disk owns alone and a StoragePool shares with
+// every volume.  A set commits through one path: every topology edit is a
+// journal record that builds the next config and runs the one reshape,
+// which moves every volume of the set or none, and every committed change
+// is appended through the set's one append helper.
 //
 // Concurrency model (docs/api.md, "Concurrency guarantees"): block I/O and
 // topology mutations on every volume of one set, and every call on its
@@ -26,7 +28,7 @@
 // may run from any number of threads concurrently with that writer: they
 // read an immutable PlacementEpoch published by shared_ptr-RCU (RcuCell,
 // whose own lock guards only a pointer copy), so every lookup sees one
-// consistent (strategy, config) pair even in the middle of apply_config.
+// consistent (strategy, config) pair even in the middle of a reshape.
 // The locking discipline is machine-checked: every mutable field is
 // RDS_GUARDED_BY(mu_) (rds_analyze's guarded-member rule) and the build
 // enforces -Werror=thread-safety under Clang (docs/static_analysis.md).
@@ -60,10 +62,11 @@ class JournalSink;
 struct Record;
 }  // namespace journal
 
-/// One set of devices: the configuration, the store of each device and the
-/// mutex that guards both.  Each holder (a VirtualDisk, a StoragePool)
-/// reaches the three through references of its own, which the
-/// thread-safety analysis checks against the holder's `mu_`.
+/// One set of devices: the configuration, the store of each device, the
+/// journal sink and the mutex that guards them.  Each holder (a
+/// VirtualDisk, a StoragePool) reaches the config and stores through
+/// references of its own, which the thread-safety analysis checks against
+/// the holder's `mu_`.
 class DeviceSet {
  public:
   using Stores = std::unordered_map<DeviceId, std::shared_ptr<DeviceStore>>;
@@ -77,10 +80,20 @@ class DeviceSet {
  private:
   friend class VirtualDisk;
   friend class StoragePool;
+  friend class FileStore;
+
+  /// The set's one append: `record` goes to the sink, if one is attached,
+  /// after the in-memory mutation committed and under the same critical
+  /// section, so journal order is commit order.  The caller holds `mu_`
+  /// under its own name.  A failed append is surfaced (the journal is now
+  /// behind the in-memory state) but does not roll the mutation back.
+  [[nodiscard]] Result<void> journal_locked(const journal::Record& record);
 
   Mutex mu_;
   ClusterConfig config_ RDS_GUARDED_BY(mu_);
   Stores stores_ RDS_GUARDED_BY(mu_);
+  /// Where every committed edit of the set is appended; null: none.
+  std::shared_ptr<journal::JournalSink> journal_ RDS_GUARDED_BY(mu_);
 };
 
 /// Immutable (strategy, config) pair concurrent readers place against.
@@ -132,14 +145,15 @@ class VirtualDisk {
   // message) pair on failure -- and the try_ prefix marks them.  A caller
   // that wants an exception writes `.value_or_throw()`, the one ErrorCode ->
   // exception mapping.  fail_device and rebuild exist in one form only and
-  // throw.  On a pool volume, the topology and policy calls below are
-  // refused with kInvalidArgument naming the StoragePool call to use.
+  // throw.  On a pool volume, the topology, policy and journal calls below
+  // are refused with kInvalidArgument naming the StoragePool call to use.
 
   /// Stores a logical block (any length that fits the fragment budget).
   /// kInvalidArgument when the payload does not fit, kIoError when one of
-  /// the block's k home devices has failed or is full.  Every home is
-  /// checked before any is touched, so a rejected write leaves the block
-  /// (and every device) exactly as it was.
+  /// the block's k home devices has failed or is full, kNotFound on a
+  /// volume dropped from its pool.  Every home is checked before any is
+  /// touched, so a rejected write leaves the block (and every device)
+  /// exactly as it was.
   [[nodiscard]] Result<void> try_write(std::uint64_t block,
                                        std::span<const std::uint8_t> data)
       RDS_EXCLUDES(mu_);
@@ -170,7 +184,7 @@ class VirtualDisk {
 
   /// The committed placement epoch: one shared_ptr copy from the RcuCell,
   /// never blocked by `mu_`.  Safe from any thread at any time, including
-  /// while apply_config installs a successor.
+  /// while a reshape installs a successor.
   [[nodiscard]] std::shared_ptr<const PlacementEpoch> placement_snapshot()
       const noexcept;
 
@@ -186,23 +200,19 @@ class VirtualDisk {
   [[nodiscard]] Result<std::uint64_t> try_copy_locations(
       std::uint64_t block, std::span<DeviceId> out) const;
 
-  /// Migrates data to `next` and atomically installs the new (strategy,
-  /// config) epoch before it returns; concurrent placement lookups see
-  /// either the old pair or the new pair, never a mix; the stores follow
-  /// `next` (grown before the moves, shrunk or dropped after).  Returns the
-  /// number of blocks that needed re-placement: those with a fragment whose
-  /// home changed.  kDeviceFailed if a failed device would remain in `next`;
-  /// kInvalidArgument for configs the strategy rejects, and when a journal
-  /// is attached: no journal record expresses an arbitrary config, so a
-  /// journaled disk is edited through try_add_device / try_remove_device /
-  /// try_resize_device; kIoError, naming the device, when a new home lacks
-  /// room for the fragments the plan moves there or a shrunk device would
-  /// keep more than its new capacity.  The whole plan is checked before
-  /// anything moves, so every refusal leaves the disk exactly as it was.
-  /// A block with fewer than min_fragments() intact fragments moves those
-  /// it has and stays unrecoverable.
-  [[nodiscard]] Result<std::size_t> apply_config(ClusterConfig next)
-      RDS_EXCLUDES(mu_);
+  // Every topology edit below is one journal record: it migrates data to
+  // the edited config and atomically installs the new (strategy, config)
+  // epoch before it returns; concurrent placement lookups see either the
+  // old pair or the new pair, never a mix; the stores follow the config
+  // (grown before the moves, shrunk or dropped after).  Besides the
+  // refusals each call names: kDeviceFailed if a failed device would
+  // remain in the config; kInvalidArgument for configs the strategy
+  // rejects; kIoError, naming the device, when a new home lacks room for
+  // the fragments the plan moves there or a shrunk device would keep more
+  // than its new capacity.  The whole plan is checked before anything
+  // moves, so every refusal leaves the disk exactly as it was.  A block
+  // with fewer than min_fragments() intact fragments moves those it has
+  // and stays unrecoverable.
 
   /// Adds a device and migrates the fragments the new placement assigns
   /// it.  kInvalidArgument for devices the configuration rejects (duplicate
@@ -219,15 +229,15 @@ class VirtualDisk {
   /// migrates fragments onto the new room; shrinking drains fragments off
   /// first, then clamps the store.  kNotFound for unknown uids,
   /// kDeviceFailed for failed devices, kInvalidArgument for capacities the
-  /// configuration rejects, kIoError as for apply_config.
+  /// configuration rejects.
   [[nodiscard]] Result<void> try_resize_device(DeviceId uid,
                                                std::uint64_t new_capacity)
       RDS_EXCLUDES(mu_);
 
   /// Swaps the placement strategy live: every block is re-placed under the
   /// new kind (same configuration), moving only the fragments whose homes
-  /// differ.  No-op when `kind` is already active.  kIoError as for
-  /// apply_config.
+  /// differ.  No-op when `kind` is already active.  kIoError as for the
+  /// topology edits.
   [[nodiscard]] Result<void> try_set_strategy(PlacementKind kind)
       RDS_EXCLUDES(mu_);
 
@@ -242,13 +252,16 @@ class VirtualDisk {
   [[nodiscard]] Result<void> try_set_scheme(
       std::shared_ptr<RedundancyScheme> next) RDS_EXCLUDES(mu_);
 
-  /// Attaches a journal sink: every committed topology mutation is appended
-  /// in commit order (docs/persistence.md).  The sink's own mutex is a leaf
-  /// below the set's lock.  Pass nullptr to detach.
+  /// Attaches a journal sink to the disk's device set: every committed
+  /// topology mutation is appended in commit order (docs/persistence.md).
+  /// The sink's own mutex is a leaf below the set's lock.  Pass nullptr to
+  /// detach.  A pool volume throws std::invalid_argument (its pool's
+  /// set_journal covers the set).
   void set_journal(std::shared_ptr<journal::JournalSink> sink)
       RDS_EXCLUDES(mu_);
 
   /// Simulates a crash: the device's contents become unreadable.
+  /// std::out_of_range for unknown uids.
   void fail_device(DeviceId uid) RDS_EXCLUDES(mu_);
 
   /// Chaos hook: silently corrupts the stored copy of one fragment (bit
@@ -261,7 +274,7 @@ class VirtualDisk {
   /// redundancy (re-places fragments; lost ones are rebuilt from peers).  A
   /// block with fewer than min_fragments() intact fragments left cannot be
   /// rebuilt: the ones it has move, and it stays unrecoverable.  Returns
-  /// the number of fragments rebuilt; throws apply_config's refusals
+  /// the number of fragments rebuilt; throws the topology edits' refusals
   /// through value_or_throw(), changing nothing.
   std::uint64_t rebuild() RDS_EXCLUDES(mu_);
 
@@ -309,15 +322,10 @@ class VirtualDisk {
   [[nodiscard]] std::uint64_t used_on(DeviceId uid) const RDS_EXCLUDES(mu_);
   [[nodiscard]] std::uint32_t volume_id() const noexcept { return volume_id_; }
 
-  /// Re-publishes the per-device load gauges
-  /// (`rds_device_fragments{device=...}`) from the current store contents.
-  /// The write path keeps them fresh incrementally; call this before a
-  /// snapshot export to also reflect erase-only activity (trims, drains).
-  void publish_device_gauges() const RDS_EXCLUDES(mu_);
-
  private:
   friend class Snapshot;
   friend class StoragePool;
+  friend class FileStore;
 
   using Stores = DeviceSet::Stores;
 
@@ -335,23 +343,24 @@ class VirtualDisk {
   /// The config a topology edit -- an add, remove, resize or rebuild
   /// record -- makes of `config`, or the edit's refusal: kNotFound for
   /// unknown devices, kInvalidArgument for devices the config rejects and
-  /// for removing a failed one.  Shared by a disk and a pool.
+  /// for removing a failed one.
   [[nodiscard]] static Result<ClusterConfig> next_config(
       const ClusterConfig& config, const Stores& stores,
       const journal::Record& edit);
 
-  /// A standalone disk's topology edit: the one reshape to next_config()
-  /// unless that is refused or changes nothing, then `edit` is journaled.
-  [[nodiscard]] Result<void> edit_locked(const journal::Record& edit)
-      RDS_REQUIRES(mu_);
+  // The commit path of a device set, shared by a disk and a pool.  The
+  // caller holds the set's mutex under its own name.
 
-  /// Appends a record to the attached journal (no-op without one).  Runs
-  /// after the in-memory mutation committed, under the same critical
-  /// section, so journal order is commit order.  A failed append is
-  /// surfaced (the journal is now behind the in-memory state) but does not
-  /// roll the mutation back.
-  [[nodiscard]] Result<void> journal_locked(const journal::Record& record)
-      RDS_REQUIRES(mu_);
+  /// The one topology edit: the reshape of `volumes` (every volume of
+  /// `set`) to next_config(), unless that is refused or changes nothing,
+  /// then `edit` is journaled.  Returns the fragments the reshape rebuilt.
+  [[nodiscard]] static Result<std::uint64_t> edit_locked(
+      DeviceSet& set, std::span<VirtualDisk* const> volumes,
+      const journal::Record& edit);
+
+  /// Fails device `uid` of `set` and journals it; kNotFound for unknown
+  /// uids.
+  [[nodiscard]] static Result<void> fail_locked(DeviceSet& set, DeviceId uid);
 
   // Locked bodies of the public operations above.  Public entry points take
   // `mu_` once and delegate here; internal call chains (try_add_device ->
@@ -390,9 +399,9 @@ class VirtualDisk {
   /// the config stays), or refuses and changes nothing.  Plans each
   /// volume's strategy and moving_blocks(), check_plans() them, then
   /// commits: new stores and raised capacities, each volume's moves and
-  /// epoch, lowered capacities and dropped stores.  Returns the blocks
-  /// moved.
-  [[nodiscard]] static Result<std::size_t> reshape(
+  /// epoch, lowered capacities and dropped stores.  Returns the fragments
+  /// rebuilt.
+  [[nodiscard]] static Result<std::uint64_t> reshape(
       DeviceSet& set, std::span<VirtualDisk* const> volumes,
       ClusterConfig next);
 
@@ -422,8 +431,9 @@ class VirtualDisk {
   /// against the first verified one).  With fewer than min_fragments()
   /// verified, nothing can be rebuilt: the verified fragments move and the
   /// lost ones stay missing.  All moving fragments are erased before any
-  /// is written.  Fragments that stay are not read.
-  void reshape_block(std::uint64_t block, std::span<const DeviceId> homes)
+  /// is written.  Fragments that stay are not read.  Returns the fragments
+  /// rebuilt.
+  unsigned reshape_block(std::uint64_t block, std::span<const DeviceId> homes)
       RDS_REQUIRES(mu_);
 
   /// The fragments of one block an operation gathered.
@@ -452,9 +462,6 @@ class VirtualDisk {
   void store_fragment(DeviceId target, std::uint64_t block, unsigned j,
                       Fragment fragment) RDS_REQUIRES(mu_);
 
-  /// Updates `uid`'s load gauge from its store (no-op for unknown uids).
-  void sync_device_gauge(DeviceId uid) const RDS_REQUIRES(mu_);
-
   // The device set, and this volume's references into it.
   const std::shared_ptr<DeviceSet> set_;
   /// The set's mutex: serializes block I/O and topology mutations of every
@@ -463,13 +470,14 @@ class VirtualDisk {
   Mutex& mu_;
   ClusterConfig& config_ RDS_GUARDED_BY(mu_);
   Stores& stores_ RDS_GUARDED_BY(mu_);
-  /// A pool volume: its topology and policy calls are refused.
+  /// A pool volume: its topology, policy and journal calls are refused.
   const bool pooled_;
+  /// Dropped from its pool: it holds no block and refuses writes.
+  bool dropped_ RDS_GUARDED_BY(mu_) = false;
 
   std::shared_ptr<RedundancyScheme> scheme_ RDS_GUARDED_BY(mu_);
   PlacementKind kind_ RDS_GUARDED_BY(mu_);
   const std::uint32_t volume_id_ = 0;
-  std::shared_ptr<journal::JournalSink> journal_ RDS_GUARDED_BY(mu_);
   // Committed strategy, shared with the published epoch so concurrent
   // readers keep it alive across a swap.  `config_`/`strategy_` are the
   // mutator's view; `published_` is the RCU snapshot readers load.
@@ -512,11 +520,6 @@ class VirtualDisk {
       &metrics::Registry::global().histogram("rds_placement_latency_ns");
   metrics::LatencyHistogram* const migration_step_latency_ns_ =
       &metrics::Registry::global().histogram("rds_migration_step_latency_ns");
-  // Per-device load gauges, cached so the write path never touches the
-  // registry mutex (mutable because the cache fills lazily from const
-  // paths).
-  mutable std::unordered_map<DeviceId, metrics::Gauge*> device_gauges_
-      RDS_GUARDED_BY(mu_);
 };
 
 }  // namespace rds

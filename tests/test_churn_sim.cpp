@@ -265,8 +265,8 @@ TEST(ChurnSim, ValidatesConfiguration) {
 }
 
 TEST(ChurnSim, MirrorCrossCheckAgreesWithVirtualDisk) {
-  // The mirror VirtualDisk follows the same churn edits through
-  // apply_config; any placement divergence throws std::logic_error, so a
+  // The mirror VirtualDisk follows the same one-device churn edits as
+  // records; any placement divergence throws std::logic_error, so a
   // clean return is the placement cross-check.  Blocks written beforehand
   // move with every edit, so the storage side is checked too: afterwards
   // every block is fully redundant, where placement says, and reads back.

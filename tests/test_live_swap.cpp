@@ -1,5 +1,5 @@
 // Live strategy swap: placement lookups run lock-free against an atomically
-// published (strategy, config) epoch while apply_config installs new ones.
+// published (strategy, config) epoch while topology edits install new ones.
 // The invariant under test: a reader holding one snapshot always sees a
 // mutually consistent pair -- k pairwise-distinct devices that all exist in
 // THAT snapshot's config -- no matter how many swaps race past it.
@@ -21,12 +21,26 @@ ClusterConfig small_pool() {
       {{1, 800, "a"}, {2, 900, "b"}, {3, 1000, "c"}, {4, 1100, "d"}});
 }
 
+Device big_device(DeviceId uid) {
+  return {uid, 700 + 100 * uid, test::numbered("d", uid)};
+}
+
+// small_pool() and devices 5-9.
 ClusterConfig big_pool() {
-  std::vector<Device> devices;
-  for (DeviceId uid = 1; uid <= 9; ++uid) {
-    devices.push_back({uid, 700 + 100 * uid, test::numbered("d", uid)});
+  ClusterConfig config = small_pool();
+  for (DeviceId uid = 5; uid <= 9; ++uid) config.add_device(big_device(uid));
+  return config;
+}
+
+// Swaps small_pool() for big_pool() (`grow`) or back: devices 5-9 added
+// or removed, one edit each.
+Result<void> swap_pools(VirtualDisk& disk, bool grow) {
+  for (DeviceId uid = 5; uid <= 9; ++uid) {
+    const Result<void> edited = grow ? disk.try_add_device(big_device(uid))
+                                     : disk.try_remove_device(uid);
+    if (!edited.ok()) return edited;
   }
-  return ClusterConfig(std::move(devices));
+  return {};
 }
 
 VirtualDisk make_disk(ClusterConfig config) {
@@ -48,8 +62,8 @@ TEST(LiveSwap, SnapshotIsSelfConsistent) {
 TEST(LiveSwap, ApplyConfigPublishesNewEpoch) {
   VirtualDisk disk = make_disk(small_pool());
   const auto before = disk.placement_snapshot();
-  const Result<std::size_t> begun = disk.apply_config(big_pool());
-  ASSERT_TRUE(begun.ok()) << begun.error().message;
+  const Result<void> grown = swap_pools(disk, /*grow=*/true);
+  ASSERT_TRUE(grown.ok()) << grown.error().message;
   const auto after = disk.placement_snapshot();
   EXPECT_GT(after->epoch, before->epoch);
   EXPECT_EQ(after->config, big_pool());
@@ -65,7 +79,7 @@ TEST(LiveSwap, PlaceReturnsTheEpochItUsed) {
   const std::uint64_t e1 = disk.try_copy_locations(7, copies).value_or_throw();
   EXPECT_EQ(e1, disk.placement_snapshot()->epoch);
   EXPECT_NE(copies[0], copies[1]);
-  ASSERT_TRUE(disk.apply_config(big_pool()).ok());
+  ASSERT_TRUE(swap_pools(disk, /*grow=*/true).ok());
   const std::uint64_t e2 = disk.try_copy_locations(7, copies).value_or_throw();
   EXPECT_GT(e2, e1);
 }
@@ -106,16 +120,15 @@ TEST(Concurrency, ReadersSeeConsistentSnapshotsDuringSwaps) {
     });
   }
 
-  const ClusterConfig configs[2] = {big_pool(), small_pool()};
   for (int s = 0; s < kSwaps; ++s) {
-    const Result<std::size_t> r = disk.apply_config(configs[s % 2]);
+    const Result<void> r = swap_pools(disk, /*grow=*/s % 2 == 0);
     ASSERT_TRUE(r.ok()) << r.error().message;
   }
   stop.store(true);
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(failures.load(), 0);
-  // kSwaps swaps after the initial publication, each reshape commits once.
+  // kSwaps swaps after the initial publication, each commits once per edit.
   EXPECT_GE(disk.placement_snapshot()->epoch, 1u + kSwaps);
 }
 
@@ -225,9 +238,8 @@ TEST(Concurrency, CopyLocationsStaysConsistentDuringSwaps) {
   while (lookups.load() + failures.load() < kReaders) {
     std::this_thread::yield();
   }
-  const ClusterConfig configs[2] = {big_pool(), small_pool()};
   for (int s = 0; s < kSwaps; ++s) {
-    const Result<std::size_t> r = disk.apply_config(configs[s % 2]);
+    const Result<void> r = swap_pools(disk, /*grow=*/s % 2 == 0);
     ASSERT_TRUE(r.ok()) << r.error().message;
   }
   stop.store(true);

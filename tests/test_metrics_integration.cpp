@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "src/core/redundant_share.hpp"
 #include "src/metrics/registry.hpp"
 #include "src/placement/batch_placer.hpp"
+#include "src/storage/snapshot.hpp"
 #include "src/storage/storage_pool.hpp"
 #include "src/storage/virtual_disk.hpp"
 #include "tests/clusters.hpp"
@@ -139,7 +141,6 @@ TEST(MetricsIntegration, DeviceGaugesTrackFragmentCounts) {
   for (std::uint64_t b = 0; b < 100; ++b) {
     disk.try_write(b, data).value_or_throw();
   }
-  disk.publish_device_gauges();
 
   const metrics::Snapshot snap = metrics::Registry::global().snapshot();
   std::int64_t total = 0;
@@ -162,6 +163,35 @@ TEST(MetricsIntegration, DeviceGaugesTrackFragmentCounts) {
     ASSERT_NE(g, nullptr);
     EXPECT_EQ(g->gauge_value, 0);
   }
+}
+
+// A restored disk's stores set their gauges as they load, so a fresh
+// process reads each device's load before any write touches it.
+TEST(MetricsIntegration, DeviceGaugesMatchStoresAfterRestore) {
+  std::stringstream saved;
+  {
+    VirtualDisk disk(cluster_from({1000, 1000, 1000}),
+                     std::make_shared<MirroringScheme>(2));
+    for (std::uint64_t b = 0; b < 300; ++b) {
+      disk.try_write(b, payload(16)).value_or_throw();
+    }
+    Snapshot::save_disk(disk, saved);
+  }
+  metrics::Registry::global().reset();  // as in a fresh process
+  const VirtualDisk restored = Snapshot::load_disk(saved);
+
+  const metrics::Snapshot snap = metrics::Registry::global().snapshot();
+  std::int64_t total = 0;
+  for (const DeviceId uid : {0u, 1u, 2u}) {
+    const metrics::Sample* g = snap.find(
+        "rds_device_fragments", {{"device", std::to_string(uid)}});
+    ASSERT_NE(g, nullptr) << "device " << uid;
+    EXPECT_EQ(g->gauge_value,
+              static_cast<std::int64_t>(restored.used_on(uid)))
+        << "device " << uid;
+    total += g->gauge_value;
+  }
+  EXPECT_EQ(total, 600);  // 300 blocks, 2 fragments each
 }
 
 TEST(MetricsIntegration, MigrationMovesAreCounted) {
@@ -207,11 +237,10 @@ TEST(MetricsIntegration, RebuildCountsFragments) {
 TEST(MetricsIntegration, PoolPublishesVolumeAndDeviceGauges) {
   metrics::Registry::global().reset();
   StoragePool pool(cluster_from({2000, 2000, 2000}));
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   (void)pool.create_volume("b", std::make_shared<MirroringScheme>(3));
   const auto data = payload(64);
   for (std::uint64_t b = 0; b < 20; ++b) a.try_write(b, data).value_or_throw();
-  pool.publish_metrics();
 
   const metrics::Snapshot snap = metrics::Registry::global().snapshot();
   EXPECT_EQ(counter_value(snap, "rds_pool_volumes_created_total"), 2u);

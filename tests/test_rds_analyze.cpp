@@ -94,6 +94,15 @@ TEST(RdsAnalyze, JournalProtocolPasses) {
   EXPECT_TRUE(analyze_fixture("journal_good.cpp").empty());
 }
 
+TEST(RdsAnalyze, JournalProtocolFollowsLockedHelpersAcrossClasses) {
+  Options opts;
+  opts.only_rules = {"journal-protocol"};
+  const auto findings = analyze_fixture("journal_helper_bad.cpp", opts);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_NE(findings[0].message.find("ignored"), std::string::npos);
+  EXPECT_NE(findings[1].message.find("mutation"), std::string::npos);
+}
+
 TEST(RdsAnalyze, ResultFlowTrips) {
   const auto findings = analyze_fixture("result_flow_bad.cpp");
   ASSERT_EQ(findings.size(), 1u);

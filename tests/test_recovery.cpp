@@ -189,40 +189,6 @@ TEST(Recovery, CheckpointRotatesAndFreshJournalContinues) {
   EXPECT_TRUE(recovered.value().disk.scrub().clean());
 }
 
-// No record type expresses an arbitrary config, so a journaled disk
-// refuses apply_config before anything changes; otherwise the live disk
-// would run ahead of what recovery rebuilds.
-TEST(Recovery, JournaledDiskRefusesConfigsNoRecordExpresses) {
-  VirtualDisk disk(ClusterConfig({{1, 1000, "a"}, {2, 1000, "b"},
-                                  {3, 1000, "c"}}),
-                   std::make_shared<MirroringScheme>(2));
-  for (std::uint64_t b = 0; b < 20; ++b) {
-    disk.try_write(b, payload(b, 4)).value_or_throw();
-  }
-  std::stringstream ckpt;
-  write_checkpoint(disk, 0, ckpt);
-  std::stringstream wal;
-  auto writer = std::make_shared<JournalWriter>(wal);
-  disk.set_journal(writer);
-  const ClusterConfig before = disk.config();
-  const std::string header = wal.str();
-
-  ClusterConfig grown = before;
-  grown.add_device({4, 1000, "d"});
-  const Result<std::size_t> applied = disk.apply_config(grown);
-  ASSERT_FALSE(applied.ok());
-  EXPECT_EQ(applied.error().code, ErrorCode::kInvalidArgument);
-  EXPECT_NE(applied.error().message.find("try_add_device"),
-            std::string::npos);
-
-  EXPECT_TRUE(disk.config() == before);
-  EXPECT_EQ(writer->last_lsn(), 0u);
-  EXPECT_EQ(wal.str(), header);
-  auto recovered = Recovery::recover_disk(ckpt, &wal);
-  ASSERT_TRUE(recovered.ok()) << recovered.error().message;
-  EXPECT_TRUE(recovered.value().disk.config() == disk.config());
-}
-
 TEST(Recovery, NullJournalRestoresBareSnapshot) {
   VirtualDisk disk(base_config(), std::make_shared<MirroringScheme>(2));
   disk.try_write(1, payload(1, 4)).value_or_throw();
@@ -301,7 +267,7 @@ TEST(Recovery, PoolLifecycleReplaysToIdenticalState) {
   StoragePool pool(base_config());
   pool.create_volume("keep", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 40; ++b) {
-    pool.volume("keep").try_write(b, payload(b, 6)).value_or_throw();
+    pool.volume("keep")->try_write(b, payload(b, 6)).value_or_throw();
   }
   std::stringstream ckpt;
   write_checkpoint(pool, 0, ckpt);
@@ -309,12 +275,14 @@ TEST(Recovery, PoolLifecycleReplaysToIdenticalState) {
   auto writer = std::make_shared<JournalWriter>(wal);
   pool.set_journal(writer);
 
-  pool.add_device({9, 4000, "late"});
+  pool.try_add_device({9, 4000, "late"}).value_or_throw();
   pool.create_volume("scratch", std::make_shared<ReedSolomonScheme>(3, 2),
                      PlacementKind::kRoundRobin);
-  pool.resize_device(9, 5000);
-  pool.set_volume_strategy("keep", PlacementKind::kFastRedundantShare);
-  pool.set_volume_scheme("keep", std::make_shared<MirroringScheme>(3));
+  pool.try_resize_device(9, 5000).value_or_throw();
+  pool.try_set_volume_strategy("keep", PlacementKind::kFastRedundantShare)
+      .value_or_throw();
+  pool.try_set_volume_scheme("keep", std::make_shared<MirroringScheme>(3))
+      .value_or_throw();
   pool.fail_device(5);
   pool.rebuild();
   pool.drop_volume("scratch");
@@ -325,13 +293,49 @@ TEST(Recovery, PoolLifecycleReplaysToIdenticalState) {
   EXPECT_EQ(twin.volume_count(), pool.volume_count());
   EXPECT_TRUE(twin.config() == pool.config());
   EXPECT_FALSE(twin.has_volume("scratch"));
-  EXPECT_EQ(twin.volume("keep").scheme().name(), "mirror(k=3)");
-  EXPECT_EQ(twin.volume("keep").placement_kind(),
+  EXPECT_EQ(twin.volume("keep")->scheme().name(), "mirror(k=3)");
+  EXPECT_EQ(twin.volume("keep")->placement_kind(),
             PlacementKind::kFastRedundantShare);
   for (std::uint64_t b = 0; b < 40; ++b) {
-    EXPECT_EQ(twin.volume("keep").try_read(b).value_or_throw(), payload(b, 6));
+    EXPECT_EQ(twin.volume("keep")->try_read(b).value_or_throw(),
+              payload(b, 6));
   }
-  EXPECT_TRUE(twin.volume("keep").scrub().clean());
+  EXPECT_TRUE(twin.volume("keep")->scrub().clean());
+}
+
+// A replayed edit fails with the ErrorCode its live call returns, for a
+// disk and a pool alike: resizing a failed device is kDeviceFailed.
+TEST(Recovery, PoolReplayKeepsTheEditsErrorCode) {
+  const ClusterConfig four(
+      {{1, 1000, "a"}, {2, 1000, "b"}, {3, 1000, "c"}, {4, 1000, "d"}});
+  std::stringstream wal;
+  {
+    JournalWriter writer(wal);
+    ASSERT_TRUE(writer.append(make_fail_device(2)).ok());
+    ASSERT_TRUE(writer.append(make_resize_device(2, 2000)).ok());
+  }
+  const std::string journal = wal.str();
+
+  VirtualDisk disk(four, std::make_shared<MirroringScheme>(2));
+  std::stringstream disk_ckpt;
+  write_checkpoint(disk, 0, disk_ckpt);
+  std::stringstream disk_wal(journal);
+  auto disk_replay = Recovery::recover_disk(disk_ckpt, &disk_wal);
+  ASSERT_FALSE(disk_replay.ok());
+  EXPECT_EQ(disk_replay.error().code, ErrorCode::kDeviceFailed)
+      << disk_replay.error().message;
+
+  StoragePool pool(four);
+  pool.create_volume("v", std::make_shared<MirroringScheme>(2));
+  std::stringstream pool_ckpt;
+  write_checkpoint(pool, 0, pool_ckpt);
+  std::stringstream pool_wal(journal);
+  auto pool_replay = Recovery::recover_pool(pool_ckpt, &pool_wal);
+  ASSERT_FALSE(pool_replay.ok());
+  EXPECT_EQ(pool_replay.error().code, ErrorCode::kDeviceFailed)
+      << pool_replay.error().message;
+  EXPECT_NE(pool_replay.error().message.find("lsn=2"), std::string::npos)
+      << pool_replay.error().message;
 }
 
 TEST(Recovery, FileStoreMutationsReplayByteIdentical) {
@@ -517,8 +521,8 @@ TEST(Recovery, CommittedPoolCheckpointRestoresEveryVolume) {
   StoragePool& pool = recovered.value().pool;
   EXPECT_TRUE(pool.config() == base_config());
   ASSERT_EQ(pool.volume_count(), 2u);
-  VirtualDisk& mirror = pool.volume("mirror");
-  VirtualDisk& evenodd = pool.volume("evenodd");
+  VirtualDisk& mirror = *pool.volume("mirror");
+  VirtualDisk& evenodd = *pool.volume("evenodd");
   EXPECT_EQ(mirror.scheme().name(), "mirror(k=2)");
   EXPECT_EQ(mirror.placement_kind(), PlacementKind::kRedundantShare);
   EXPECT_EQ(evenodd.scheme().name(), "evenodd(p=3)");

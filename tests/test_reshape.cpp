@@ -66,27 +66,32 @@ std::uint64_t placements() {
   return s == nullptr ? 0 : s->counter_value;
 }
 
-// An edit drains its moving blocks in batches before it returns: it counts
-// them, places each block once per strategy and commits the new topology.
+// An edit drains its moving blocks in batches before it returns: it moves
+// exactly the fragments whose home changes, places each block once per
+// strategy and commits the new topology.
 TEST(Reshape, StepwiseDrainCommitsNewTopology) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 500; ++b) {
     disk.try_write(b, payload(b)).value_or_throw();
   }
 
+  const Device added{9, 4000, "new"};
   ClusterConfig next = disk.config();
-  next.add_device({9, 4000, "new"});
+  next.add_device(added);
   // Only the blocks with a fragment whose home changes are queued.
   const HomeOracle oracle(disk, next);
-  std::size_t moving = 0;
+  std::size_t moving_blocks = 0;
+  std::uint64_t moving_fragments = 0;
   for (std::uint64_t b = 0; b < 500; ++b) {
-    if (oracle.homes(b).any_moves()) ++moving;
+    const Homes h = oracle.homes(b);
+    if (h.any_moves()) ++moving_blocks;
+    for (unsigned j = 0; j < 2; ++j) moving_fragments += h.moves(j) ? 1 : 0;
   }
+  EXPECT_GT(moving_blocks, 0u);
+  EXPECT_LT(moving_blocks, 500u);
   const std::uint64_t placed_before = placements();
-  const std::size_t planned = disk.apply_config(next).value_or_throw();
-  EXPECT_EQ(planned, moving);
-  EXPECT_GT(planned, 0u);
-  EXPECT_LT(planned, 500u);
+  disk.try_add_device(added).value_or_throw();
+  EXPECT_EQ(disk.stats().fragments_moved, moving_fragments);
   // One pass placed each block once per strategy; the moves reuse the homes
   // it computed and place nothing.
   EXPECT_EQ(placements() - placed_before, 2u * 500u);
@@ -100,10 +105,9 @@ TEST(Reshape, StepwiseDrainCommitsNewTopology) {
 
 TEST(Reshape, EmptyPoolCommitsImmediately) {
   VirtualDisk disk(pool(), std::make_shared<MirroringScheme>(2));
-  ClusterConfig next = disk.config();
-  next.add_device({9, 2500, ""});
   const std::uint64_t epoch = disk.placement_snapshot()->epoch;
-  EXPECT_EQ(disk.apply_config(next).value_or_throw(), 0u);
+  disk.try_add_device({9, 2500, ""}).value_or_throw();
+  EXPECT_EQ(disk.stats().fragments_moved, 0u);
   EXPECT_TRUE(disk.config().contains(9));
   EXPECT_EQ(disk.placement_snapshot()->epoch, epoch + 1);
 }
@@ -217,13 +221,13 @@ TEST(Reshape, RebuildGathersPeersBeforeMoving) {
 TEST(Reshape, StepToFullTargetTouchesNothing) {
   StoragePool shared(pool());
   VirtualDisk& disk =
-      shared.create_volume("a", std::make_shared<MirroringScheme>(2));
+      *shared.create_volume("a", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 500; ++b) {
     disk.try_write(b, payload(b)).value_or_throw();
   }
   // One-copy blocks until the first whose home is full.
   VirtualDisk& filler =
-      shared.create_volume("b", std::make_shared<MirroringScheme>(1));
+      *shared.create_volume("b", std::make_shared<MirroringScheme>(1));
   std::optional<DeviceId> full;
   std::uint64_t filled = 0;
   for (; !full; ++filled) {
@@ -241,13 +245,11 @@ TEST(Reshape, StepToFullTargetTouchesNothing) {
   for (const Device& d : before.devices()) used[d.uid] = disk.used_on(d.uid);
   EXPECT_EQ(used[*full], before[*before.index_of(*full)].capacity);
 
-  try {
-    shared.set_volume_strategy("a", PlacementKind::kFastRedundantShare);
-    ADD_FAILURE() << "a step to a full device was accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("has no room"), std::string::npos)
-        << e.what();
-  }
+  const Result<void> refused =
+      shared.try_set_volume_strategy("a", PlacementKind::kFastRedundantShare);
+  ASSERT_EQ(refused.code(), ErrorCode::kIoError);
+  EXPECT_NE(refused.error().message.find("has no room"), std::string::npos)
+      << refused.error().message;
   EXPECT_EQ(disk.placement_kind(), PlacementKind::kRedundantShare);
   EXPECT_EQ(disk.placement_snapshot()->epoch, epoch);
   EXPECT_EQ(disk.stats().fragments_moved, 0u);
@@ -264,7 +266,8 @@ TEST(Reshape, StepToFullTargetTouchesNothing) {
 
   // The same step once the other volume's fragments are gone.
   ASSERT_TRUE(shared.drop_volume("b"));
-  shared.set_volume_strategy("a", PlacementKind::kFastRedundantShare);
+  shared.try_set_volume_strategy("a", PlacementKind::kFastRedundantShare)
+      .value_or_throw();
   EXPECT_EQ(disk.placement_kind(), PlacementKind::kFastRedundantShare);
   EXPECT_GT(disk.stats().fragments_moved, 0u);
   EXPECT_GT(disk.used_on(*full), 0u);
@@ -289,9 +292,6 @@ TEST(Reshape, EditWithoutRoomTouchesNothing) {
   const Result<void> removed = disk.try_remove_device(1);
   ASSERT_EQ(removed.code(), ErrorCode::kIoError);
   EXPECT_NE(removed.error().message.find("has no room"), std::string::npos);
-  ClusterConfig smaller = before;
-  smaller.remove_device(1);
-  EXPECT_EQ(disk.apply_config(smaller).code(), ErrorCode::kIoError);
 
   EXPECT_TRUE(disk.config() == before);
   EXPECT_EQ(disk.placement_snapshot()->epoch, epoch);
@@ -364,7 +364,7 @@ TEST(Reshape, RebuildFinishesPastAnUnrecoverableBlock) {
   }
 }
 
-// apply_config sizes the stores to the config it installs: a grown device
+// A resize sizes the stores to the config it installs: a grown device
 // takes fragments past its old capacity, and a shrink that would leave a
 // device holding more than its new capacity is refused before anything
 // moves.
@@ -376,8 +376,7 @@ TEST(Reshape, ApplyConfigResizesStores) {
     for (std::uint64_t b = 0; b < 1500; ++b) {
       disk.try_write(b, payload(b)).value_or_throw();
     }
-    config.resize_device(3, 5000);
-    disk.apply_config(config).value_or_throw();
+    disk.try_resize_device(3, 5000).value_or_throw();
     EXPECT_GT(disk.used_on(3), 1000u);
     for (std::uint64_t b = 1500; b < 1700; ++b) {
       disk.try_write(b, payload(b)).value_or_throw();
@@ -396,13 +395,10 @@ TEST(Reshape, ApplyConfigResizesStores) {
       disk.try_write(b, payload(b)).value_or_throw();
     }
     const std::uint64_t epoch = disk.placement_snapshot()->epoch;
-    ClusterConfig shrunk = config;
-    shrunk.resize_device(3, 400);
-    const Result<std::size_t> applied = disk.apply_config(shrunk);
-    ASSERT_EQ(applied.code(), ErrorCode::kIoError);
-    EXPECT_NE(applied.error().message.find("device 3"), std::string::npos)
-        << applied.error().message;
-    EXPECT_EQ(disk.try_resize_device(3, 400).code(), ErrorCode::kIoError);
+    const Result<void> shrunk = disk.try_resize_device(3, 400);
+    ASSERT_EQ(shrunk.code(), ErrorCode::kIoError);
+    EXPECT_NE(shrunk.error().message.find("device 3"), std::string::npos)
+        << shrunk.error().message;
     EXPECT_TRUE(disk.config() == config);
     EXPECT_EQ(disk.placement_snapshot()->epoch, epoch);
     EXPECT_EQ(disk.stats().fragments_moved, 0u);
@@ -423,7 +419,7 @@ TEST(Reshape, StepFreesRoomBeforeWriting) {
   next.add_device({9, 4000, "new"});
   StoragePool shared(pool());
   VirtualDisk& disk =
-      shared.create_volume("a", std::make_shared<MirroringScheme>(3));
+      *shared.create_volume("a", std::make_shared<MirroringScheme>(3));
   const HomeOracle oracle(disk, next);
   std::optional<std::pair<std::uint64_t, DeviceId>> pass;  // block, device
   unsigned moving = 0;  // the block's fragments whose home changes
@@ -445,7 +441,7 @@ TEST(Reshape, StepFreesRoomBeforeWriting) {
   // Volume "b" -- reshaped after "a" -- fills the device with one-copy
   // blocks placed there.
   VirtualDisk& filler =
-      shared.create_volume("b", std::make_shared<MirroringScheme>(1));
+      *shared.create_volume("b", std::make_shared<MirroringScheme>(1));
   const std::uint64_t capacity = pool()[*pool().index_of(device)].capacity;
   std::vector<DeviceId> home(1);
   for (std::uint64_t b = 0; disk.used_on(device) < capacity; ++b) {
@@ -453,7 +449,7 @@ TEST(Reshape, StepFreesRoomBeforeWriting) {
     if (home[0] == device) filler.try_write(b, payload(b)).value_or_throw();
   }
 
-  shared.add_device({9, 4000, "new"});
+  shared.try_add_device({9, 4000, "new"}).value_or_throw();
   EXPECT_EQ(disk.stats().fragments_moved, moving);
   EXPECT_EQ(disk.try_read(block).value_or_throw(), payload(block));
   EXPECT_TRUE(disk.scrub().clean());

@@ -107,12 +107,12 @@ TEST(Snapshot, ChecksumsSurviveRoundTrip) {
     StoragePool pool(pool_config());
     pool.create_volume("a", std::make_shared<MirroringScheme>(2));
     pool.create_volume("b", std::make_shared<MirroringScheme>(3));
-    pool.volume("a").try_write(5, payload(5, 4)).value_or_throw();
-    pool.volume("b").try_write(5, payload(5, 5)).value_or_throw();
+    pool.volume("a")->try_write(5, payload(5, 4)).value_or_throw();
+    pool.volume("b")->try_write(5, payload(5, 5)).value_or_throw();
     std::stringstream stream;
     Snapshot::save_pool(pool, stream);
     StoragePool restored = Snapshot::load_pool(stream);
-    VirtualDisk& second = restored.volume("b");
+    VirtualDisk& second = *restored.volume("b");
     ASSERT_TRUE(second.corrupt_fragment(5, 0));
     EXPECT_EQ(second.try_read(5).value_or_throw(), payload(5, 5));
     EXPECT_EQ(second.stats().checksum_failures, 1u);
@@ -147,8 +147,8 @@ TEST(Snapshot, PoolRoundTrip) {
   pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   pool.create_volume("b", std::make_shared<EvenOddScheme>(3));
   for (std::uint64_t blk = 0; blk < 120; ++blk) {
-    pool.volume("a").try_write(blk, payload(blk, 10)).value_or_throw();
-    pool.volume("b").try_write(blk, payload(blk, 20)).value_or_throw();
+    pool.volume("a")->try_write(blk, payload(blk, 10)).value_or_throw();
+    pool.volume("b")->try_write(blk, payload(blk, 20)).value_or_throw();
   }
 
   std::stringstream stream;
@@ -157,23 +157,23 @@ TEST(Snapshot, PoolRoundTrip) {
 
   EXPECT_EQ(restored.volume_count(), 2u);
   for (std::uint64_t blk = 0; blk < 120; ++blk) {
-    EXPECT_EQ(restored.volume("a").try_read(blk).value_or_throw(),
+    EXPECT_EQ(restored.volume("a")->try_read(blk).value_or_throw(),
               payload(blk, 10));
-    EXPECT_EQ(restored.volume("b").try_read(blk).value_or_throw(),
+    EXPECT_EQ(restored.volume("b")->try_read(blk).value_or_throw(),
               payload(blk, 20));
   }
-  EXPECT_TRUE(restored.volume("a").scrub().clean());
-  EXPECT_TRUE(restored.volume("b").scrub().clean());
+  EXPECT_TRUE(restored.volume("a")->scrub().clean());
+  EXPECT_TRUE(restored.volume("b")->scrub().clean());
 
   // Volumes still share stores: pool-wide failure degrades both.
   restored.fail_device(1);
   EXPECT_GT(restored.rebuild(), 0u);
-  EXPECT_EQ(restored.volume("a").try_read(3).value_or_throw(), payload(3, 10));
+  EXPECT_EQ(restored.volume("a")->try_read(3).value_or_throw(), payload(3, 10));
   // New volumes get fresh ids (the counter was persisted).
   VirtualDisk& c =
-      restored.create_volume("c", std::make_shared<MirroringScheme>(2));
-  EXPECT_NE(c.volume_id(), restored.volume("a").volume_id());
-  EXPECT_NE(c.volume_id(), restored.volume("b").volume_id());
+      *restored.create_volume("c", std::make_shared<MirroringScheme>(2));
+  EXPECT_NE(c.volume_id(), restored.volume("a")->volume_id());
+  EXPECT_NE(c.volume_id(), restored.volume("b")->volume_id());
 }
 
 TEST(Snapshot, RejectsGarbage) {

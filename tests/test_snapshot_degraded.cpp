@@ -102,7 +102,7 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
   }
   for (std::uint64_t b = 0; b < 25; ++b) {
     for (std::size_t i = 0; i < schemes.size(); ++i) {
-      pool.volume(test::numbered("v", i)).try_write(b, payload(b, 10 + i))
+      pool.volume(test::numbered("v", i))->try_write(b, payload(b, 10 + i))
           .value_or_throw();
     }
   }
@@ -115,7 +115,7 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
   EXPECT_EQ(restored.volume_count(), schemes.size());
   for (std::size_t i = 0; i < schemes.size(); ++i) {
     SCOPED_TRACE(schemes[i]->name());
-    VirtualDisk& vol = restored.volume(test::numbered("v", i));
+    VirtualDisk& vol = *restored.volume(test::numbered("v", i));
     EXPECT_EQ(vol.scheme().name(), schemes[i]->name());
     EXPECT_FALSE(vol.scrub().clean());
     for (std::uint64_t b = 0; b < 25; ++b) {
@@ -125,7 +125,7 @@ TEST(SnapshotDegraded, DegradedPoolRoundTripsEveryVolume) {
   // The failure flag is on the SHARED store: one rebuild heals all volumes.
   EXPECT_GT(restored.rebuild(), 0u);
   for (std::size_t i = 0; i < schemes.size(); ++i) {
-    EXPECT_TRUE(restored.volume(test::numbered("v", i)).scrub().clean());
+    EXPECT_TRUE(restored.volume(test::numbered("v", i))->scrub().clean());
   }
 }
 
@@ -133,7 +133,7 @@ TEST(SnapshotDegraded, PoolUsageReportsFailureAfterRestore) {
   StoragePool pool(wide_config());
   pool.create_volume("v", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t b = 0; b < 10; ++b) {
-    pool.volume("v").try_write(b, payload(b, 3)).value_or_throw();
+    pool.volume("v")->try_write(b, payload(b, 3)).value_or_throw();
   }
   pool.fail_device(7);
 

@@ -38,7 +38,7 @@ ClusterConfig equal_devices(DeviceId n, std::uint64_t capacity) {
 // Every volume sees the pool's one configuration.
 void expect_one_config(StoragePool& pool) {
   for (const std::string& name : pool.volume_names()) {
-    EXPECT_TRUE(pool.volume(name).config() == pool.config()) << name;
+    EXPECT_TRUE(pool.volume(name)->config() == pool.config()) << name;
   }
 }
 
@@ -52,7 +52,7 @@ struct PoolState {
 
   explicit PoolState(StoragePool& pool) : config(pool.config()) {
     for (const std::string& name : pool.volume_names()) {
-      VirtualDisk& volume = pool.volume(name);
+      VirtualDisk& volume = *pool.volume(name);
       epochs[name] = volume.placement_snapshot()->epoch;
       moved[name] = volume.stats().fragments_moved;
     }
@@ -62,7 +62,7 @@ struct PoolState {
     EXPECT_TRUE(pool.config() == config);
     expect_one_config(pool);
     for (const auto& [name, epoch] : epochs) {
-      VirtualDisk& volume = pool.volume(name);
+      VirtualDisk& volume = *pool.volume(name);
       EXPECT_EQ(volume.placement_snapshot()->epoch, epoch) << name;
       EXPECT_EQ(volume.stats().fragments_moved, moved.at(name)) << name;
     }
@@ -72,22 +72,11 @@ struct PoolState {
   }
 };
 
-// The message of the std::runtime_error `edit` throws ("" if none).
-template <typename Edit>
-std::string runtime_error_of(Edit&& edit) {
-  try {
-    edit();
-  } catch (const std::runtime_error& e) {
-    return e.what();
-  }
-  return "";
-}
-
 TEST(StoragePool, VolumesAreIsolatedNamespaces) {
   StoragePool pool(pool_config());
-  VirtualDisk& scratch = pool.create_volume(
+  VirtualDisk& scratch = *pool.create_volume(
       "scratch", std::make_shared<MirroringScheme>(2));
-  VirtualDisk& archive = pool.create_volume(
+  VirtualDisk& archive = *pool.create_volume(
       "archive", std::make_shared<ReedSolomonScheme>(4, 2));
 
   // Both volumes use the SAME block ids with different content.
@@ -102,15 +91,15 @@ TEST(StoragePool, VolumesAreIsolatedNamespaces) {
   EXPECT_TRUE(scratch.scrub().clean());
   EXPECT_TRUE(archive.scrub().clean());
   EXPECT_EQ(pool.volume_count(), 2u);
-  EXPECT_EQ(pool.volume("scratch").volume_id(),
+  EXPECT_EQ(pool.volume("scratch")->volume_id(),
             scratch.volume_id());
 }
 
 TEST(StoragePool, SharedCapacityIsContended) {
   // Two volumes' fragments land on the same stores: device usage is the sum.
   StoragePool pool(pool_config());
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
-  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(3));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = *pool.create_volume("b", std::make_shared<MirroringScheme>(3));
   for (std::uint64_t block = 0; block < 200; ++block) {
     a.try_write(block, payload(block, 1)).value_or_throw();
     b.try_write(block, payload(block, 2)).value_or_throw();
@@ -122,13 +111,13 @@ TEST(StoragePool, SharedCapacityIsContended) {
 
 TEST(StoragePool, PoolWideDeviceAddMigratesEveryVolume) {
   StoragePool pool(pool_config());
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
-  VirtualDisk& b = pool.create_volume("b", std::make_shared<ReedSolomonScheme>(3, 2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = *pool.create_volume("b", std::make_shared<ReedSolomonScheme>(3, 2));
   for (std::uint64_t block = 0; block < 200; ++block) {
     a.try_write(block, payload(block, 1)).value_or_throw();
     b.try_write(block, payload(block, 2)).value_or_throw();
   }
-  pool.add_device({9, 4000, "grown"});
+  pool.try_add_device({9, 4000, "grown"}).value_or_throw();
   EXPECT_TRUE(pool.config().contains(9));
   EXPECT_TRUE(a.config().contains(9));
   EXPECT_TRUE(b.config().contains(9));
@@ -143,13 +132,13 @@ TEST(StoragePool, PoolWideDeviceAddMigratesEveryVolume) {
 
 TEST(StoragePool, PoolWideRemoveDrainsEveryVolume) {
   StoragePool pool(pool_config());
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
-  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = *pool.create_volume("b", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t block = 0; block < 150; ++block) {
     a.try_write(block, payload(block, 1)).value_or_throw();
     b.try_write(block, payload(block, 2)).value_or_throw();
   }
-  pool.remove_device(6);
+  pool.try_remove_device(6).value_or_throw();
   EXPECT_FALSE(pool.config().contains(6));
   for (std::uint64_t block = 0; block < 150; ++block) {
     EXPECT_EQ(a.try_read(block).value_or_throw(), payload(block, 1));
@@ -159,8 +148,8 @@ TEST(StoragePool, PoolWideRemoveDrainsEveryVolume) {
 
 TEST(StoragePool, FailureAndRebuildSpanVolumes) {
   StoragePool pool(pool_config());
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
-  VirtualDisk& b = pool.create_volume("b", std::make_shared<ReedSolomonScheme>(3, 2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = *pool.create_volume("b", std::make_shared<ReedSolomonScheme>(3, 2));
   for (std::uint64_t block = 0; block < 150; ++block) {
     a.try_write(block, payload(block, 1)).value_or_throw();
     b.try_write(block, payload(block, 2)).value_or_throw();
@@ -180,8 +169,8 @@ TEST(StoragePool, FailureAndRebuildSpanVolumes) {
 
 TEST(StoragePool, DropVolumeReleasesCapacity) {
   StoragePool pool(pool_config());
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
-  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = *pool.create_volume("b", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t block = 0; block < 100; ++block) {
     a.try_write(block, payload(block, 1)).value_or_throw();
     b.try_write(block, payload(block, 2)).value_or_throw();
@@ -195,7 +184,7 @@ TEST(StoragePool, DropVolumeReleasesCapacity) {
   EXPECT_EQ(after, before - 200u);
   // Volume b untouched.
   for (std::uint64_t block = 0; block < 100; ++block) {
-    EXPECT_EQ(pool.volume("b").try_read(block).value_or_throw(),
+    EXPECT_EQ(pool.volume("b")->try_read(block).value_or_throw(),
               payload(block, 2));
   }
 }
@@ -206,8 +195,8 @@ TEST(StoragePool, Validation) {
   EXPECT_THROW(pool.create_volume("a", std::make_shared<MirroringScheme>(2)),
                std::invalid_argument);
   EXPECT_THROW((void)pool.volume("nope"), std::out_of_range);
-  EXPECT_THROW(pool.add_device({1, 100, ""}), std::invalid_argument);
-  EXPECT_THROW(pool.remove_device(99), std::out_of_range);
+  EXPECT_EQ(pool.try_add_device({1, 100, ""}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(pool.try_remove_device(99).code(), ErrorCode::kNotFound);
   EXPECT_THROW(pool.fail_device(99), std::out_of_range);
   // Scheme needing more fragments than devices.
   EXPECT_THROW(
@@ -219,8 +208,8 @@ TEST(StoragePool, Validation) {
 // neither: the whole plan is checked before anything moves.
 TEST(StoragePool, RemoveWithoutRoomMovesNoVolume) {
   StoragePool pool(equal_devices(4, 1000));
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
-  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = *pool.create_volume("b", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t block = 0; block < 100; ++block) {
     a.try_write(block, payload(block, 1)).value_or_throw();
   }
@@ -229,9 +218,10 @@ TEST(StoragePool, RemoveWithoutRoomMovesNoVolume) {
   }
   const PoolState before(pool);
 
-  const std::string refused =
-      runtime_error_of([&] { pool.remove_device(4); });
-  EXPECT_NE(refused.find("has no room"), std::string::npos) << refused;
+  const Result<void> refused = pool.try_remove_device(4);
+  ASSERT_EQ(refused.code(), ErrorCode::kIoError);
+  EXPECT_NE(refused.error().message.find("has no room"), std::string::npos)
+      << refused.error().message;
   EXPECT_TRUE(pool.config().contains(4));
   EXPECT_TRUE(a.config().contains(4));
   EXPECT_TRUE(b.config().contains(4));
@@ -246,7 +236,7 @@ TEST(StoragePool, RemoveWithoutRoomMovesNoVolume) {
   EXPECT_TRUE(b.scrub().clean());
 
   ASSERT_TRUE(pool.drop_volume("b"));
-  pool.remove_device(4);
+  pool.try_remove_device(4).value_or_throw();
   EXPECT_FALSE(pool.config().contains(4));
   expect_one_config(pool);
   for (std::uint64_t block = 0; block < 100; ++block) {
@@ -258,14 +248,14 @@ TEST(StoragePool, RemoveWithoutRoomMovesNoVolume) {
 // A shrink refused for lack of room leaves every configuration as it was.
 TEST(StoragePool, ShrinkWithoutRoomChangesNoConfig) {
   StoragePool pool(equal_devices(5, 1000));
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
-  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = *pool.create_volume("b", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t block = 0; block < 1180; ++block) {
     a.try_write(block, payload(block, 1)).value_or_throw();
     b.try_write(block, payload(block, 2)).value_or_throw();
   }
   const PoolState before(pool);
-  EXPECT_NE(runtime_error_of([&] { pool.resize_device(1, 990); }), "");
+  EXPECT_EQ(pool.try_resize_device(1, 990).code(), ErrorCode::kIoError);
   before.expect_same(pool);
   EXPECT_EQ(a.config()[*a.config().index_of(1)].capacity, 1000u);
   for (std::uint64_t block = 0; block < 1180; ++block) {
@@ -278,7 +268,7 @@ TEST(StoragePool, ShrinkWithoutRoomChangesNoConfig) {
 // shares with other volumes; they are refused and name the pool call.
 TEST(StoragePool, VolumeTopologyCallsAreRefused) {
   StoragePool pool(pool_config());
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   pool.create_volume("b", std::make_shared<MirroringScheme>(3));
   for (std::uint64_t block = 0; block < 50; ++block) {
     a.try_write(block, payload(block, 1)).value_or_throw();
@@ -289,18 +279,18 @@ TEST(StoragePool, VolumeTopologyCallsAreRefused) {
     EXPECT_NE(r.error().message.find(call), std::string::npos)
         << r.error().message;
   };
-  expect_refused(a.try_add_device({9, 1000, ""}), "StoragePool::add_device");
-  expect_refused(a.try_remove_device(6), "StoragePool::remove_device");
-  expect_refused(a.try_resize_device(6, 2000), "StoragePool::resize_device");
-  ClusterConfig grown = pool.config();
-  grown.add_device({9, 1000, ""});
-  EXPECT_EQ(a.apply_config(grown).code(), ErrorCode::kInvalidArgument);
+  expect_refused(a.try_add_device({9, 1000, ""}),
+                 "StoragePool::try_add_device");
+  expect_refused(a.try_remove_device(6), "StoragePool::try_remove_device");
+  expect_refused(a.try_resize_device(6, 2000),
+                 "StoragePool::try_resize_device");
   expect_refused(a.try_set_strategy(PlacementKind::kFastRedundantShare),
-                 "StoragePool::set_volume_strategy");
+                 "StoragePool::try_set_volume_strategy");
   expect_refused(a.try_set_scheme(std::make_shared<MirroringScheme>(3)),
-                 "StoragePool::set_volume_scheme");
+                 "StoragePool::try_set_volume_scheme");
   EXPECT_THROW(a.fail_device(1), std::invalid_argument);
   EXPECT_THROW((void)a.rebuild(), std::invalid_argument);
+  EXPECT_THROW(a.set_journal(nullptr), std::invalid_argument);
   before.expect_same(pool);
   EXPECT_EQ(a.placement_kind(), PlacementKind::kRedundantShare);
   EXPECT_EQ(a.scheme().name(), "mirror(k=2)");
@@ -312,7 +302,7 @@ TEST(StoragePool, VolumeTopologyCallsAreRefused) {
   EXPECT_TRUE(restored.config() == pool.config());
   expect_one_config(restored);
   for (std::uint64_t block = 0; block < 50; ++block) {
-    EXPECT_EQ(restored.volume("a").try_read(block).value_or_throw(),
+    EXPECT_EQ(restored.volume("a")->try_read(block).value_or_throw(),
               payload(block, 1));
   }
 }
@@ -321,17 +311,18 @@ TEST(StoragePool, VolumeTopologyCallsAreRefused) {
 // fragments included -- is refused before anything is erased.
 TEST(StoragePool, SchemeSwapWithoutRoomChangesNothing) {
   StoragePool pool(equal_devices(4, 1000));
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
-  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = *pool.create_volume("b", std::make_shared<MirroringScheme>(2));
   for (std::uint64_t block = 0; block < 900; ++block) {
     a.try_write(block, payload(block, 1)).value_or_throw();
     b.try_write(block, payload(block, 2)).value_or_throw();
   }
   const PoolState before(pool);
-  const std::string refused = runtime_error_of([&] {
-    pool.set_volume_scheme("a", std::make_shared<MirroringScheme>(3));
-  });
-  EXPECT_NE(refused.find("device"), std::string::npos) << refused;
+  const Result<void> refused =
+      pool.try_set_volume_scheme("a", std::make_shared<MirroringScheme>(3));
+  ASSERT_EQ(refused.code(), ErrorCode::kIoError);
+  EXPECT_NE(refused.error().message.find("device"), std::string::npos)
+      << refused.error().message;
   before.expect_same(pool);
   EXPECT_EQ(a.scheme().name(), "mirror(k=2)");
   for (std::uint64_t block = 0; block < 900; ++block) {
@@ -345,42 +336,44 @@ TEST(StoragePool, SchemeSwapWithoutRoomChangesNothing) {
 // device free.
 TEST(StoragePool, EveryVolumeSharesThePoolConfig) {
   StoragePool empty{ClusterConfig{}};
-  EXPECT_THROW(empty.add_device({4, 0, ""}), std::invalid_argument);
+  EXPECT_EQ(empty.try_add_device({4, 0, ""}).code(), ErrorCode::kInvalidArgument);
   EXPECT_TRUE(empty.config().empty());
-  empty.add_device({4, 1000, ""});
+  empty.try_add_device({4, 1000, ""}).value_or_throw();
   EXPECT_TRUE(empty.config().contains(4));
 
   StoragePool pool(pool_config());
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
   VirtualDisk& b =
-      pool.create_volume("b", std::make_shared<ReedSolomonScheme>(3, 2));
+      *pool.create_volume("b", std::make_shared<ReedSolomonScheme>(3, 2));
   for (std::uint64_t block = 0; block < 200; ++block) {
     a.try_write(block, payload(block, 1)).value_or_throw();
     b.try_write(block, payload(block, 2)).value_or_throw();
   }
   expect_one_config(pool);
-  pool.add_device({9, 4000, ""});
+  pool.try_add_device({9, 4000, ""}).value_or_throw();
   expect_one_config(pool);
-  EXPECT_THROW(pool.add_device({9, 100, ""}), std::invalid_argument);
+  EXPECT_EQ(pool.try_add_device({9, 100, ""}).code(), ErrorCode::kInvalidArgument);
   expect_one_config(pool);
-  pool.resize_device(9, 5000);
+  pool.try_resize_device(9, 5000).value_or_throw();
   expect_one_config(pool);
-  pool.resize_device(9, 2000);
+  pool.try_resize_device(9, 2000).value_or_throw();
   expect_one_config(pool);
-  EXPECT_THROW(pool.resize_device(9, 0), std::invalid_argument);
+  EXPECT_EQ(pool.try_resize_device(9, 0).code(), ErrorCode::kInvalidArgument);
   expect_one_config(pool);
-  EXPECT_THROW(pool.resize_device(99, 10), std::out_of_range);
-  pool.remove_device(6);
+  EXPECT_EQ(pool.try_resize_device(99, 10).code(), ErrorCode::kNotFound);
+  pool.try_remove_device(6).value_or_throw();
   expect_one_config(pool);
   pool.fail_device(2);
-  EXPECT_THROW(pool.remove_device(2), std::invalid_argument);
-  EXPECT_THROW(pool.resize_device(2, 3000), std::runtime_error);
+  EXPECT_EQ(pool.try_remove_device(2).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(pool.try_resize_device(2, 3000).code(), ErrorCode::kDeviceFailed);
   expect_one_config(pool);
   EXPECT_GT(pool.rebuild(), 0u);
   expect_one_config(pool);
   EXPECT_FALSE(a.config().contains(2));
-  pool.set_volume_strategy("a", PlacementKind::kFastRedundantShare);
-  pool.set_volume_scheme("b", std::make_shared<MirroringScheme>(3));
+  pool.try_set_volume_strategy("a", PlacementKind::kFastRedundantShare)
+      .value_or_throw();
+  pool.try_set_volume_scheme("b", std::make_shared<MirroringScheme>(3))
+      .value_or_throw();
   expect_one_config(pool);
   for (std::uint64_t block = 0; block < 200; ++block) {
     ASSERT_EQ(a.try_read(block).value_or_throw(), payload(block, 1)) << block;
@@ -394,8 +387,8 @@ TEST(StoragePool, EveryVolumeSharesThePoolConfig) {
 // the pool's one lock serializes them, so every read returns its write.
 TEST(StoragePool, VolumesAndEditsShareOneLockAcrossThreads) {
   StoragePool pool(equal_devices(4, 100000));
-  VirtualDisk& a = pool.create_volume("a", std::make_shared<MirroringScheme>(2));
-  VirtualDisk& b = pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  VirtualDisk& b = *pool.create_volume("b", std::make_shared<MirroringScheme>(2));
   std::atomic<int> wrong{0};
   const auto io = [&wrong](VirtualDisk& volume, std::uint64_t salt) {
     for (std::uint64_t block = 0; block < 2000; ++block) {
@@ -409,8 +402,8 @@ TEST(StoragePool, VolumesAndEditsShareOneLockAcrossThreads) {
   std::thread first(io, std::ref(a), 1);
   std::thread second(io, std::ref(b), 2);
   std::thread edits([&pool] {
-    pool.add_device({5, 100000, "e"});
-    pool.remove_device(5);
+    pool.try_add_device({5, 100000, "e"}).value_or_throw();
+    pool.try_remove_device(5).value_or_throw();
   });
   first.join();
   second.join();
@@ -424,6 +417,49 @@ TEST(StoragePool, VolumesAndEditsShareOneLockAcrossThreads) {
   }
   EXPECT_TRUE(a.scrub().clean());
   EXPECT_TRUE(b.scrub().clean());
+}
+
+// A thread still writing to a volume that another thread drops holds a
+// live handle: every write the drop precedes returns kNotFound and stores
+// nothing, and no device keeps a fragment of the dropped volume.
+TEST(StoragePool, DroppedVolumeRefusesWritesFromOtherThreads) {
+  StoragePool pool(equal_devices(4, 100000));
+  VirtualDisk& a = *pool.create_volume("a", std::make_shared<MirroringScheme>(2));
+  const std::shared_ptr<VirtualDisk> b =
+      pool.create_volume("b", std::make_shared<MirroringScheme>(2));
+  for (std::uint64_t block = 0; block < 50; ++block) {
+    a.try_write(block, payload(block, 1)).value_or_throw();
+  }
+  std::atomic<bool> writing{false};
+  std::atomic<bool> dropped{false};
+  std::atomic<int> wrong{0};
+  std::thread writer([&] {
+    // Until 100 writes have started after the drop returned.
+    for (std::uint64_t block = 0, after = 0; after < 100; ++block) {
+      const bool was_dropped = dropped.load();
+      const Result<void> written = b->try_write(block, payload(block, 2));
+      writing = true;
+      if (was_dropped) ++after;
+      if (written.ok() ? was_dropped
+                       : written.code() != ErrorCode::kNotFound) {
+        ++wrong;
+      }
+    }
+  });
+  while (!writing.load()) std::this_thread::yield();
+  ASSERT_TRUE(pool.drop_volume("b"));
+  dropped = true;
+  writer.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_FALSE(pool.has_volume("b"));
+  EXPECT_EQ(b->block_count(), 0u);
+  EXPECT_EQ(b->try_read(0).code(), ErrorCode::kNotFound);
+  std::uint64_t stored = 0;
+  for (const auto& u : pool.usage()) stored += u.used;
+  EXPECT_EQ(stored, 50u * 2);  // volume a's fragments only
+  for (std::uint64_t block = 0; block < 50; ++block) {
+    ASSERT_EQ(a.try_read(block).value_or_throw(), payload(block, 1)) << block;
+  }
 }
 
 }  // namespace

@@ -302,12 +302,13 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
         std::size_t ap = find_append_call(b, node.begin, node.end, &helper);
         const MethodInfo* append_target = nullptr;
         if (ap == kNpos) {
-          // Interprocedural: a same-class helper whose summary reaches a
-          // journal append is a commit point too, whatever its name.
+          // Interprocedural: a helper whose summary reaches a journal
+          // append is a commit point too, whatever its name, when it
+          // commits for this class (commits_for).
           for (const CallSite& c : facts.calls) {
             if (c.tok < node.begin || c.tok >= node.end) continue;
             for (const MethodKey& t : cg_.resolve_keys(c, fn.cls)) {
-              if (t.first != fn.cls || fn.cls.empty()) continue;
+              if (!commits_for(fn.cls, t)) continue;
               if (!sums_.of(t).appends_journal) continue;
               ap = c.tok;
               helper = c.name;
@@ -319,7 +320,7 @@ std::vector<Finding> Analyzer::run(const Options& opts) {
         }
         if (ap == kNpos) continue;
         // (a) The append's Result must be consumed.  Helpers that return
-        // void (StoragePool::journal_locked throws internally) are exempt.
+        // void (and throw internally) are exempt.
         bool needs_check = helper.empty();
         if (!helper.empty()) {
           const MethodInfo* hm = append_target;

@@ -91,6 +91,11 @@ std::size_t find_append_call(const std::vector<Tok>& t, std::size_t b,
   return static_cast<std::size_t>(-1);
 }
 
+bool commits_for(const std::string& caller_cls, const MethodKey& callee) {
+  return (!caller_cls.empty() && callee.first == caller_cls) ||
+         callee.second.ends_with("_locked");
+}
+
 std::string_view edge_kind_name(EdgeKind k) {
   switch (k) {
     case EdgeKind::kDirect:

@@ -179,4 +179,12 @@ class CallGraph {
                                            std::size_t b, std::size_t e,
                                            std::string* helper_name);
 
+/// Whether a journal append inside `callee` is the commit point of a
+/// caller in class `caller_cls`: the callee is a helper of that class, or
+/// a `*_locked` helper, which runs inside the caller's critical section
+/// (a device set's append, edit and fail bodies).  A call into another
+/// object's public API commits that object, not the caller.
+[[nodiscard]] bool commits_for(const std::string& caller_cls,
+                               const MethodKey& callee);
+
 }  // namespace rds::analyze

@@ -238,7 +238,7 @@ Summaries Summaries::compute(const CallGraph& cg) {
         if (t == key) continue;
         const FnSummary& ts = out.sums_.at(t);
         locks.insert(ts.locks.begin(), ts.locks.end());
-        if (ts.appends_journal) appends = true;
+        if (ts.appends_journal && commits_for(key.first, t)) appends = true;
         if (c.held.empty() && ts.blocking_unguarded && !unguarded) {
           unguarded = true;
           desc = "call into " + display_of(t) + " (" + ts.blocking_desc + ")";

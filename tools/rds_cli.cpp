@@ -555,7 +555,6 @@ int cmd_simulate(const Args& args) {
       VirtualDisk(config_from(args.caps), args.scheme));
   const TraceStats stats = runner.run(script);
   const VirtualDisk::Stats& disk = runner.disk().stats();
-  runner.disk().publish_device_gauges();
   std::cout << "commands executed:   " << stats.commands << '\n'
             << "blocks written:      " << stats.blocks_written << '\n'
             << "blocks verified:     " << stats.blocks_verified << '\n'
